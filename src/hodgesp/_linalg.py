@@ -16,11 +16,6 @@ def zero_tolerance(sigma_max: float, override: float | None = None) -> float:
     return 1e-10 * max(1.0, float(sigma_max))
 
 
-def largest_singular_value(*mats: np.ndarray) -> float:
-    vals = [np.linalg.norm(m, 2) for m in mats if m is not None and m.size]
-    return max(vals) if vals else 0.0
-
-
 def fix_column_signs(u: np.ndarray, tol: float) -> np.ndarray:
     """Flip column signs so the first entry of magnitude > tol is positive."""
     u = np.array(u, copy=True)
@@ -31,20 +26,11 @@ def fix_column_signs(u: np.ndarray, tol: float) -> np.ndarray:
     return u
 
 
-def orthonormal_complement(blocks: list[np.ndarray], n: int, dim: int) -> np.ndarray:
-    """Orthonormal basis of the complement of the span of the given blocks.
-
-    The complement is obtained from the SVD of the projector onto it, which
-    keeps the result orthogonal to every block column to machine precision.
-    """
-    if dim <= 0:
-        return np.zeros((n, 0))
-    p = np.eye(n)
-    for b in blocks:
-        if b.size:
-            p -= b @ b.T
-    u, _, _ = np.linalg.svd(p)
-    return u[:, :dim]
+def orthonormal_complement(block: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of the span of the orthonormal
+    columns of ``block``: the trailing columns of its complete QR."""
+    q, _ = np.linalg.qr(block, mode="complete")
+    return q[:, block.shape[1]:]
 
 
 def power_iteration_lambda_max(matvec, n: int, rtol: float = 1e-6,

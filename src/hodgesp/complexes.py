@@ -334,9 +334,22 @@ def incidence(c: SimplicialComplex, k: int, dense: bool = False):
     return b.toarray().astype(float) if dense else b
 
 
-_laplacian_cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
+# Per-complex derived objects (Laplacians, incidence SVDs, lambda_max),
+# keyed by the immutable complex. No value refers back to its complex, so an
+# entry goes away with it.
+_cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def _cached(c: SimplicialComplex, key, compute, *args):
+    """The cache entry ``key`` of ``c``, set to ``compute(*args)`` on first
+    use."""
+    try:
+        return _cache[c][key]
+    except KeyError:
+        value = _cache.setdefault(c, {})[key] = compute(*args)
+        return value
 
 
 def hodge_laplacian(c: SimplicialComplex, k: int, variant: str = "full",
@@ -356,22 +369,23 @@ def hodge_laplacian(c: SimplicialComplex, k: int, variant: str = "full",
     if k not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {k}")
 
-    cache = _laplacian_cache.setdefault(c, {})
-    if (k, variant) not in cache:
-        if k == 0:
-            mat = c.b1 @ c.b1.T
-        elif k == 1:
-            if variant == "down":
-                mat = c.b1.T @ c.b1
-            elif variant == "up":
-                mat = c.b2 @ c.b2.T
-            else:
-                mat = c.b1.T @ c.b1 + c.b2 @ c.b2.T
-        else:
-            mat = c.b2.T @ c.b2
-        cache[(k, variant)] = sp.csr_array(mat).astype(float)
-    mat = cache[(k, variant)]
+    mat = _cached(c, ("laplacian", k, variant), _laplacian, c, k, variant)
     return mat if sparse else mat.toarray()
+
+
+def _laplacian(c: SimplicialComplex, k: int, variant: str) -> sp.csr_array:
+    if k == 0:
+        mat = c.b1 @ c.b1.T
+    elif k == 1:
+        if variant == "down":
+            mat = c.b1.T @ c.b1
+        elif variant == "up":
+            mat = c.b2 @ c.b2.T
+        else:
+            mat = c.b1.T @ c.b1 + c.b2 @ c.b2.T
+    else:
+        mat = c.b2.T @ c.b2
+    return sp.csr_array(mat).astype(float)
 
 
 def dirac(c: SimplicialComplex) -> DiracOperator:
@@ -390,19 +404,33 @@ def dirac(c: SimplicialComplex) -> DiracOperator:
     return DiracOperator(full=down + up, down=down, up=up)
 
 
+def _incidence_svd(c: SimplicialComplex, k: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) of dense b_k (k in {1, 2}), computed once per
+    complex; the arrays are read-only."""
+    return _cached(c, ("svd", k), _read_only_svd, c, k)
+
+
+def _read_only_svd(c: SimplicialComplex, k: int):
+    factors = np.linalg.svd(incidence(c, k, dense=True), full_matrices=False)
+    for f in factors:
+        f.flags.writeable = False
+    return tuple(factors)
+
+
+def _zero_tolerance(c: SimplicialComplex, tol: float | None) -> float:
+    """The complex-wide zero threshold: scaled by the largest singular value
+    of b1 and b2, unless overridden."""
+    sigma_max = max(_incidence_svd(c, k)[1].max(initial=0.0) for k in (1, 2))
+    return zero_tolerance(sigma_max, tol)
+
+
 def betti(c: SimplicialComplex, tol: float | None = None) -> tuple[int, int, int]:
     """Betti numbers (components, holes, cavities) = dim kernel(L_k)."""
-    r1 = _rank(c.b1.toarray().astype(float), tol)
-    r2 = _rank(c.b2.toarray().astype(float), tol)
+    thr = _zero_tolerance(c, tol) ** 0.5
+    r1, r2 = (int(np.count_nonzero(_incidence_svd(c, k)[1] > thr))
+              for k in (1, 2))
     return (c.n0 - r1, c.n1 - r1 - r2, c.n2 - r2)
-
-
-def _rank(a: np.ndarray, tol: float | None) -> int:
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    thr = zero_tolerance(s[0] if s.size else 0.0, tol) ** 0.5
-    return int(np.count_nonzero(s > thr))
 
 
 def _check_bound(c: SimplicialComplex, x: Cochain, k: int) -> None:

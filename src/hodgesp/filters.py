@@ -12,7 +12,6 @@ of the plain form is h_down[0] + h_up[0]; both coefficients are kept.
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .complexes import (
     Cochain,
     ComplexSignal,
     SimplicialComplex,
+    _cached,
     dirac_shift,
     hodge_laplacian,
 )
@@ -95,19 +95,16 @@ class HodgeFilterSpec:
                 and not any(self.h_down) and not any(self.h_up))
 
 
-_lambda_max_cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def lambda_max(c: SimplicialComplex, k: int, rtol: float = 1e-6) -> float:
-    """Largest eigenvalue of L_k, by power iteration, cached per complex."""
-    per = _lambda_max_cache.setdefault(c, {})
-    if k not in per:
-        lap = hodge_laplacian(c, k, sparse=True)
-        per[k] = power_iteration_lambda_max(lambda v: lap @ v, lap.shape[0],
-                                            rtol=rtol)
-    return per[k]
+    """Largest eigenvalue of L_k, by power iteration, cached per complex
+    and rtol."""
+    return _cached(c, ("lambda_max", k, rtol), _lambda_max, c, k, rtol)
+
+
+def _lambda_max(c: SimplicialComplex, k: int, rtol: float) -> float:
+    lap = hodge_laplacian(c, k, sparse=True)
+    return power_iteration_lambda_max(lambda v: lap @ v, lap.shape[0],
+                                      rtol=rtol)
 
 
 def _polynomial_sum(lap, coeffs: tuple[float, ...], x: np.ndarray,
@@ -290,8 +287,10 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (c.n1,):
         raise ValueError(f"mask must have shape ({c.n1},)")
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be nonnegative")
+    for name, weight in (("alpha", alpha), ("beta", beta)):
+        if not (np.isfinite(weight) and weight >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, "
+                             f"got {weight}")
     if p not in (1, 2) or q not in (1, 2):
         raise ValueError("p and q must be 1 or 2")
 
@@ -313,7 +312,7 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
     if p == 2:
         lip += 2.0 * alpha * lambda_max(c, 0)  # lam_max(L1_down) = lam_max(L0)
     if q == 2:
-        lip += 2.0 * beta * np.linalg.norm(lap_up, 2)
+        lip += 2.0 * beta * lambda_max(c, 2)  # lam_max(L1_up) = lam_max(L2)
 
     def grad_smooth(x: np.ndarray) -> np.ndarray:
         g = 2.0 * m_diag * (x - f.values)
@@ -333,7 +332,9 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
         bounds.append(beta)
     k_op = np.vstack(ops)
     splits = np.cumsum([op.shape[0] for op in ops])[:-1]
-    k_norm = np.linalg.norm(k_op, 2)
+    # ||K||^2 = lam_max(K^T K), where K^T K is L1_down (p = 1 alone, same
+    # spectrum as L0), L1_up (q = 1 alone, as L2) or L1 (both, as b1 b2 = 0).
+    k_norm = np.sqrt(lambda_max(c, {(1, 2): 0, (2, 1): 2, (1, 1): 1}[(p, q)]))
 
     sigma = 1.0 / k_norm if k_norm > 0 else 1.0
     tau = 0.9 / (lip / 2.0 + sigma * k_norm**2)

@@ -17,8 +17,7 @@ import warnings
 
 import numpy as np
 
-from ._linalg import zero_tolerance
-from .complexes import SimplicialComplex, incidence
+from .complexes import SimplicialComplex, _incidence_svd, _zero_tolerance
 
 __all__ = [
     "DegenerateScoresWarning",
@@ -37,20 +36,16 @@ def project_out_gradient(c: SimplicialComplex, flows: np.ndarray,
                          tol: float | None = None) -> np.ndarray:
     """Remove the gradient component of each flow column.
 
-    The projector onto span(b1^T) comes from the SVD of b1; the output
-    columns are divergence-free.
+    The projector onto span(b1^T) comes from the cached SVD of b1; the
+    output columns are divergence-free.
     """
     flows = np.atleast_2d(np.asarray(flows, dtype=float))
     if flows.shape[0] != c.n1:
         flows = flows.T
     if flows.shape[0] != c.n1:
         raise ValueError(f"flows must have {c.n1} rows (one per edge)")
-    b1 = incidence(c, 1, dense=True)
-    if b1.size == 0:
-        return flows.copy()
-    _, s, vt = np.linalg.svd(b1, full_matrices=False)
-    thr = zero_tolerance(s[0] if s.size else 0.0, tol) ** 0.5
-    v_grad = vt[s > thr].T
+    _, s, vt = _incidence_svd(c, 1)
+    v_grad = vt[s > _zero_tolerance(c, tol) ** 0.5].T
     return flows - v_grad @ (v_grad.T @ flows)
 
 

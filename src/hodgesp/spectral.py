@@ -1,13 +1,16 @@
 """Hodge and Dirac spectral machinery: subspace bases, topological Fourier
 transforms, typed frequencies, and signal decomposition.
 
-Bases are built from singular value decompositions of the incidence matrices
-rather than from an eigendecomposition of L_k: that keeps every column
-exactly inside its subspace even when a gradient and a curl eigenvalue
-coincide. Frequencies are the squared singular values — the squared l2-norm
-of the divergence for gradient columns and of the total curl for curl
-columns. Harmonic columns all sit at frequency zero; low/high comparisons
-are only meaningful within one frequency type.
+Bases, Dirac eigenpairs and decompositions all come from the thin SVDs of
+b1 and b2, computed once per complex and cached with it, and from one
+complex-wide zero tolerance. Gradient and curl columns are singular vectors
+rather than eigenvectors of L_k: that keeps every column exactly inside its
+subspace even when a gradient and a curl eigenvalue coincide. The harmonic
+block is their orthonormal complement, from one complete QR. Frequencies
+are the squared singular values — the squared l2-norm of the divergence
+for gradient columns and of the total curl for curl columns. Harmonic
+columns all sit at frequency zero; low/high comparisons are only
+meaningful within one frequency type.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (
-    fix_column_signs,
-    largest_singular_value,
-    orthonormal_complement,
-    zero_tolerance,
+from ._linalg import fix_column_signs, orthonormal_complement
+from .complexes import (
+    Cochain,
+    ComplexSignal,
+    SimplicialComplex,
+    _incidence_svd,
+    _zero_tolerance,
 )
-from .complexes import Cochain, ComplexSignal, SimplicialComplex, incidence
 
 __all__ = [
     "HodgeBasis",
@@ -117,39 +121,30 @@ class HodgeComponents(NamedTuple):
     upper_potential: Cochain | None
 
 
-def _svd_block(mat: np.ndarray | None, side: str, tol_override: float | None,
-               sigma_max: float):
-    """Singular vectors of one incidence matrix with singular value above
-    the rank threshold, in ascending squared-singular-value order."""
-    if mat is None or mat.size == 0:
-        rows = 0 if mat is None else mat.shape[0 if side == "left" else 1]
-        return np.zeros((rows, 0)), np.zeros(0)
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    thr = zero_tolerance(sigma_max, tol_override) ** 0.5
-    keep = s > thr
-    vecs = u[:, keep] if side == "left" else vt[keep].T
-    freqs = s[keep] ** 2
-    return vecs[:, ::-1], freqs[::-1]
+def _svd_rank(c: SimplicialComplex, k: int, thr: float):
+    """Cached thin SVD of b_k and its number of singular values above thr."""
+    u, s, vt = _incidence_svd(c, k)
+    return u, s, vt, int(np.count_nonzero(s > thr))
 
 
 def hodge_basis(c: SimplicialComplex, k: int,
                 tol: float | None = None) -> HodgeBasis:
-    """Typed spectral basis of order k from incidence-matrix SVDs."""
+    """Typed spectral basis of order k from the cached incidence SVDs.
+
+    Gradient columns are right singular vectors of b_k, curl columns left
+    singular vectors of b_{k+1}, both in ascending frequency order.
+    """
     nk = c.num_simplices(k)
-    bk = incidence(c, k, dense=True) if k >= 1 else None
-    bk1 = incidence(c, k + 1, dense=True) if k + 1 <= 2 else None
-    sigma_max = largest_singular_value(bk, bk1)
-    tau = zero_tolerance(sigma_max, tol)
-
-    grad, freq_grad = _svd_block(bk, "right", tol, sigma_max)
-    if grad.shape[0] == 0 and bk is None:
-        grad = np.zeros((nk, 0))
-    curl, freq_curl = _svd_block(bk1, "left", tol, sigma_max)
-    if curl.shape[0] == 0 and bk1 is None:
-        curl = np.zeros((nk, 0))
-
-    n_h = nk - grad.shape[1] - curl.shape[1]
-    harm = orthonormal_complement([grad, curl], nk, n_h)
+    tau = _zero_tolerance(c, tol)
+    grad, freq_grad = np.zeros((nk, 0)), np.zeros(0)
+    curl, freq_curl = np.zeros((nk, 0)), np.zeros(0)
+    if k >= 1:
+        _, s, vt, r = _svd_rank(c, k, tau**0.5)
+        grad, freq_grad = vt[:r][::-1].T, s[:r][::-1] ** 2
+    if k <= 1:
+        u, s, _, r = _svd_rank(c, k + 1, tau**0.5)
+        curl, freq_curl = u[:, :r][:, ::-1], s[:r][::-1] ** 2
+    harm = orthonormal_complement(np.hstack([grad, curl]))
 
     return HodgeBasis(
         complex=c,
@@ -197,39 +192,35 @@ def hodge_decompose(c: SimplicialComplex, x: Cochain,
     """Split x into gradient + curl + harmonic parts with minimum-norm
     potentials.
 
-    gradient = b_k^T p with p the minimum-norm least-squares solution
-    (lower potential), curl = b_{k+1} q likewise (upper potential), and
-    harmonic is the remainder. The three parts are mutually orthogonal.
+    With b_k = U S V^T, gradient = V V^T x = b_k^T p with the minimum-norm
+    lower potential p = U S^-1 V^T x; likewise curl and the upper potential
+    from b_{k+1}; harmonic is the remainder. Singular values count as zero
+    by the same tolerance as in ``hodge_basis(c, k, tol)``, so the three
+    mutually orthogonal parts are the projections onto its blocks.
     """
     if x.complex is not c:
         raise ValueError("cochain is bound to a different complex")
     k = x.order
     values = x.values
+    thr = _zero_tolerance(c, tol) ** 0.5
+    grad_vals = curl_vals = np.zeros_like(values)
+    lower = upper = None
 
     if k >= 1:
-        bkT = incidence(c, k, dense=True).T
-        p = np.linalg.lstsq(bkT, values, rcond=None)[0]
-        grad_vals = bkT @ p
-        lower = Cochain(c, k - 1, p)
-    else:
-        grad_vals = np.zeros_like(values)
-        lower = None
+        u, s, vt, r = _svd_rank(c, k, thr)
+        coef = vt[:r] @ values
+        grad_vals = vt[:r].T @ coef
+        lower = Cochain(c, k - 1, u[:, :r] @ (coef / s[:r]))
+    if k <= 1:
+        u, s, vt, r = _svd_rank(c, k + 1, thr)
+        coef = u[:, :r].T @ values
+        curl_vals = u[:, :r] @ coef
+        upper = Cochain(c, k + 1, vt[:r].T @ (coef / s[:r]))
 
-    if k + 1 <= 2:
-        bk1 = incidence(c, k + 1, dense=True)
-        q = np.linalg.lstsq(bk1, values, rcond=None)[0] if bk1.size else \
-            np.zeros(bk1.shape[1])
-        curl_vals = bk1 @ q if bk1.size else np.zeros_like(values)
-        upper = Cochain(c, k + 1, q)
-    else:
-        curl_vals = np.zeros_like(values)
-        upper = None
-
-    harm_vals = values - grad_vals - curl_vals
     return HodgeComponents(
         gradient=Cochain(c, k, grad_vals),
         curl=Cochain(c, k, curl_vals),
-        harmonic=Cochain(c, k, harm_vals),
+        harmonic=Cochain(c, k, values - grad_vals - curl_vals),
         lower_potential=lower,
         upper_potential=upper,
     )
@@ -286,50 +277,38 @@ class DiracBasis:
         ])
 
 
-def _dirac_pairs(mat: np.ndarray, embed, dim: int, sigma_max: float,
-                 tol: float | None):
-    """Signed eigenvector pairs (+sigma then -sigma, sigma ascending)."""
-    if mat.size == 0:
-        return np.zeros((dim, 0)), np.zeros(0)
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    thr = zero_tolerance(sigma_max, tol) ** 0.5
-    keep = np.flatnonzero(s > thr)[::-1]  # ascending sigma
-    cols, vals = [], []
-    for i in keep:
-        for sign in (1.0, -1.0):
-            cols.append(embed(u[:, i], sign * vt[i]) / np.sqrt(2.0))
-            vals.append(sign * s[i])
-    if not cols:
-        return np.zeros((dim, 0)), np.zeros(0)
-    return np.column_stack(cols), np.array(vals)
+def _dirac_pairs(c: SimplicialComplex, k: int, thr: float, dim: int,
+                 offset: int):
+    """Signed eigenpairs of the Dirac operator from the SVD of b_k:
+    (u; +/-v)/sqrt(2) with rows from ``offset``, +sigma then -sigma,
+    sigma ascending."""
+    u, s, vt, r = _svd_rank(c, k, thr)
+    half_u = u[:, :r][:, ::-1] / np.sqrt(2.0)
+    half_v = vt[:r][::-1].T / np.sqrt(2.0)
+    mid = offset + u.shape[0]
+    vecs = np.zeros((dim, 2 * r))
+    vecs[offset:mid, 0::2] = half_u
+    vecs[offset:mid, 1::2] = half_u
+    vecs[mid : mid + vt.shape[1], 0::2] = half_v
+    vecs[mid : mid + vt.shape[1], 1::2] = -half_v
+    return vecs, np.repeat(s[:r][::-1], 2) * np.tile([1.0, -1.0], r)
 
 
 def dirac_basis(c: SimplicialComplex, tol: float | None = None) -> DiracBasis:
     """Joint spectral basis of the Dirac operator."""
-    n0, n1, n2 = c.n0, c.n1, c.n2
-    dim = n0 + n1 + n2
-    b1 = incidence(c, 1, dense=True)
-    b2 = incidence(c, 2, dense=True)
-    sigma_max = largest_singular_value(b1, b2)
-    tau = zero_tolerance(sigma_max, tol)
-
-    grad, lam_g = _dirac_pairs(
-        b1, lambda u, v: np.concatenate([u, v, np.zeros(n2)]), dim,
-        sigma_max, tol,
-    )
-    curl_, lam_c = _dirac_pairs(
-        b2, lambda u, v: np.concatenate([np.zeros(n0), u, v]), dim,
-        sigma_max, tol,
-    )
+    n0, n1 = c.n0, c.n1
+    dim = n0 + n1 + c.n2
+    tau = _zero_tolerance(c, tol)
+    grad, lam_g = _dirac_pairs(c, 1, tau**0.5, dim, 0)
+    curl_, lam_c = _dirac_pairs(c, 2, tau**0.5, dim, n0)
 
     blocks = []
-    offsets = (0, n0, n0 + n1)
-    for k, off in zip((0, 1, 2), offsets):
+    for k, off in zip((0, 1, 2), (0, n0, n0 + n1)):
         hk = hodge_basis(c, k, tol).harmonic
         block = np.zeros((dim, hk.shape[1]))
         block[off : off + c.num_simplices(k), :] = hk
         blocks.append(block)
-    harm = np.hstack(blocks) if blocks else np.zeros((dim, 0))
+    harm = np.hstack(blocks)
 
     return DiracBasis(
         complex=c,

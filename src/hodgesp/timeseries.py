@@ -11,6 +11,7 @@ autoregressions.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -204,6 +205,8 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
     t_len = len(series)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if filter_order < 0:
+        raise ValueError(f"filter_order must be >= 0, got {filter_order}")
     if t_len <= order + filter_order:
         raise ValueError(
             f"need more than order + filter_order = {order + filter_order} "
@@ -324,8 +327,13 @@ class LmsState:
     window: tuple[Cochain, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
-            raise ValueError(f"step size mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(
+                f"step size mu must be positive and finite, got {self.mu}")
+        if self.t_down < 0 or self.t_up < 0:
+            name = "t_down" if self.t_down < 0 else "t_up"
+            raise ValueError(
+                f"{name} must be >= 0, got {getattr(self, name)}")
         expected = 1 + self.t_down + self.t_up
         coeffs = np.asarray(self.coefficients, dtype=float)
         object.__setattr__(self, "coefficients", coeffs)
@@ -339,7 +347,8 @@ class LmsState:
 def lms_init(c: SimplicialComplex, t_down: int, t_up: int, mu: float,
              coefficients: Sequence[float] | None = None) -> LmsState:
     if coefficients is None:
-        coefficients = np.zeros(1 + t_down + t_up)
+        # a negative order is reported by LmsState, naming the parameter
+        coefficients = np.zeros(1 + max(t_down, 0) + max(t_up, 0))
     return LmsState(complex=c, t_down=t_down, t_up=t_up, mu=mu,
                     coefficients=np.asarray(coefficients, dtype=float))
 

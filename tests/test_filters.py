@@ -353,6 +353,22 @@ def test_reconstruct_validation(complex7):
         regularized_reconstruct(complex7, f, np.ones(10, bool), 0.1, 0.1, p=3)
 
 
+def test_lambda_max_cached_per_rtol():
+    c = build_complex(7, EDGES7, TRIS7)
+    assert lambda_max(c, 1, rtol=0.5) < 6.0  # stops early, far from 7
+    assert abs(lambda_max(c, 1) - 7.0) < 1e-4
+
+
+def test_reconstruct_rejects_nonfinite_weights(complex7):
+    f = complex7.cochain(1, np.ones(10))
+    mask = np.ones(10, dtype=bool)
+    for name, weights in (("alpha", (np.nan, 1.0)), ("alpha", (np.inf, 1.0)),
+                          ("beta", (1.0, np.nan)), ("beta", (1.0, -np.inf))):
+        for p in (1, 2):
+            with pytest.raises(ValueError, match=name):
+                regularized_reconstruct(complex7, f, mask, *weights, p=p)
+
+
 def test_filter_on_random_complexes():
     rng = np.random.default_rng(14)
     for i in range(6):

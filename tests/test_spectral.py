@@ -169,6 +169,26 @@ def test_decompose_pure_inputs(complex7):
     assert np.allclose(parts.harmonic.values, harm.values)
 
 
+def test_decompose_honours_tolerance(complex7):
+    rng = np.random.default_rng(6)
+    x = complex7.cochain(1, rng.standard_normal(10))
+    # tol = 100 declares every singular value zero: all of x is harmonic
+    assert hodge_basis(complex7, 1, tol=100.0).n_harmonic == 10
+    parts = hodge_decompose(complex7, x, tol=100.0)
+    assert np.allclose(parts.harmonic.values, x.values, atol=1e-12)
+    assert np.allclose(parts.gradient.values, 0.0, atol=1e-12)
+    assert np.allclose(parts.curl.values, 0.0, atol=1e-12)
+    # tol = 2.5 drops the squared singular values 1, 1.59 and 2
+    basis = hodge_basis(complex7, 1, tol=2.5)
+    parts = hodge_decompose(complex7, x, tol=2.5)
+    assert basis.n_harmonic == 4
+    for block, part in ((basis.gradient, parts.gradient),
+                        (basis.curl, parts.curl),
+                        (basis.harmonic, parts.harmonic)):
+        assert np.allclose(part.values, block @ (block.T @ x.values),
+                           atol=1e-10)
+
+
 def test_frequency_table_layout(complex7):
     basis = hodge_basis(complex7, 1)
     table = frequency_table(basis)

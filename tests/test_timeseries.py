@@ -206,6 +206,28 @@ def test_fit_validation(complex7):
         scvar_fit(complex7, series, order=2, filter_order=1)
 
 
+def test_fit_rejects_negative_filter_order(complex7):
+    rng = np.random.default_rng(12)
+    series = [random_signal(complex7, rng) for _ in range(6)]
+    with pytest.raises(ValueError, match="filter_order"):
+        scvar_fit(complex7, series, order=1, filter_order=-1)
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf, 0.0])
+def test_lms_rejects_bad_step_size(complex7, mu):
+    with pytest.raises(ValueError, match="mu"):
+        lms_init(complex7, 1, 1, mu=mu)
+
+
+@pytest.mark.parametrize("name", ["t_down", "t_up"])
+def test_lms_rejects_negative_orders(complex7, name):
+    orders = {"t_down": 1, "t_up": 1, name: -1}
+    with pytest.raises(ValueError, match=name):
+        lms_init(complex7, mu=0.1, **orders)
+    with pytest.raises(ValueError, match=name):
+        lms_init(complex7, mu=0.1, coefficients=[0.0, 0.0], **orders)
+
+
 def test_fit_permutation_equivariant_predictions():
     rng = np.random.default_rng(13)
     perm = rng.permutation(7)
