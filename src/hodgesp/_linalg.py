@@ -1,4 +1,5 @@
-"""Shared dense linear-algebra helpers: tolerances, sign fixing, power iteration."""
+"""Shared linear-algebra helpers: tolerances, sign fixing, power iteration
+and the Krylov kernel behind every Laplacian and Dirac polynomial."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ def zero_tolerance(sigma_max: float, override: float | None = None) -> float:
     eigenvalues of the (squared) Laplacians against the value itself.
     """
     if override is not None:
+        if not (np.isfinite(override) and override > 0):
+            raise ValueError(f"tol must be finite and positive, got {override}")
         return float(override)
     return 1e-10 * max(1.0, float(sigma_max))
 
@@ -53,3 +56,12 @@ def power_iteration_lambda_max(matvec, n: int, rtol: float = 1e-6,
             return lam_new
         v, lam = v_new, lam_new
     return lam
+
+
+def krylov(matvec, x: np.ndarray, t_max: int):
+    """Yield x, A x, ..., A^t_max x for the operator A given by its matvec;
+    x is an (n,) vector or an (n, B) block."""
+    yield x
+    for _ in range(t_max):
+        x = matvec(x)
+        yield x

@@ -12,8 +12,8 @@ import numpy as np
 
 from ._linalg import fix_column_signs
 from ._util import as_index_tuple
-from .complexes import Cochain, SimplicialComplex, hodge_laplacian
-from .filters import HodgeFilterSpec
+from .complexes import Cochain, SimplicialComplex
+from .filters import HodgeFilterSpec, _filter_values
 from .spectral import HodgeBasis, hodge_basis
 
 __all__ = [
@@ -92,21 +92,6 @@ def slepians(c: SimplicialComplex, edge_set: Sequence[int],
     )
 
 
-def _filter_matrix(lap_down: np.ndarray | None, lap_up: np.ndarray | None,
-                   spec: HodgeFilterSpec, n: int) -> np.ndarray:
-    h = np.zeros((n, n))
-    for lap, coeffs in ((lap_down, spec.h_down), (lap_up, spec.h_up)):
-        if not coeffs:
-            continue
-        power = np.eye(n)
-        h += coeffs[0] * power
-        if lap is not None:
-            for t in range(1, len(coeffs)):
-                power = lap @ power
-                h += coeffs[t] * power
-    return h
-
-
 def build_dictionary(c: SimplicialComplex, k: int,
                      specs: Sequence[HodgeFilterSpec]) -> HodgeDictionary:
     """Assemble the N_k x (P*N_k) atom matrix of P polynomial filters.
@@ -121,10 +106,8 @@ def build_dictionary(c: SimplicialComplex, k: int,
     if any(s.harmonic is not None for s in specs):
         raise ValueError("dictionary filters must be pure polynomials "
                          "(no harmonic term)")
-    n = c.num_simplices(k)
-    lap_down = hodge_laplacian(c, k, "down") if k > 0 else None
-    lap_up = hodge_laplacian(c, k, "up") if k < 2 else None
-    atoms = np.hstack([_filter_matrix(lap_down, lap_up, s, n) for s in specs])
+    identity = np.eye(c.num_simplices(k))
+    atoms = np.hstack([_filter_values(c, k, s, identity) for s in specs])
     return HodgeDictionary(order=k, specs=specs, atoms=atoms)
 
 

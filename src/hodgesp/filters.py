@@ -3,8 +3,11 @@ and regularization-based edge-flow reconstruction.
 
 A filter is a pair of polynomials, one in the down Laplacian and one in the
 up Laplacian, optionally extended with a harmonic projector term
-(I - eps*L_k)^T_h whose polynomial sums then start at t=1. Application is by
-repeated sparse matrix-vector products, never by matrix powers. Because both
+(I - eps*L_k)^T_h. With a harmonic term the t=0 coefficients are zero, so
+every polynomial is summed from t=0 and needs no separate start index.
+Every Laplacian and Dirac polynomial, and the harmonic term, is applied by
+the shared Krylov kernel (repeated sparse matrix-vector products on a
+vector or a block of signals), never by matrix powers. Because both
 polynomials contribute an identity term at t=0, the effective constant gain
 of the plain form is h_down[0] + h_up[0]; both coefficients are kept.
 """
@@ -15,14 +18,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from ._linalg import power_iteration_lambda_max
+from ._linalg import krylov, power_iteration_lambda_max
 from .complexes import (
     Cochain,
     ComplexSignal,
     SimplicialComplex,
     _cached,
-    dirac_shift,
     hodge_laplacian,
 )
 from .spectral import HodgeBasis, frequency_table, hodge_basis
@@ -107,19 +110,15 @@ def _lambda_max(c: SimplicialComplex, k: int, rtol: float) -> float:
                                       rtol=rtol)
 
 
-def _polynomial_sum(lap, coeffs: tuple[float, ...], x: np.ndarray,
-                    start: int) -> np.ndarray:
-    """sum_t coeffs[t] * lap^t x by repeated matvec."""
+def _polynomial(op, coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """sum_t coeffs[t] * op^t x by the Krylov kernel; op=None is the zero
+    map, of which only op^0 = I survives."""
+    if op is None:
+        coeffs = coeffs[:1]
     y = np.zeros_like(x)
-    if not coeffs:
-        return y
-    if start == 0 and coeffs[0]:
-        y += coeffs[0] * x
-    z = x
-    for t in range(1, len(coeffs)):
-        z = lap @ z
-        if coeffs[t]:
-            y += coeffs[t] * z
+    for h, z in zip(coeffs, krylov(lambda v: op @ v, x, len(coeffs) - 1)):
+        if h:
+            y += h * z
     return y
 
 
@@ -130,21 +129,16 @@ def apply_filter(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
         raise ValueError("cochain is bound to a different complex")
     if x.order != k:
         raise ValueError(f"expected an order-{k} cochain, got order {x.order}")
+    return Cochain(c, k, _filter_values(c, k, spec, x.values))
+
+
+def _filter_values(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
+                   values: np.ndarray) -> np.ndarray:
+    """The filter applied to an (n_k,) vector or an (n_k, B) block."""
     lap_down = hodge_laplacian(c, k, "down", sparse=True) if k > 0 else None
     lap_up = hodge_laplacian(c, k, "up", sparse=True) if k < 2 else None
-    start = 1 if spec.harmonic is not None else 0
-    values = x.values
-
-    y = np.zeros_like(values)
-    if lap_down is not None:
-        y += _polynomial_sum(lap_down, spec.h_down, values, start)
-    elif spec.h_down and start == 0:
-        y += spec.h_down[0] * values  # (L_down)^0 = I even for the zero map
-    if lap_up is not None:
-        y += _polynomial_sum(lap_up, spec.h_up, values, start)
-    elif spec.h_up and start == 0:
-        y += spec.h_up[0] * values
-
+    y = _polynomial(lap_down, spec.h_down, values)
+    y += _polynomial(lap_up, spec.h_up, values)
     if spec.harmonic is not None:
         eps = spec.harmonic.epsilon
         lam = lambda_max(c, k)
@@ -152,20 +146,16 @@ def apply_filter(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
             raise ValueError(
                 f"epsilon {eps} outside the stability range (0, {2.0 / lam})"
             )
-        w = values.copy()
-        for _ in range(spec.harmonic.steps):
-            lw = np.zeros_like(w)
-            if lap_down is not None:
-                lw += lap_down @ w
-            if lap_up is not None:
-                lw += lap_up @ w
-            w = w - eps * lw
+        lap = hodge_laplacian(c, k, sparse=True)
+        for w in krylov(lambda v: v - eps * (lap @ v), values,
+                        spec.harmonic.steps):
+            pass
         y += w
-    return Cochain(c, k, y)
+    return y
 
 
-def _poly_eval(coeffs: tuple[float, ...], lam: float, start: int) -> float:
-    return sum(coeffs[t] * lam**t for t in range(start, len(coeffs)))
+def _poly_eval(coeffs: tuple[float, ...], lam: float) -> float:
+    return sum(h * lam**t for t, h in enumerate(coeffs))
 
 
 def frequency_response(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
@@ -178,9 +168,8 @@ def frequency_response(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
     """
     if basis is None:
         basis = hodge_basis(c, k)
-    start = 1 if spec.harmonic is not None else 0
-    down0 = spec.h_down[0] if (spec.h_down and start == 0) else 0.0
-    up0 = spec.h_up[0] if (spec.h_up and start == 0) else 0.0
+    down0 = spec.h_down[0] if spec.h_down else 0.0
+    up0 = spec.h_up[0] if spec.h_up else 0.0
 
     def projector_gain(lam: float) -> float:
         if spec.harmonic is None:
@@ -192,10 +181,10 @@ def frequency_response(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
         if row.kind == "harmonic":
             out.append(down0 + up0 + projector_gain(0.0))
         elif row.kind == "gradient":
-            out.append(_poly_eval(spec.h_down, row.frequency, start) + up0
+            out.append(_poly_eval(spec.h_down, row.frequency) + up0
                        + projector_gain(row.frequency))
         else:
-            out.append(_poly_eval(spec.h_up, row.frequency, start) + down0
+            out.append(_poly_eval(spec.h_up, row.frequency) + down0
                        + projector_gain(row.frequency))
     return np.array(out)
 
@@ -235,7 +224,8 @@ def filterbank_edge(c: SimplicialComplex, spec_11: HodgeFilterSpec,
 
 def dirac_filter(c: SimplicialComplex, spec: HodgeFilterSpec,
                  x: ComplexSignal) -> ComplexSignal:
-    """Polynomial in the Dirac operator, applied by repeated Dirac shifts.
+    """Polynomial in the Dirac operator, applied by the Krylov kernel to
+    the stacked signal with the sparse Dirac operator of the complex.
 
     The polynomial is taken from h_down; h_up must be zero and no harmonic
     term is allowed.
@@ -243,18 +233,17 @@ def dirac_filter(c: SimplicialComplex, spec: HodgeFilterSpec,
     if x.complex is not c:
         raise ValueError("signal is bound to a different complex")
     _require_one_sided(spec, "down", "a Dirac filter")
-    h = spec.h_down
-    acc = [h[0] * x.x0.values if h else np.zeros(c.n0),
-           h[0] * x.x1.values if h else np.zeros(c.n1),
-           h[0] * x.x2.values if h else np.zeros(c.n2)]
-    z = x
-    for t in range(1, len(h)):
-        z = dirac_shift(c, z)
-        if h[t]:
-            acc[0] += h[t] * z.x0.values
-            acc[1] += h[t] * z.x1.values
-            acc[2] += h[t] * z.x2.values
-    return ComplexSignal.from_arrays(c, acc[0], acc[1], acc[2])
+    d = _cached(c, ("dirac",), _sparse_dirac, c)
+    return ComplexSignal.from_stacked(c, _polynomial(d, spec.h_down,
+                                                     x.stacked()))
+
+
+def _sparse_dirac(c: SimplicialComplex) -> sp.csr_array:
+    b1 = c.b1.astype(float)
+    b2 = c.b2.astype(float)
+    return sp.csr_array(sp.bmat([[None, b1, None],
+                                 [b1.T, None, b2],
+                                 [None, b2.T, None]]))
 
 
 def _objective(mask, f, x, b1, b2t, alpha, beta, p, q) -> float:
@@ -294,18 +283,19 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
     if p not in (1, 2) or q not in (1, 2):
         raise ValueError("p and q must be 1 or 2")
 
-    lap_down = hodge_laplacian(c, 1, "down")
-    lap_up = hodge_laplacian(c, 1, "up")
     m_diag = mask.astype(float)
 
     if p == 2 and q == 2:
-        a = np.diag(m_diag) + alpha * lap_down + beta * lap_up
+        a = (np.diag(m_diag) + alpha * hodge_laplacian(c, 1, "down")
+             + beta * hodge_laplacian(c, 1, "up"))
         b = m_diag * f.values
         x = np.linalg.lstsq(a, b, rcond=None)[0]
         return Cochain(c, 1, x)
 
-    b1 = c.b1.toarray().astype(float)
-    b2t = c.b2.toarray().astype(float).T
+    lap_down = hodge_laplacian(c, 1, "down", sparse=True)
+    lap_up = hodge_laplacian(c, 1, "up", sparse=True)
+    b1 = c.b1.astype(float)
+    b2t = c.b2.T.astype(float)
 
     # Smooth part: data fit plus any l2-squared penalty.
     lip = 2.0
@@ -330,7 +320,7 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
     if q == 1:
         ops.append(b2t)
         bounds.append(beta)
-    k_op = np.vstack(ops)
+    k_op = sp.vstack(ops, format="csr")
     splits = np.cumsum([op.shape[0] for op in ops])[:-1]
     # ||K||^2 = lam_max(K^T K), where K^T K is L1_down (p = 1 alone, same
     # spectrum as L0), L1_up (q = 1 alone, as L2) or L1 (both, as b1 b2 = 0).

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._linalg import krylov
 from .complexes import Cochain, ComplexSignal, SimplicialComplex, hodge_laplacian
 from .filters import HodgeFilterSpec, apply_filter
 
@@ -132,18 +133,11 @@ def scvar_predict(model: SCVarModel,
 
 def svar_predict(model: SCVarModel,
                  history: Sequence[ComplexSignal]) -> ComplexSignal:
-    """Prediction with every cross-level term forced to zero."""
-    _check_history(model, history)
-    c = model.complex
-    acc0 = np.zeros(c.n0)
-    acc1 = np.zeros(c.n1)
-    acc2 = np.zeros(c.n2)
-    for p, lag in enumerate(model.lags, start=1):
-        past = history[-p]
-        acc0 += apply_filter(c, 0, lag.h00, past.x0).values
-        acc1 += apply_filter(c, 1, lag.h11, past.x1).values
-        acc2 += apply_filter(c, 2, lag.h22, past.x2).values
-    return ComplexSignal.from_arrays(c, acc0, acc1, acc2)
+    """Prediction with every cross-level term forced to zero:
+    :func:`scvar_predict` on the model without its cross terms."""
+    own = tuple(SCVarLag(h00=lag.h00, h11=lag.h11, h22=lag.h22)
+                for lag in model.lags)
+    return scvar_predict(SCVarModel(complex=model.complex, lags=own), history)
 
 
 def scvar_simulate(model: SCVarModel, steps: int,
@@ -169,20 +163,6 @@ def scvar_simulate(model: SCVarModel, steps: int,
         out.append(nxt)
         history.append(nxt)
     return out
-
-
-def _laplacian_powers(lap, x: np.ndarray, t_max: int,
-                      start: int = 0) -> list[np.ndarray]:
-    """[lap^t x for t in start..t_max], by repeated matvec."""
-    cols = []
-    z = x
-    if start == 0:
-        cols.append(z)
-    for t in range(1, t_max + 1):
-        z = lap @ z
-        if t >= start:
-            cols.append(z)
-    return cols
 
 
 def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
@@ -221,7 +201,7 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
     lap1d = hodge_laplacian(c, 1, "down", sparse=True)
     lap1u = hodge_laplacian(c, 1, "up", sparse=True)
     lap2 = hodge_laplacian(c, 2, sparse=True) if c.n2 else None
-    times = range(order, t_len)
+    n_fit = t_len - order
 
     # Each entry: (bank name, slot name, number of coefficients). Slots are
     # filled per lag, in this order, matching the regressor columns.
@@ -234,25 +214,34 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
         2: ([("g21", "down", t_ord + 1)] if include_cross and c.n1 else [])
            + [("h22", "down", t_ord + 1)],
     }
+    # Each slot's shift operator, source level and incidence map (if any).
+    inputs = {
+        ("h00", "up"): (lap0, 0, None),
+        ("g01", "up"): (lap0, 1, c.b1),
+        ("g10", "down"): (lap1d, 0, c.b1.T),
+        ("h11", "down"): (lap1d, 1, None),
+        ("h11", "up"): (lap1u, 1, None),
+        ("g12", "up"): (lap1u, 2, c.b2),
+        ("g21", "down"): (lap2, 1, c.b2.T),
+        ("h22", "down"): (lap2, 2, None),
+    }
+    # Column j of signals[k] is series[j] on level k.
+    signals = [np.column_stack([getattr(sig, f"x{k}").values
+                                for sig in series]) for k in (0, 1, 2)]
 
-    def source_columns(level: int, name: str, slot: str, tau: int,
-                       p: int) -> list[np.ndarray]:
-        past = series[tau - p]
-        if level == 0:
-            if name == "h00":
-                return _laplacian_powers(lap0, past.x0.values, t_ord)
-            return _laplacian_powers(lap0, c.b1 @ past.x1.values, t_ord)
-        if level == 1:
-            if name == "g10":
-                return _laplacian_powers(lap1d, c.b1.T @ past.x0.values, t_ord)
-            if name == "h11" and slot == "down":
-                return _laplacian_powers(lap1d, past.x1.values, t_ord)
-            if name == "h11":
-                return _laplacian_powers(lap1u, past.x1.values, t_ord, start=1)
-            return _laplacian_powers(lap1u, c.b2 @ past.x2.values, t_ord)
-        if name == "g21":
-            return _laplacian_powers(lap2, c.b2.T @ past.x1.values, t_ord)
-        return _laplacian_powers(lap2, past.x2.values, t_ord)
+    def regressors(plan):
+        """The regressor columns of one level, lag by lag and slot by slot,
+        each as an (n_fit, n_k) block whose row j belongs to time order + j.
+        """
+        for p in range(1, order + 1):
+            for name, slot, width in plan:
+                lap, source, incidence = inputs[name, slot]
+                past = signals[source][:, order - p : t_len - p]
+                if incidence is not None:
+                    past = incidence @ past
+                powers = list(krylov(lambda v: lap @ v, past, t_ord))
+                for z in powers[t_ord + 1 - width:]:
+                    yield z.T
 
     lag_kwargs: list[dict] = [{} for _ in range(order)]
     residuals = [0.0, 0.0, 0.0]
@@ -261,23 +250,10 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
         if nk == 0:
             continue
         plan = plans[level]
-        blocks = []
-        for tau in times:
-            row_cols = []
-            for p in range(1, order + 1):
-                for name, slot, width in plan:
-                    cols = source_columns(level, name, slot, tau, p)
-                    assert len(cols) == width
-                    row_cols.extend(cols)
-            blocks.append(np.column_stack(row_cols) if row_cols
-                          else np.zeros((nk, 0)))
-        design = np.vstack(blocks)
-        target = np.concatenate(
-            [getattr(series[tau], f"x{level}").values for tau in times]
-        )
-        if design.shape[1] == 0:
-            residuals[level] = float(target @ target) / target.size
-            continue
+        # one block of nk rows per fitted time step, as in the target
+        design = np.stack(list(regressors(plan)), axis=-1)
+        design = design.reshape(n_fit * nk, -1)
+        target = signals[level][:, order:].reshape(-1, order="F")
         coef, _, _, svals = np.linalg.lstsq(design, target, rcond=None)
         if svals.size and svals[-1] > 0:
             cond = svals[0] / svals[-1]

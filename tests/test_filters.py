@@ -10,6 +10,8 @@ from hodgesp import (
     HodgeFilterSpec,
     apply_filter,
     build_complex,
+    build_dictionary,
+    dirac,
     dirac_basis,
     dirac_filter,
     filterbank_edge,
@@ -258,6 +260,21 @@ def test_dirac_filter(complex7):
     oracle = u @ (resp * (u.T @ sig.stacked()))
     assert np.linalg.norm(y.stacked() - oracle) / np.linalg.norm(oracle) < 1e-9
 
+    # random complexes with cells, and one without triangles (n2 = 0),
+    # against the polynomial in the dense Dirac matrix
+    comps = [random_complex(rng, max_vertices=12, with_cells=True)
+             for _ in range(4)] + [build_complex(7, EDGES7)]
+    assert comps[-1].n2 == 0
+    for c in comps:
+        z = ComplexSignal.from_arrays(
+            c, rng.standard_normal(c.n0), rng.standard_normal(c.n1),
+            rng.standard_normal(c.n2))
+        d = dirac(c).full
+        oracle = sum(h[t] * np.linalg.matrix_power(d, t)
+                     for t in range(len(h))) @ z.stacked()
+        assert np.allclose(dirac_filter(c, spec, z).stacked(), oracle,
+                           atol=1e-9)
+
     with pytest.raises(ValueError, match="only h_down"):
         dirac_filter(complex7, HodgeFilterSpec(h_down=(1.0,), h_up=(1.0,)), sig)
 
@@ -382,3 +399,5 @@ def test_filter_on_random_complexes():
             y = apply_filter(c, k, spec, x)
             mat = dense_filter_matrix(c, k, spec)
             assert np.allclose(y.values, mat @ x.values, atol=1e-9)
+            atoms = build_dictionary(c, k, [spec]).atoms
+            assert np.allclose(atoms, mat, atol=1e-9)

@@ -342,8 +342,14 @@ def test_cli_full_determinism(complex_file, tmp_path, complex7):
     assert outs[0] == outs[1]
 
 
-def test_cli_tolerance_flag(complex_file, capsys):
+def test_cli_tolerance_flag(complex_file, capsys, monkeypatch):
     # absurdly large tolerance collapses every eigenvalue to zero
     assert run_cli(["betti", str(complex_file), "--tolerance", "100"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "7 10 3"
+    # a nonpositive tolerance is a domain error naming the parameter
+    assert run_cli(["betti", str(complex_file), "--tolerance", "-1"]) == 1
+    assert "tol" in capsys.readouterr().err
+    monkeypatch.setenv("HODGESP_TOLERANCE", "0")
+    assert run_cli(["betti", str(complex_file)]) == 1
+    assert "tol" in capsys.readouterr().err

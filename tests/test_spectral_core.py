@@ -22,6 +22,7 @@ from hodgesp import (
     infer_triangles,
     lambda_max,
     project_out_gradient,
+    select_samples,
 )
 
 from conftest import EDGES7, TRIS7, random_complex
@@ -142,3 +143,25 @@ def test_cache_entry_goes_with_its_complex():
     gc.collect()
     assert ref() is None
     assert len(hc._cache) < size
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_bad_tolerance_rejected_naming_tol(complex7, tol):
+    # 0 counted b1's rounding-level null singular value as rank and a
+    # negative tol compared against a complex square root: betti returned
+    # (0, 0, 0) for both instead of (1, 1, 0)
+    x = complex7.cochain(1, np.ones(10))
+    calls = [
+        lambda: betti(complex7, tol),
+        lambda: hodge_basis(complex7, 1, tol),
+        lambda: hodge_decompose(complex7, x, tol=tol),
+        lambda: dirac_basis(complex7, tol),
+        lambda: project_out_gradient(complex7, np.ones((10, 2)), tol),
+        lambda: infer_triangles(build_complex(7, EDGES7), np.ones((10, 2)),
+                                1, tol=tol),
+        lambda: select_samples(complex7, 1, [0, 1], 2,
+                               basis=hodge_basis(complex7, 1), tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol"):
+            call()

@@ -6,6 +6,7 @@ import pytest
 from hodgesp import (
     ComplexSignal,
     HodgeFilterSpec,
+    IllConditionedWarning,
     SCVarLag,
     SCVarModel,
     build_complex,
@@ -177,7 +178,10 @@ def test_fit_constant_series_zero_residual(complex7):
     rng = np.random.default_rng(10)
     sig = random_signal(complex7, rng)
     series = [sig] * 30
-    _, resid = scvar_fit(complex7, series, order=1, filter_order=1)
+    # a constant series repeats one row block, so the level-2 regressor
+    # has 3 independent rows for its 4 columns
+    with pytest.warns(IllConditionedWarning):
+        _, resid = scvar_fit(complex7, series, order=1, filter_order=1)
     assert max(resid) < 1e-15
 
 
