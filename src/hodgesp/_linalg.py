@@ -1,5 +1,6 @@
-"""Shared linear-algebra helpers: tolerances, sign fixing, power iteration
-and the Krylov kernel behind every Laplacian and Dirac polynomial."""
+"""Shared linear-algebra helpers: tolerances, sign fixing, power iteration,
+the Krylov kernel behind every Laplacian and Dirac polynomial, and the
+conjugate-gradient solver of the quadratic reconstruction."""
 
 from __future__ import annotations
 
@@ -13,10 +14,15 @@ def zero_tolerance(sigma_max: float, override: float | None = None) -> float:
     eigenvalues of the (squared) Laplacians against the value itself.
     """
     if override is not None:
-        if not (np.isfinite(override) and override > 0):
-            raise ValueError(f"tol must be finite and positive, got {override}")
+        check_tolerance(override)
         return float(override)
     return 1e-10 * max(1.0, float(sigma_max))
+
+
+def check_tolerance(tol: float | None) -> None:
+    """Reject a ``tol`` override that is not finite and positive."""
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def fix_column_signs(u: np.ndarray, tol: float) -> np.ndarray:
@@ -65,3 +71,33 @@ def krylov(matvec, x: np.ndarray, t_max: int):
     for _ in range(t_max):
         x = matvec(x)
         yield x
+
+
+# Relative residual ||b - A x|| / ||b|| at which conjugate_gradient stops.
+CG_RTOL = 1e-12
+
+
+def conjugate_gradient(matvec, b: np.ndarray, max_iter: int):
+    """Solve A x = b for a symmetric PSD operator A by conjugate gradients
+    started at zero; returns (x, iterations, relative residual).
+
+    Every iterate lies in the Krylov space of b. When b is in range(A) that
+    space is orthogonal to the null space of A, so x is the minimum-norm
+    solution, also for singular A. Stops at a relative residual of CG_RTOL
+    or after max_iter iterations.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    d = b.copy()
+    rr = b_rr = float(r @ r)
+    it = 0
+    while rr > CG_RTOL**2 * b_rr and it < max_iter:
+        ad = matvec(d)
+        step = rr / float(d @ ad)
+        x += step * d
+        r -= step * ad
+        rr_new = float(r @ r)
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+        it += 1
+    return x, it, np.sqrt(rr / b_rr) if b_rr else 0.0

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as hio
+from ._linalg import check_tolerance
 from .complexes import betti
 from .dictionaries import build_dictionary, slepians
 from .filters import apply_filter
@@ -52,7 +53,13 @@ def _tolerance(args) -> float | None:
     if args.tolerance is not None:
         return args.tolerance
     env = os.environ.get("HODGESP_TOLERANCE")
-    return float(env) if env else None
+    if not env:
+        return None
+    try:
+        return float(env)
+    except ValueError:
+        raise ValueError(f"tol must be a number, got HODGESP_TOLERANCE="
+                         f"{env!r}") from None
 
 
 def _parse_index_list(text: str, name: str) -> list[int]:
@@ -366,6 +373,7 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        check_tolerance(_tolerance(args))
         args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import zero_tolerance
+from ._linalg import check_tolerance, zero_tolerance
 
 __all__ = [
     "TopologyError",
@@ -421,6 +421,7 @@ def _read_only_svd(c: SimplicialComplex, k: int):
 def _zero_tolerance(c: SimplicialComplex, tol: float | None) -> float:
     """The complex-wide zero threshold: scaled by the largest singular value
     of b1 and b2, unless overridden."""
+    check_tolerance(tol)  # reject a bad override before paying for the SVDs
     sigma_max = max(_incidence_svd(c, k)[1].max(initial=0.0) for k in (1, 2))
     return zero_tolerance(sigma_max, tol)
 

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import fix_column_signs
+from ._linalg import check_tolerance, fix_column_signs
 from ._util import as_index_tuple
 from .complexes import Cochain, SimplicialComplex
 from .filters import HodgeFilterSpec, _filter_values
@@ -62,6 +62,7 @@ def slepians(c: SimplicialComplex, edge_set: Sequence[int],
     F_F psi = psi exactly; eigenvectors beyond the operator's rank are an
     orthonormal completion of the bandlimited space with concentration 0.
     """
+    check_tolerance(tol)
     if basis is None:
         basis = hodge_basis(c, 1, tol)
     n1 = c.n1
@@ -138,6 +139,8 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
     usable = norms > 0
     if not usable.any():
         raise ValueError("zero dictionary: every atom has zero norm")
+    # A zero atom scores 0 / inf = 0 and is never picked over a usable one.
+    norms[~usable] = np.inf
 
     coeffs = np.zeros(atoms.shape[1])
     selected: list[int] = []
@@ -146,8 +149,7 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
         res_norm = np.linalg.norm(residual)
         if res_norm < residual_tol:
             break
-        scores = np.zeros(atoms.shape[1])
-        scores[usable] = np.abs(atoms[:, usable].T @ residual) / norms[usable]
+        scores = np.abs(atoms.T @ residual) / norms
         scores[selected] = -np.inf
         best = int(np.argmax(scores))  # argmax takes the lowest tied index
         if scores[best] <= 1e-12 * res_norm:

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import krylov, power_iteration_lambda_max
+from ._linalg import (
+    CG_RTOL,
+    conjugate_gradient,
+    krylov,
+    power_iteration_lambda_max,
+)
 from .complexes import (
     Cochain,
     ComplexSignal,
@@ -264,12 +269,16 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
     """Edge flow estimate minimizing
     ||M(f - x)||^2 + alpha*||b1 x||_p^p + beta*||b2^T x||_q^q.
 
-    For p = q = 2 the normal equations are solved exactly (pseudo-inverse
-    when singular). Any l1 term is handled by a primal-dual proximal
-    gradient iteration with step sizes from the Lipschitz constant of the
-    quadratic part, run to relative change < rtol or max_iter iterations;
-    non-convergence is reported via :class:`ConvergenceWarning` with the
-    final residual.
+    For p = q = 2 the normal equations (M + alpha*L1_down + beta*L1_up) x
+    = M f are solved on the sparse system by conjugate gradients started at
+    zero, to a relative residual of 1e-12 or max_iter iterations. M f lies
+    in the range of the system matrix, so the result is its minimum-norm
+    solution, also when a harmonic flow is left unobserved and the system
+    is singular. Any l1 term is handled by a primal-dual proximal gradient
+    iteration with step sizes from the Lipschitz constant of the quadratic
+    part, run to relative change < rtol (used by this path only) or
+    max_iter iterations. Non-convergence of either is reported via
+    :class:`ConvergenceWarning` with the final residual or relative change.
     """
     if f.complex is not c or f.order != 1:
         raise ValueError("f must be an order-1 cochain on this complex")
@@ -284,16 +293,20 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
         raise ValueError("p and q must be 1 or 2")
 
     m_diag = mask.astype(float)
-
-    if p == 2 and q == 2:
-        a = (np.diag(m_diag) + alpha * hodge_laplacian(c, 1, "down")
-             + beta * hodge_laplacian(c, 1, "up"))
-        b = m_diag * f.values
-        x = np.linalg.lstsq(a, b, rcond=None)[0]
-        return Cochain(c, 1, x)
-
     lap_down = hodge_laplacian(c, 1, "down", sparse=True)
     lap_up = hodge_laplacian(c, 1, "up", sparse=True)
+
+    if p == 2 and q == 2:
+        a = sp.csr_array(sp.diags(m_diag)) + alpha * lap_down + beta * lap_up
+        x, iters, res = conjugate_gradient(lambda v: a @ v,
+                                           m_diag * f.values, max_iter)
+        if res > CG_RTOL:
+            warnings.warn(
+                "regularized_reconstruct did not converge: relative "
+                f"residual {res:.3e} after {iters} conjugate-gradient "
+                "iterations", ConvergenceWarning)
+        return Cochain(c, 1, x)
+
     b1 = c.b1.astype(float)
     b2t = c.b2.T.astype(float)
 

@@ -17,6 +17,7 @@ import warnings
 
 import numpy as np
 
+from ._linalg import check_tolerance
 from .complexes import SimplicialComplex, _incidence_svd, _zero_tolerance
 
 __all__ = [
@@ -39,6 +40,7 @@ def project_out_gradient(c: SimplicialComplex, flows: np.ndarray,
     The projector onto span(b1^T) comes from the cached SVD of b1; the
     output columns are divergence-free.
     """
+    check_tolerance(tol)
     flows = np.atleast_2d(np.asarray(flows, dtype=float))
     if flows.shape[0] != c.n1:
         flows = flows.T
@@ -94,6 +96,7 @@ def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
     :class:`DegenerateScoresWarning`. Returns the picked triangles and the
     per-step scores.
     """
+    check_tolerance(tol)
     if criterion not in ("min_smoothness", "max_curl_fit"):
         raise ValueError(
             f"criterion must be min_smoothness or max_curl_fit, "

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import zero_tolerance
+from ._linalg import check_tolerance, zero_tolerance
 from ._util import as_index_tuple
 from .complexes import Cochain, SimplicialComplex
 from .spectral import HodgeBasis, frequency_table, hodge_basis
@@ -58,6 +58,7 @@ def is_perfectly_recoverable(c: SimplicialComplex, k: int,
                              tol: float | None = None) -> Recoverability:
     """Full-rank test for the sampled basis, with the smallest singular
     value as margin."""
+    check_tolerance(tol)
     if basis is None:
         basis = hodge_basis(c, k, tol)
     nk = c.num_simplices(k)
@@ -86,6 +87,7 @@ def reconstruct_bandlimited(c: SimplicialComplex, k: int,
     system is reported through :class:`RankDeficientWarning` with its margin
     and the minimum-norm best effort is returned.
     """
+    check_tolerance(tol)
     if basis is None:
         basis = hodge_basis(c, k, tol)
     nk = c.num_simplices(k)
@@ -118,6 +120,7 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
     value of the sampled sub-basis is added (ties to the lowest index).
     Raises when m >= |F| but no recoverable set exists along the greedy path.
     """
+    check_tolerance(tol)
     if basis is None:
         basis = hodge_basis(c, k, tol)
     nk = c.num_simplices(k)

@@ -353,3 +353,38 @@ def test_cli_tolerance_flag(complex_file, capsys, monkeypatch):
     monkeypatch.setenv("HODGESP_TOLERANCE", "0")
     assert run_cli(["betti", str(complex_file)]) == 1
     assert "tol" in capsys.readouterr().err
+    monkeypatch.setenv("HODGESP_TOLERANCE", "abc")
+    assert run_cli(["betti", str(complex_file)]) == 1
+    assert "tol must be a number" in capsys.readouterr().err
+
+
+CLI_ARGS = {
+    "build": [],
+    "betti": [],
+    "spectrum": ["--order", "1", "-o", "out.csv"],
+    "decompose": ["signal.csv", "-o", "out.csv"],
+    "filter": ["signal.csv", "--spec", "spec.json", "-o", "out.csv"],
+    "slepians": ["--edges", "0", "--freqs", "harm", "-o", "out.csv"],
+    "dictionary": ["--specs", "specs.json", "-o", "out.csv"],
+    "sample": ["--freqs", "harm", "-m", "1", "-o", "out.txt"],
+    "reconstruct": ["--freqs", "harm", "--samples", "s.txt",
+                    "--observed", "o.csv", "-o", "out.csv"],
+    "forecast": ["model.json", "series.csv", "--steps", "1",
+                 "-o", "out.csv"],
+    "lms": ["--input", "in.csv", "--observed", "o.csv", "--mu", "0.1",
+            "-o", "out.csv"],
+    "infer-triangles": ["flows.csv", "--count", "1", "-o", "out.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_ARGS))
+def test_cli_rejects_bad_tolerance_for_every_subcommand(
+        command, complex_file, capsys, monkeypatch):
+    # Subcommands without spectral work used to ignore the tolerance and
+    # exit 0; it is now checked before any input is read.
+    argv = [command, str(complex_file)] + CLI_ARGS[command]
+    assert run_cli(argv + ["--tolerance", "-1"]) == 1
+    assert "tol must be finite and positive" in capsys.readouterr().err
+    monkeypatch.setenv("HODGESP_TOLERANCE", "nan")
+    assert run_cli(argv) == 1
+    assert "tol must be finite and positive" in capsys.readouterr().err

@@ -20,9 +20,12 @@ from hodgesp import (
     hodge_laplacian,
     incidence,
     infer_triangles,
+    is_perfectly_recoverable,
     lambda_max,
     project_out_gradient,
+    reconstruct_bandlimited,
     select_samples,
+    slepians,
 )
 
 from conftest import EDGES7, TRIS7, random_complex
@@ -161,6 +164,18 @@ def test_bad_tolerance_rejected_naming_tol(complex7, tol):
                                 1, tol=tol),
         lambda: select_samples(complex7, 1, [0, 1], 2,
                                basis=hodge_basis(complex7, 1), tol=tol),
+        # With a basis given these never needed tol and accepted any value.
+        lambda: select_samples(complex7, 1, [0, 1, 2], 1,
+                               basis=hodge_basis(complex7, 1), tol=tol),
+        lambda: slepians(complex7, [0, 1], [0, 1],
+                         basis=hodge_basis(complex7, 1), tol=tol),
+        lambda: is_perfectly_recoverable(complex7, 1, [0, 1], [0, 1],
+                                         basis=hodge_basis(complex7, 1),
+                                         tol=tol),
+        lambda: reconstruct_bandlimited(complex7, 1, [0, 1], [0, 1],
+                                        [0.0, 0.0],
+                                        basis=hodge_basis(complex7, 1),
+                                        tol=tol),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="tol"):
