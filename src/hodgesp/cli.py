@@ -10,7 +10,6 @@ variable) overrides the scale-aware zero threshold.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -103,11 +102,8 @@ def _cmd_betti(args) -> None:
 def _cmd_spectrum(args) -> None:
     c = hio.load_complex(args.complex)
     basis = hodge_basis(c, args.order, tol=_tolerance(args))
-    with Path(args.output).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "type", "frequency"])
-        for row in frequency_table(basis):
-            writer.writerow([row.index, row.kind, "%.17g" % row.frequency])
+    hio._write_csv(args.output, "index,type,frequency", "%d,%s,%.17g",
+                   *zip(*frequency_table(basis)))
     if args.basis_output:
         hio.save_matrix(args.basis_output, basis.matrix())
 
@@ -116,14 +112,12 @@ def _cmd_decompose(args) -> None:
     c = hio.load_complex(args.complex)
     x = hio.load_signal(args.signal, c, args.order)
     parts = hodge_decompose(c, x, tol=_tolerance(args))
-    with Path(args.output).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["simplex_id", "component", "value"])
-        for name, part in (("gradient", parts.gradient),
-                           ("curl", parts.curl),
-                           ("harmonic", parts.harmonic)):
-            for i, v in enumerate(part.values):
-                writer.writerow([i, name, "%.17g" % v])
+    n = x.values.size
+    hio._write_csv(args.output, "simplex_id,component,value", "%d,%s,%.17g",
+                   np.tile(np.arange(n), 3),
+                   ["gradient"] * n + ["curl"] * n + ["harmonic"] * n,
+                   np.concatenate([parts.gradient.values, parts.curl.values,
+                                   parts.harmonic.values]))
 
 
 def _cmd_filter(args) -> None:
@@ -139,11 +133,8 @@ def _cmd_slepians(args) -> None:
     freq = parse_frequency_selector(basis, args.freqs)
     edges = _parse_index_list(args.edges, "--edges")
     result = slepians(c, edges, freq, m=args.count, basis=basis)
-    with Path(args.output).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["%.17g" % v for v in result.concentrations])
-        for row in result.vectors:
-            writer.writerow(["%.17g" % v for v in row])
+    hio.save_matrix(args.output,
+                    np.vstack([result.concentrations, result.vectors]))
 
 
 def _cmd_dictionary(args) -> None:
@@ -173,22 +164,8 @@ def _cmd_reconstruct(args) -> None:
 
 
 def _load_partial_signal(path, sample_ids) -> list[float]:
-    values = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != \
-                ["simplex_id", "value"]:
-            raise FileFormatError(
-                f"{path}: line 1: expected header 'simplex_id,value'"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values[int(row[0])] = float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+    rows = hio._read_csv(path, hio._SIGNAL)
+    values = dict(zip(rows["simplex_id"].tolist(), rows["value"].tolist()))
     missing = [i for i in sample_ids if i not in values]
     if missing:
         raise FileFormatError(f"{path}: missing values for sampled "
@@ -224,21 +201,21 @@ def _cmd_lms(args) -> None:
             raise ValueError(f"mask must be {c.n1} x {len(xs)}, "
                              f"got {masks.shape}")
     state = lms_init(c, args.t_down, args.t_up, args.mu)
-    errors = []
-    with Path(args.output).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "level", "simplex_id", "value"])
-        for t, (x, y) in enumerate(zip(xs, ys)):
-            mask = None if masks is None else masks[:, t].astype(bool)
-            prev = state
-            state, err = lms_step(state, x.x1, y.x1, mask)
-            if err is None:
-                continue
-            pred = lms_build_regressor(c, state.window, args.t_down,
-                                       args.t_up) @ prev.coefficients
-            for i, v in enumerate(pred):
-                writer.writerow([t, 1, i, "%.17g" % v])
-            errors.append(err)
+    errors, steps = [], []
+    preds = np.empty((len(xs), c.n1))
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        mask = None if masks is None else masks[:, t].astype(bool)
+        prev = state
+        state, err = lms_step(state, x.x1, y.x1, mask)
+        if err is None:
+            continue
+        preds[len(steps)] = lms_build_regressor(
+            c, state.window, args.t_down, args.t_up) @ prev.coefficients
+        steps.append(t)
+        errors.append(err)
+    hio._write_csv(args.output, hio._SERIES_HEADER, "%d,1,%d,%.17g",
+                   np.repeat(steps, c.n1), np.tile(np.arange(c.n1), len(steps)),
+                   preds[:len(steps)].ravel())
     if args.coeffs_output:
         hio.save_matrix(args.coeffs_output, state.coefficients[None, :])
     tail = errors[-min(len(errors), 200):]

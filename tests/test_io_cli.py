@@ -1,9 +1,14 @@
 """File round-trips, parse-error locations, and the batch CLI."""
 
+import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodgesp.io as hio
 from hodgesp import (
@@ -13,10 +18,16 @@ from hodgesp import (
     SCVarLag,
     SCVarModel,
     TopologyError,
+    frequency_table,
+    hodge_basis,
+    hodge_decompose,
+    lms_build_regressor,
+    lms_init,
+    lms_step,
 )
 from hodgesp.cli import run_cli
 
-from conftest import EDGES7, TRIS7
+from conftest import EDGES7, TRIS7, random_complex
 
 
 @pytest.fixture()
@@ -72,6 +83,18 @@ def test_complex_parse_errors(tmp_path):
     bad.write_text('{"num_vertices": 3, "edges": [[1, 9]]}')
     with pytest.raises(TopologyError, match="out of range"):
         hio.load_complex(bad)
+    # int() would truncate 1.7 to vertex 1 and read true as 1
+    bad.write_text('{"num_vertices": 3, "edges": [[1.7, 2], [2, 3]]}')
+    with pytest.raises(hio.FileFormatError,
+                       match=r"field 'edges': bad edge \[1.7, 2\]"):
+        hio.load_complex(bad)
+    bad.write_text('{"num_vertices": 3, "edges": [[1, 2]], '
+                   '"triangles": [[1, 2, true]]}')
+    with pytest.raises(hio.FileFormatError,
+                       match=r"field 'triangles': bad triangle \[1, 2, True\]"):
+        hio.load_complex(bad)
+    bad.write_text('{"num_vertices": 2.0, "edges": [[1.0, 2.0]]}')
+    assert hio.load_complex(bad).edges == ((0, 1),)
 
 
 def test_signal_round_trip(tmp_path, complex7):
@@ -136,6 +159,212 @@ def test_model_round_trip(tmp_path, complex7):
     back = hio.load_model(path, complex7)
     assert back.order == 2
     assert back.lags == model.lags
+
+
+def test_model_parse_errors(tmp_path, complex_file, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_text("[]")
+    with pytest.raises(hio.FileFormatError, match="expected a model object"):
+        hio.load_model(bad, None)
+    bad.write_text('{"order": 1, "lags": [["h11"]]}')
+    with pytest.raises(hio.FileFormatError, match="lag 1: expected an object"):
+        hio.load_model(bad, None)
+    # the CLI reports a malformed model as a domain error, not a traceback
+    bad.write_text("[]")
+    series = tmp_path / "s.csv"
+    series.write_text("t,level,simplex_id,value\n")
+    assert run_cli(["forecast", str(complex_file), str(bad), str(series),
+                    "--steps", "1", "-o", str(tmp_path / "f.csv")]) == 1
+    assert "expected a model object" in capsys.readouterr().err
+
+
+# Each case: loader, file text, 1-based line of the bad row. The files end
+# lines in CRLF and put a blank line before the bad row, both of which count.
+HEAD = "t,level,simplex_id,value\r\n"
+STEP0 = "0,2,0,1.5\r\n0,2,1,-2\r\n0,2,2,0.25\r\n\r\n"  # lines 2-5
+STEP1 = "1,2,0,1\r\n1,2,1,1\r\n1,2,2,1\r\n"
+PARSE_ERRORS = {
+    "header": ("series", "t,level,id,value\r\n" + STEP0, 1, "header"),
+    "3 fields": ("series", HEAD + STEP0 + "1,2,0\r\n" + STEP1, 6,
+                 "cannot parse '1,2,0' as t:int64,level:int64,simplex_id:int64,value:float64"),
+    "5 fields": ("series", HEAD + STEP0 + "1,2,0,1,9\r\n" + STEP1, 6,
+                 "cannot parse '1,2,0,1,9'"),
+    "non-numeric": ("series", HEAD + STEP0 + "1,2,0,abc\r\n" + STEP1, 6,
+                    "cannot parse"),
+    "fractional t": ("series", HEAD + STEP0 + "1.5,2,0,1\r\n", 6,
+                     "cannot parse"),
+    "fractional level": ("series", HEAD + STEP0 + "1,1.5,0,1\r\n", 6,
+                         "cannot parse"),
+    "fractional id": ("series", HEAD + STEP0 + "1,2,1.5,1\r\n", 6,
+                      "cannot parse"),
+    "level 3": ("series", HEAD + STEP0 + "1,3,0,1\r\n", 6,
+                "level must be 0, 1 or 2"),
+    "id out of range": ("series", HEAD + STEP0 + "1,2,3,1\r\n", 6,
+                        "simplex_id 3 out of range for level 2"),
+    "step gap": ("series", HEAD + STEP0 + STEP1.replace("1,", "2,", 1)
+                 .replace("\n1,", "\n2,"), 6, "no row has t = 1"),
+    "duplicate row": ("series", HEAD + STEP0 + "0,2,1,5\r\n", 6,
+                      "duplicate row for t = 0, level 2, simplex_id 1"),
+    "partial block": ("series", HEAD + STEP0 + "1,2,0,1\r\n1,2,2,1\r\n", 6,
+                      "t = 1, level 2 covers 2 of 3 simplices"),
+    "ragged matrix": ("matrix", "1,2\r\n3,4\r\n\r\n5\r\n6,7\r\n", 4,
+                      "cannot parse '5' as 2 floats"),
+    "matrix text": ("matrix", "1,2\r\n\r\n3,x\r\n", 3, "cannot parse"),
+    "signal order": ("signal", "simplex_id,value\r\n0,1\r\n\r\n2,1\r\n",
+                     4, "out of order"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_errors_name_the_file_line(case, tmp_path, complex7):
+    loader, text, line, message = PARSE_ERRORS[case]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    load = {"series": lambda: hio.load_series(path, complex7),
+            "matrix": lambda: hio.load_matrix(path),
+            "signal": lambda: hio.load_signal(path, complex7, 2)}[loader]
+    with pytest.raises(hio.FileFormatError) as info:
+        load()
+    assert str(info.value).startswith(f"{path}: line {line}: ")
+    assert message in str(info.value)
+
+
+def test_header_only_and_level_subset_files_load(tmp_path, complex7):
+    path = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on empty input
+        path.write_bytes(b"t,level,simplex_id,value\r\n\r\n")
+        assert hio.load_series(path, complex7) == []
+        for text in (b"", b"\n\r\n"):
+            path.write_bytes(text)
+            got = hio.load_matrix(path)
+            assert got.shape == (0, 0)
+    # absent blocks read as zeros; rows may come in any order
+    path.write_bytes(HEAD.encode() + STEP1.encode()
+                     + b"\r\n0,2,2,3\r\n0,2,0,1\r\n0,2,1,2\r\n")
+    series = hio.load_series(path, complex7)
+    assert [s.x2.values.tolist() for s in series] == [[1, 2, 3], [1, 1, 1]]
+    assert not any(s.x0.values.any() or s.x1.values.any() for s in series)
+
+
+SPECIAL = st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1e308,
+                           float(2**53 + 2), float(2**60 + 2**8), 0.1])
+FINITE = st.one_of(SPECIAL, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def same_bits(a, b) -> bool:
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_csv_round_trips_are_value_exact(tmp_path_factory, seed, data):
+    c = random_complex(np.random.default_rng(seed), max_vertices=10,
+                       with_cells=True)
+    path = tmp_path_factory.mktemp("rt") / "f.csv"
+
+    def draw(n):
+        return np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)),
+                        dtype=float)
+
+    k = data.draw(st.integers(0, 2))
+    x = c.cochain(k, draw(c.num_simplices(k)))
+    hio.save_signal(path, x)
+    assert same_bits(hio.load_signal(path, c, k).values, x.values)
+
+    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+    mat = draw(shape[0] * shape[1]).reshape(shape)
+    hio.save_matrix(path, mat)
+    assert same_bits(hio.load_matrix(path), mat)
+
+    width = c.n0 + c.n1 + c.n2
+    series = [ComplexSignal.from_stacked(c, draw(width))
+              for _ in range(data.draw(st.integers(1, 3)))]
+    hio.save_series(path, series)
+    back = hio.load_series(path, c)
+    assert len(back) == len(series)
+    for a, b in zip(series, back):
+        assert same_bits(b.stacked(), a.stacked())
+
+
+def test_writer_golden_bytes(tmp_path, complex7):
+    path = tmp_path / "f.csv"
+    hio.save_signal(path, complex7.cochain(2, [0.1, -0.0, 1e308]))
+    assert path.read_bytes() == (b"simplex_id,value\r\n0,0.10000000000000001"
+                                 b"\r\n1,-0\r\n2,1e+308\r\n")
+    hio.save_matrix(path, [[0.1, -0.0, 5e-324],
+                           [-2.5e-310, 2.0**53 + 2, -1e308]])
+    assert path.read_bytes() == (
+        b"0.10000000000000001,-0,4.9406564584124654e-324\r\n"
+        b"-2.5000000000000171e-310,9007199254740994,-1e+308\r\n")
+    values = np.arange(20) / 8 - 1
+    values[[3, 12, 19]] = 0.1, -0.0, 1 / 3
+    hio.save_series(path, [ComplexSignal.from_stacked(complex7, values)],
+                    start=5)
+    assert path.read_bytes() == (
+        b"t,level,simplex_id,value\r\n5,0,0,-1\r\n5,0,1,-0.875\r\n"
+        b"5,0,2,-0.75\r\n5,0,3,0.10000000000000001\r\n5,0,4,-0.5\r\n"
+        b"5,0,5,-0.375\r\n5,0,6,-0.25\r\n5,1,0,-0.125\r\n5,1,1,0\r\n"
+        b"5,1,2,0.125\r\n5,1,3,0.25\r\n5,1,4,0.375\r\n5,1,5,-0\r\n"
+        b"5,1,6,0.625\r\n5,1,7,0.75\r\n5,1,8,0.875\r\n5,1,9,1\r\n"
+        b"5,2,0,1.125\r\n5,2,1,1.25\r\n5,2,2,0.33333333333333331\r\n")
+
+
+def csv_writer_bytes(rows) -> bytes:
+    """Reference: the rows as csv.writer writes them, floats at %.17g."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    for row in rows:
+        writer.writerow([("%.17g" % v) if isinstance(v, float) else v
+                         for v in row])
+    return out.getvalue().encode()
+
+
+def test_cli_tables_match_csv_writer_bytes(complex_file, tmp_path,
+                                            complex7):
+    rng = np.random.default_rng(8)
+    x = complex7.cochain(1, rng.standard_normal(10))
+    sig = tmp_path / "x.csv"
+    hio.save_signal(sig, x)
+
+    out = tmp_path / "spec.csv"
+    assert run_cli(["spectrum", str(complex_file), "--order", "1",
+                    "-o", str(out)]) == 0
+    table = frequency_table(hodge_basis(complex7, 1))
+    assert out.read_bytes() == csv_writer_bytes(
+        [["index", "type", "frequency"]]
+        + [[r.index, r.kind, float(r.frequency)] for r in table])
+
+    assert run_cli(["decompose", str(complex_file), str(sig),
+                    "-o", str(out)]) == 0
+    parts = hodge_decompose(complex7, x)
+    assert out.read_bytes() == csv_writer_bytes(
+        [["simplex_id", "component", "value"]]
+        + [[i, name, float(v)] for name in ("gradient", "curl", "harmonic")
+           for i, v in enumerate(getattr(parts, name).values)])
+
+    xs = [ComplexSignal.from_arrays(complex7, np.zeros(7),
+                                    rng.standard_normal(10), np.zeros(3))
+          for _ in range(6)]
+    ys = [ComplexSignal.from_arrays(complex7, np.zeros(7), 0.5 * s.x1.values,
+                                    np.zeros(3)) for s in xs]
+    hio.save_series(tmp_path / "xs.csv", xs)
+    hio.save_series(tmp_path / "ys.csv", ys)
+    assert run_cli(["lms", str(complex_file), "--input",
+                    str(tmp_path / "xs.csv"), "--observed",
+                    str(tmp_path / "ys.csv"), "--mu", "0.05",
+                    "-o", str(out)]) == 0
+    rows = [["t", "level", "simplex_id", "value"]]
+    state = lms_init(complex7, 1, 1, 0.05)
+    for t, (a, b) in enumerate(zip(xs, ys)):
+        prev = state
+        state, err = lms_step(state, a.x1, b.x1)
+        if err is not None:
+            pred = lms_build_regressor(complex7, state.window, 1, 1) \
+                @ prev.coefficients
+            rows += [[t, 1, i, float(v)] for i, v in enumerate(pred)]
+    assert out.read_bytes() == csv_writer_bytes(rows)
 
 
 # ---------------------------------------------------------------------------
