@@ -1,5 +1,5 @@
 """Simplicial and cell complexes of order <= 2, their incidence matrices,
-Hodge Laplacians, and the Dirac operator.
+Hodge Laplacians, the Dirac operator, and the exact sparse topology core.
 
 Vertices are integers 0..n-1. Edges are vertex pairs (i, j) with i < j,
 triangles are triples (i, j, k) with i < j < k, and 2-cells are vertex cycles
@@ -11,6 +11,12 @@ traversed starting at its smallest vertex toward its smaller neighbor.
 Canonical ordering: edges sorted lexicographically, then order-2 simplices
 with the triangles (lexicographic) followed by the cells (lexicographic).
 All signal vectors index against this ordering.
+
+The topology core is exact and sparse, and cached once per complex: the
+connected components, the pivot columns of b2 from elimination over a
+prime field, and one sparse LU each for the pseudo-inverses of L0 and L2.
+Betti numbers, the default Hodge decomposition and gradient projection
+come from it, with no SVD and no dense n1-wide array.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import check_tolerance, zero_tolerance
+from ._linalg import power_iteration_lambda_max, zero_tolerance
 
 __all__ = [
     "TopologyError",
@@ -34,6 +40,7 @@ __all__ = [
     "incidence",
     "hodge_laplacian",
     "dirac",
+    "lambda_max",
     "betti",
     "divergence",
     "curl",
@@ -175,11 +182,12 @@ class ComplexSignal:
 
 
 class DiracOperator(NamedTuple):
-    """Dense Dirac operator with its down (b1) and up (b2) parts."""
+    """Sparse (CSR) Dirac operator with its down (b1) and up (b2) parts;
+    ``full`` is cached on the complex and must be treated as read-only."""
 
-    full: np.ndarray
-    down: np.ndarray
-    up: np.ndarray
+    full: sp.csr_array
+    down: sp.csr_array
+    up: sp.csr_array
 
 
 def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -391,17 +399,36 @@ def _laplacian(c: SimplicialComplex, k: int, variant: str) -> sp.csr_array:
 def dirac(c: SimplicialComplex) -> DiracOperator:
     """Block-tridiagonal Dirac operator; full = down + up and
     full^2 = blkdiag(L0, L1, L2)."""
-    n0, n1, n2 = c.n0, c.n1, c.n2
-    b1 = c.b1.toarray().astype(float)
-    b2 = c.b2.toarray().astype(float)
-    dim = n0 + n1 + n2
-    down = np.zeros((dim, dim))
-    up = np.zeros((dim, dim))
-    down[:n0, n0 : n0 + n1] = b1
-    down[n0 : n0 + n1, :n0] = b1.T
-    up[n0 : n0 + n1, n0 + n1 :] = b2
-    up[n0 + n1 :, n0 : n0 + n1] = b2.T
-    return DiracOperator(full=down + up, down=down, up=up)
+    b1, b2 = c.b1.astype(float), c.b2.astype(float)
+    return DiracOperator(
+        full=_dirac_matrix(c),
+        down=_dirac_blocks(b1, sp.csr_array(b2.shape)),
+        up=_dirac_blocks(sp.csr_array(b1.shape), b2),
+    )
+
+
+def _dirac_matrix(c: SimplicialComplex) -> sp.csr_array:
+    """The sparse Dirac operator, built once per complex."""
+    return _cached(c, ("dirac",), lambda: _dirac_blocks(c.b1.astype(float),
+                                                        c.b2.astype(float)))
+
+
+def _dirac_blocks(b1, b2) -> sp.csr_array:
+    return sp.csr_array(sp.bmat([[None, b1, None],
+                                 [b1.T, None, b2],
+                                 [None, b2.T, None]]))
+
+
+def lambda_max(c: SimplicialComplex, k: int, rtol: float = 1e-6) -> float:
+    """Largest eigenvalue of L_k, by power iteration, cached per complex
+    and rtol."""
+    return _cached(c, ("lambda_max", k, rtol), _lambda_max, c, k, rtol)
+
+
+def _lambda_max(c: SimplicialComplex, k: int, rtol: float) -> float:
+    lap = hodge_laplacian(c, k, sparse=True)
+    return power_iteration_lambda_max(lambda v: lap @ v, lap.shape[0],
+                                      rtol=rtol)
 
 
 def _incidence_svd(c: SimplicialComplex, k: int
@@ -419,19 +446,161 @@ def _read_only_svd(c: SimplicialComplex, k: int):
 
 
 def _zero_tolerance(c: SimplicialComplex, tol: float | None) -> float:
-    """The complex-wide zero threshold: scaled by the largest singular value
-    of b1 and b2, unless overridden."""
-    check_tolerance(tol)  # reject a bad override before paying for the SVDs
-    sigma_max = max(_incidence_svd(c, k)[1].max(initial=0.0) for k in (1, 2))
-    return zero_tolerance(sigma_max, tol)
+    """The complex-wide zero threshold, unless overridden: 1e-10 times the
+    largest singular value of b1 and b2, which is sqrt(lambda_max(L1)) as
+    the ranges of b1^T and b2 are orthogonal."""
+    if tol is not None:
+        return zero_tolerance(0.0, tol)
+    return zero_tolerance(np.sqrt(lambda_max(c, 1)))
 
 
 def betti(c: SimplicialComplex, tol: float | None = None) -> tuple[int, int, int]:
-    """Betti numbers (components, holes, cavities) = dim kernel(L_k)."""
-    thr = _zero_tolerance(c, tol) ** 0.5
-    r1, r2 = (int(np.count_nonzero(_incidence_svd(c, k)[1] > thr))
-              for k in (1, 2))
+    """Betti numbers (components, holes, cavities) = dim kernel(L_k).
+
+    By default they are exact: beta0 counts the connected components,
+    rank(b1) = n0 - beta0 and rank(b2) is the number of pivot columns of b2.
+    An explicit ``tol`` counts the singular values of b1 and b2 at or below
+    sqrt(tol) as zero instead.
+    """
+    if tol is None:
+        beta0 = _components(c)[1]
+        r1, r2 = c.n0 - beta0, _b2_pivots(c).size
+    else:
+        thr = _zero_tolerance(c, tol) ** 0.5
+        r1, r2 = (int(np.count_nonzero(_incidence_svd(c, k)[1] > thr))
+                  for k in (1, 2))
     return (c.n0 - r1, c.n1 - r1 - r2, c.n2 - r2)
+
+
+# Prime modulus of the elimination that ranks b2. Columns independent mod
+# p are independent over Q; the rank mod p falls short of the rank r over Q
+# only if p divides every nonzero r x r minor of the +-1 matrix.
+_PRIME = 2147483629
+
+
+def _components(c: SimplicialComplex) -> tuple[np.ndarray, int]:
+    """Connected-component label of every vertex, and their number."""
+    return _cached(c, ("components",), _connected_components, c)
+
+
+def _connected_components(c: SimplicialComplex) -> tuple[np.ndarray, int]:
+    # Imported on first use, as splu in _Potential: importing csgraph or
+    # scipy.sparse.linalg takes about 0.14 s, which every CLI call would pay.
+    from scipy.sparse.csgraph import connected_components
+
+    tail, head = np.array(c.edges, dtype=np.int64).reshape(-1, 2).T
+    graph = sp.csr_array((np.ones(c.n1), (tail, head)), shape=(c.n0, c.n0))
+    count, labels = connected_components(graph, directed=False)
+    return labels, int(count)
+
+
+def _b2_pivots(c: SimplicialComplex) -> np.ndarray:
+    """Columns of b2 independent of the columns before them: a basis of
+    range(b2) taken from its own columns, by sparse column elimination over
+    the integers mod _PRIME."""
+    return _cached(c, ("pivots",), _eliminate, c.b2)
+
+
+def _eliminate(b: sp.csr_array) -> np.ndarray:
+    csc = b.tocsc()
+    owner: dict[int, dict[int, int]] = {}  # pivot row -> reduced column
+    pivots = []
+    for j in range(csc.shape[1]):
+        lo, hi = csc.indptr[j], csc.indptr[j + 1]
+        col = dict(zip(csc.indices[lo:hi].tolist(),
+                       (csc.data[lo:hi] % _PRIME).tolist()))
+        while col:
+            low = max(col)
+            red = owner.get(low)
+            if red is None:
+                owner[low] = col
+                pivots.append(j)
+                break
+            f = col[low] * pow(red[low], -1, _PRIME) % _PRIME
+            for r, v in red.items():
+                v = (col.get(r, 0) - f * v) % _PRIME
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+    return np.array(pivots, dtype=np.int64)
+
+
+class _Potential:
+    """Minimum-norm solves with L = A^T A: L0 with A = b1^T (k=0) or L2
+    with A = b2 (k=2), A mapping order-k potentials to edge flows.
+
+    L restricted to ``pivots`` is nonsingular and factored by one sparse LU:
+    L0 grounds the first vertex of each component, L2 keeps the pivot
+    columns of b2. ``kernel`` is an orthonormal basis of ker(L). A solution
+    supported on the pivots, minus its kernel part, is the minimum-norm one.
+    Methods take an (n,) vector or an (n, B) block.
+    """
+
+    def __init__(self, c: SimplicialComplex, k: int):
+        from scipy.sparse.linalg import splu
+
+        # A, the kernel and both transposes are stored as built: a transpose
+        # taken per call cost more than the solve on small complexes.
+        self.a = sp.csr_array((c.b1.T if k == 0 else c.b2).astype(float))
+        self.a_t = sp.csr_array(self.a.T)
+        lap = hodge_laplacian(c, k, sparse=True)
+        n = lap.shape[0]
+        if k == 0:
+            labels, count = _components(c)
+            free = np.unique(labels, return_index=True)[1]
+            self.pivots = np.setdiff1d(np.arange(n), free)
+            size = np.bincount(labels, minlength=count)
+            kernel = sp.csr_array((1.0 / np.sqrt(size[labels]),
+                                   (np.arange(n), labels)), shape=(n, count))
+        else:
+            self.pivots = _b2_pivots(c)
+            free = np.setdiff1d(np.arange(n), self.pivots)
+        # The restricted matrix is symmetric positive definite: a symmetric
+        # fill-reducing order and diagonal pivots suit it.
+        self.lu = splu(sp.csc_array(lap[self.pivots][:, self.pivots]),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True}) \
+            if self.pivots.size else None
+        if k == 2:
+            # Column j of b2 off the pivots is b2[:, pivots] z with
+            # L2[pivots, pivots] z = L2[pivots, j], so e_j - z is in ker(b2).
+            null = np.zeros((n, free.size))
+            null[free, np.arange(free.size)] = 1.0
+            if self.lu is not None and free.size:
+                null[self.pivots] = -self.lu.solve(
+                    lap[self.pivots][:, free].toarray())
+            kernel = np.linalg.qr(null)[0]
+        self.kernel, self.kernel_t = kernel, kernel.T.copy()
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto range(L)."""
+        return x - self.kernel @ (self.kernel_t @ x)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """L^+ rhs for rhs in range(L)."""
+        w = np.zeros(rhs.shape)
+        if self.lu is not None:
+            w[self.pivots] = self.lu.solve(rhs[self.pivots])
+        return self.project(w)
+
+    def flow_part(self, flow: np.ndarray):
+        """The projection of edge flows onto range(A), and their
+        minimum-norm potential w = L^+ A^T flow, with A w the projection."""
+        w = self.solve(self.a_t @ flow)
+        return self.a @ w, w
+
+    def cochain_part(self, x: np.ndarray):
+        """The projection of an order-k cochain onto range(L) = range(A^T),
+        and its minimum-norm edge potential y = A L^+ x, with A^T y the
+        projection."""
+        part = self.project(x)
+        return part, self.a @ self.solve(part)
+
+
+def _potential(c: SimplicialComplex, k: int) -> _Potential:
+    """The cached L0^+ (k=0) or L2^+ (k=2) solver of ``c``."""
+    return _cached(c, ("potential", k), _Potential, c, k)
 
 
 def _check_bound(c: SimplicialComplex, x: Cochain, k: int) -> None:

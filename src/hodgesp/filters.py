@@ -20,18 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import (
-    CG_RTOL,
-    conjugate_gradient,
-    krylov,
-    power_iteration_lambda_max,
-)
+from ._linalg import CG_RTOL, conjugate_gradient, krylov
 from .complexes import (
     Cochain,
     ComplexSignal,
     SimplicialComplex,
-    _cached,
+    _dirac_matrix,
     hodge_laplacian,
+    lambda_max,
 )
 from .spectral import HodgeBasis, frequency_table, hodge_basis
 
@@ -101,18 +97,6 @@ class HodgeFilterSpec:
     def is_zero(self) -> bool:
         return (self.harmonic is None
                 and not any(self.h_down) and not any(self.h_up))
-
-
-def lambda_max(c: SimplicialComplex, k: int, rtol: float = 1e-6) -> float:
-    """Largest eigenvalue of L_k, by power iteration, cached per complex
-    and rtol."""
-    return _cached(c, ("lambda_max", k, rtol), _lambda_max, c, k, rtol)
-
-
-def _lambda_max(c: SimplicialComplex, k: int, rtol: float) -> float:
-    lap = hodge_laplacian(c, k, sparse=True)
-    return power_iteration_lambda_max(lambda v: lap @ v, lap.shape[0],
-                                      rtol=rtol)
 
 
 def _polynomial(op, coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
@@ -238,17 +222,9 @@ def dirac_filter(c: SimplicialComplex, spec: HodgeFilterSpec,
     if x.complex is not c:
         raise ValueError("signal is bound to a different complex")
     _require_one_sided(spec, "down", "a Dirac filter")
-    d = _cached(c, ("dirac",), _sparse_dirac, c)
-    return ComplexSignal.from_stacked(c, _polynomial(d, spec.h_down,
+    return ComplexSignal.from_stacked(c, _polynomial(_dirac_matrix(c),
+                                                     spec.h_down,
                                                      x.stacked()))
-
-
-def _sparse_dirac(c: SimplicialComplex) -> sp.csr_array:
-    b1 = c.b1.astype(float)
-    b2 = c.b2.astype(float)
-    return sp.csr_array(sp.bmat([[None, b1, None],
-                                 [b1.T, None, b2],
-                                 [None, b2.T, None]]))
 
 
 def _objective(mask, f, x, b1, b2t, alpha, beta, p, q) -> float:

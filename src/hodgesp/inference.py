@@ -2,13 +2,15 @@
 edge flows.
 
 Flows are first projected onto the orthogonal complement of the gradient
-space (the divergence-free part); whatever energy is left is the only part
-a triangle filling can explain. Candidates are the 3-cliques of the graph.
-Two greedy criteria: pick triangles whose circulation against the flows is
-smallest (min_smoothness — the increment each candidate contributes to the
-upper-Laplacian total variation), or pick triangles whose boundary columns
-capture the most flow energy (max_curl_fit, re-orthogonalizing the chosen
-columns after each pick).
+space (the divergence-free part), F - b1^T L0^+ b1 F, by one block solve
+with the cached sparse LU of the exact topology core; an explicit
+tolerance uses the truncated SVD of b1 instead. Whatever energy is left is
+the only part a triangle filling can explain. Candidates are the 3-cliques
+of the graph. Two greedy criteria: pick triangles whose circulation
+against the flows is smallest (min_smoothness — the increment each
+candidate contributes to the upper-Laplacian total variation), or pick
+triangles whose boundary columns capture the most flow energy
+(max_curl_fit, re-orthogonalizing the chosen columns after each pick).
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ import warnings
 import numpy as np
 
 from ._linalg import check_tolerance
-from .complexes import SimplicialComplex, _incidence_svd, _zero_tolerance
+from .complexes import (
+    SimplicialComplex,
+    _incidence_svd,
+    _potential,
+    _zero_tolerance,
+)
 
 __all__ = [
     "DegenerateScoresWarning",
@@ -37,8 +44,10 @@ def project_out_gradient(c: SimplicialComplex, flows: np.ndarray,
                          tol: float | None = None) -> np.ndarray:
     """Remove the gradient component of each flow column.
 
-    The projector onto span(b1^T) comes from the cached SVD of b1; the
-    output columns are divergence-free.
+    The gradient part is b1^T L0^+ b1 F, by the cached sparse LU of L0;
+    with an explicit ``tol`` it is the projection onto the right singular
+    vectors of b1 whose singular values exceed sqrt(tol). The output
+    columns are divergence-free.
     """
     check_tolerance(tol)
     flows = np.atleast_2d(np.asarray(flows, dtype=float))
@@ -46,6 +55,8 @@ def project_out_gradient(c: SimplicialComplex, flows: np.ndarray,
         flows = flows.T
     if flows.shape[0] != c.n1:
         raise ValueError(f"flows must have {c.n1} rows (one per edge)")
+    if tol is None:
+        return flows - _potential(c, 0).flow_part(flows)[0]
     _, s, vt = _incidence_svd(c, 1)
     v_grad = vt[s > _zero_tolerance(c, tol) ** 0.5].T
     return flows - v_grad @ (v_grad.T @ flows)
@@ -72,14 +83,16 @@ def triangle_candidates(c: SimplicialComplex) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def _boundary_column(c: SimplicialComplex, tri: tuple[int, int, int]
-                     ) -> np.ndarray:
-    u, v, w = tri
-    col = np.zeros(c.n1)
-    col[c.edge_index(u, v)] = 1.0
-    col[c.edge_index(u, w)] = -1.0
-    col[c.edge_index(v, w)] = 1.0
-    return col
+def _boundary_edges(c: SimplicialComplex,
+                    candidates: list[tuple[int, int, int]]) -> np.ndarray:
+    """Edge indices of each candidate's boundary [v,w] - [u,w] + [u,v], in
+    the order (u,v), (u,w), (v,w) of the signs _BOUNDARY_SIGNS."""
+    return np.array([[c.edge_index(u, v), c.edge_index(u, w),
+                      c.edge_index(v, w)] for u, v, w in candidates],
+                    dtype=np.int64).reshape(-1, 3)
+
+
+_BOUNDARY_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
 def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
@@ -109,8 +122,13 @@ def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
             f"{len(candidates)} 3-cliques"
         )
     proj = project_out_gradient(c, flows, tol)
-    cols = np.column_stack([_boundary_column(c, t) for t in candidates]) \
-        if candidates else np.zeros((c.n1, 0))
+    edges = _boundary_edges(c, candidates)
+
+    def column(i: int) -> np.ndarray:
+        col = np.zeros(c.n1)
+        col[edges[i]] = _BOUNDARY_SIGNS
+        return col
+
     # Score threshold is relative to the input flow energy, keeping the
     # selected sequence invariant under positive rescaling of the flows.
     tiny = 1e-12 * float(np.sum(np.asarray(flows, dtype=float) ** 2))
@@ -122,7 +140,7 @@ def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
     if criterion == "min_smoothness":
         # The upper-Laplacian total variation is additive over chosen
         # columns, so each candidate's increment is fixed up front.
-        circ = cols.T @ proj
+        circ = proj[edges[:, 0]] - proj[edges[:, 1]] + proj[edges[:, 2]]
         increments = np.sum(circ**2, axis=1)
         increments[increments <= tiny] = 0.0  # lexicographic ties on noise
         order = sorted(range(len(candidates)),
@@ -141,7 +159,7 @@ def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
     for _ in range(count):
         best_i, best_gain = None, -1.0
         for i in remaining:
-            q = cols[:, i].copy()
+            q = column(i)
             for b in basis:
                 q -= (b @ q) * b
             norm = np.linalg.norm(q)
@@ -159,7 +177,7 @@ def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
         chosen.append(candidates[best_i])
         scores.append(best_gain)
         remaining.remove(best_i)
-        q = cols[:, best_i].copy()
+        q = column(best_i)
         for b in basis:
             q -= (b @ q) * b
         norm = np.linalg.norm(q)

@@ -133,6 +133,10 @@ def _check(path, bad: np.ndarray, message) -> None:
         raise FileFormatError(f"{path}: line {line}: {message(row)}")
 
 
+def _check_finite(path, values: np.ndarray) -> None:
+    _check(path, ~np.isfinite(values), lambda r: "value must be finite")
+
+
 def _write_csv(path, header: str | None, row_fmt: str, *columns) -> None:
     """Write equal-length columns as CSV rows formatted by ``row_fmt``,
     each chunk of rows by one ``%`` operation. Lines end in ``\\r\\n``,
@@ -221,6 +225,7 @@ def load_signal(path, c: SimplicialComplex, k: int) -> Cochain:
     if len(ids) != expected:
         raise FileFormatError(f"{path}: expected {expected} rows for an "
                               f"order-{k} signal, got {len(ids)}")
+    _check_finite(path, rows["value"])
     return Cochain(c, k, np.ascontiguousarray(rows["value"]))
 
 
@@ -289,6 +294,7 @@ def load_series(path, c: SimplicialComplex) -> list[ComplexSignal]:
     """
     rows = _read_csv(path, _SERIES)
     t, level, ids = rows["t"], rows["level"], rows["simplex_id"]
+    _check_finite(path, rows["value"])
     sizes = np.array([c.n0, c.n1, c.n2])
     known = (level >= 0) & (level <= 2)
     size = sizes[np.where(known, level, 0)]

@@ -118,6 +118,12 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
 
     At each step the simplex whose addition maximizes the smallest singular
     value of the sampled sub-basis is added (ties to the lowest index).
+    Every candidate of a step is scored by one stacked ``eigvalsh``: its
+    squared margin is the smallest eigenvalue of the trial set's row Gram
+    matrix while the set has at most |F| rows, of its |F| x |F| column Gram
+    matrix after that. Candidates within 1e-10 of the best squared margin
+    are rescored by one stacked SVD of their trial sets, so the picks are
+    those of a scan that computes one SVD per candidate.
     Raises when m >= |F| but no recoverable set exists along the greedy path.
     """
     check_tolerance(tol)
@@ -131,18 +137,43 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
         raise ValueError(f"m must be in [1, {nk}], got {m}")
 
     u_f = basis.matrix()[:, list(f_idx)]
+    nf = len(f_idx)
+    norms = np.einsum("ij,ij->i", u_f, u_f)
+    # Column t: u_f @ (the row picked at step t), while bordering lasts.
+    cross = np.zeros((nk, min(m, nf)))
     selected: list[int] = []
-    for _ in range(m):
-        best_idx, best_margin = -1, -1.0
-        for r in range(nk):
-            if r in selected:
-                continue
-            trial = u_f[selected + [r], :]
-            s = np.linalg.svd(trial, compute_uv=False)
-            margin = float(s[min(trial.shape) - 1])
-            if margin > best_margin + 1e-15:
-                best_idx, best_margin = r, margin
+    for t in range(m):
+        free = np.ones(nk, dtype=bool)
+        free[selected] = False
+        cand = np.flatnonzero(free)
+        if t < nf:
+            # Bordered row Gram matrices of the trial sets, (t+1) x (t+1).
+            gram = np.empty((cand.size, t + 1, t + 1))
+            gram[:, :t, :t] = cross[selected, :t]
+            gram[:, :t, t] = gram[:, t, :t] = cross[cand, :t]
+            gram[:, t, t] = norms[cand]
+        else:
+            # |F| x |F| column Gram matrices M + u u^T.
+            picked = u_f[selected]
+            gram = picked.T @ picked + u_f[cand, :, None] * u_f[cand, None]
+        lam = np.linalg.eigvalsh(gram)[:, 0]
+        near = cand[lam >= lam.max() - 1e-10 * max(1.0, lam.max())]
+        best_idx = int(near[0])
+        if near.size > 1:
+            # Settle near-ties as a one-at-a-time scan would: by the SVD
+            # margins of the trial sets, in index order, with 1e-15 slack.
+            trials = np.empty((near.size, t + 1), dtype=np.int64)
+            trials[:, :t] = selected
+            trials[:, t] = near
+            margins = np.linalg.svd(u_f[trials],
+                                    compute_uv=False)[:, min(t, nf - 1)]
+            best_margin = -1.0
+            for r, margin in zip(near.tolist(), margins.tolist()):
+                if margin > best_margin + 1e-15:
+                    best_idx, best_margin = r, margin
         selected.append(best_idx)
+        if t < cross.shape[1]:
+            cross[:, t] = u_f @ u_f[best_idx]
 
     if m >= len(f_idx):
         final = _margin(u_f[selected, :], len(f_idx))

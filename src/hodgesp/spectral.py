@@ -1,16 +1,26 @@
 """Hodge and Dirac spectral machinery: subspace bases, topological Fourier
 transforms, typed frequencies, and signal decomposition.
 
-Bases, Dirac eigenpairs and decompositions all come from the thin SVDs of
-b1 and b2, computed once per complex and cached with it, and from one
-complex-wide zero tolerance. Gradient and curl columns are singular vectors
-rather than eigenvectors of L_k: that keeps every column exactly inside its
-subspace even when a gradient and a curl eigenvalue coincide. The harmonic
-block is their orthonormal complement, from one complete QR. Frequencies
-are the squared singular values — the squared l2-norm of the divergence
-for gradient columns and of the total curl for curl columns. Harmonic
-columns all sit at frequency zero; low/high comparisons are only
-meaningful within one frequency type.
+What comes from where:
+
+* Bases, Dirac eigenpairs, and decompositions with an explicit ``tol``
+  come from the thin SVDs of b1 and b2, computed once per complex and
+  cached with it. Their zero tolerance is complex-wide: by default 1e-10
+  times the largest singular value of b1 and b2, taken as
+  sqrt(lambda_max(L1)) from the cached power iteration, so no SVD is
+  needed to set it.
+* The default Hodge decomposition uses no SVD: it solves L0 p = b1 x and
+  L2 q = b2^T x with the exact sparse topology core of
+  :mod:`hodgesp.complexes` (sparse LU factors, minimum-norm potentials).
+
+Gradient and curl columns are singular vectors rather than eigenvectors of
+L_k: that keeps every column exactly inside its subspace even when a
+gradient and a curl eigenvalue coincide. The harmonic block is their
+orthonormal complement, from one complete QR. Frequencies are the squared
+singular values — the squared l2-norm of the divergence for gradient
+columns and of the total curl for curl columns. Harmonic columns all sit
+at frequency zero; low/high comparisons are only meaningful within one
+frequency type.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from .complexes import (
     ComplexSignal,
     SimplicialComplex,
     _incidence_svd,
+    _potential,
     _zero_tolerance,
 )
 
@@ -192,37 +203,50 @@ def hodge_decompose(c: SimplicialComplex, x: Cochain,
     """Split x into gradient + curl + harmonic parts with minimum-norm
     potentials.
 
-    With b_k = U S V^T, gradient = V V^T x = b_k^T p with the minimum-norm
-    lower potential p = U S^-1 V^T x; likewise curl and the upper potential
-    from b_{k+1}; harmonic is the remainder. Singular values count as zero
-    by the same tolerance as in ``hodge_basis(c, k, tol)``, so the three
-    mutually orthogonal parts are the projections onto its blocks.
+    By default the split is exact and sparse: the lower potential of an
+    edge flow is p = L0^+ b1 x with gradient b1^T p, the upper potential
+    q = L2^+ b2^T x with curl b2 q, by the cached sparse LU factors; a
+    vertex (cell) signal's curl (gradient) part is its projection off
+    ker(L0) (ker(L2)). With an explicit ``tol`` the parts are instead the
+    projections onto the blocks of ``hodge_basis(c, k, tol)``: with
+    b_k = U S V^T, gradient = V V^T x = b_k^T p with p = U S^-1 V^T x, and
+    likewise curl and the upper potential from b_{k+1}, singular values at
+    or below sqrt(tol) counting as zero. The harmonic part is the remainder.
     """
     if x.complex is not c:
         raise ValueError("cochain is bound to a different complex")
     k = x.order
     values = x.values
-    thr = _zero_tolerance(c, tol) ** 0.5
     grad_vals = curl_vals = np.zeros_like(values)
     lower = upper = None
 
-    if k >= 1:
-        u, s, vt, r = _svd_rank(c, k, thr)
-        coef = vt[:r] @ values
-        grad_vals = vt[:r].T @ coef
-        lower = Cochain(c, k - 1, u[:, :r] @ (coef / s[:r]))
-    if k <= 1:
-        u, s, vt, r = _svd_rank(c, k + 1, thr)
-        coef = u[:, :r].T @ values
-        curl_vals = u[:, :r] @ coef
-        upper = Cochain(c, k + 1, vt[:r].T @ (coef / s[:r]))
+    if tol is None:
+        if k == 0:
+            curl_vals, upper = _potential(c, 0).cochain_part(values)
+        elif k == 1:
+            grad_vals, lower = _potential(c, 0).flow_part(values)
+            curl_vals, upper = _potential(c, 2).flow_part(values)
+        else:
+            grad_vals, lower = _potential(c, 2).cochain_part(values)
+    else:
+        thr = _zero_tolerance(c, tol) ** 0.5
+        if k >= 1:
+            u, s, vt, r = _svd_rank(c, k, thr)
+            coef = vt[:r] @ values
+            grad_vals = vt[:r].T @ coef
+            lower = u[:, :r] @ (coef / s[:r])
+        if k <= 1:
+            u, s, vt, r = _svd_rank(c, k + 1, thr)
+            coef = u[:, :r].T @ values
+            curl_vals = u[:, :r] @ coef
+            upper = vt[:r].T @ (coef / s[:r])
 
     return HodgeComponents(
         gradient=Cochain(c, k, grad_vals),
         curl=Cochain(c, k, curl_vals),
         harmonic=Cochain(c, k, values - grad_vals - curl_vals),
-        lower_potential=lower,
-        upper_potential=upper,
+        lower_potential=None if lower is None else Cochain(c, k - 1, lower),
+        upper_potential=None if upper is None else Cochain(c, k + 1, upper),
     )
 
 

@@ -1,11 +1,13 @@
 """Shared fixtures: the 7-vertex reference complex (one open 3-cycle, so one
-hole), its cell-complex variant with a quadrilateral, and random complex
-generators for property tests."""
+hole), its cell-complex variant with a quadrilateral, closed surfaces (one
+and two tetrahedron boundaries, so one and two cavities), and random
+complex generators for property tests."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hodgesp import SimplicialComplex, build_complex
 
@@ -35,6 +37,28 @@ def cell7() -> SimplicialComplex:
     edges = [e for e in EDGES7 if e != (0, 2)]
     return build_complex(7, edges, [(0, 1, 3), (0, 4, 5)],
                          cells=[(0, 1, 2, 6)])
+
+
+def tetrahedron_boundaries(copies: int) -> SimplicialComplex:
+    """``copies`` disjoint tetrahedron boundaries: closed surfaces with
+    Betti numbers (copies, 0, copies)."""
+    edges, triangles = [], []
+    for first in range(0, 4 * copies, 4):
+        quad = range(first, first + 4)
+        edges += [(u, v) for u in quad for v in quad if u < v]
+        triangles += [(u, v, w) for u in quad for v in quad for w in quad
+                      if u < v < w]
+    return build_complex(4 * copies, edges, triangles)
+
+
+@pytest.fixture(scope="session")
+def tetra_surface() -> SimplicialComplex:
+    return tetrahedron_boundaries(1)
+
+
+@pytest.fixture(scope="session")
+def two_tetra_surfaces() -> SimplicialComplex:
+    return tetrahedron_boundaries(2)
 
 
 def random_complex(rng: np.random.Generator, max_vertices: int = 30,
@@ -75,6 +99,14 @@ def random_complex(rng: np.random.Generator, max_vertices: int = 30,
             if len(cells) >= 3:
                 break
     return build_complex(n, edges, triangles, cells)
+
+
+@st.composite
+def complexes_with_cells(draw) -> SimplicialComplex:
+    """Hypothesis strategy: a random complex of up to 12 vertices with
+    polygon cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_complex(rng, max_vertices=12, with_cells=True)
 
 
 def union_find_components(num_vertices: int, edges) -> int:

@@ -55,7 +55,7 @@ def test_01_structural_identities(complex7):
     for c in complexes:
         if (c.b1 @ c.b2).count_nonzero():
             exact_zero = False
-        d = dirac(c).full
+        d = dirac(c).full.toarray()
         blk = sla.block_diag(*(hodge_laplacian(c, k) for k in (0, 1, 2)))
         denom = max(np.linalg.norm(blk), 1.0)
         worst = max(worst, np.linalg.norm(d @ d - blk) / denom)

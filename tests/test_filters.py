@@ -269,7 +269,7 @@ def test_dirac_filter(complex7):
         z = ComplexSignal.from_arrays(
             c, rng.standard_normal(c.n0), rng.standard_normal(c.n1),
             rng.standard_normal(c.n2))
-        d = dirac(c).full
+        d = dirac(c).full.toarray()
         oracle = sum(h[t] * np.linalg.matrix_power(d, t)
                      for t in range(len(h))) @ z.stacked()
         assert np.allclose(dirac_filter(c, spec, z).stacked(), oracle,

@@ -212,6 +212,10 @@ PARSE_ERRORS = {
     "matrix text": ("matrix", "1,2\r\n\r\n3,x\r\n", 3, "cannot parse"),
     "signal order": ("signal", "simplex_id,value\r\n0,1\r\n\r\n2,1\r\n",
                      4, "out of order"),
+    "series nan": ("series", HEAD + STEP0 + STEP1.replace(",1\r", ",nan\r", 1),
+                   6, "value must be finite"),
+    "signal inf": ("signal", "simplex_id,value\r\n0,1\r\n\r\n1,-inf\r\n"
+                   "2,1\r\n", 4, "value must be finite"),
 }
 
 

@@ -3,6 +3,8 @@ and frequency selectors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgesp import (
     RankDeficientWarning,
@@ -14,7 +16,7 @@ from hodgesp import (
     tft,
 )
 
-from conftest import HOLE_CYCLE_EDGES
+from conftest import HOLE_CYCLE_EDGES, random_complex
 
 
 def test_too_few_samples_never_recoverable(complex7):
@@ -180,3 +182,63 @@ def test_selector_parsing(complex7):
         parse_frequency_selector(basis, "grad:0..9")
     with pytest.raises(ValueError):
         parse_frequency_selector(basis, "nonsense")
+
+
+def reference_select(basis, freq_set, m) -> tuple[int, ...]:
+    """The greedy scan with one SVD per candidate and step: the margin of a
+    trial set is its min(rows, |F|)-th singular value, and a candidate
+    replaces the best so far only when it beats it by more than 1e-15."""
+    u_f = basis.matrix()[:, list(freq_set)]
+    selected: list[int] = []
+    for _ in range(m):
+        best_idx, best_margin = -1, -1.0
+        for r in range(u_f.shape[0]):
+            if r in selected:
+                continue
+            trial = u_f[selected + [r], :]
+            s = np.linalg.svd(trial, compute_uv=False)
+            margin = float(s[min(trial.shape) - 1])
+            if margin > best_margin + 1e-15:
+                best_idx, best_margin = r, margin
+        selected.append(best_idx)
+    return tuple(selected)
+
+
+def assert_selection_matches_reference(c, k, freq_set, m) -> None:
+    basis = hodge_basis(c, k)
+    want = reference_select(basis, freq_set, m)
+    u_f = basis.matrix()[:, list(freq_set)]
+    if m >= len(freq_set) and np.linalg.svd(
+            u_f[list(want)], compute_uv=False)[-1] <= 1e-5:
+        with pytest.raises(ValueError, match="no recoverable sample set"):
+            select_samples(c, k, freq_set, m, basis=basis)
+    else:
+        assert select_samples(c, k, freq_set, m, basis=basis) == want
+
+
+@pytest.mark.parametrize("fixture", ["complex7", "cell7"])
+def test_select_matches_one_svd_per_candidate(fixture, request):
+    c = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    for k in (0, 1, 2):
+        nk = c.num_simplices(k)
+        freq_sets = [list(range(nk))] + [
+            sorted(rng.choice(nk, size=rng.integers(1, nk + 1),
+                              replace=False).tolist()) for _ in range(4)]
+        for f in freq_sets:
+            for m in range(1, nk + 1):
+                assert_selection_matches_reference(c, k, f, m)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_select_matches_one_svd_per_candidate_random(seed, data):
+    rng = np.random.default_rng(seed)
+    c = random_complex(rng, max_vertices=12, with_cells=True)
+    k = data.draw(st.integers(0, 2))
+    nk = c.num_simplices(k)
+    if nk == 0:
+        return
+    f = data.draw(st.lists(st.integers(0, nk - 1), min_size=1, unique=True))
+    m = data.draw(st.integers(1, nk))
+    assert_selection_matches_reference(c, k, sorted(f), m)

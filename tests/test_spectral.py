@@ -217,7 +217,7 @@ def test_determinism_bit_identical(complex7):
 
 def test_dirac_basis_eigen_relation(complex7):
     basis = dirac_basis(complex7)
-    d = dirac(complex7).full
+    d = dirac(complex7).full.toarray()
     u = basis.matrix()
     lam = basis.eigenvalues()
     assert np.linalg.norm(d @ u - u * lam) < 1e-10
@@ -231,7 +231,7 @@ def test_dirac_eigenvalues_pair_symmetric(complex7):
         nonneg = np.sort(lam[lam > 0])
         nonpos = np.sort(-lam[lam < 0])
         assert np.allclose(nonneg, nonpos)
-    full = np.sort(np.linalg.eigvalsh(dirac(complex7).full))
+    full = np.sort(np.linalg.eigvalsh(dirac(complex7).full.toarray()))
     assert np.allclose(np.sort(basis.eigenvalues()), full, atol=1e-10)
 
 

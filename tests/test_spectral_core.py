@@ -1,5 +1,6 @@
 """The per-complex spectral core: one cached SVD each of b1 and b2, one
-complex-wide zero tolerance, and every consumer derived from them."""
+complex-wide zero tolerance, and every consumer derived from them; and
+properties of the transforms and filters on random complexes with cells."""
 
 import gc
 import weakref
@@ -11,10 +12,14 @@ from hypothesis import strategies as st
 
 import hodgesp.complexes as hc
 from hodgesp import (
+    HarmonicTerm,
+    HodgeFilterSpec,
+    apply_filter,
     betti,
     build_complex,
     dirac,
     dirac_basis,
+    frequency_response,
     hodge_basis,
     hodge_decompose,
     hodge_laplacian,
@@ -26,9 +31,10 @@ from hodgesp import (
     reconstruct_bandlimited,
     select_samples,
     slepians,
+    tft,
 )
 
-from conftest import EDGES7, TRIS7, random_complex
+from conftest import EDGES7, TRIS7, complexes_with_cells, random_complex
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -97,8 +103,42 @@ def test_dirac_basis_eigen_relation(c, tol):
     # pairs into the harmonic block, which then leaves the kernel of D.
     cols = slice(None) if betti(c, tol) == betti(c) else \
         slice(basis.harmonic.shape[1], None)
-    d = dirac(c).full
+    d = dirac(c).full.toarray()
     assert np.linalg.norm(d @ q[:, cols] - q[:, cols] * lam[cols]) < 1e-9
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), seed=SEEDS)
+def test_tft_parseval(c, seed):
+    rng = np.random.default_rng(seed)
+    for k in (0, 1, 2):
+        x = c.cochain(k, rng.standard_normal(c.num_simplices(k)))
+        energy = tft(hodge_basis(c, k), x).energy()
+        assert abs(energy - x.values @ x.values) <= 1e-10 * max(
+            1.0, x.values @ x.values)
+
+
+COEFFS = st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), seed=SEEDS, k=st.integers(0, 2),
+       h_down=COEFFS, h_up=COEFFS, steps=st.none() | st.integers(0, 6))
+def test_filter_is_its_frequency_response(c, seed, k, h_down, h_up, steps):
+    harmonic = None
+    if steps is not None:
+        # A harmonic term needs zero t=0 coefficients and a stable epsilon.
+        h_down, h_up = [0.0] + h_down, [0.0] + h_up
+        harmonic = HarmonicTerm(1.0 / max(lambda_max(c, k), 1.0), steps)
+    spec = HodgeFilterSpec(tuple(h_down), tuple(h_up), harmonic)
+    x = c.cochain(k, np.random.default_rng(seed).standard_normal(
+        c.num_simplices(k)))
+    basis = hodge_basis(c, k)
+    u = basis.matrix()
+    oracle = u @ (frequency_response(c, k, spec, basis) * (u.T @ x.values))
+    y = apply_filter(c, k, spec, x).values
+    assert np.linalg.norm(y - oracle) <= 1e-9 * max(
+        1.0, np.linalg.norm(oracle))
 
 
 def test_incidence_svds_computed_once_per_complex(monkeypatch):
