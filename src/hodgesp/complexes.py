@@ -16,7 +16,7 @@ The topology core is exact and sparse, and cached once per complex: the
 connected components, the pivot columns of b2 from elimination over a
 prime field, and one sparse LU each for the pseudo-inverses of L0 and L2.
 Betti numbers, the default Hodge decomposition and gradient projection
-come from it, with no SVD and no dense n1-wide array.
+come from it, with no SVD and no dense n1 x n1 or n1 x n2 array.
 """
 
 from __future__ import annotations
