@@ -27,12 +27,16 @@ def check_tolerance(tol: float | None) -> None:
 
 def fix_column_signs(u: np.ndarray, tol: float) -> np.ndarray:
     """Flip column signs so the first entry of magnitude > tol is positive."""
-    u = np.array(u, copy=True)
-    for j in range(u.shape[1]):
-        idx = np.flatnonzero(np.abs(u[:, j]) > tol)
-        if idx.size and u[idx[0], j] < 0:
-            u[:, j] = -u[:, j]
-    return u
+    u = np.asarray(u)
+    if u.size == 0:
+        return u.copy()
+    big = u > tol  # |u| > tol, without a float temporary
+    big |= u < -tol
+    cols = np.arange(u.shape[1])
+    first = big.argmax(axis=0)  # row 0 where a column has no such entry
+    flip = big[first, cols] & (u[first, cols] < 0)
+    # Multiplying by -1.0 or 1.0 negates or copies each entry exactly.
+    return u * np.where(flip, -1.0, 1.0)
 
 
 def orthonormal_complement(block: np.ndarray) -> np.ndarray:

@@ -433,16 +433,49 @@ def _lambda_max(c: SimplicialComplex, k: int, rtol: float) -> float:
 
 def _incidence_svd(c: SimplicialComplex, k: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (u, s, vt) of dense b_k (k in {1, 2}), computed once per
-    complex; the arrays are read-only."""
-    return _cached(c, ("svd", k), _read_only_svd, c, k)
+    """Thin SVD (u, s, vt) of b_k (k in {1, 2}), s descending, computed
+    once per complex from the eigenpairs of one Gram matrix of b_k; the
+    arrays are read-only.
+
+    The Gram matrix is a cached sparse Laplacian made dense: L0 = b1 b1^T
+    or L2 = b2^T b2, unless n1 is smaller, then L1,down = b1^T b1 or
+    L1,up = b2 b2^T. Its eigenvectors w are one side of the SVD and its
+    eigenvalues the squared singular values; the other side is derived as
+    b^T w / sigma or b w / sigma. An eigenvalue at or below
+    max(m, n) * eps * lambda_max (b_k is m x n) is rounding noise of a zero
+    one: its singular value is exactly 0 and its derived column zero, so no
+    tolerance counts it as rank. The derived side is orthonormal only to
+    about eps * lambda_max / lambda_min, lambda_min the smallest nonzero
+    eigenvalue: 7e-14 on a 20 x 20 grid with 6 holes, 1e-10 on a
+    2000-vertex path, 2e-11 on an 800-rung triangle ladder, where a dense
+    SVD reaches about 1e-14.
+    """
+    return _cached(c, ("svd", k), _gram_svd, c, k)
 
 
-def _read_only_svd(c: SimplicialComplex, k: int):
-    factors = np.linalg.svd(incidence(c, k, dense=True), full_matrices=False)
+def _gram_svd(c: SimplicialComplex, k: int):
+    b = incidence(c, k).astype(float)
+    far = 0 if k == 1 else 2  # the order b_k joins to the edges
+    on_edges = c.n1 < c.num_simplices(far)
+    if on_edges:
+        lap = hodge_laplacian(c, 1, "down" if k == 1 else "up", sparse=True)
+    else:
+        lap = hodge_laplacian(c, far, sparse=True)
+    # The Gram matrix taken is a a^T; its eigenvectors are the left
+    # singular vectors of a.
+    a = b.T if (k == 1) == on_edges else b
+    lam, w = np.linalg.eigh(lap.toarray())
+    lam, w = lam[::-1], np.ascontiguousarray(w[:, ::-1])
+    floor = max(b.shape) * np.finfo(float).eps * lam[0] if lam.size else 0.0
+    rank = int(np.count_nonzero(lam > floor))
+    s = np.zeros(lam.size)
+    s[:rank] = np.sqrt(lam[:rank])
+    derived = np.zeros((a.shape[1], lam.size))
+    derived[:, :rank] = (a.T @ w[:, :rank]) * (1.0 / s[:rank])
+    factors = (w, s, derived.T) if a is b else (derived, s, w.T)
     for f in factors:
         f.flags.writeable = False
-    return tuple(factors)
+    return factors
 
 
 def _zero_tolerance(c: SimplicialComplex, tol: float | None) -> float:

@@ -77,7 +77,7 @@ def slepians(c: SimplicialComplex, edge_set: Sequence[int],
     if not 1 <= m <= len(f_idx):
         raise ValueError(f"m must be in [1, {len(f_idx)}], got {m}")
 
-    u_f = basis.matrix()[:, list(f_idx)]
+    u_f = basis.columns(f_idx)
     sel = np.zeros(n1)
     sel[list(s_idx)] = 1.0
     reduced = u_f.T @ (sel[:, None] * u_f)

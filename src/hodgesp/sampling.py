@@ -39,7 +39,7 @@ class Recoverability(NamedTuple):
 
 
 def _sampled_basis(basis: HodgeBasis, freq_set, sample_set):
-    u_f = basis.matrix()[:, list(freq_set)]
+    u_f = basis.columns(freq_set)
     return u_f, u_f[list(sample_set), :]
 
 
@@ -136,7 +136,7 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
     if not 1 <= m <= nk:
         raise ValueError(f"m must be in [1, {nk}], got {m}")
 
-    u_f = basis.matrix()[:, list(f_idx)]
+    u_f = basis.columns(f_idx)
     nf = len(f_idx)
     norms = np.einsum("ij,ij->i", u_f, u_f)
     # Column t: u_f @ (the row picked at step t), while bordering lasts.

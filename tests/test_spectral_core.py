@@ -1,5 +1,5 @@
-"""The per-complex spectral core: one cached SVD each of b1 and b2, one
-complex-wide zero tolerance, and every consumer derived from them; and
+"""The per-complex spectral core: one cached SVD each of b1 and b2 (from
+one Gram eigendecomposition each), one complex-wide zero tolerance, and every consumer derived from them; and
 properties of the transforms and filters on random complexes with cells."""
 
 import gc
@@ -141,16 +141,21 @@ def test_filter_is_its_frequency_response(c, seed, k, h_down, h_up, steps):
         1.0, np.linalg.norm(oracle))
 
 
-def test_incidence_svds_computed_once_per_complex(monkeypatch):
+def test_incidence_grams_factored_once_per_complex(monkeypatch):
     c = build_complex(7, EDGES7, TRIS7)  # fresh: nothing cached yet
-    shapes = []
-    real_svd = np.linalg.svd
+    svd_shapes, eigh_shapes = [], []
+    real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
 
     def counting_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        svd_shapes.append(np.shape(a))
         return real_svd(a, *args, **kwargs)
 
+    def counting_eigh(a, *args, **kwargs):
+        eigh_shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     rng = np.random.default_rng(0)
     for tol in (None, 2.5):
         for k in (0, 1, 2):
@@ -161,7 +166,10 @@ def test_incidence_svds_computed_once_per_complex(monkeypatch):
         betti(c, tol)
         project_out_gradient(c, rng.standard_normal((c.n1, 3)), tol)
         infer_triangles(c, rng.standard_normal((c.n1, 3)), 2, tol=tol)
-    assert shapes == [(c.n0, c.n1), (c.n1, c.n2)]
+    # n0 <= n1 and n2 <= n1: the Gram matrices are L0 (of b1) and L2 (of b2).
+    assert eigh_shapes == [(c.n0, c.n0), (c.n2, c.n2)]
+    incidence_shapes = {(c.n0, c.n1), (c.n1, c.n0), (c.n1, c.n2), (c.n2, c.n1)}
+    assert not incidence_shapes & set(svd_shapes)
 
 
 def test_cached_factors_are_read_only(complex7):
