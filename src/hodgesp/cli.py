@@ -30,12 +30,7 @@ from .sampling import (
     select_samples,
 )
 from .spectral import frequency_table, hodge_basis, hodge_decompose
-from .timeseries import (
-    lms_build_regressor,
-    lms_init,
-    lms_step,
-    scvar_simulate,
-)
+from .timeseries import _lms_update, lms_init, scvar_simulate
 
 __all__ = ["run_cli", "main"]
 
@@ -205,12 +200,10 @@ def _cmd_lms(args) -> None:
     preds = np.empty((len(xs), c.n1))
     for t, (x, y) in enumerate(zip(xs, ys)):
         mask = None if masks is None else masks[:, t].astype(bool)
-        prev = state
-        state, err = lms_step(state, x.x1, y.x1, mask)
+        state, err, pred = _lms_update(state, x.x1, y.x1, mask)
         if err is None:
             continue
-        preds[len(steps)] = lms_build_regressor(
-            c, state.window, args.t_down, args.t_up) @ prev.coefficients
+        preds[len(steps)] = pred
         steps.append(t)
         errors.append(err)
     hio._write_csv(args.output, hio._SERIES_HEADER, "%d,1,%d,%.17g",

@@ -377,6 +377,8 @@ def hodge_laplacian(c: SimplicialComplex, k: int, variant: str = "full",
     if k not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {k}")
 
+    if k != 1:
+        variant = "full"  # L0's up part and L2's down part are L0 and L2
     mat = _cached(c, ("laplacian", k, variant), _laplacian, c, k, variant)
     return mat if sparse else mat.toarray()
 

@@ -340,10 +340,6 @@ def save_series(path, series: Sequence[ComplexSignal],
                np.concatenate([sig.stacked() for sig in series]))
 
 
-_BANKS = ("h00", "g01", "h01", "h11", "g10", "h10", "g12", "h12",
-          "g21", "h21", "h22")
-
-
 def load_model(path, c: SimplicialComplex) -> SCVarModel:
     data = _read_json(path)
     if not isinstance(data, dict):
@@ -354,17 +350,18 @@ def load_model(path, c: SimplicialComplex) -> SCVarModel:
     if data.get("order") != len(lags_json):
         raise FileFormatError(f"{path}: 'order' does not match the number "
                               f"of lags")
+    banks = SCVarLag.bank_names()
     lags = []
     for p, lag_json in enumerate(lags_json, start=1):
         if not isinstance(lag_json, dict):
             raise FileFormatError(f"{path}: lag {p}: expected an object")
         kwargs = {}
-        for name in _BANKS:
+        for name in banks:
             if name in lag_json:
                 kwargs[name] = _spec_from_json(
                     lag_json[name], f"{path}: lag {p}, bank {name}"
                 )
-        unknown = set(lag_json) - set(_BANKS)
+        unknown = set(lag_json) - set(banks)
         if unknown:
             raise FileFormatError(
                 f"{path}: lag {p}: unknown banks {sorted(unknown)}"
@@ -377,7 +374,8 @@ def save_model(path, model: SCVarModel) -> None:
     data = {
         "order": model.order,
         "lags": [
-            {name: _spec_to_json(getattr(lag, name)) for name in _BANKS}
+            {name: _spec_to_json(getattr(lag, name))
+             for name in SCVarLag.bank_names()}
             for lag in model.lags
         ],
     }

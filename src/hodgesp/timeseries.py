@@ -2,10 +2,13 @@
 autoregression (with and without cross-level terms), batch least-squares
 fitting, simulation, and the streaming LMS adaptive filter for edge flows.
 
-Cross-level terms follow the convolve-transform-convolve pattern: filter the
-source signal on its own level, map it through the incidence matrix, filter
-again on the target level. The autoregression of order P couples the three
-levels through these terms; dropping them leaves three independent per-level
+Level k of the autoregression of order P is fed, lag by lag, by one term
+per source level j = k-1, k, k+1 that has simplices, summed in that order.
+The own-level bank h_kk filters x_k. A cross term follows the
+convolve-transform-convolve pattern g_kj(B h_kj(x_j)): the pre-filter h_kj
+acts on the source level, the incidence matrix B maps level j to level k
+(b_k^T from below, b_{k+1} from above), and the post-filter g_kj acts on the
+target level. Dropping the cross terms leaves three independent per-level
 autoregressions.
 """
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from ._linalg import krylov
 from .complexes import Cochain, ComplexSignal, SimplicialComplex, hodge_laplacian
-from .filters import HodgeFilterSpec, apply_filter
+from .filters import HodgeFilterSpec, _filter_values
 
 __all__ = [
     "SCVarLag",
@@ -38,6 +41,9 @@ __all__ = [
 
 _ZERO = HodgeFilterSpec((0.0,), (0.0,))
 _IDENTITY = HodgeFilterSpec((1.0,), (0.0,))
+# The Laplacian parts of each level that scvar_fit fits h_kk in; the constant
+# term lives in the first, so a second part starts at t=1.
+_OWN_SLOTS = {0: ("up",), 1: ("down", "up"), 2: ("down",)}
 
 
 class IllConditionedWarning(UserWarning):
@@ -48,9 +54,9 @@ class IllConditionedWarning(UserWarning):
 class SCVarLag:
     """Filter banks of one lag.
 
-    h00/h11/h22 act on their own level; each cross term is a pre-filter on
-    the source level (h01, h10, h12, h21) followed by the incidence map and
-    a post-filter on the target level (g01, g10, g12, g21).
+    h00/h11/h22 act on their own level. The cross term from level j to
+    level k is the pre-filter h_kj on level j (h01, h10, h12, h21), the
+    incidence map, and the post-filter g_kj on level k (g01, g10, g12, g21).
     """
 
     h00: HodgeFilterSpec = _ZERO
@@ -65,8 +71,11 @@ class SCVarLag:
     h21: HodgeFilterSpec = _IDENTITY
     h22: HodgeFilterSpec = _ZERO
 
-    def bank_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self))
+    @classmethod
+    def bank_names(cls) -> tuple[str, ...]:
+        """The bank names in field order, which is the order of saved
+        models."""
+        return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +105,17 @@ def _check_history(model: SCVarModel,
             raise ValueError("history signal bound to a different complex")
 
 
-def _cross_term(c: SimplicialComplex, post: HodgeFilterSpec,
-                incidence_map, pre: HodgeFilterSpec,
-                source: Cochain, source_k: int, target_k: int) -> np.ndarray:
-    if post.is_zero():
-        return np.zeros(c.num_simplices(target_k))
-    pre_filtered = apply_filter(c, source_k, pre, source)
-    moved = Cochain(c, target_k, incidence_map(pre_filtered.values))
-    return apply_filter(c, target_k, post, moved).values
+def _terms(c: SimplicialComplex, k: int) -> list:
+    """The terms feeding level k in summation order: (source level j,
+    incidence map from level j to level k), with None for the own-level
+    bank h_kk. Source levels without simplices are left out."""
+    terms = []
+    if k > 0 and c.num_simplices(k - 1):
+        terms.append((k - 1, getattr(c, f"b{k}").T))
+    terms.append((k, None))
+    if k < 2 and c.num_simplices(k + 1):
+        terms.append((k + 1, getattr(c, f"b{k + 1}")))
+    return terms
 
 
 def scvar_predict(model: SCVarModel,
@@ -112,23 +124,26 @@ def scvar_predict(model: SCVarModel,
     p steps back."""
     _check_history(model, history)
     c = model.complex
-    acc0 = np.zeros(c.n0)
-    acc1 = np.zeros(c.n1)
-    acc2 = np.zeros(c.n2)
-    for p, lag in enumerate(model.lags, start=1):
-        past = history[-p]
-        acc0 += apply_filter(c, 0, lag.h00, past.x0).values
-        acc0 += _cross_term(c, lag.g01, lambda v: c.b1 @ v, lag.h01,
-                            past.x1, 1, 0)
-        acc1 += _cross_term(c, lag.g10, lambda v: c.b1.T @ v, lag.h10,
-                            past.x0, 0, 1)
-        acc1 += apply_filter(c, 1, lag.h11, past.x1).values
-        acc1 += _cross_term(c, lag.g12, lambda v: c.b2 @ v, lag.h12,
-                            past.x2, 2, 1)
-        acc2 += _cross_term(c, lag.g21, lambda v: c.b2.T @ v, lag.h21,
-                            past.x1, 1, 2)
-        acc2 += apply_filter(c, 2, lag.h22, past.x2).values
-    return ComplexSignal.from_arrays(c, acc0, acc1, acc2)
+    # past[p - 1][j] is the level-j signal p steps back
+    past = [(sig.x0.values, sig.x1.values, sig.x2.values)
+            for sig in reversed(history[-model.order:])]
+    out = []
+    for k in (0, 1, 2):
+        terms = _terms(c, k)
+        acc = np.zeros(c.num_simplices(k))
+        for lag, x in zip(model.lags, past):
+            for j, incidence in terms:
+                if incidence is None:
+                    acc += _filter_values(c, k, getattr(lag, f"h{k}{k}"),
+                                          x[k])
+                    continue
+                post = getattr(lag, f"g{k}{j}")
+                if not post.is_zero():
+                    moved = incidence @ _filter_values(
+                        c, j, getattr(lag, f"h{k}{j}"), x[j])
+                    acc += _filter_values(c, k, post, moved)
+        out.append(acc)
+    return ComplexSignal.from_arrays(c, *out)
 
 
 def svar_predict(model: SCVarModel,
@@ -172,14 +187,14 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
     """Batch least-squares fit of the restricted model (identity
     pre-filters), per level.
 
-    The coefficient basis is canonical so the regressor is full rank:
-    order-0 banks are polynomials in the graph Laplacian (h_up slots),
-    order-2 banks in the triangle Laplacian (h_down slots), the edge
-    self-term keeps its constant in h_down with h_up starting at t=1, and
-    the edge cross terms are one-sided (node input: lower polynomial,
-    triangle input: upper polynomial — the complementary Laplacian
-    annihilates those flows exactly). Returns the model and the per-level
-    mean squared one-step prediction error.
+    The coefficient basis is canonical so the regressor is full rank. A
+    cross post-filter is a polynomial in the part of the target Laplacian
+    facing its source, the down part from below and the up part from above;
+    the complementary part annihilates the mapped flows exactly. The
+    own-level bank h_kk is a polynomial in each part that level k has, with
+    its constant in the first; a second part (the edges' up part) starts at
+    t=1. Returns the model and the per-level mean squared one-step
+    prediction error.
     """
     series = list(series)
     t_len = len(series)
@@ -197,50 +212,35 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
             raise ValueError("series signal bound to a different complex")
 
     t_ord = filter_order
-    lap0 = hodge_laplacian(c, 0, sparse=True)
-    lap1d = hodge_laplacian(c, 1, "down", sparse=True)
-    lap1u = hodge_laplacian(c, 1, "up", sparse=True)
-    lap2 = hodge_laplacian(c, 2, sparse=True) if c.n2 else None
     n_fit = t_len - order
-
-    # Each entry: (bank name, slot name, number of coefficients). Slots are
-    # filled per lag, in this order, matching the regressor columns.
-    plans = {
-        0: [("h00", "up", t_ord + 1)]
-           + ([("g01", "up", t_ord + 1)] if include_cross and c.n1 else []),
-        1: ([("g10", "down", t_ord + 1)] if include_cross and c.n0 else [])
-           + [("h11", "down", t_ord + 1), ("h11", "up", t_ord)]
-           + ([("g12", "up", t_ord + 1)] if include_cross and c.n2 else []),
-        2: ([("g21", "down", t_ord + 1)] if include_cross and c.n1 else [])
-           + [("h22", "down", t_ord + 1)],
-    }
-    # Each slot's shift operator, source level and incidence map (if any).
-    inputs = {
-        ("h00", "up"): (lap0, 0, None),
-        ("g01", "up"): (lap0, 1, c.b1),
-        ("g10", "down"): (lap1d, 0, c.b1.T),
-        ("h11", "down"): (lap1d, 1, None),
-        ("h11", "up"): (lap1u, 1, None),
-        ("g12", "up"): (lap1u, 2, c.b2),
-        ("g21", "down"): (lap2, 1, c.b2.T),
-        ("h22", "down"): (lap2, 2, None),
-    }
     # Column j of signals[k] is series[j] on level k.
     signals = [np.column_stack([getattr(sig, f"x{k}").values
                                 for sig in series]) for k in (0, 1, 2)]
 
-    def regressors(plan):
+    def plan(level):
+        """The slots of one level in regressor column order: (bank, slot,
+        first power, source level, incidence map or None)."""
+        for j, incidence in _terms(c, level):
+            if incidence is not None:
+                if include_cross:
+                    yield (f"g{level}{j}", "down" if j < level else "up", 0,
+                           j, incidence)
+                continue
+            for start, slot in enumerate(_OWN_SLOTS[level]):
+                yield f"h{level}{level}", slot, start, j, None
+
+    def regressors(level, slots):
         """The regressor columns of one level, lag by lag and slot by slot,
         each as an (n_fit, n_k) block whose row j belongs to time order + j.
         """
         for p in range(1, order + 1):
-            for name, slot, width in plan:
-                lap, source, incidence = inputs[name, slot]
+            for _, slot, start, source, incidence in slots:
+                lap = hodge_laplacian(c, level, slot, sparse=True)
                 past = signals[source][:, order - p : t_len - p]
                 if incidence is not None:
                     past = incidence @ past
                 powers = list(krylov(lambda v: lap @ v, past, t_ord))
-                for z in powers[t_ord + 1 - width:]:
+                for z in powers[start:]:
                     yield z.T
 
     lag_kwargs: list[dict] = [{} for _ in range(order)]
@@ -249,9 +249,9 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
         nk = c.num_simplices(level)
         if nk == 0:
             continue
-        plan = plans[level]
+        slots = list(plan(level))
         # one block of nk rows per fitted time step, as in the target
-        design = np.stack(list(regressors(plan)), axis=-1)
+        design = np.stack(list(regressors(level, slots)), axis=-1)
         design = design.reshape(n_fit * nk, -1)
         target = signals[level][:, order:].reshape(-1, order="F")
         coef, _, _, svals = np.linalg.lstsq(design, target, rcond=None)
@@ -269,11 +269,10 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
 
         pos = 0
         for p in range(order):
-            for name, slot, width in plan:
-                vals = tuple(coef[pos : pos + width])
+            for name, slot, start, _, _ in slots:
+                width = t_ord + 1 - start
+                vals = (0.0,) * start + tuple(coef[pos : pos + width])
                 pos += width
-                if name == "h11" and slot == "up":
-                    vals = (0.0,) + vals  # h11's up polynomial starts at t=1
                 spec_parts = lag_kwargs[p].setdefault(
                     name, {"down": (0.0,), "up": (0.0,)}
                 )
@@ -347,9 +346,7 @@ def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
     cols = [window[-1].values]
     for lap, t_max in ((lap_down, t_down), (lap_up, t_up)):
         for m in range(1, t_max + 1):
-            z = window[-1 - m].values
-            for _ in range(m):
-                z = lap @ z
+            *_, z = krylov(lambda v: lap @ v, window[-1 - m].values, m)
             cols.append(z)
     return np.column_stack(cols)
 
@@ -364,33 +361,36 @@ def lms_step(state: LmsState, x_t: Cochain, y_t: Cochain,
     The returned error is the pre-update masked residual energy
     ||M(y - X h)||^2.
     """
+    state, error, _ = _lms_update(state, x_t, y_t, mask)
+    return state, error
+
+
+def _lms_update(state: LmsState, x_t: Cochain, y_t: Cochain,
+                mask: np.ndarray | None
+                ) -> tuple[LmsState, float | None, np.ndarray | None]:
+    """:func:`lms_step`, also returning the pre-update prediction X h (None
+    while the window fills)."""
     c = state.complex
     if x_t.complex is not c or x_t.order != 1:
         raise ValueError("x_t must be an order-1 cochain on this complex")
     need = max(state.t_down, state.t_up) + 1
     window = (state.window + (x_t,))[-need:]
-    new_state = LmsState(complex=c, t_down=state.t_down, t_up=state.t_up,
-                         mu=state.mu, coefficients=state.coefficients,
-                         window=window)
-    if len(window) < need:
-        return new_state, None
-
-    if y_t.complex is not c or y_t.order != 1:
-        raise ValueError("y_t must be an order-1 cochain on this complex")
-    if mask is None:
-        m = np.ones(c.n1)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (c.n1,):
-            raise ValueError(f"mask must have shape ({c.n1},)")
-        m = mask.astype(float)
-
-    x_mat = lms_build_regressor(c, window, state.t_down, state.t_up)
-    residual = m * (y_t.values - x_mat @ state.coefficients)
-    error = float(residual @ residual)
-    coeffs = state.coefficients + state.mu * (x_mat.T @ residual)
-    return (
-        LmsState(complex=c, t_down=state.t_down, t_up=state.t_up,
-                 mu=state.mu, coefficients=coeffs, window=window),
-        error,
-    )
+    coeffs, error, prediction = state.coefficients, None, None
+    if len(window) == need:
+        if y_t.complex is not c or y_t.order != 1:
+            raise ValueError("y_t must be an order-1 cochain on this complex")
+        if mask is None:
+            m = np.ones(c.n1)
+        else:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != (c.n1,):
+                raise ValueError(f"mask must have shape ({c.n1},)")
+            m = mask.astype(float)
+        x_mat = lms_build_regressor(c, window, state.t_down, state.t_up)
+        prediction = x_mat @ coeffs
+        residual = m * (y_t.values - prediction)
+        error = float(residual @ residual)
+        coeffs = coeffs + state.mu * (x_mat.T @ residual)
+    return (LmsState(complex=c, t_down=state.t_down, t_up=state.t_up,
+                     mu=state.mu, coefficients=coeffs, window=window),
+            error, prediction)

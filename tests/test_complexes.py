@@ -120,6 +120,12 @@ def test_laplacian_structure(complex7):
     assert np.linalg.eigvalsh(l1)[0] > -1e-10
 
 
+def test_one_sided_laplacians_share_the_full_entry(complex7):
+    for k, variant in ((0, "up"), (2, "down")):
+        assert (hodge_laplacian(complex7, k, variant, sparse=True)
+                is hodge_laplacian(complex7, k, sparse=True))
+
+
 def test_single_edge_l0():
     c = build_complex(2, [(0, 1)])
     assert hodge_laplacian(c, 0).tolist() == [[1.0, -1.0], [-1.0, 1.0]]

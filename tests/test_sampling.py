@@ -107,7 +107,9 @@ def test_select_single_frequency_takes_largest_entry(complex7):
     basis = hodge_basis(complex7, 1)
     s = select_samples(complex7, 1, [0], 1, basis=basis)
     h = np.abs(basis.harmonic[:, 0])
-    assert s[0] == int(np.argmax(h))
+    # Entries 5 and 8 tie in exact arithmetic (vertex 6 meets only those two
+    # edges); a tie within the 1e-15 slack goes to the lowest index.
+    assert s[0] == int(np.flatnonzero(h >= h.max() - 1e-15)[0])
 
 
 def test_select_full_set_margin_one(complex7):

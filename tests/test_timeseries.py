@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgesp import (
     ComplexSignal,
+    HarmonicTerm,
     HodgeFilterSpec,
     IllConditionedWarning,
     SCVarLag,
     SCVarModel,
     build_complex,
     hodge_decompose,
+    lambda_max,
     lms_build_regressor,
     lms_init,
     lms_step,
@@ -20,7 +24,7 @@ from hodgesp import (
     svar_predict,
 )
 
-from conftest import EDGES7, TRIS7
+from conftest import EDGES7, TRIS7, complexes_with_cells
 
 
 def random_signal(c, rng) -> ComplexSignal:
@@ -113,6 +117,103 @@ def test_svar_ignores_cross_terms(complex7):
     coupled = planted_model(complex7)
     assert not np.array_equal(svar_predict(coupled, [sig]).stacked(),
                               scvar_predict(coupled, [sig]).stacked())
+
+
+# The level each bank filters on: h_kj on the source level j, g_kj on k.
+BANK_LEVEL = {"h00": 0, "g01": 0, "h01": 1, "h11": 1, "g10": 1, "h10": 0,
+              "g12": 1, "h12": 2, "g21": 2, "h21": 1, "h22": 2}
+
+
+def random_lag(c, rng, harmonic_bank=None) -> SCVarLag:
+    """Every bank random; ``harmonic_bank`` also gets a harmonic term."""
+    banks = {}
+    for name, k in BANK_LEVEL.items():
+        down = 0.2 * rng.standard_normal(3)
+        up = 0.2 * rng.standard_normal(3)
+        harmonic = None
+        if name == harmonic_bank:
+            lam = lambda_max(c, k)
+            harmonic = HarmonicTerm(1.5 / lam if lam > 0 else 0.5, 4)
+            down[0] = up[0] = 0.0
+        banks[name] = HodgeFilterSpec(down, up, harmonic)
+    return SCVarLag(**banks)
+
+
+def dense_predict(c, lags, history) -> np.ndarray:
+    """Independent reference: dense Laplacian powers and dense incidence
+    matrices, every term written out."""
+    b1, b2 = c.b1.toarray().astype(float), c.b2.toarray().astype(float)
+    n = (c.n0, c.n1, c.n2)
+    down = (np.zeros((n[0], n[0])), b1.T @ b1, b2.T @ b2)
+    up = (b1 @ b1.T, b2 @ b2.T, np.zeros((n[2], n[2])))
+    # maps[(k, j)] takes level j to level k
+    maps = {(0, 1): b1, (1, 0): b1.T, (1, 2): b2, (2, 1): b2.T}
+
+    def filt(spec, k):
+        mat = sum(h * np.linalg.matrix_power(down[k], t)
+                  for t, h in enumerate(spec.h_down))
+        mat = mat + sum(h * np.linalg.matrix_power(up[k], t)
+                        for t, h in enumerate(spec.h_up))
+        if spec.harmonic is not None:
+            step = np.eye(n[k]) - spec.harmonic.epsilon * (down[k] + up[k])
+            mat = mat + np.linalg.matrix_power(step, spec.harmonic.steps)
+        return mat
+
+    out = [np.zeros(m) for m in n]
+    for p, lag in enumerate(lags, start=1):
+        x = (history[-p].x0.values, history[-p].x1.values,
+             history[-p].x2.values)
+        for k in range(3):
+            out[k] += filt(getattr(lag, f"h{k}{k}"), k) @ x[k]
+        for (k, j), incidence in maps.items():
+            out[k] += (filt(getattr(lag, f"g{k}{j}"), k) @ incidence
+                       @ filt(getattr(lag, f"h{k}{j}"), j) @ x[j])
+    return np.concatenate(out)
+
+
+def assert_predict_matches_dense(c, rng):
+    lags = (random_lag(c, rng, harmonic_bank="h10"),
+            random_lag(c, rng, harmonic_bank="g21"))
+    history = [random_signal(c, rng) for _ in range(3)]
+    got = scvar_predict(SCVarModel(complex=c, lags=lags), history).stacked()
+    want = dense_predict(c, lags, history)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_predict_all_banks_matches_dense(complex7, cell7):
+    for c in (complex7, cell7):
+        assert_predict_matches_dense(c, np.random.default_rng(18))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**32 - 1))
+def test_predict_all_banks_matches_dense_random(c, seed):
+    assert_predict_matches_dense(c, np.random.default_rng(seed))
+
+
+def test_fit_triangle_free_graph(skeleton7):
+    rng = np.random.default_rng(19)
+    # filter order 0: with no triangles the edges' up Laplacian is zero, so
+    # a higher order would leave h11's up columns zero
+    lag = SCVarLag(
+        h00=HodgeFilterSpec(h_down=(0.0,), h_up=(0.3,)),
+        g01=HodgeFilterSpec(h_down=(0.0,), h_up=(0.1,)),
+        h11=HodgeFilterSpec(h_down=(0.25,), h_up=(0.0,)),
+        g10=HodgeFilterSpec(h_down=(0.15,), h_up=(0.0,)),
+    )
+    model = SCVarModel(complex=skeleton7, lags=(lag,))
+    init = [random_signal(skeleton7, rng)]
+    series = init + scvar_simulate(model, 60, init, rng=rng)
+    fitted, resid = scvar_fit(skeleton7, series, order=1, filter_order=0)
+    assert max_coefficient_error(lag, fitted.lags[0]) < 1e-10
+    assert max(resid) < 1e-20 and resid[2] == 0.0
+
+    own, resid = scvar_fit(skeleton7, series, order=1, filter_order=0,
+                           include_cross=False)
+    for name in ("g01", "g10", "g12", "g21", "h22"):
+        assert getattr(own.lags[0], name).is_zero()
+    # without the cross terms the coupling is left in the residual
+    assert resid[0] > 1e-6 and resid[1] > 1e-6 and resid[2] == 0.0
 
 
 def test_svar_keeps_gradient_flows_gradient(complex7):
