@@ -6,9 +6,11 @@ sparse coding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from ._linalg import check_tolerance, fix_column_signs
 from ._util import as_index_tuple
@@ -43,11 +45,24 @@ class SlepianSet:
 @dataclass(frozen=True, eq=False)
 class HodgeDictionary:
     """Concatenation of the matrices of P convolutional filters; atom j of
-    sub-dictionary i is column j of the i-th filter matrix."""
+    sub-dictionary i is column j of the i-th filter matrix.
+
+    ``atoms`` is read-only. The first :func:`sparse_code` call caches a
+    sparse copy of ``atoms.T`` and the atom norms on the dictionary; the
+    atoms are localized, so the sparse copy holds few entries. Build
+    dictionaries with :func:`build_dictionary`: a dictionary constructed
+    around an array that is later changed would code against stale atoms.
+    """
 
     order: int
     specs: tuple[HodgeFilterSpec, ...]
     atoms: np.ndarray
+
+    @cached_property
+    def _correlator(self) -> tuple[sparse.csr_array, np.ndarray]:
+        """``atoms.T`` as a CSR array and the atom norms; the atoms are
+        read-only, so neither can go stale."""
+        return sparse.csr_array(self.atoms.T), _atom_norms(self.atoms)
 
 
 def slepians(c: SimplicialComplex, edge_set: Sequence[int],
@@ -109,7 +124,17 @@ def build_dictionary(c: SimplicialComplex, k: int,
                          "(no harmonic term)")
     identity = np.eye(c.num_simplices(k))
     atoms = np.hstack([_filter_values(c, k, s, identity) for s in specs])
+    atoms.flags.writeable = False
     return HodgeDictionary(order=k, specs=specs, atoms=atoms)
+
+
+def _atom_norms(atoms: np.ndarray) -> np.ndarray:
+    """Column norms of a dictionary, rejecting one with a nan or inf atom."""
+    norms = np.linalg.norm(atoms, axis=0)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("dictionary atoms must be finite, and so must "
+                         "their norms")
+    return norms
 
 
 def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
@@ -118,10 +143,17 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
     """Orthogonal matching pursuit.
 
     Greedily selects the atom with the largest normalized correlation to the
-    residual (ties to the lowest index), refits all selected coefficients by
-    least squares, and stops after ``sparsity`` atoms or when the residual
-    norm drops below ``residual_tol``. Returns the full-length coefficient
-    vector.
+    residual (ties to the lowest index) and stops after ``sparsity`` atoms
+    or when the residual norm drops below ``residual_tol``. Returns the
+    full-length coefficient vector, the least-squares fit of ``x`` on the
+    selected atoms.
+
+    Each pick appends one column to a QR factorization of the selected
+    atoms (Gram-Schmidt run twice) and removes its direction from the
+    residual; the coefficients come from one triangular solve at the end.
+    A :class:`HodgeDictionary` correlates through the sparse copy of its
+    atoms cached on the first call; other dictionaries use their dense
+    atoms and compute the norms per call.
     """
     if isinstance(dictionary, HodgeDictionary):
         atoms = dictionary.atoms
@@ -130,34 +162,62 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
     else:
         atoms = np.asarray(dictionary, dtype=float)
     target = x.values if isinstance(x, Cochain) else np.asarray(x, dtype=float)
+    if target.ndim != 1:
+        raise ValueError(f"x must be a 1-D signal, got shape {target.shape}")
+    if not np.all(np.isfinite(target)):
+        raise ValueError("x must be finite")
     if atoms.ndim != 2 or atoms.shape[0] != target.shape[0]:
         raise ValueError("dictionary and signal dimensions do not match")
+    integral = isinstance(sparsity, (int, np.integer))
+    if not integral or isinstance(sparsity, bool):
+        raise ValueError(f"sparsity must be an integer, got {sparsity!r}")
     if sparsity < 1:
         raise ValueError(f"sparsity must be >= 1, got {sparsity}")
+    if not (np.isfinite(residual_tol) and residual_tol >= 0):
+        raise ValueError("residual_tol must be finite and >= 0, got "
+                         f"{residual_tol}")
 
-    norms = np.linalg.norm(atoms, axis=0)
+    if isinstance(dictionary, HodgeDictionary):
+        correlator, norms = dictionary._correlator
+    else:
+        correlator, norms = atoms.T, _atom_norms(atoms)
     usable = norms > 0
     if not usable.any():
         raise ValueError("zero dictionary: every atom has zero norm")
     # A zero atom scores 0 / inf = 0 and is never picked over a usable one.
-    norms[~usable] = np.inf
+    norms = np.where(usable, norms, np.inf)
 
-    coeffs = np.zeros(atoms.shape[1])
+    steps = min(sparsity, int(usable.sum()))
+    q = np.empty((atoms.shape[0], steps))  # orthonormal basis of the support
+    r = np.zeros((steps, steps))           # support = q @ r
+    proj = np.empty(steps)                 # q.T @ target
     selected: list[int] = []
     residual = target.copy()
-    for _ in range(min(sparsity, int(usable.sum()))):
+    for k in range(steps):
         res_norm = np.linalg.norm(residual)
         if res_norm < residual_tol:
             break
-        scores = np.abs(atoms.T @ residual) / norms
+        scores = np.abs(correlator @ residual) / norms
         scores[selected] = -np.inf
         best = int(np.argmax(scores))  # argmax takes the lowest tied index
         if scores[best] <= 1e-12 * res_norm:
             break  # residual orthogonal to every atom
         selected.append(best)
-        sub = atoms[:, selected]
-        fit = np.linalg.lstsq(sub, target, rcond=None)[0]
-        residual = target - sub @ fit
+        # Gram-Schmidt twice keeps q orthonormal to rounding level.
+        col = atoms[:, best]
+        done = q[:, :k]
+        first = done.T @ col
+        col = col - done @ first
+        second = done.T @ col
+        col -= done @ second
+        r[:k, k] = first + second
+        r[k, k] = np.linalg.norm(col)
+        q[:, k] = col / r[k, k]
+        # The residual is orthogonal to q[:, :k], so this is q[:, k] @ target.
+        proj[k] = q[:, k] @ residual
+        residual -= proj[k] * q[:, k]
+    coeffs = np.zeros(atoms.shape[1])
     if selected:
-        coeffs[selected] = fit
+        k = len(selected)
+        coeffs[selected] = np.linalg.solve(r[:k, :k], proj[:k])
     return coeffs

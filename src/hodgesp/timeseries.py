@@ -193,8 +193,10 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
     the complementary part annihilates the mapped flows exactly. The
     own-level bank h_kk is a polynomial in each part that level k has, with
     its constant in the first; a second part (the edges' up part) starts at
-    t=1. Returns the model and the per-level mean squared one-step
-    prediction error.
+    t=1. A part that is the zero matrix, such as the edges' up part of a
+    complex without triangles, is fitted by its constant term alone and
+    its higher taps come back 0. Returns the model and the per-level mean
+    squared one-step prediction error.
     """
     series = list(series)
     t_len = len(series)
@@ -217,29 +219,37 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
     signals = [np.column_stack([getattr(sig, f"x{k}").values
                                 for sig in series]) for k in (0, 1, 2)]
 
+    def last_power(level, slot):
+        """t_ord, or 0 for a Laplacian part that is the zero matrix (the
+        edges' up part without triangles): its powers are zero columns."""
+        lap = hodge_laplacian(c, level, slot, sparse=True)
+        return t_ord if lap.count_nonzero() else 0
+
     def plan(level):
         """The slots of one level in regressor column order: (bank, slot,
-        first power, source level, incidence map or None)."""
+        first power, last power, source level, incidence map or None)."""
         for j, incidence in _terms(c, level):
             if incidence is not None:
                 if include_cross:
-                    yield (f"g{level}{j}", "down" if j < level else "up", 0,
+                    slot = "down" if j < level else "up"
+                    yield (f"g{level}{j}", slot, 0, last_power(level, slot),
                            j, incidence)
                 continue
             for start, slot in enumerate(_OWN_SLOTS[level]):
-                yield f"h{level}{level}", slot, start, j, None
+                yield (f"h{level}{level}", slot, start,
+                       last_power(level, slot), j, None)
 
     def regressors(level, slots):
         """The regressor columns of one level, lag by lag and slot by slot,
         each as an (n_fit, n_k) block whose row j belongs to time order + j.
         """
         for p in range(1, order + 1):
-            for _, slot, start, source, incidence in slots:
+            for _, slot, start, stop, source, incidence in slots:
                 lap = hodge_laplacian(c, level, slot, sparse=True)
                 past = signals[source][:, order - p : t_len - p]
                 if incidence is not None:
                     past = incidence @ past
-                powers = list(krylov(lambda v: lap @ v, past, t_ord))
+                powers = list(krylov(lambda v: lap @ v, past, stop))
                 for z in powers[start:]:
                     yield z.T
 
@@ -269,9 +279,10 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
 
         pos = 0
         for p in range(order):
-            for name, slot, start, _, _ in slots:
-                width = t_ord + 1 - start
+            for name, slot, start, stop, _, _ in slots:
+                width = stop + 1 - start
                 vals = (0.0,) * start + tuple(coef[pos : pos + width])
+                vals += (0.0,) * (t_ord + 1 - len(vals))
                 pos += width
                 spec_parts = lag_kwargs[p].setdefault(
                     name, {"down": (0.0,), "up": (0.0,)}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgesp import (
     HodgeFilterSpec,
@@ -11,8 +13,83 @@ from hodgesp import (
     slepians,
     sparse_code,
 )
+from hodgesp import dictionaries
 
-from conftest import HOLE_CYCLE_EDGES
+from conftest import HOLE_CYCLE_EDGES, complexes_with_cells
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+
+
+def omp_reference(atoms, target, sparsity, residual_tol=1e-10):
+    """Orthogonal matching pursuit refitting the support by lstsq at every
+    step: the loop sparse_code replaced, kept as its reference. Also returns
+    the smallest gap between the best and the second-best score over the
+    picks made, relative to the norm of the target."""
+    norms = np.linalg.norm(atoms, axis=0)
+    usable = norms > 0
+    norms[~usable] = np.inf
+    coeffs = np.zeros(atoms.shape[1])
+    selected = []
+    residual = target.copy()
+    gap = 1.0
+    for _ in range(min(sparsity, int(usable.sum()))):
+        res_norm = np.linalg.norm(residual)
+        if res_norm < residual_tol:
+            break
+        scores = np.abs(atoms.T @ residual) / norms
+        scores[selected] = -np.inf
+        best = int(np.argmax(scores))
+        if scores[best] <= 1e-12 * res_norm:
+            break
+        runner_up = max(np.delete(scores, best), default=0.0)
+        gap = min(gap, (scores[best] - max(runner_up, 0.0))
+                  / np.linalg.norm(target))
+        selected.append(best)
+        sub = atoms[:, selected]
+        fit = np.linalg.lstsq(sub, target, rcond=None)[0]
+        residual = target - sub @ fit
+    if selected:
+        coeffs[selected] = fit
+    return coeffs, gap
+
+
+def fit_tolerance(atoms, coeffs):
+    """1e-12, growing with the condition number of the support beyond 1e3:
+    the rounding of any least-squares fit does, and random filter
+    dictionaries reach 1e7."""
+    support = np.flatnonzero(coeffs)
+    cond = np.linalg.cond(atoms[:, support]) if support.size else 1.0
+    return 1e-12 * max(1.0, cond / 1e3)
+
+
+def assert_same_residual_norm(atoms, x, got, want):
+    assert abs(np.linalg.norm(x - atoms @ got)
+               - np.linalg.norm(x - atoms @ want)) \
+        <= fit_tolerance(atoms, want) * np.linalg.norm(x)
+
+
+def assert_matches_reference(atoms, dictionary, x, sparsity):
+    """Same support and coefficients as the reference, unless the reference
+    met an exact tie; then the same residual norm.
+
+    Two atoms whose components orthogonal to the picks so far are equal up
+    to sign tie for every residual and extend the support to the same span,
+    so either pick is correct. Filter dictionaries on small complexes have
+    many: parallel atoms (an edge outside every 2-cell and without lower
+    neighbours gets a scaled unit vector from every filter), and
+    mirror-image atoms once the picks span the rest of a symmetric
+    neighbourhood. Their computed scores differ by rounding of the order of
+    eps times the signal norm; a gap of 1e-13 of the signal norm is far
+    above that rounding and far below the gaps of distinct atoms.
+    """
+    want, gap = omp_reference(atoms, x, sparsity)
+    got = sparse_code(dictionary, x, sparsity)
+    if gap > 1e-13:
+        assert np.array_equal(np.flatnonzero(got), np.flatnonzero(want))
+        assert np.linalg.norm(got - want) \
+            <= fit_tolerance(atoms, want) * np.linalg.norm(want)
+    else:
+        assert_same_residual_norm(atoms, x, got, want)
 
 
 def test_full_sets_give_unit_concentration(complex7):
@@ -157,3 +234,107 @@ def test_omp_residual_nonincreasing(complex7):
 def test_omp_zero_dictionary(complex7):
     with pytest.raises(ValueError, match="zero dictionary"):
         sparse_code(np.zeros((10, 4)), complex7.zero_cochain(1), 1)
+
+
+def random_specs(rng):
+    """One to three polynomial filters with nonzero random taps."""
+    def taps():
+        size = int(rng.integers(1, 4))
+        return tuple(rng.uniform(0.2, 1.0, size) * rng.choice([-1, 1], size))
+    return [HodgeFilterSpec(h_down=taps(), h_up=taps())
+            for _ in range(int(rng.integers(1, 4)))]
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**32 - 1))
+def test_omp_matches_reference_on_hodge_dictionaries(c, seed):
+    rng = np.random.default_rng(seed)
+    for k in (0, 1, 2):
+        nk = c.num_simplices(k)
+        if nk == 0:
+            continue
+        d = build_dictionary(c, k, random_specs(rng))
+        x = rng.standard_normal(nk)
+        for sparsity in (1, 3, nk):
+            assert_matches_reference(d.atoms, d, x, sparsity)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       n_atoms=st.integers(1, 20), sparsity=st.integers(1, 8))
+def test_omp_matches_reference_on_dense_arrays(seed, n, n_atoms, sparsity):
+    rng = np.random.default_rng(seed)
+    atoms = rng.standard_normal((n, n_atoms))
+    atoms[:, rng.random(n_atoms) < 0.2] = 0.0
+    if not atoms.any():
+        atoms[:, 0] = 1.0
+    x = rng.standard_normal(n)
+    assert_matches_reference(atoms, atoms, x, sparsity)
+
+
+def test_omp_degenerate_atoms():
+    rng = np.random.default_rng(4)
+    atoms = rng.standard_normal((6, 5))
+    # atom 5 duplicates atom 1; atom 6 is the sum of atoms 2 and 3
+    atoms = np.column_stack([atoms, atoms[:, 1], atoms[:, 2] + atoms[:, 3]])
+    for trial in range(20):
+        x = atoms @ rng.standard_normal(7) if trial % 2 else \
+            rng.standard_normal(6)
+        for sparsity in range(1, 8):
+            want, _ = omp_reference(atoms, x, sparsity)
+            got = sparse_code(atoms, x, sparsity)
+            # an exact tie between atoms 1 and 5 may pick either
+            assert_same_residual_norm(atoms, x, got, want)
+
+
+def test_omp_builds_sparse_copy_once_without_lstsq(complex7, monkeypatch):
+    specs = [HodgeFilterSpec.identity(),
+             HodgeFilterSpec(h_down=(0.0, 1.0), h_up=(0.0, 0.5))]
+    built = []
+    real_csr = dictionaries.sparse.csr_array
+
+    def counting_csr(*args, **kwargs):
+        built.append(1)
+        return real_csr(*args, **kwargs)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("sparse_code must not call lstsq")
+
+    dicts = [build_dictionary(complex7, 1, specs) for _ in range(2)]
+    monkeypatch.setattr(dictionaries.sparse, "csr_array", counting_csr)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    rng = np.random.default_rng(6)
+    for n_built, d in enumerate(dicts, start=1):
+        for _ in range(5):
+            coef = sparse_code(d, rng.standard_normal(10), 4)
+            assert np.count_nonzero(coef) == 4
+        assert len(built) == n_built
+
+
+def test_dictionary_atoms_read_only(complex7):
+    d = build_dictionary(complex7, 1, [HodgeFilterSpec.identity()])
+    with pytest.raises(ValueError):
+        d.atoms[0, 0] = 2.0
+
+
+def _inf_atom():
+    atoms = np.eye(10)
+    atoms[3, 3] = np.inf
+    return atoms
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"x": np.r_[np.nan, np.ones(9)]}, "x must be finite"),
+    ({"x": np.ones((10, 2))}, "x must be a 1-D signal"),
+    ({"residual_tol": np.nan}, "residual_tol"),
+    ({"residual_tol": -1.0}, "residual_tol"),
+    ({"sparsity": 2.5}, "sparsity"),
+    ({"sparsity": True}, "sparsity"),
+    ({"dictionary": _inf_atom()}, "dictionary atoms must be finite"),
+], ids=["nan-x", "2d-x", "nan-tol", "negative-tol", "fractional-sparsity",
+        "bool-sparsity", "inf-atom"])
+def test_sparse_code_rejects_bad_input(kwargs, match):
+    args = {"dictionary": np.eye(10), "x": np.ones(10), "sparsity": 2}
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=match):
+        sparse_code(**args)
