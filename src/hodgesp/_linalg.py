@@ -1,6 +1,7 @@
-"""Shared linear-algebra helpers: tolerances, sign fixing, power iteration,
-the Krylov kernel behind every Laplacian and Dirac polynomial, and the
-conjugate-gradient solver of the quadratic reconstruction."""
+"""Shared linear-algebra helpers: tolerances, sign fixing, the greedy loops'
+Gram-Schmidt step, power iteration, the Krylov kernel behind every Laplacian
+and Dirac polynomial, and the conjugate-gradient solver of the quadratic
+reconstruction."""
 
 from __future__ import annotations
 
@@ -44,6 +45,18 @@ def orthonormal_complement(block: np.ndarray) -> np.ndarray:
     columns of ``block``: the trailing columns of its complete QR."""
     q, _ = np.linalg.qr(block, mode="complete")
     return q[:, block.shape[1]:]
+
+
+def gram_schmidt(q: np.ndarray, col: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonalize ``col`` against the orthonormal columns of ``q`` by
+    Gram-Schmidt run twice, which keeps it orthogonal to rounding level;
+    returns the orthogonalized column and its coefficients on ``q``."""
+    first = q.T @ col
+    col = col - q @ first
+    second = q.T @ col
+    col -= q @ second
+    return col, first + second
 
 
 def power_iteration_lambda_max(matvec, n: int, rtol: float = 1e-6,

@@ -23,3 +23,11 @@ def as_index_tuple(indices: Sequence[int], n: int, name: str) -> tuple[int, ...]
         seen.add(i)
         out.append(i)
     return tuple(out)
+
+
+def check_integer(value, name: str, minimum: int) -> None:
+    """Reject a non-integer (or bool) ``value``, or one below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")

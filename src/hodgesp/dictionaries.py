@@ -12,8 +12,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from ._linalg import check_tolerance, fix_column_signs
-from ._util import as_index_tuple
+from ._linalg import check_tolerance, fix_column_signs, gram_schmidt
+from ._util import as_index_tuple, check_integer
 from .complexes import Cochain, SimplicialComplex
 from .filters import HodgeFilterSpec, _filter_values
 from .spectral import HodgeBasis, hodge_basis
@@ -168,11 +168,7 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
         raise ValueError("x must be finite")
     if atoms.ndim != 2 or atoms.shape[0] != target.shape[0]:
         raise ValueError("dictionary and signal dimensions do not match")
-    integral = isinstance(sparsity, (int, np.integer))
-    if not integral or isinstance(sparsity, bool):
-        raise ValueError(f"sparsity must be an integer, got {sparsity!r}")
-    if sparsity < 1:
-        raise ValueError(f"sparsity must be >= 1, got {sparsity}")
+    check_integer(sparsity, "sparsity", 1)
     if not (np.isfinite(residual_tol) and residual_tol >= 0):
         raise ValueError("residual_tol must be finite and >= 0, got "
                          f"{residual_tol}")
@@ -203,14 +199,7 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
         if scores[best] <= 1e-12 * res_norm:
             break  # residual orthogonal to every atom
         selected.append(best)
-        # Gram-Schmidt twice keeps q orthonormal to rounding level.
-        col = atoms[:, best]
-        done = q[:, :k]
-        first = done.T @ col
-        col = col - done @ first
-        second = done.T @ col
-        col -= done @ second
-        r[:k, k] = first + second
+        col, r[:k, k] = gram_schmidt(q[:, :k], atoms[:, best])
         r[k, k] = np.linalg.norm(col)
         q[:, k] = col / r[k, k]
         # The residual is orthogonal to q[:, :k], so this is q[:, k] @ target.

@@ -6,11 +6,12 @@ space (the divergence-free part), F - b1^T L0^+ b1 F, by one block solve
 with the cached sparse LU of the exact topology core; an explicit
 tolerance uses the truncated SVD of b1 instead. Whatever energy is left is
 the only part a triangle filling can explain. Candidates are the 3-cliques
-of the graph. Two greedy criteria: pick triangles whose circulation
-against the flows is smallest (min_smoothness — the increment each
-candidate contributes to the upper-Laplacian total variation), or pick
-triangles whose boundary columns capture the most flow energy
-(max_curl_fit, re-orthogonalizing the chosen columns after each pick).
+of the graph; both greedy criteria read their boundary matrix, built by
+:func:`build_complex`. min_smoothness picks triangles whose circulation
+against the flows is smallest (the increment each candidate contributes to
+the upper-Laplacian total variation); max_curl_fit picks triangles whose
+boundary columns capture the most flow energy, deflating the flows and
+every candidate's squared norm by each pick's orthonormalized boundary.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import warnings
 
 import numpy as np
 
-from ._linalg import check_tolerance
+from ._linalg import check_tolerance, gram_schmidt
+from ._util import check_integer
 from .complexes import (
     SimplicialComplex,
     _incidence_svd,
     _potential,
     _zero_tolerance,
+    build_complex,
 )
 
 __all__ = [
@@ -51,6 +54,8 @@ def project_out_gradient(c: SimplicialComplex, flows: np.ndarray,
     """
     check_tolerance(tol)
     flows = np.atleast_2d(np.asarray(flows, dtype=float))
+    if flows.ndim != 2 or not np.all(np.isfinite(flows)):
+        raise ValueError("flows must be a finite 1-D or 2-D array")
     if flows.shape[0] != c.n1:
         flows = flows.T
     if flows.shape[0] != c.n1:
@@ -83,18 +88,6 @@ def triangle_candidates(c: SimplicialComplex) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def _boundary_edges(c: SimplicialComplex,
-                    candidates: list[tuple[int, int, int]]) -> np.ndarray:
-    """Edge indices of each candidate's boundary [v,w] - [u,w] + [u,v], in
-    the order (u,v), (u,w), (v,w) of the signs _BOUNDARY_SIGNS."""
-    return np.array([[c.edge_index(u, v), c.edge_index(u, w),
-                      c.edge_index(v, w)] for u, v, w in candidates],
-                    dtype=np.int64).reshape(-1, 3)
-
-
-_BOUNDARY_SIGNS = np.array([1.0, -1.0, 1.0])
-
-
 def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
                     criterion: str = "max_curl_fit",
                     tol: float | None = None
@@ -103,11 +96,12 @@ def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
 
     min_smoothness scores each candidate by its squared circulation summed
     over flows and picks the smallest; max_curl_fit picks the candidate
-    whose (re-orthogonalized) boundary column captures the most residual
-    flow energy. Flows are gradient-projected internally. Ties break
-    lexicographically; an all-zero score step emits
-    :class:`DegenerateScoresWarning`. Returns the picked triangles and the
-    per-step scores.
+    whose boundary column, orthogonalized against the picks so far,
+    captures the most residual flow energy, then deflates the flows and
+    every candidate's squared norm by that one direction. Flows are
+    gradient-projected internally. Ties break lexicographically; an
+    all-zero score step emits :class:`DegenerateScoresWarning`. Returns the
+    picked triangles and the per-step scores.
     """
     check_tolerance(tol)
     if criterion not in ("min_smoothness", "max_curl_fit"):
@@ -115,6 +109,7 @@ def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
             f"criterion must be min_smoothness or max_curl_fit, "
             f"got {criterion!r}"
         )
+    check_integer(count, "count", 0)
     candidates = triangle_candidates(c)
     if count > len(candidates):
         raise ValueError(
@@ -122,65 +117,58 @@ def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
             f"{len(candidates)} 3-cliques"
         )
     proj = project_out_gradient(c, flows, tol)
-    edges = _boundary_edges(c, candidates)
-
-    def column(i: int) -> np.ndarray:
-        col = np.zeros(c.n1)
-        col[edges[i]] = _BOUNDARY_SIGNS
-        return col
+    # Row i is the boundary +[v,w] - [u,w] + [u,v] of candidate i.
+    rows = build_complex(c.n0, c.edges, candidates).b2.T.tocsr().astype(float)
 
     # Score threshold is relative to the input flow energy, keeping the
     # selected sequence invariant under positive rescaling of the flows.
     tiny = 1e-12 * float(np.sum(np.asarray(flows, dtype=float) ** 2))
-    dep_tiny = 1e-20  # squared norm below which a +/-1 column is dependent
-
-    chosen: list[tuple[int, int, int]] = []
-    scores: list[float] = []
 
     if criterion == "min_smoothness":
         # The upper-Laplacian total variation is additive over chosen
         # columns, so each candidate's increment is fixed up front.
-        circ = proj[edges[:, 0]] - proj[edges[:, 1]] + proj[edges[:, 2]]
-        increments = np.sum(circ**2, axis=1)
+        increments = np.sum((rows @ proj) ** 2, axis=1)
         increments[increments <= tiny] = 0.0  # lexicographic ties on noise
-        order = sorted(range(len(candidates)),
-                       key=lambda i: (increments[i], candidates[i]))
         if count and increments.max(initial=0.0) <= tiny:
             warnings.warn(
                 "all candidate circulations are zero; selection is the "
                 "lexicographic tie-break", DegenerateScoresWarning)
-        for i in order[:count]:
-            chosen.append(candidates[i])
-            scores.append(float(increments[i]))
-        return chosen, scores
+        order = np.argsort(increments, kind="stable")[:count]
+        return ([candidates[i] for i in order],
+                [float(increments[i]) for i in order])
 
-    basis: list[np.ndarray] = []
-    remaining = list(range(len(candidates)))
+    # The running squared norms lose one square per pick, so they carry
+    # cancellation of order picks * eps * 3; below this they count as zero
+    # and the candidate scores 0 / inf = 0.
+    norm_tiny = 1e-12 * 3.0
+    residual = proj  # the flows, deflated in place by the basis
+    norms2 = np.full(len(candidates), 3.0)  # squared norms off the basis
+    basis = np.empty((c.n1, 0))
+    picks: list[int] = []
+    scores: list[float] = []
     for _ in range(count):
-        best_i, best_gain = None, -1.0
-        for i in remaining:
-            q = column(i)
-            for b in basis:
-                q -= (b @ q) * b
-            norm = np.linalg.norm(q)
-            gain = 0.0 if norm**2 <= dep_tiny else \
-                float(np.sum((q / norm @ proj) ** 2))
-            if gain <= tiny:
-                gain = 0.0  # lexicographic ties on noise
-            if gain > best_gain + 1e-15:
-                best_i, best_gain = i, gain
+        gains = np.sum((rows @ residual) ** 2, axis=1) / norms2
+        gains[gains <= tiny] = 0.0  # lexicographic ties on noise
+        gains[picks] = -1.0
+        # Settle near-ties as a one-at-a-time scan would: in index order,
+        # with 1e-15 slack.
+        best_i, best_gain = -1, -1.0
+        for i in np.flatnonzero(gains >= gains.max() - 1e-15).tolist():
+            if gains[i] > best_gain + 1e-15:
+                best_i, best_gain = i, float(gains[i])
         if best_gain <= tiny:
             warnings.warn(
                 "remaining candidates capture no flow energy; selection "
                 "continues by the lexicographic tie-break",
                 DegenerateScoresWarning)
-        chosen.append(candidates[best_i])
+        picks.append(best_i)
         scores.append(best_gain)
-        remaining.remove(best_i)
-        q = column(best_i)
-        for b in basis:
-            q -= (b @ q) * b
+        q, _ = gram_schmidt(basis, rows[[best_i]].toarray()[0])
         norm = np.linalg.norm(q)
-        if norm**2 > dep_tiny:
-            basis.append(q / norm)
-    return chosen, scores
+        if norm**2 > 1e-20:  # otherwise the +/-1 column is dependent
+            q /= norm
+            basis = np.column_stack([basis, q])
+            residual -= np.outer(q, q @ residual)
+            norms2 -= (rows @ q) ** 2
+            norms2[norms2 <= norm_tiny] = np.inf
+    return [candidates[i] for i in picks], scores

@@ -1,13 +1,18 @@
 """Triangle inference from edge flows: projection, residual energy, and the
-two greedy criteria, checked against exhaustive search on small cases."""
+two greedy criteria, checked against exhaustive search on small cases and
+against the per-candidate Gram-Schmidt loop max_curl_fit replaced."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgesp import (
     DegenerateScoresWarning,
+    build_complex,
     hodge_basis,
     hodge_decompose,
     infer_triangles,
@@ -15,6 +20,59 @@ from hodgesp import (
     residual_energy,
     triangle_candidates,
 )
+
+from conftest import complexes_with_cells
+
+
+def boundary_column(c, tri):
+    """Boundary [v,w] - [u,w] + [u,v] of the triangle (u, v, w), written
+    out independently of build_complex."""
+    u, v, w = tri
+    col = np.zeros(c.n1)
+    col[c.edge_index(u, v)] = 1.0
+    col[c.edge_index(u, w)] = -1.0
+    col[c.edge_index(v, w)] = 1.0
+    return col
+
+
+def curl_fit_reference(c, flows, count):
+    """max_curl_fit as a scan that Gram-Schmidt-orthogonalizes every
+    remaining candidate against the chosen columns at every pick: the loop
+    the deflation replaced, kept as its reference. Returns the picks, the
+    per-step scores, the number of degenerate steps, and per step the gap
+    between the best and the second-best gain."""
+    candidates = triangle_candidates(c)
+    proj = project_out_gradient(c, flows)
+    tiny = 1e-12 * float(np.sum(np.asarray(flows, dtype=float) ** 2))
+    basis, remaining = [], list(range(len(candidates)))
+    chosen, scores, gaps, degenerate = [], [], [], 0
+    for _ in range(count):
+        best_i, best_gain, gains = None, -1.0, []
+        for i in remaining:
+            q = boundary_column(c, candidates[i])
+            for b in basis:
+                q -= (b @ q) * b
+            norm = np.linalg.norm(q)
+            gain = 0.0 if norm**2 <= 1e-20 else \
+                float(np.sum((q / norm @ proj) ** 2))
+            if gain <= tiny:
+                gain = 0.0
+            gains.append(gain)
+            if gain > best_gain + 1e-15:
+                best_i, best_gain = i, gain
+        gains.sort()
+        gaps.append(gains[-1] - gains[-2] if len(gains) > 1 else np.inf)
+        degenerate += best_gain <= tiny
+        chosen.append(candidates[best_i])
+        scores.append(best_gain)
+        remaining.remove(best_i)
+        q = boundary_column(c, candidates[best_i])
+        for b in basis:
+            q -= (b @ q) * b
+        norm = np.linalg.norm(q)
+        if norm**2 > 1e-20:
+            basis.append(q / norm)
+    return chosen, scores, degenerate, gaps
 
 
 def test_gradient_flows_project_to_zero(skeleton7):
@@ -119,12 +177,7 @@ def test_matches_exhaustive_oracle(skeleton7):
     candidates = triangle_candidates(skeleton7)
 
     def column(tri):
-        u, v, w = tri
-        col = np.zeros(10)
-        col[skeleton7.edge_index(u, v)] = 1.0
-        col[skeleton7.edge_index(u, w)] = -1.0
-        col[skeleton7.edge_index(v, w)] = 1.0
-        return col
+        return boundary_column(skeleton7, tri)
 
     for trial in range(5):
         flows = project_out_gradient(
@@ -154,9 +207,83 @@ def test_matches_exhaustive_oracle(skeleton7):
                 smoothness(best_smooth) + 1e-9
 
 
-def test_count_validation(skeleton7):
-    with pytest.raises(ValueError, match="3-cliques"):
-        infer_triangles(skeleton7, np.zeros((10, 1)), 5)
+@pytest.mark.parametrize("count, flows, match", [
+    pytest.param(5, np.zeros((10, 1)), "3-cliques", id="too_many"),
+    pytest.param(-1, np.ones((10, 1)), "count must be >= 0", id="negative"),
+    pytest.param(2.5, np.ones((10, 1)), "count must be an integer",
+                 id="fractional"),
+    pytest.param(2.0, np.ones((10, 1)), "count must be an integer",
+                 id="float"),
+    pytest.param(True, np.ones((10, 1)), "count must be an integer",
+                 id="bool"),
+    pytest.param(2, np.full((10, 1), np.nan), "flows must be a finite",
+                 id="nan_flows"),
+    pytest.param(2, np.full((10, 1), np.inf), "flows must be a finite",
+                 id="inf_flows"),
+    pytest.param(2, np.ones((10, 1, 1)), "flows must be a finite",
+                 id="3d_flows"),
+])
+def test_count_validation(skeleton7, count, flows, match):
+    for criterion in ("min_smoothness", "max_curl_fit"):
+        with pytest.raises(ValueError, match=match):
+            infer_triangles(skeleton7, flows, count, criterion)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**32 - 1),
+       in_span=st.booleans())
+def test_curl_fit_matches_reference(c, seed, in_span):
+    skeleton = build_complex(c.n0, c.edges)
+    candidates = triangle_candidates(skeleton)
+    if not candidates:
+        return
+    rng = np.random.default_rng(seed)
+    snapshots = int(rng.integers(1, 4))
+    if in_span:
+        # Flows in the span of about 40% of the candidate boundaries: the
+        # later picks are exactly dependent or capture nothing.
+        cols = np.column_stack([boundary_column(skeleton, t)
+                                for t in candidates])
+        coeffs = rng.standard_normal((len(candidates), snapshots))
+        coeffs[rng.random(len(candidates)) < 0.6] = 0.0
+        flows = cols @ coeffs
+    else:
+        flows = rng.standard_normal((skeleton.n1, snapshots))
+    count = len(candidates)
+    want, want_scores, want_degenerate, gaps = curl_fit_reference(
+        skeleton, flows, count)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, got_scores = infer_triangles(skeleton, flows, count)
+    degenerate = sum(issubclass(w.category, DegenerateScoresWarning)
+                     for w in caught)
+    assert degenerate == want_degenerate == len(caught)
+    energy = float(np.sum(flows**2))
+    assert np.allclose(got_scores, want_scores, rtol=0,
+                       atol=1e-12 * max(energy, 1e-300))
+    for step, (a, b) in enumerate(zip(got, want)):
+        if a != b:  # the paths may part only where the leading gains tie
+            assert gaps[step] <= 1e-12 * energy
+            break
+
+
+def test_grid_skeleton_recovers_planted_triangles():
+    m = 10
+    right = [(v, v + 1) for v in range(m * m) if v % m < m - 1]
+    down = [(v, v + m) for v in range(m * (m - 1))]
+    diagonal = [(v, v + m + 1) for v in range(m * (m - 1)) if v % m < m - 1]
+    edges = right + down + diagonal
+    skeleton = build_complex(m * m, edges)
+    # One triangle in each of four squares that share no edge.
+    planted = [(0, 1, 11), (22, 32, 33), (45, 46, 56), (77, 87, 88)]
+    filled = build_complex(m * m, edges, planted)
+    rng = np.random.default_rng(9)
+    flows = filled.b2 @ rng.standard_normal((4, 20)) \
+        + 0.01 * rng.standard_normal((skeleton.n1, 20))
+    chosen, scores = infer_triangles(skeleton, flows, 4)
+    assert sorted(chosen) == planted
+    assert sum(scores) <= residual_energy(
+        project_out_gradient(skeleton, flows)) + 1e-9
 
 
 def test_outputs_satisfy_inclusivity():

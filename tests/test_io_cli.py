@@ -558,6 +558,19 @@ def test_cli_infer_triangles(tmp_path, complex7, skeleton7):
     assert len(data["scores"]) == 3
 
 
+def test_cli_infer_triangles_rejects_negative_count(tmp_path, capsys,
+                                                    skeleton7):
+    graph = tmp_path / "graph.json"
+    hio.save_complex(graph, skeleton7)
+    flows_path = tmp_path / "flows.csv"
+    hio.save_matrix(flows_path, np.ones((10, 2)))
+    out = tmp_path / "tris.json"
+    assert run_cli(["infer-triangles", str(graph), str(flows_path),
+                    "--count", "-1", "-o", str(out)]) == 1
+    assert "count must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_full_determinism(complex_file, tmp_path, complex7):
     rng = np.random.default_rng(7)
     sig = tmp_path / "x.csv"
