@@ -291,8 +291,6 @@ def build_complex(
     norm_cells.sort()
 
     n1 = len(norm_edges)
-    n2 = len(norm_tris) + len(norm_cells)
-
     rows, cols, vals = [], [], []
     for j, (u, v) in enumerate(norm_edges):
         rows += [u, v]
@@ -301,24 +299,9 @@ def build_complex(
     b1 = sp.csr_array(
         sp.coo_array((vals, (rows, cols)), shape=(n, n1), dtype=np.int64)
     )
+    b2 = _boundary_matrix(edge_pos, norm_tris, norm_cells)
 
-    rows, cols, vals = [], [], []
-    for j, (u, v, w) in enumerate(norm_tris):
-        # boundary of [u,v,w]: +[v,w] - [u,w] + [u,v]
-        rows += [edge_pos[(v, w)], edge_pos[(u, w)], edge_pos[(u, v)]]
-        cols += [j, j, j]
-        vals += [1, -1, 1]
-    for j, canon in enumerate(norm_cells, start=len(norm_tris)):
-        for a, b in zip(canon, canon[1:] + canon[:1]):
-            key = (a, b) if a < b else (b, a)
-            rows.append(edge_pos[key])
-            cols.append(j)
-            vals.append(1 if a < b else -1)
-    b2 = sp.csr_array(
-        sp.coo_array((vals, (rows, cols)), shape=(n1, n2), dtype=np.int64)
-    )
-
-    if n1 and n2 and (b1 @ b2).count_nonzero():
+    if n1 and b2.shape[1] and (b1 @ b2).count_nonzero():
         raise AssertionError("internal error: b1 @ b2 != 0")
 
     return SimplicialComplex(
@@ -328,6 +311,28 @@ def build_complex(
         cells=tuple(norm_cells),
         b1=b1,
         b2=b2,
+    )
+
+
+def _boundary_matrix(edge_pos: dict, triangles, cells=()) -> sp.csr_array:
+    """The n1 x n2 integer boundary matrix b2 of canonical triangles, then
+    canonical cells, over the edges indexed by ``edge_pos``; the simplices
+    are not validated."""
+    rows, cols, vals = [], [], []
+    for j, (u, v, w) in enumerate(triangles):
+        # boundary of [u,v,w]: +[v,w] - [u,w] + [u,v]
+        rows += [edge_pos[(v, w)], edge_pos[(u, w)], edge_pos[(u, v)]]
+        cols += [j, j, j]
+        vals += [1, -1, 1]
+    for j, canon in enumerate(cells, start=len(triangles)):
+        for a, b in zip(canon, canon[1:] + canon[:1]):
+            key = (a, b) if a < b else (b, a)
+            rows.append(edge_pos[key])
+            cols.append(j)
+            vals.append(1 if a < b else -1)
+    shape = (len(edge_pos), len(triangles) + len(cells))
+    return sp.csr_array(
+        sp.coo_array((vals, (rows, cols)), shape=shape, dtype=np.int64)
     )
 
 
@@ -497,14 +502,18 @@ def betti(c: SimplicialComplex, tol: float | None = None) -> tuple[int, int, int
     An explicit ``tol`` counts the singular values of b1 and b2 at or below
     sqrt(tol) as zero instead.
     """
-    if tol is None:
-        beta0 = _components(c)[1]
-        r1, r2 = c.n0 - beta0, _b2_pivots(c).size
-    else:
-        thr = _zero_tolerance(c, tol) ** 0.5
-        r1, r2 = (int(np.count_nonzero(_incidence_svd(c, k)[1] > thr))
-                  for k in (1, 2))
+    r1, r2 = _rank(c, 1, tol), _rank(c, 2, tol)
     return (c.n0 - r1, c.n1 - r1 - r2, c.n2 - r2)
+
+
+def _rank(c: SimplicialComplex, k: int, tol: float | None = None) -> int:
+    """rank(b_k), k in {1, 2}: exact by default, n0 - beta0 for b1 and the
+    pivot count for b2; with an explicit ``tol`` the number of singular
+    values above sqrt(tol)."""
+    if tol is None:
+        return c.n0 - _components(c)[1] if k == 1 else _b2_pivots(c).size
+    thr = _zero_tolerance(c, tol) ** 0.5
+    return int(np.count_nonzero(_incidence_svd(c, k)[1] > thr))
 
 
 # Prime modulus of the elimination that ranks b2. Columns independent mod
@@ -636,6 +645,57 @@ class _Potential:
 def _potential(c: SimplicialComplex, k: int) -> _Potential:
     """The cached L0^+ (k=0) or L2^+ (k=2) solver of ``c``."""
     return _cached(c, ("potential", k), _Potential, c, k)
+
+
+def _low_spectrum(c: SimplicialComplex, k: int, count: int):
+    """The smallest nonzero singular triplets of b_k (k in {1, 2}) as
+    ``(lam, u, v)``: lam ascending squared singular values, u and v the
+    left and right singular vectors as columns, at least ``count`` of
+    them; cached per complex and count. None when they cannot be had
+    this way: b_k has at most count + 4 of them, or the eigensolver does
+    not converge.
+
+    They are the top eigenpairs of L^+ for L = L0 = b1 b1^T (k=1) or
+    L2 = b2^T b2 (k=2), found by ``eigsh`` applying L^+ through the cached
+    sparse LU of the topology core, so the kernel of L drops out. The
+    edge-side vectors are derived as b1^T w / sigma or b2 w / sigma, and
+    lam is the Rayleigh quotient ||b w||^2. The count grows until the cut
+    falls in a gap wider than 1e-8 * lambda_max(L1): a cluster of equal
+    eigenvalues is kept whole.
+    """
+    return _cached(c, ("low", k, count), _partial_eigh, c, k, count)
+
+
+def _partial_eigh(c: SimplicialComplex, k: int, count: int):
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    pot = _potential(c, 0 if k == 1 else 2)
+    n = pot.a.shape[1]
+    rank = n - pot.kernel.shape[1]
+    gap = 1e-8 * lambda_max(c, 1)
+    pinv = LinearOperator((n, n), dtype=float,
+                          matvec=lambda x: pot.solve(pot.project(x)))
+    start = pot.project(np.random.default_rng(0).standard_normal(n))
+    want = count + 4
+    while want < rank:
+        try:
+            mu, w = eigsh(pinv, k=want, which="LA", tol=1e-12, v0=start)
+        except ArpackNoConvergence:
+            return None
+        w = w[:, np.argsort(mu)[::-1]]
+        edge = pot.a @ w
+        lam = np.einsum("ij,ij->j", edge, edge)
+        cuts = np.flatnonzero(np.diff(lam) > gap) + 1
+        cuts = cuts[cuts >= count]
+        if cuts.size:
+            cut = cuts[0]
+            edge = edge[:, :cut] / np.sqrt(lam[:cut])
+            w = w[:, :cut]
+            return (lam[:cut], w, edge) if k == 1 else (lam[:cut], edge, w)
+        if want == rank - 1:
+            return None
+        want = min(2 * want, rank - 1)
+    return None
 
 
 def _check_bound(c: SimplicialComplex, x: Cochain, k: int) -> None:

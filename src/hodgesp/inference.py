@@ -6,12 +6,13 @@ space (the divergence-free part), F - b1^T L0^+ b1 F, by one block solve
 with the cached sparse LU of the exact topology core; an explicit
 tolerance uses the truncated SVD of b1 instead. Whatever energy is left is
 the only part a triangle filling can explain. Candidates are the 3-cliques
-of the graph; both greedy criteria read their boundary matrix, built by
-:func:`build_complex`. min_smoothness picks triangles whose circulation
-against the flows is smallest (the increment each candidate contributes to
-the upper-Laplacian total variation); max_curl_fit picks triangles whose
-boundary columns capture the most flow energy, deflating the flows and
-every candidate's squared norm by each pick's orthonormalized boundary.
+of the graph; both greedy criteria read their boundary matrix, assembled
+over the skeleton's canonical edges without validating them again.
+min_smoothness picks triangles whose circulation against the flows is
+smallest (the increment each candidate contributes to the upper-Laplacian
+total variation); max_curl_fit picks triangles whose boundary columns
+capture the most flow energy, deflating the flows and every candidate's
+squared norm by each pick's orthonormalized boundary.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from ._linalg import check_tolerance, gram_schmidt
 from ._util import check_integer
 from .complexes import (
     SimplicialComplex,
+    _boundary_matrix,
     _incidence_svd,
     _potential,
     _zero_tolerance,
-    build_complex,
 )
 
 __all__ = [
@@ -118,7 +119,8 @@ def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
         )
     proj = project_out_gradient(c, flows, tol)
     # Row i is the boundary +[v,w] - [u,w] + [u,v] of candidate i.
-    rows = build_complex(c.n0, c.edges, candidates).b2.T.tocsr().astype(float)
+    rows = _boundary_matrix(c._edge_lookup,
+                            candidates).T.tocsr().astype(float)
 
     # Score threshold is relative to the input flow energy, keeping the
     # selected sequence invariant under positive rescaling of the flows.

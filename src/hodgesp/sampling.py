@@ -17,7 +17,7 @@ import numpy as np
 from ._linalg import check_tolerance, zero_tolerance
 from ._util import as_index_tuple
 from .complexes import Cochain, SimplicialComplex
-from .spectral import HodgeBasis, frequency_table, hodge_basis
+from .spectral import HodgeBasis, hodge_basis
 
 __all__ = [
     "Recoverability",
@@ -118,12 +118,14 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
 
     At each step the simplex whose addition maximizes the smallest singular
     value of the sampled sub-basis is added (ties to the lowest index).
-    Every candidate of a step is scored by one stacked ``eigvalsh``: its
-    squared margin is the smallest eigenvalue of the trial set's row Gram
-    matrix while the set has at most |F| rows, of its |F| x |F| column Gram
-    matrix after that. Candidates within 1e-10 of the best squared margin
-    are rescored by one stacked SVD of their trial sets, so the picks are
-    those of a scan that computes one SVD per candidate.
+    A candidate's squared margin is an eigenvalue of M + u u^T, M the
+    |F| x |F| column Gram matrix of the rows picked so far and u the
+    candidate's row: the (t+1)-th largest while the trial set has t+1 <= |F|
+    rows, the smallest after that. One ``eigh`` of M per step turns it,
+    for every candidate at once, into the root of a secular equation (see
+    :func:`_near_best`). Candidates within 1e-10 of the best squared
+    margin are rescored by one stacked SVD of their trial sets, so the
+    picks are those of a scan that computes one SVD per candidate.
     Raises when m >= |F| but no recoverable set exists along the greedy path.
     """
     check_tolerance(tol)
@@ -138,26 +140,12 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
 
     u_f = basis.columns(f_idx)
     nf = len(f_idx)
-    norms = np.einsum("ij,ij->i", u_f, u_f)
-    # Column t: u_f @ (the row picked at step t), while bordering lasts.
-    cross = np.zeros((nk, min(m, nf)))
+    gram = np.zeros((nf, nf))  # column Gram matrix of the picked rows
+    free = np.ones(nk, dtype=bool)
     selected: list[int] = []
     for t in range(m):
-        free = np.ones(nk, dtype=bool)
-        free[selected] = False
         cand = np.flatnonzero(free)
-        if t < nf:
-            # Bordered row Gram matrices of the trial sets, (t+1) x (t+1).
-            gram = np.empty((cand.size, t + 1, t + 1))
-            gram[:, :t, :t] = cross[selected, :t]
-            gram[:, :t, t] = gram[:, t, :t] = cross[cand, :t]
-            gram[:, t, t] = norms[cand]
-        else:
-            # |F| x |F| column Gram matrices M + u u^T.
-            picked = u_f[selected]
-            gram = picked.T @ picked + u_f[cand, :, None] * u_f[cand, None]
-        lam = np.linalg.eigvalsh(gram)[:, 0]
-        near = cand[lam >= lam.max() - 1e-10 * max(1.0, lam.max())]
+        near = cand[_near_best(gram, u_f[cand], max(nf - t - 1, 0))]
         best_idx = int(near[0])
         if near.size > 1:
             # Settle near-ties as a one-at-a-time scan would: by the SVD
@@ -172,8 +160,8 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
                 if margin > best_margin + 1e-15:
                     best_idx, best_margin = r, margin
         selected.append(best_idx)
-        if t < cross.shape[1]:
-            cross[:, t] = u_f @ u_f[best_idx]
+        free[best_idx] = False
+        gram += np.outer(u_f[best_idx], u_f[best_idx])
 
     if m >= len(f_idx):
         final = _margin(u_f[selected, :], len(f_idx))
@@ -187,44 +175,90 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
     return tuple(selected)
 
 
+def _near_best(gram: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """Indices of the rows u whose eigenvalue p (ascending) of
+    gram + u u^T is within 1e-10 * max(1, best) of the best of them, in
+    index order.
+
+    With gram = V diag(e) V^T and z = V^T u, the eigenvalue is the root in
+    [e_p, e_{p+1}] of the secular equation 1 + sum_i z_i^2 / (e_i - x) = 0,
+    whose left side rises from -inf to +inf there (Golub 1973). Bisection
+    shrinks a bracket per row, drops a row once its upper end falls below
+    the best lower end by more than the slack, and stops when one row is
+    left or every bracket is at rounding level. A zero weight needs no
+    special case: when z_p = 0 the bracket closes on e_p, when
+    z_{p+1} = 0 on e_{p+1}, and either is then an eigenvalue of the update.
+    """
+    e, v = np.linalg.eigh(gram)
+    z2 = (rows @ v) ** 2
+    lo = np.full(rows.shape[0], e[p])
+    hi = lo + z2.sum(axis=1)  # Weyl: the update adds at most ||u||^2
+    if p + 1 < e.size:
+        np.minimum(hi, e[p + 1], out=hi)
+    # Brackets this narrow are at the rounding level of the eigenvalues.
+    tiny = np.finfo(float).eps * max(1.0, e[-1] + hi.max(initial=0.0))
+    live = np.arange(rows.shape[0])  # rows not yet ruled out
+    while True:
+        best = lo.max()
+        live = live[hi[live] >= best - 1e-10 * max(1.0, best)]
+        wide = live[hi[live] - lo[live] > tiny]
+        if live.size == 1 or not wide.size:
+            break
+        mid = 0.5 * (lo[wide] + hi[wide])
+        secular = 1.0 + (z2[wide] / (e - mid[:, None])).sum(axis=1)
+        above = secular > 0.0  # the root lies below mid
+        hi[wide[above]] = mid[above]
+        lo[wide[~above]] = mid[~above]
+    lam = 0.5 * (lo[live] + hi[live])
+    return live[lam >= lam.max() - 1e-10 * max(1.0, lam.max())]
+
+
 def parse_frequency_selector(basis: HodgeBasis, text: str) -> tuple[int, ...]:
     """Parse a frequency-set selector.
 
     Forms: ``harm`` (all harmonic rows), ``grad:i..j`` / ``curl:i..j``
     (inclusive within-type ranges, 0-based; ``grad:i`` for a single one),
     and ``idx:3,5,7`` (raw frequency-table indices). Several selectors may
-    be joined with ``+``.
+    be joined with ``+``. Only the block widths of ``basis`` are read; the
+    frequency table lists the harmonic rows, then the gradient and the curl
+    rows. A malformed part raises a ValueError that names it.
     """
-    table = frequency_table(basis)
-    by_kind: dict[str, list[int]] = {"harmonic": [], "gradient": [], "curl": []}
-    for row in table:
-        by_kind[row.kind].append(row.index)
-
+    nh, ng, nc = basis.n_harmonic, basis.n_gradient, basis.n_curl
+    blocks = {"grad:": ("gradient", nh, ng), "curl:": ("curl", nh + ng, nc)}
     out: list[int] = []
     for part in text.split("+"):
         part = part.strip()
         if part == "harm":
-            if not by_kind["harmonic"]:
+            if not nh:
                 raise ValueError("selector 'harm': no harmonic frequencies")
-            out.extend(by_kind["harmonic"])
+            out.extend(range(nh))
             continue
         if part.startswith("idx:"):
             body = part[4:].strip().strip("()")
-            out.extend(int(s) for s in body.split(",") if s.strip())
+            if not body.strip():
+                raise ValueError(f"selector {part!r}: no indices")
+            out.extend(_selector_int(s, part) for s in body.split(",")
+                       if s.strip())
             continue
-        for prefix, kind in (("grad:", "gradient"), ("curl:", "curl")):
-            if part.startswith(prefix):
-                body = part[len(prefix):]
-                lo, _, hi = body.partition("..")
-                i, j = int(lo), int(hi) if hi else int(lo)
-                block = by_kind[kind]
-                if not 0 <= i <= j < len(block):
-                    raise ValueError(
-                        f"selector {part!r}: range outside the "
-                        f"{len(block)} {kind} frequencies"
-                    )
-                out.extend(block[i : j + 1])
-                break
-        else:
+        if part[:5] not in blocks:
             raise ValueError(f"unrecognized frequency selector {part!r}")
-    return as_index_tuple(out, len(table), "frequency selector")
+        kind, start, width = blocks[part[:5]]
+        lo, dots, hi = part[5:].partition("..")
+        i = _selector_int(lo, part)
+        j = _selector_int(hi, part) if dots else i
+        if j < i:
+            raise ValueError(f"selector {part!r}: empty range, {i} > {j}")
+        if not 0 <= i <= j < width:
+            raise ValueError(f"selector {part!r}: range outside the "
+                             f"{width} {kind} frequencies")
+        out.extend(range(start + i, start + j + 1))
+    return as_index_tuple(out, basis.complex.num_simplices(basis.order),
+                          "frequency selector")
+
+
+def _selector_int(text: str, part: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"selector {part!r}: {text.strip()!r} is not an "
+                         f"integer") from None

@@ -3,23 +3,39 @@ transforms, typed frequencies, and signal decomposition.
 
 What comes from where:
 
-* Bases, Dirac eigenpairs, and decompositions with an explicit ``tol``
-  come from the thin SVDs of b1 and b2, computed once per complex and
-  cached with it. Each SVD is one ``eigh`` of the smaller Gram matrix of
-  b_k, a cached sparse Laplacian made dense (L0 or L1,down for b1, L2 or
-  L1,up for b2), with the other side derived as b^T w / sigma or
-  b w / sigma; no dense incidence matrix is formed. Eigenvalues at or
-  below max(m, n) * eps * lambda_max of the m x n b_k are exact zeros, so
-  rounding noise never counts as rank. The derived columns are orthonormal
-  to about eps * lambda_max / lambda_min (lambda_min the smallest nonzero
-  eigenvalue): 7e-14 on a 20 x 20 grid with 6 holes, 1e-10 on a
-  2000-vertex path, against 1e-14 for a dense SVD.
+* Block widths. Under the default tolerance the gradient and curl widths
+  of a :class:`HodgeBasis` are exact ranks from the sparse topology core
+  of :mod:`hodgesp.complexes`: rank(b1) = n0 - beta0, rank(b2) the pivot
+  count of b2. ``hodge_basis`` computes only these, so frequency
+  selectors cost no eigensolve.
+* Band columns. Gradient and curl columns asked for by index
+  (:meth:`HodgeBasis.columns`, which sampling, reconstruction and Slepians
+  read) come from the partial spectra of L0 and L2 when that Laplacian
+  has at least _PARTIAL_FLOOR rows and the indices lie in its lowest
+  _PARTIAL_WINDOW: ``eigsh`` on L^+, applied through the cached sparse LU
+  of the topology core, with the cut moved past any cluster of equal
+  eigenvalues. Inside a cluster they may be another orthonormal basis of
+  the same space as the dense columns.
+* Dense blocks. ``gradient``, ``curl``, their frequencies, the frequency
+  table, :meth:`HodgeBasis.matrix`, transforms, Dirac eigenpairs, and
+  everything under an explicit ``tol`` come from the thin SVDs of b1 and
+  b2, computed once per complex and cached with it, and built on first
+  access. Each SVD is one ``eigh`` of the smaller Gram matrix of b_k, a
+  cached sparse Laplacian made dense (L0 or L1,down for b1, L2 or L1,up
+  for b2), with the other side derived as b^T w / sigma or b w / sigma;
+  no dense incidence matrix is formed. Eigenvalues at or below
+  max(m, n) * eps * lambda_max of the m x n b_k are exact zeros, so
+  rounding noise never counts as rank. The derived columns are
+  orthonormal to about eps * lambda_max / lambda_min (lambda_min the
+  smallest nonzero eigenvalue): 7e-14 on a 20 x 20 grid with 6 holes,
+  1e-10 on a 2000-vertex path, against 1e-14 for a dense SVD. Under the
+  default tolerance the blocks keep the exact widths.
 * The zero tolerance is complex-wide: by default 1e-10 times the largest
   singular value of b1 and b2, taken as sqrt(lambda_max(L1)) from the
   cached power iteration.
 * The default Hodge decomposition uses no SVD: it solves L0 p = b1 x and
-  L2 q = b2^T x with the exact sparse topology core of
-  :mod:`hodgesp.complexes` (sparse LU factors, minimum-norm potentials).
+  L2 q = b2^T x with the exact sparse topology core (sparse LU factors,
+  minimum-norm potentials).
 
 Gradient and curl columns are singular vectors rather than eigenvectors of
 L_k: that keeps every column exactly inside its subspace even when a
@@ -33,7 +49,6 @@ gradient columns and of the total curl for curl columns. Harmonic columns
 all sit at frequency zero; low/high comparisons are only meaningful within
 one frequency type.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -48,7 +63,9 @@ from .complexes import (
     ComplexSignal,
     SimplicialComplex,
     _incidence_svd,
+    _low_spectrum,
     _potential,
+    _rank,
     _zero_tolerance,
 )
 
@@ -69,6 +86,17 @@ __all__ = [
 ]
 
 
+# Band columns come from the partial spectra of L0 and L2 (see
+# HodgeBasis.columns) when that Laplacian has at least _PARTIAL_FLOOR rows
+# and every index asked of the block is below _PARTIAL_WINDOW. On
+# triangulated grids (1 BLAS thread) the partial solve for 20 columns, LU
+# build included, takes as long as the dense Gram eigh near 240 rows of L2
+# and 256 rows of L0 (both about 10 ms), and is 5-30 times faster from 400
+# rows on.
+_PARTIAL_FLOOR = 240
+_PARTIAL_WINDOW = 20
+
+
 @dataclass(frozen=True, eq=False)
 class HodgeBasis:
     """Orthonormal gradient/curl/harmonic bases with frequencies for order k.
@@ -77,16 +105,51 @@ class HodgeBasis:
     kernel(L_k); the three blocks are mutually orthonormal and their widths
     sum to N_k. Column signs are fixed (first entry of magnitude > tolerance
     positive), so the basis is a deterministic function of the complex.
-    The harmonic block is built on first access.
+    The widths are fixed up front: under the default tolerance (``exact``)
+    they are the exact ranks of the topology core. Every block is built on
+    first access.
     """
 
     complex: SimplicialComplex
     order: int
-    gradient: np.ndarray
-    curl: np.ndarray
-    gradient_frequencies: np.ndarray
-    curl_frequencies: np.ndarray
+    n_gradient: int
+    n_curl: int
     tolerance: float
+    exact: bool
+
+    @cached_property
+    def _gradient_block(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._dense_block(self.order, self.n_gradient, right=True)
+
+    @cached_property
+    def _curl_block(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._dense_block(self.order + 1, self.n_curl, right=False)
+
+    def _dense_block(self, k: int, r: int, right: bool):
+        """The r right (gradient) or left (curl) singular vectors of b_k
+        with the largest singular values, ascending, and their squares."""
+        if not 1 <= k <= 2:
+            nk = self.complex.num_simplices(self.order)
+            return np.zeros((nk, 0)), np.zeros(0)
+        u, s, vt = _incidence_svd(self.complex, k)
+        vecs = vt[:r][::-1].T if right else u[:, :r][:, ::-1]
+        return fix_column_signs(vecs, self.tolerance), s[:r][::-1] ** 2
+
+    @property
+    def gradient(self) -> np.ndarray:
+        return self._gradient_block[0]
+
+    @property
+    def gradient_frequencies(self) -> np.ndarray:
+        return self._gradient_block[1]
+
+    @property
+    def curl(self) -> np.ndarray:
+        return self._curl_block[0]
+
+    @property
+    def curl_frequencies(self) -> np.ndarray:
+        return self._curl_block[1]
 
     @cached_property
     def harmonic(self) -> np.ndarray:
@@ -96,14 +159,6 @@ class HodgeBasis:
             return np.zeros((nk, 0))
         harm = orthonormal_complement(np.hstack([self.gradient, self.curl]))
         return fix_column_signs(harm, self.tolerance)
-
-    @property
-    def n_gradient(self) -> int:
-        return self.gradient.shape[1]
-
-    @property
-    def n_curl(self) -> int:
-        return self.curl.shape[1]
 
     @property
     def n_harmonic(self) -> int:
@@ -116,8 +171,17 @@ class HodgeBasis:
         return np.hstack([self.harmonic, self.gradient, self.curl])
 
     def columns(self, idx) -> np.ndarray:
-        """``matrix()[:, idx]`` for indices in [0, N_k), building the
-        harmonic block only when ``idx`` selects one of its columns."""
+        """``matrix()[:, idx]`` for indices in [0, N_k), building only the
+        blocks that ``idx`` selects from.
+
+        Under the default tolerance, gradient and curl columns whose
+        within-block indices are all below _PARTIAL_WINDOW come from the
+        partial spectrum of L0 or L2 when that Laplacian has at least
+        _PARTIAL_FLOOR rows. They then span the same space as the dense
+        columns, to rounding, wherever the selection keeps clusters of
+        equal frequencies whole; inside a cluster it cuts they are another
+        orthonormal choice within the cluster's span.
+        """
         idx = np.asarray(idx, dtype=np.intp).reshape(-1)
         nk = self.complex.num_simplices(self.order)
         if idx.size and not (idx.min() >= 0 and idx.max() < nk):
@@ -128,9 +192,37 @@ class HodgeBasis:
             width = getattr(self, "n_" + name)
             mine = (idx >= start) & (idx < start + width)
             if mine.any():
-                out[:, mine] = getattr(self, name)[:, idx[mine] - start]
+                local = idx[mine] - start
+                block = None
+                if name != "harmonic" and local.max() < _PARTIAL_WINDOW:
+                    block = getattr(self, "_low_" + name)
+                if block is None:
+                    block = getattr(self, name)
+                out[:, mine] = block[:, local]
             start += width
         return out
+
+    @cached_property
+    def _low_gradient(self) -> np.ndarray | None:
+        """The lowest gradient columns from the partial spectrum of b_k,
+        or None where the dense block serves."""
+        return self._low_columns(self.order, right=True)
+
+    @cached_property
+    def _low_curl(self) -> np.ndarray | None:
+        """The lowest curl columns from the partial spectrum of b_{k+1},
+        or None where the dense block serves."""
+        return self._low_columns(self.order + 1, right=False)
+
+    def _low_columns(self, k: int, right: bool) -> np.ndarray | None:
+        c = self.complex
+        if not (self.exact and c.num_simplices(0 if k == 1 else 2)
+                >= _PARTIAL_FLOOR):
+            return None
+        low = _low_spectrum(c, k, _PARTIAL_WINDOW)
+        if low is None:
+            return None
+        return fix_column_signs(low[2] if right else low[1], self.tolerance)
 
     def frequencies(self) -> np.ndarray:
         """Frequencies aligned with :meth:`matrix` columns."""
@@ -171,38 +263,29 @@ class HodgeComponents(NamedTuple):
     upper_potential: Cochain | None
 
 
-def _svd_rank(c: SimplicialComplex, k: int, thr: float):
-    """Cached thin SVD of b_k and its number of singular values above thr."""
+def _svd_rank(c: SimplicialComplex, k: int, tol: float | None):
+    """Cached thin SVD of b_k and its rank: exact by default, else the
+    number of singular values above sqrt(tol)."""
     u, s, vt = _incidence_svd(c, k)
-    return u, s, vt, int(np.count_nonzero(s > thr))
+    return u, s, vt, _rank(c, k, tol)
 
 
 def hodge_basis(c: SimplicialComplex, k: int,
                 tol: float | None = None) -> HodgeBasis:
-    """Typed spectral basis of order k from the cached incidence SVDs.
+    """Typed spectral basis of order k.
 
     Gradient columns are right singular vectors of b_k, curl columns left
-    singular vectors of b_{k+1}, both in ascending frequency order.
+    singular vectors of b_{k+1}, both in ascending frequency order. Only
+    the block widths are computed here; see :class:`HodgeBasis`.
     """
-    nk = c.num_simplices(k)
-    tau = _zero_tolerance(c, tol)
-    grad, freq_grad = np.zeros((nk, 0)), np.zeros(0)
-    curl, freq_curl = np.zeros((nk, 0)), np.zeros(0)
-    if k >= 1:
-        _, s, vt, r = _svd_rank(c, k, tau**0.5)
-        grad, freq_grad = vt[:r][::-1].T, s[:r][::-1] ** 2
-    if k <= 1:
-        u, s, _, r = _svd_rank(c, k + 1, tau**0.5)
-        curl, freq_curl = u[:, :r][:, ::-1], s[:r][::-1] ** 2
-
+    c.num_simplices(k)  # validates k
     return HodgeBasis(
         complex=c,
         order=k,
-        gradient=fix_column_signs(grad, tau),
-        curl=fix_column_signs(curl, tau),
-        gradient_frequencies=freq_grad,
-        curl_frequencies=freq_curl,
-        tolerance=tau,
+        n_gradient=_rank(c, k, tol) if k >= 1 else 0,
+        n_curl=_rank(c, k + 1, tol) if k <= 1 else 0,
+        tolerance=_zero_tolerance(c, tol),
+        exact=tol is None,
     )
 
 
@@ -266,14 +349,13 @@ def hodge_decompose(c: SimplicialComplex, x: Cochain,
         else:
             grad_vals, lower = _potential(c, 2).cochain_part(values)
     else:
-        thr = _zero_tolerance(c, tol) ** 0.5
         if k >= 1:
-            u, s, vt, r = _svd_rank(c, k, thr)
+            u, s, vt, r = _svd_rank(c, k, tol)
             coef = vt[:r] @ values
             grad_vals = vt[:r].T @ coef
             lower = u[:, :r] @ (coef / s[:r])
         if k <= 1:
-            u, s, vt, r = _svd_rank(c, k + 1, thr)
+            u, s, vt, r = _svd_rank(c, k + 1, tol)
             coef = u[:, :r].T @ values
             curl_vals = u[:, :r] @ coef
             upper = vt[:r].T @ (coef / s[:r])
@@ -338,12 +420,12 @@ class DiracBasis:
         ])
 
 
-def _dirac_pairs(c: SimplicialComplex, k: int, thr: float, dim: int,
+def _dirac_pairs(c: SimplicialComplex, k: int, tol: float | None, dim: int,
                  offset: int):
     """Signed eigenpairs of the Dirac operator from the SVD of b_k:
     (u; +/-v)/sqrt(2) with rows from ``offset``, +sigma then -sigma,
     sigma ascending."""
-    u, s, vt, r = _svd_rank(c, k, thr)
+    u, s, vt, r = _svd_rank(c, k, tol)
     half_u = u[:, :r][:, ::-1] / np.sqrt(2.0)
     half_v = vt[:r][::-1].T / np.sqrt(2.0)
     mid = offset + u.shape[0]
@@ -360,8 +442,8 @@ def dirac_basis(c: SimplicialComplex, tol: float | None = None) -> DiracBasis:
     n0, n1 = c.n0, c.n1
     dim = n0 + n1 + c.n2
     tau = _zero_tolerance(c, tol)
-    grad, lam_g = _dirac_pairs(c, 1, tau**0.5, dim, 0)
-    curl_, lam_c = _dirac_pairs(c, 2, tau**0.5, dim, n0)
+    grad, lam_g = _dirac_pairs(c, 1, tol, dim, 0)
+    curl_, lam_c = _dirac_pairs(c, 2, tol, dim, n0)
 
     blocks = []
     for k, off in zip((0, 1, 2), (0, n0, n0 + n1)):

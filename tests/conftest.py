@@ -124,3 +124,32 @@ def union_find_components(num_vertices: int, edges) -> int:
         if ru != rv:
             parent[ru] = rv
     return len({find(v) for v in range(num_vertices)})
+
+
+def triangulated_grid(m: int, holes=(), centers: bool = False
+                      ) -> SimplicialComplex:
+    """An m x m grid of vertices. Each unit square, named by its corner
+    (i, j) with the smallest index, is filled with two triangles along its
+    diagonal, or with ``centers`` with four triangles around a vertex of
+    its own; the squares in ``holes`` keep their edges but no triangle, so
+    each leaves one hole (two along a diagonal)."""
+    holes = set(holes)
+    edges = [(i * m + j, i * m + j + 1) for i in range(m)
+             for j in range(m - 1)]
+    edges += [(i * m + j, i * m + m + j) for i in range(m - 1)
+              for j in range(m)]
+    triangles = []
+    n = m * m
+    for i in range(m - 1):
+        for j in range(m - 1):
+            a, b = i * m + j, i * m + j + 1
+            c, d = a + m, b + m
+            if not centers:
+                edges.append((a, d))
+                if (i, j) not in holes:
+                    triangles += [(a, b, d), (a, c, d)]
+            elif (i, j) not in holes:
+                edges += [(v, n) for v in (a, b, c, d)]
+                triangles += [(a, b, n), (b, d, n), (c, d, n), (a, c, n)]
+                n += 1
+    return build_complex(n, edges, triangles)

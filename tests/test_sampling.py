@@ -1,6 +1,8 @@
 """Bandlimited sampling: recoverability, reconstruction, greedy selection,
 and frequency selectors."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hodgesp import (
     select_samples,
     tft,
 )
+from hodgesp.sampling import _near_best
 
 from conftest import HOLE_CYCLE_EDGES, random_complex
 
@@ -184,6 +187,12 @@ def test_selector_parsing(complex7):
         parse_frequency_selector(basis, "grad:0..9")
     with pytest.raises(ValueError):
         parse_frequency_selector(basis, "nonsense")
+    # malformed parts are rejected by name
+    for bad in ("curl:1..", "grad:", "grad:a..2", "idx:x", "idx:", "grad:2..1",
+                "harm+curl:0..x"):
+        part = bad.split("+")[-1]
+        with pytest.raises(ValueError, match=re.escape(repr(part))):
+            parse_frequency_selector(basis, bad)
 
 
 def reference_select(basis, freq_set, m) -> tuple[int, ...]:
@@ -244,3 +253,30 @@ def test_select_matches_one_svd_per_candidate_random(seed, data):
     f = data.draw(st.lists(st.integers(0, nk - 1), min_size=1, unique=True))
     m = data.draw(st.integers(1, nk))
     assert_selection_matches_reference(c, k, sorted(f), m)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), nf=st.integers(1, 6),
+       picked=st.integers(0, 8), diagonal=st.booleans())
+def test_near_best_is_the_eigvalsh_near_set(seed, nf, picked, diagonal):
+    """The secular-equation scores against one eigvalsh per candidate, with
+    repeated eigenvalues and exact zero weights when the Gram matrix is
+    diagonal."""
+    rng = np.random.default_rng(seed)
+    if diagonal:
+        gram = np.diag(np.sort(rng.choice([0.0, 0.5, 1.0, 2.0], size=nf)))
+    else:
+        a = rng.standard_normal((picked, nf))
+        gram = a.T @ a
+    rows = rng.standard_normal((12, nf)) * (rng.random((12, nf)) < 0.6)
+    rows[rng.integers(12)] = rows[rng.integers(12)]  # an exact tie
+    p = max(nf - picked - 1, 0)
+    lam = np.array([np.linalg.eigvalsh(gram + np.outer(u, u))[p]
+                    for u in rows])
+    near = _near_best(gram, rows, p)
+    top = lam.max()
+    # eigvalsh itself is accurate to rounding of the matrix norm
+    err = 1e-13 * (1.0 + np.abs(gram).sum() + (rows**2).sum(axis=1).max())
+    assert np.all(lam[near] >= top - 1e-10 * max(1.0, top) - err)
+    clear = lam >= top - 1e-10 * max(1.0, top) + err
+    assert set(np.flatnonzero(clear)) <= set(near.tolist())

@@ -1,0 +1,189 @@
+"""Size sweep of the hodgesp layers, and the Tier-1 test wall time.
+
+Usage (from the repository root):
+
+    python3 tools/scale.py            # writes BENCH_scale.json
+    python3 tools/scale.py -o out.json
+
+It takes about 3 minutes, and the dense layers at m = 40 (dirac_basis,
+build_dictionary) need about 1.6 GB.
+
+Each layer is timed cold, on a fresh copy of the complex with nothing
+cached, in one process with the BLAS thread count pinned to 1; sizes up to
+m = 20 keep the best of three runs, larger ones run once. The complexes are
+the 7-vertex reference complex and ``perfbench.inputs.hole_grid(m, m // 7)``
+with seed 1 (an m x m triangulated grid with 2 (m // 7)^2 holes). A second
+pass on fresh copies records each layer's tracemalloc peak, which counts
+numpy and Python allocations but not those inside LAPACK or SuperLU.
+
+Layers (order-1 bases; the band is ``grad:0..9+curl:0..9``, clipped to the
+block widths):
+
+    betti, hodge_decompose     the exact sparse topology core
+    hodge_basis                the lazy basis: widths and zero tolerance
+    dense_blocks               its gradient and curl blocks (Gram eigh)
+    harmonic                   its harmonic block, blocks already built
+    dirac_basis                with the incidence SVDs already cached
+    band_columns               basis.columns of the band
+    select_samples             |F| + 10 picks, band columns cached
+    reconstruct_bandlimited    from those picks, band columns cached
+    slepians                   on every 7th edge, band columns cached
+    build_dictionary           two polynomial filters
+
+Tier-1 runs ``python -m pytest -q`` from the repository root in a
+subprocess; its wall time, summary line and five slowest tests are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+import hodgesp as hs  # noqa: E402
+import inputs as gen  # noqa: E402
+from hodgesp.complexes import _incidence_svd  # noqa: E402
+
+EDGES7 = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
+          (1, 2), (1, 3), (2, 6), (4, 5)]
+TRIS7 = [(0, 1, 2), (0, 1, 3), (0, 4, 5)]
+SPECS = (hs.HodgeFilterSpec(h_down=(1.0, 0.2), h_up=(0.0, 0.2)),
+         hs.HodgeFilterSpec(h_down=(0.0, 1.0), h_up=(0.0, 0.0, 0.1)))
+
+
+def complex_arrays(size: str):
+    if size == "complex7":
+        return 7, EDGES7, TRIS7
+    m = int(size)
+    cx = gen.hole_grid(m, m // 7, np.random.default_rng(1))
+    return cx.n0, cx.edges, cx.triangles
+
+
+def band(basis) -> str:
+    return (f"grad:0..{min(9, basis.n_gradient - 1)}"
+            f"+curl:0..{min(9, basis.n_curl - 1)}")
+
+
+def prepare(c, layer: str):
+    """Everything ``layer`` needs on the fresh complex ``c`` but does not
+    time; returns the call to time."""
+    if layer == "betti":
+        return lambda: hs.betti(c)
+    if layer == "hodge_decompose":
+        x = c.cochain(1, np.random.default_rng(0).standard_normal(c.n1))
+        return lambda: hs.hodge_decompose(c, x)
+    if layer == "hodge_basis":
+        return lambda: hs.hodge_basis(c, 1)
+    if layer == "build_dictionary":
+        return lambda: hs.build_dictionary(c, 1, SPECS)
+    if layer == "dirac_basis":
+        _incidence_svd(c, 1), _incidence_svd(c, 2)
+        return lambda: hs.dirac_basis(c)
+    basis = hs.hodge_basis(c, 1)
+    if layer == "dense_blocks":
+        return lambda: (basis.gradient, basis.curl)
+    if layer == "harmonic":
+        basis.gradient, basis.curl
+        return lambda: basis.harmonic
+    freq = hs.parse_frequency_selector(basis, band(basis))
+    if layer == "band_columns":
+        return lambda: basis.columns(freq)
+    basis.columns(freq)
+    count = min(c.n1, len(freq) + 10)
+    if layer == "select_samples":
+        return lambda: hs.select_samples(c, 1, freq, count, basis=basis)
+    if layer == "reconstruct_bandlimited":
+        picks = hs.select_samples(c, 1, freq, count, basis=basis)
+        x = basis.columns(freq) @ np.linspace(1.0, 2.0, len(freq))
+        return lambda: hs.reconstruct_bandlimited(
+            c, 1, freq, picks, x[list(picks)], basis=basis)
+    if layer == "slepians":
+        return lambda: hs.slepians(c, range(0, c.n1, 7), freq, basis=basis)
+    raise ValueError(f"unknown layer {layer!r}")
+
+
+SIZES = ("complex7", "10", "20", "30", "40")
+LAYERS = ("betti", "hodge_decompose", "hodge_basis", "dense_blocks",
+          "harmonic", "dirac_basis", "band_columns", "select_samples",
+          "reconstruct_bandlimited", "slepians", "build_dictionary")
+
+
+def sweep(size: str) -> dict:
+    n0, edges, triangles = complex_arrays(size)
+    c = hs.build_complex(n0, edges, triangles)
+    repeats = 3 if c.n1 < 1500 else 1
+    cold, peak = {}, {}
+    for layer in LAYERS:
+        best = np.inf
+        for _ in range(repeats):
+            call = prepare(hs.build_complex(n0, edges, triangles), layer)
+            start = time.perf_counter()
+            call()
+            best = min(best, time.perf_counter() - start)
+        call = prepare(hs.build_complex(n0, edges, triangles), layer)
+        tracemalloc.start()
+        call()
+        peak[layer] = round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
+        tracemalloc.stop()
+        cold[layer] = round(best, 5)
+        print(f"{size:>8} {layer:>24} {best:9.4f} s {peak[layer]:9.3f} MB",
+              file=sys.stderr)
+    return {"n": [c.n0, c.n1, c.n2], "betti": list(hs.betti(c)),
+            "band": band(hs.hodge_basis(c, 1)), "repeats": repeats,
+            "cold_s": cold, "peak_mb": peak}
+
+
+def tier1() -> dict:
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                          "-p", "no:cacheprovider", "--durations=5"],
+                         cwd=ROOT, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = run.stdout.splitlines()
+    slowest = [{"seconds": float(m.group(1)), "test": m.group(2)}
+               for m in (re.match(r"\s*([\d.]+)s \w+\s+(\S+)", line)
+                         for line in lines) if m]
+    summary = next((line.strip("= ") for line in reversed(lines)
+                    if " in " in line and ("passed" in line
+                                           or "failed" in line)), "")
+    return {"wall_s": round(wall, 2), "exit_code": run.returncode,
+            "summary": summary, "slowest": slowest[:5]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("-o", "--output", default=str(ROOT /
+                                                      "BENCH_scale.json"))
+    args = parser.parse_args(argv)
+    result = {
+        "environment": {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine(),
+            "cpus_usable": len(os.sched_getaffinity(0)),
+            "blas_threads": 1,
+        },
+        "sizes": {size: sweep(size) for size in SIZES},
+        "tier1": tier1(),
+    }
+    Path(args.output).write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
