@@ -26,25 +26,24 @@ def check_tolerance(tol: float | None) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def fix_column_signs(u: np.ndarray, tol: float) -> np.ndarray:
-    """Flip column signs so the first entry of magnitude > tol is positive."""
-    u = np.asarray(u)
-    if u.size == 0:
-        return u.copy()
+def column_signs(u: np.ndarray, tol: float) -> np.ndarray:
+    """-1.0 for each column of ``u`` whose first entry of magnitude > tol
+    is negative, else 1.0: the factors that fix the column signs."""
+    if not u.size:
+        return np.ones(u.shape[1])
     big = u > tol  # |u| > tol, without a float temporary
     big |= u < -tol
     cols = np.arange(u.shape[1])
     first = big.argmax(axis=0)  # row 0 where a column has no such entry
     flip = big[first, cols] & (u[first, cols] < 0)
+    return np.where(flip, -1.0, 1.0)
+
+
+def fix_column_signs(u: np.ndarray, tol: float) -> np.ndarray:
+    """Flip column signs so the first entry of magnitude > tol is positive."""
+    u = np.asarray(u)
     # Multiplying by -1.0 or 1.0 negates or copies each entry exactly.
-    return u * np.where(flip, -1.0, 1.0)
-
-
-def orthonormal_complement(block: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of the span of the orthonormal
-    columns of ``block``: the trailing columns of its complete QR."""
-    q, _ = np.linalg.qr(block, mode="complete")
-    return q[:, block.shape[1]:]
+    return u * column_signs(u, tol)
 
 
 def gram_schmidt(q: np.ndarray, col: np.ndarray

@@ -347,8 +347,8 @@ def incidence(c: SimplicialComplex, k: int, dense: bool = False):
     return b.toarray().astype(float) if dense else b
 
 
-# Per-complex derived objects (Laplacians, incidence SVDs, lambda_max),
-# keyed by the immutable complex. No value refers back to its complex, so an
+# Per-complex derived objects (Laplacians, incidence SVDs, lambda_max, the
+# sparse solvers, harmonic blocks), keyed by the immutable complex. No value refers back to its complex, so an
 # entry goes away with it.
 _cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
     weakref.WeakKeyDictionary()

@@ -36,14 +36,19 @@ What comes from where:
 * The default Hodge decomposition uses no SVD: it solves L0 p = b1 x and
   L2 q = b2^T x with the exact sparse topology core (sparse LU factors,
   minimum-norm potentials).
+* The harmonic block is what the Hodge decomposition (under the same
+  tolerance) leaves of a fixed-seed Gaussian n_k x beta_k block, made
+  orthonormal by a thin QR and the sign fix; where beta_k >= 2 it is one
+  orthonormal basis of ker(L_k) among many. It is built once per complex,
+  order and tolerance, on the first access to ``HodgeBasis.harmonic`` (or
+  :meth:`HodgeBasis.matrix`, or :meth:`HodgeBasis.columns` asking for a
+  harmonic column), and cached with the complex; :func:`dirac_basis`
+  reads the same blocks. Frequency tables, selectors and gradient/curl
+  band consumers never build it.
 
 Gradient and curl columns are singular vectors rather than eigenvectors of
 L_k: that keeps every column exactly inside its subspace even when a
-gradient and a curl eigenvalue coincide. The harmonic block is their
-orthonormal complement, from one complete QR that runs on the first access
-to ``HodgeBasis.harmonic`` (or :meth:`HodgeBasis.matrix`, or
-:meth:`HodgeBasis.columns` asking for a harmonic column); frequency tables,
-selectors and gradient/curl band consumers never build it. Frequencies are
+gradient and a curl eigenvalue coincide. Frequencies are
 the squared singular values — the squared l2-norm of the divergence for
 gradient columns and of the total curl for curl columns. Harmonic columns
 all sit at frequency zero; low/high comparisons are only meaningful within
@@ -57,11 +62,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import fix_column_signs, orthonormal_complement
+from ._linalg import column_signs, fix_column_signs
 from .complexes import (
     Cochain,
     ComplexSignal,
     SimplicialComplex,
+    _cached,
     _incidence_svd,
     _low_spectrum,
     _potential,
@@ -153,12 +159,12 @@ class HodgeBasis:
 
     @cached_property
     def harmonic(self) -> np.ndarray:
-        """Orthonormal complement of the gradient and curl columns."""
-        nk = self.complex.num_simplices(self.order)
-        if self.n_gradient + self.n_curl == nk:
-            return np.zeros((nk, 0))
-        harm = orthonormal_complement(np.hstack([self.gradient, self.curl]))
-        return fix_column_signs(harm, self.tolerance)
+        """Orthonormal basis of ker(L_k), cached with the complex per order
+        and tolerance and read-only; see :func:`_harmonic_block`."""
+        c, k = self.complex, self.order
+        tol = None if self.exact else self.tolerance
+        return _cached(c, ("harmonic", k, tol), _harmonic_block, c, k,
+                       self.n_harmonic, tol)
 
     @property
     def n_harmonic(self) -> int:
@@ -318,6 +324,54 @@ def itft(basis: HodgeBasis, coeffs: TftCoefficients) -> Cochain:
     return Cochain(basis.complex, basis.order, values)
 
 
+def _split(c: SimplicialComplex, k: int, values: np.ndarray,
+           tol: float | None):
+    """The gradient and curl parts of an order-k cochain, given as an
+    (n_k,) vector or an (n_k, B) block, and their lower and upper
+    potentials (None where order k has none); see :func:`hodge_decompose`.
+    """
+    grad = curl = np.zeros_like(values)
+    lower = upper = None
+    if tol is None:
+        if k == 0:
+            curl, upper = _potential(c, 0).cochain_part(values)
+        elif k == 1:
+            grad, lower = _potential(c, 0).flow_part(values)
+            curl, upper = _potential(c, 2).flow_part(values)
+        else:
+            grad, lower = _potential(c, 2).cochain_part(values)
+    else:
+        if k >= 1:
+            u, s, vt, r = _svd_rank(c, k, tol)
+            coef = vt[:r] @ values
+            grad = vt[:r].T @ coef
+            lower = u[:, :r] @ (coef.T / s[:r]).T
+        if k <= 1:
+            u, s, vt, r = _svd_rank(c, k + 1, tol)
+            coef = u[:, :r].T @ values
+            curl = u[:, :r] @ coef
+            upper = vt[:r].T @ (coef.T / s[:r]).T
+    return grad, curl, lower, upper
+
+
+def _harmonic_block(c: SimplicialComplex, k: int, width: int,
+                    tol: float | None) -> np.ndarray:
+    """The order-k harmonic block, ``width`` columns: a fixed-seed Gaussian
+    block with its gradient and curl parts removed twice by :func:`_split`
+    (the second pass removes what rounding left), a thin QR of the rest,
+    and the sign fix."""
+    nk = c.num_simplices(k)
+    if width == 0:
+        return np.zeros((nk, 0))
+    block = np.random.default_rng(0).standard_normal((nk, width))
+    for _ in range(2):
+        grad, curl, _, _ = _split(c, k, block, tol)
+        block = block - grad - curl
+    harm = fix_column_signs(np.linalg.qr(block)[0], _zero_tolerance(c, tol))
+    harm.flags.writeable = False
+    return harm
+
+
 def hodge_decompose(c: SimplicialComplex, x: Cochain,
                     tol: float | None = None) -> HodgeComponents:
     """Split x into gradient + curl + harmonic parts with minimum-norm
@@ -336,34 +390,11 @@ def hodge_decompose(c: SimplicialComplex, x: Cochain,
     if x.complex is not c:
         raise ValueError("cochain is bound to a different complex")
     k = x.order
-    values = x.values
-    grad_vals = curl_vals = np.zeros_like(values)
-    lower = upper = None
-
-    if tol is None:
-        if k == 0:
-            curl_vals, upper = _potential(c, 0).cochain_part(values)
-        elif k == 1:
-            grad_vals, lower = _potential(c, 0).flow_part(values)
-            curl_vals, upper = _potential(c, 2).flow_part(values)
-        else:
-            grad_vals, lower = _potential(c, 2).cochain_part(values)
-    else:
-        if k >= 1:
-            u, s, vt, r = _svd_rank(c, k, tol)
-            coef = vt[:r] @ values
-            grad_vals = vt[:r].T @ coef
-            lower = u[:, :r] @ (coef / s[:r])
-        if k <= 1:
-            u, s, vt, r = _svd_rank(c, k + 1, tol)
-            coef = u[:, :r].T @ values
-            curl_vals = u[:, :r] @ coef
-            upper = vt[:r].T @ (coef / s[:r])
-
+    grad_vals, curl_vals, lower, upper = _split(c, k, x.values, tol)
     return HodgeComponents(
         gradient=Cochain(c, k, grad_vals),
         curl=Cochain(c, k, curl_vals),
-        harmonic=Cochain(c, k, values - grad_vals - curl_vals),
+        harmonic=Cochain(c, k, x.values - grad_vals - curl_vals),
         lower_potential=None if lower is None else Cochain(c, k - 1, lower),
         upper_potential=None if upper is None else Cochain(c, k + 1, upper),
     )
@@ -438,27 +469,31 @@ def _dirac_pairs(c: SimplicialComplex, k: int, tol: float | None, dim: int,
 
 
 def dirac_basis(c: SimplicialComplex, tol: float | None = None) -> DiracBasis:
-    """Joint spectral basis of the Dirac operator."""
-    n0, n1 = c.n0, c.n1
-    dim = n0 + n1 + c.n2
+    """Joint spectral basis of the Dirac operator.
+
+    The harmonic block places the cached blocks ``hodge_basis(c, k,
+    tol).harmonic`` of k = 0, 1, 2 on the diagonal; their signs are
+    already fixed. The pair blocks are sign-fixed in place."""
+    dim = c.n0 + c.n1 + c.n2
     tau = _zero_tolerance(c, tol)
     grad, lam_g = _dirac_pairs(c, 1, tol, dim, 0)
-    curl_, lam_c = _dirac_pairs(c, 2, tol, dim, n0)
+    grad *= column_signs(grad, tau)
+    curl_, lam_c = _dirac_pairs(c, 2, tol, dim, c.n0)
+    curl_ *= column_signs(curl_, tau)
 
-    blocks = []
-    for k, off in zip((0, 1, 2), (0, n0, n0 + n1)):
-        hk = hodge_basis(c, k, tol).harmonic
-        block = np.zeros((dim, hk.shape[1]))
-        block[off : off + c.num_simplices(k), :] = hk
-        blocks.append(block)
-    harm = np.hstack(blocks)
+    blocks = [hodge_basis(c, k, tol).harmonic for k in (0, 1, 2)]
+    harm = np.zeros((dim, sum(h.shape[1] for h in blocks)))
+    row = col = 0
+    for h in blocks:
+        harm[row : row + h.shape[0], col : col + h.shape[1]] = h
+        row, col = row + h.shape[0], col + h.shape[1]
 
     return DiracBasis(
         complex=c,
-        harmonic=fix_column_signs(harm, tau),
-        gradient=fix_column_signs(grad, tau),
+        harmonic=harm,
+        gradient=grad,
         gradient_eigenvalues=lam_g,
-        curl=fix_column_signs(curl_, tau),
+        curl=curl_,
         curl_eigenvalues=lam_c,
         tolerance=tau,
     )

@@ -1,6 +1,7 @@
 """Incidence SVDs from the Gram eigenproblems of the cached Laplacians, the
 zero floor that keeps rounding noise out of every rank, the harmonic block
-built on demand, and vectorised sign fixing."""
+built on demand from the Hodge split and shared with the Dirac basis, and
+vectorised sign fixing."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from hodgesp import (
     dirac_basis,
     frequency_table,
     hodge_basis,
+    hodge_laplacian,
+    incidence,
     parse_frequency_selector,
     reconstruct_bandlimited,
     select_samples,
@@ -23,7 +26,11 @@ from hodgesp import (
 from hodgesp._linalg import fix_column_signs
 from hodgesp.cli import run_cli
 
-from conftest import complexes_with_cells, tetrahedron_boundaries
+from conftest import (
+    complexes_with_cells,
+    tetrahedron_boundaries,
+    triangulated_grid,
+)
 
 
 def path_graph(n):
@@ -176,6 +183,90 @@ def test_harmonic_block_built_once(complex7, tetra_surface):
         first = basis.harmonic
         assert basis.harmonic is first
         assert first.shape == (c.num_simplices(k), basis.n_harmonic)
+
+
+def complete_qr_harmonic(basis):
+    """The complement of the gradient and curl columns as the trailing
+    columns of their complete QR: the reference for the harmonic span."""
+    block = np.hstack([basis.gradient, basis.curl])
+    return np.linalg.qr(block, mode="complete")[0][:, block.shape[1]:]
+
+
+def dense_rank(k, c):
+    """rank(b_k) of the dense incidence matrix; 0 where b_k is undefined
+    or empty."""
+    b = incidence(c, k, dense=True) if k in (1, 2) else np.zeros((0, 0))
+    return int(np.linalg.matrix_rank(b)) if b.size else 0
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(c=complexes_with_cells(), tol=st.sampled_from([None, 1e-8, 0.5]))
+def test_harmonic_block_properties(c, tol):
+    for k in (0, 1, 2):
+        basis = hodge_basis(c, k, tol)
+        q, width = basis.harmonic, basis.n_harmonic
+        assert q.shape == (c.num_simplices(k), width)
+        assert np.allclose(q.T @ q, np.eye(width), rtol=0, atol=1e-12)
+        for block in (basis.gradient, basis.curl):
+            assert np.allclose(block.T @ q, 0.0, rtol=0, atol=1e-10)
+        if tol is None:
+            assert width == (c.num_simplices(k) - dense_rank(k, c)
+                             - dense_rank(k + 1, c))
+            lap = hodge_laplacian(c, k, sparse=True)
+            assert np.allclose(lap @ q, 0.0, rtol=0, atol=1e-10)
+        if width:
+            overlap = complete_qr_harmonic(basis).T @ q
+            assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0,
+                               rtol=0, atol=1e-9)
+
+
+def holes_and_surfaces():
+    """A triangulated 5 x 5 grid with two unfilled squares (two holes each,
+    split by their diagonals) beside two tetrahedron boundaries, built
+    afresh: Betti numbers (3, 4, 2), so every harmonic
+    block has more than one column and is not unique up to signs."""
+    grid, tets = triangulated_grid(5, holes=[(1, 1), (3, 3)]), \
+        tetrahedron_boundaries(2)
+    n = grid.n0
+    return build_complex(
+        n + tets.n0,
+        list(grid.edges) + [(u + n, v + n) for u, v in tets.edges],
+        list(grid.triangles) + [tuple(v + n for v in t)
+                                for t in tets.triangles])
+
+
+@pytest.mark.parametrize("tol", [None, 1e-8])
+def test_harmonic_and_dirac_bases_bit_identical_across_copies(tol):
+    a, b = holes_and_surfaces(), holes_and_surfaces()
+    assert betti(a) == (3, 4, 2)
+    for k in (0, 1, 2):
+        assert (hodge_basis(a, k, tol).harmonic.tobytes()
+                == hodge_basis(b, k, tol).harmonic.tobytes())
+    assert (dirac_basis(a, tol).matrix().tobytes()
+            == dirac_basis(b, tol).matrix().tobytes())
+
+
+@pytest.mark.parametrize("tol", [None, 1e-8])
+def test_dirac_basis_reuses_the_harmonic_blocks(tol, monkeypatch):
+    real_qr = np.linalg.qr
+
+    def thin_qr_only(a, mode="reduced"):
+        if mode == "complete":
+            raise AssertionError("complete QR")
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", thin_qr_only)
+    c = holes_and_surfaces()  # nothing cached
+    harm = dirac_basis(c, tol).harmonic
+    row = col = nonzero = 0
+    for k in (0, 1, 2):
+        hk = hodge_basis(c, k, tol).harmonic
+        block = harm[row : row + hk.shape[0], col : col + hk.shape[1]]
+        assert block.tobytes() == hk.tobytes()
+        row, col = row + hk.shape[0], col + hk.shape[1]
+        nonzero += np.count_nonzero(hk)
+    assert harm.shape == (row, col)
+    assert np.count_nonzero(harm) == nonzero  # zero off the blocks
 
 
 def loop_fix_column_signs(u, tol):

@@ -22,7 +22,7 @@ block widths):
     betti, hodge_decompose     the exact sparse topology core
     hodge_basis                the lazy basis: widths and zero tolerance
     dense_blocks               its gradient and curl blocks (Gram eigh)
-    harmonic                   its harmonic block, blocks already built
+    harmonic                   its harmonic block, from the sparse core
     dirac_basis                with the incidence SVDs already cached
     band_columns               basis.columns of the band
     select_samples             |F| + 10 picks, band columns cached
@@ -99,7 +99,6 @@ def prepare(c, layer: str):
     if layer == "dense_blocks":
         return lambda: (basis.gradient, basis.curl)
     if layer == "harmonic":
-        basis.gradient, basis.curl
         return lambda: basis.harmonic
     freq = hs.parse_frequency_selector(basis, band(basis))
     if layer == "band_columns":
