@@ -136,7 +136,7 @@ def _cmd_dictionary(args) -> None:
     c = hio.load_complex(args.complex)
     specs = hio.load_filter_spec_list(args.specs)
     d = build_dictionary(c, args.order, specs)
-    hio.save_matrix(args.output, d.atoms)
+    hio.save_matrix(args.output, d.csc)
 
 
 def _cmd_sample(args) -> None:

@@ -47,22 +47,31 @@ class HodgeDictionary:
     """Concatenation of the matrices of P convolutional filters; atom j of
     sub-dictionary i is column j of the i-th filter matrix.
 
-    ``atoms`` is read-only. The first :func:`sparse_code` call caches a
-    sparse copy of ``atoms.T`` and the atom norms on the dictionary; the
-    atoms are localized, so the sparse copy holds few entries. Build
-    dictionaries with :func:`build_dictionary`: a dictionary constructed
-    around an array that is later changed would code against stale atoms.
+    ``csc`` holds the N_k x (P*N_k) atoms column by column, as a CSC
+    array with sorted indices and no stored zeros. It is the dictionary's
+    only stored data, and its arrays are read-only; the atoms are
+    localized, so it holds few entries. ``atoms`` is a read-only dense
+    copy, built on first access; :func:`sparse_code` and the
+    ``dictionary`` subcommand never build it. Build dictionaries with
+    :func:`build_dictionary`.
     """
 
     order: int
     specs: tuple[HodgeFilterSpec, ...]
-    atoms: np.ndarray
+    csc: sparse.csc_array
+
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """The atoms as a read-only dense array."""
+        atoms = self.csc.toarray()
+        atoms.flags.writeable = False
+        return atoms
 
     @cached_property
     def _correlator(self) -> tuple[sparse.csr_array, np.ndarray]:
-        """``atoms.T`` as a CSR array and the atom norms; the atoms are
-        read-only, so neither can go stale."""
-        return sparse.csr_array(self.atoms.T), _atom_norms(self.atoms)
+        """The transpose of ``csc`` (a view, not a copy) and the atom
+        norms; the atoms are read-only, so neither can go stale."""
+        return self.csc.T, _atom_norms(self.csc)
 
 
 def slepians(c: SimplicialComplex, edge_set: Sequence[int],
@@ -113,8 +122,11 @@ def build_dictionary(c: SimplicialComplex, k: int,
     """Assemble the N_k x (P*N_k) atom matrix of P polynomial filters.
 
     Atoms are localized: with maximum polynomial order T the atom of
-    simplex j is supported within T lower/upper hops of j. Harmonic terms
-    are not part of the dictionary parameterization and are rejected.
+    simplex j is supported within T lower/upper hops of j. Each filter is
+    applied by the Krylov kernel to a sparse identity, so the atoms are
+    built as one sparse array and no dense N_k x N_k array is formed;
+    entries that cancel to zero are not stored. Harmonic terms are not part
+    of the dictionary parameterization and are rejected.
     """
     specs = tuple(specs)
     if not specs:
@@ -122,19 +134,40 @@ def build_dictionary(c: SimplicialComplex, k: int,
     if any(s.harmonic is not None for s in specs):
         raise ValueError("dictionary filters must be pure polynomials "
                          "(no harmonic term)")
-    identity = np.eye(c.num_simplices(k))
-    atoms = np.hstack([_filter_values(c, k, s, identity) for s in specs])
-    atoms.flags.writeable = False
-    return HodgeDictionary(order=k, specs=specs, atoms=atoms)
+    identity = sparse.eye_array(c.num_simplices(k), format="csr")
+    atoms = sparse.hstack([_filter_values(c, k, s, identity) for s in specs],
+                          format="csc")
+    atoms.eliminate_zeros()
+    for part in (atoms.data, atoms.indices, atoms.indptr):
+        part.flags.writeable = False
+    return HodgeDictionary(order=k, specs=specs, csc=atoms)
 
 
-def _atom_norms(atoms: np.ndarray) -> np.ndarray:
-    """Column norms of a dictionary, rejecting one with a nan or inf atom."""
-    norms = np.linalg.norm(atoms, axis=0)
+def _atom_norms(atoms) -> np.ndarray:
+    """Column norms of a dense or CSC dictionary, rejecting one with a nan
+    or inf atom. A CSC's squares are summed down each column in row order
+    from zero, as numpy sums a dense array's, so both give the same bits."""
+    if sparse.issparse(atoms):
+        width = atoms.shape[1]
+        norms = np.sqrt(np.bincount(
+            np.repeat(np.arange(width), np.diff(atoms.indptr)),
+            atoms.data**2, minlength=width))
+    else:
+        norms = np.linalg.norm(atoms, axis=0)
     if not np.all(np.isfinite(norms)):
         raise ValueError("dictionary atoms must be finite, and so must "
                          "their norms")
     return norms
+
+
+def _column(atoms, j: int) -> np.ndarray:
+    """Atom ``j`` of a dense or CSC dictionary as a dense vector."""
+    if not sparse.issparse(atoms):
+        return atoms[:, j]
+    entries = slice(atoms.indptr[j], atoms.indptr[j + 1])
+    col = np.zeros(atoms.shape[0])
+    col[atoms.indices[entries]] = atoms.data[entries]
+    return col
 
 
 def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
@@ -151,12 +184,13 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
     Each pick appends one column to a QR factorization of the selected
     atoms (Gram-Schmidt run twice) and removes its direction from the
     residual; the coefficients come from one triangular solve at the end.
-    A :class:`HodgeDictionary` correlates through the sparse copy of its
-    atoms cached on the first call; other dictionaries use their dense
-    atoms and compute the norms per call.
+    A :class:`HodgeDictionary` correlates through its CSC atoms, caching
+    their norms on the first call, and takes each picked atom from them;
+    other dictionaries use their dense atoms and compute the norms per
+    call.
     """
     if isinstance(dictionary, HodgeDictionary):
-        atoms = dictionary.atoms
+        atoms = dictionary.csc
     elif isinstance(dictionary, SlepianSet):
         atoms = dictionary.vectors
     else:
@@ -199,7 +233,7 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
         if scores[best] <= 1e-12 * res_norm:
             break  # residual orthogonal to every atom
         selected.append(best)
-        col, r[:k, k] = gram_schmidt(q[:, :k], atoms[:, best])
+        col, r[:k, k] = gram_schmidt(q[:, :k], _column(atoms, best))
         r[k, k] = np.linalg.norm(col)
         q[:, k] = col / r[k, k]
         # The residual is orthogonal to q[:, :k], so this is q[:, k] @ target.

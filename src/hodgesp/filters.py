@@ -7,9 +7,10 @@ up Laplacian, optionally extended with a harmonic projector term
 every polynomial is summed from t=0 and needs no separate start index.
 Every Laplacian and Dirac polynomial, and the harmonic term, is applied by
 the shared Krylov kernel (repeated sparse matrix-vector products on a
-vector or a block of signals), never by matrix powers. Because both
-polynomials contribute an identity term at t=0, the effective constant gain
-of the plain form is h_down[0] + h_up[0]; both coefficients are kept.
+vector or a block of signals, dense or sparse), never by matrix powers.
+Because both polynomials contribute an identity term at t=0, the effective
+constant gain of the plain form is h_down[0] + h_up[0]; both coefficients
+are kept.
 """
 
 from __future__ import annotations
@@ -99,12 +100,13 @@ class HodgeFilterSpec:
                 and not any(self.h_down) and not any(self.h_up))
 
 
-def _polynomial(op, coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+def _polynomial(op, coeffs: tuple[float, ...], x):
     """sum_t coeffs[t] * op^t x by the Krylov kernel; op=None is the zero
-    map, of which only op^0 = I survives."""
+    map, of which only op^0 = I survives. ``x`` is a dense array or a
+    sparse block; the sum starts from zero, so no dense entry is -0.0."""
     if op is None:
         coeffs = coeffs[:1]
-    y = np.zeros_like(x)
+    y = sp.csr_array(x.shape) if sp.issparse(x) else np.zeros_like(x)
     for h, z in zip(coeffs, krylov(lambda v: op @ v, x, len(coeffs) - 1)):
         if h:
             y += h * z
@@ -122,8 +124,9 @@ def apply_filter(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
 
 
 def _filter_values(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
-                   values: np.ndarray) -> np.ndarray:
-    """The filter applied to an (n_k,) vector or an (n_k, B) block."""
+                   values):
+    """The filter applied to an (n_k,) vector or an (n_k, B) block, dense
+    or sparse; a sparse block gives a sparse result."""
     lap_down = hodge_laplacian(c, k, "down", sparse=True) if k > 0 else None
     lap_up = hodge_laplacian(c, k, "up", sparse=True) if k < 2 else None
     y = _polynomial(lap_down, spec.h_down, values)

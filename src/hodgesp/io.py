@@ -21,6 +21,14 @@ CSV is read by one :func:`numpy.loadtxt` call per file: comma-separated,
 comment. Errors name the 1-based file line, blank lines counted. Writes end
 lines in ``\r\n``, as :mod:`csv` does, with floats at 17 significant
 digits, so save/load round-trips are value-exact.
+
+:func:`save_matrix` takes a dense array or a scipy sparse matrix and
+formats only the stored entries; every other field is the literal ``0``,
+which is what ``%.17g`` prints for +0.0. A dense entry is stored when it
+is nonzero or carries a sign bit, so -0.0 still prints ``-0``; a sparse
+matrix's stored entries are its explicit ones, duplicates summed. A sparse
+matrix and its dense twin, which holds the same values and -0.0 where the
+sparse one stores it, give the same bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .complexes import (
     Cochain,
@@ -238,9 +247,55 @@ def load_matrix(path) -> np.ndarray:
     return _read_csv(path)
 
 
-def save_matrix(path, mat: np.ndarray) -> None:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    _write_csv(path, None, ",".join([_FLOAT] * mat.shape[1]), *mat.T)
+def save_matrix(path, mat) -> None:
+    """Write a dense or scipy sparse matrix (a vector as one row) as
+    headerless CSV, formatting only the stored entries."""
+    if sparse.issparse(mat):
+        mat = sparse.csr_array(mat.reshape(1, -1) if mat.ndim == 1 else mat,
+                               dtype=float, copy=True)
+        mat.sum_duplicates()
+        entry_row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    else:
+        mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    rows, width = mat.shape
+    step = max(1, _WRITE_CHUNK // max(width, 1))
+    # The texts of a chunk of step rows with no field stored and with every
+    # field stored; cell f of a chunk starts at 2 f or 6 f in them, plus one
+    # for each earlier line end.
+    zeros = ("0," * (width - 1) + "0\r\n") * step
+    fields = ((_FLOAT + ",") * (width - 1) + _FLOAT + "\r\n") * step
+    with Path(path).open("w", newline="") as fh:
+        for lo in range(0, rows if width else 0, step):
+            hi = min(lo + step, rows)
+            if sparse.issparse(mat):
+                a, b = mat.indptr[lo], mat.indptr[hi]
+                stored = np.zeros((hi - lo) * width, bool)
+                stored[(entry_row[a:b] - lo) * width + mat.indices[a:b]] = True
+                values = mat.data[a:b]
+            else:
+                block = mat[lo:hi].ravel()
+                # Every bit pattern but +0.0's is stored, so -0.0 prints -0.
+                stored = block.view(np.uint64) != 0
+                values = block[stored]
+            template = _chunk_template(stored, width, zeros, fields)
+            fh.write(template % tuple(values.tolist()))
+
+
+def _chunk_template(stored: np.ndarray, width: int, zeros: str,
+                    fields: str) -> str:
+    """The ``%`` template of a chunk of matrix cells, row-major, whose
+    stored cells are flagged in ``stored``: each run of stored cells is cut
+    from ``fields`` and each gap between runs from ``zeros``."""
+    # Cells where a gap or a run begins; the gaps are the even intervals.
+    cut = np.concatenate(([0], np.flatnonzero(np.diff(
+        stored, prepend=False, append=False)), [stored.size]))
+    gap = 2 * cut + cut // width  # where those cells start in zeros
+    run = (gap + 4 * cut).tolist()  # and in fields
+    gap = gap.tolist()
+    pieces: list = [None] * (cut.size - 1)
+    pieces[::2] = [zeros[a:b] for a, b in zip(gap[::2], gap[1::2])]
+    pieces[1::2] = [fields[a:b] for a, b in zip(run[1:-1:2], run[2::2])]
+    return "".join(pieces)
 
 
 def _spec_to_json(spec: HodgeFilterSpec) -> dict:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from hodgesp import (
     HodgeFilterSpec,
@@ -14,8 +15,9 @@ from hodgesp import (
     sparse_code,
 )
 from hodgesp import dictionaries
+from hodgesp.filters import _filter_values
 
-from conftest import HOLE_CYCLE_EDGES, complexes_with_cells
+from conftest import HOLE_CYCLE_EDGES, complexes_with_cells, random_complex
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
@@ -287,7 +289,7 @@ def test_omp_degenerate_atoms():
             assert_same_residual_norm(atoms, x, got, want)
 
 
-def test_omp_builds_sparse_copy_once_without_lstsq(complex7, monkeypatch):
+def test_omp_builds_no_csr_and_calls_no_lstsq(complex7, monkeypatch):
     specs = [HodgeFilterSpec.identity(),
              HodgeFilterSpec(h_down=(0.0, 1.0), h_up=(0.0, 0.5))]
     built = []
@@ -300,15 +302,66 @@ def test_omp_builds_sparse_copy_once_without_lstsq(complex7, monkeypatch):
     def no_lstsq(*args, **kwargs):
         raise AssertionError("sparse_code must not call lstsq")
 
-    dicts = [build_dictionary(complex7, 1, specs) for _ in range(2)]
+    d = build_dictionary(complex7, 1, specs)
     monkeypatch.setattr(dictionaries.sparse, "csr_array", counting_csr)
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     rng = np.random.default_rng(6)
-    for n_built, d in enumerate(dicts, start=1):
-        for _ in range(5):
-            coef = sparse_code(d, rng.standard_normal(10), 4)
-            assert np.count_nonzero(coef) == 4
-        assert len(built) == n_built
+    for _ in range(5):
+        coef = sparse_code(d, rng.standard_normal(10), 4)
+        assert np.count_nonzero(coef) == 4
+    assert not built
+    # The correlator is the stored CSC's transpose, sharing its arrays.
+    correlator, _ = d._correlator
+    assert np.shares_memory(correlator.data, d.csc.data)
+    assert "atoms" not in vars(d)
+
+
+def test_dictionary_and_omp_build_no_dense_atoms(monkeypatch):
+    c = random_complex(np.random.default_rng(3), max_vertices=30)
+    specs = [HodgeFilterSpec(h_down=(1.0, 0.3), h_up=(0.0, -0.2, 0.1))]
+
+    def no_eye(*args, **kwargs):
+        raise AssertionError("no dense identity may be built")
+
+    monkeypatch.setattr(np, "eye", no_eye)
+    d = build_dictionary(c, 1, specs)
+    coef = sparse_code(d, np.random.default_rng(4).standard_normal(c.n1), 5)
+    assert np.count_nonzero(coef) == 5
+    assert "atoms" not in vars(d)  # the dense view was never built
+    monkeypatch.undo()
+    assert np.array_equal(d.atoms, _filter_values(c, 1, specs[0],
+                                                  np.eye(c.n1)))
+
+
+TAPS = st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.25]), min_size=1,
+                max_size=3)
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), data=st.data())
+def test_sparse_atoms_match_the_dense_reference(c, data):
+    # h_up = +-h_down cancels the constant terms, and with the same sign the
+    # one-hop terms of two edges of a common triangle.
+    for k in (0, 1, 2):
+        nk = c.num_simplices(k)
+        if nk == 0:
+            continue
+        specs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            down, mirror = data.draw(TAPS), data.draw(st.sampled_from(
+                [None, 1.0, -1.0]))
+            up = data.draw(TAPS) if mirror is None else [mirror * h
+                                                         for h in down]
+            specs.append(HodgeFilterSpec(h_down=down, h_up=up))
+        d = build_dictionary(c, k, specs)
+        want = np.hstack([_filter_values(c, k, s, np.eye(nk))
+                          for s in specs])
+        assert d.atoms.tobytes() == want.tobytes()  # bits, zero signs too
+        assert np.all(d.csc.data != 0)
+        ref = sparse.csc_array(want)
+        assert np.array_equal(d.csc.indptr, ref.indptr)
+        assert np.array_equal(d.csc.indices, ref.indices)
+        assert d.csc.data.tobytes() == ref.data.tobytes()
 
 
 def test_dictionary_atoms_read_only(complex7):

@@ -9,15 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import hodgesp.io as hio
 from hodgesp import (
     ComplexSignal,
     HarmonicTerm,
+    HodgeDictionary,
     HodgeFilterSpec,
     SCVarLag,
     SCVarModel,
     TopologyError,
+    build_dictionary,
     frequency_table,
     hodge_basis,
     hodge_decompose,
@@ -279,8 +282,16 @@ def test_csv_round_trips_are_value_exact(tmp_path_factory, seed, data):
 
     shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
     mat = draw(shape[0] * shape[1]).reshape(shape)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=mat.size,
+                                       max_size=mat.size))).reshape(shape)
+    mat[~keep] = 0.0
     hio.save_matrix(path, mat)
     assert same_bits(hio.load_matrix(path), mat)
+    # The same matrix storing exactly the kept cells, stored zeros included.
+    dense_bytes = path.read_bytes()
+    hio.save_matrix(path, sparse.csr_array((mat[keep], np.nonzero(keep)),
+                                           shape=shape))
+    assert path.read_bytes() == dense_bytes
 
     width = c.n0 + c.n1 + c.n2
     series = [ComplexSignal.from_stacked(c, draw(width))
@@ -313,6 +324,43 @@ def test_writer_golden_bytes(tmp_path, complex7):
         b"5,1,2,0.125\r\n5,1,3,0.25\r\n5,1,4,0.375\r\n5,1,5,-0\r\n"
         b"5,1,6,0.625\r\n5,1,7,0.75\r\n5,1,8,0.875\r\n5,1,9,1\r\n"
         b"5,2,0,1.125\r\n5,2,1,1.25\r\n5,2,2,0.33333333333333331\r\n")
+
+
+@pytest.mark.parametrize("dense, want", [
+    ([[0.0, -0.0, 1.5], [0.0, 0.0, 0.0], [2.0, 0.0, -0.25]],
+     b"0,-0,1.5\r\n0,0,0\r\n2,0,-0.25\r\n"),
+    (np.zeros((2, 3)), b"0,0,0\r\n0,0,0\r\n"),
+    ([[0.0], [-3.0], [0.0], [0.1]],
+     b"0\r\n-3\r\n0\r\n0.10000000000000001\r\n"),
+], ids=["negative-zero-and-empty-row", "all-zero", "single-column"])
+def test_sparse_matrix_writes_its_dense_twin(tmp_path, dense, want):
+    dense = np.array(dense)
+    stored = (dense != 0) | np.signbit(dense)
+    for mat in (dense, sparse.csr_array((dense[stored], np.nonzero(stored)),
+                                        shape=dense.shape)):
+        hio.save_matrix(tmp_path / "m.csv", mat)
+        assert (tmp_path / "m.csv").read_bytes() == want
+
+
+def test_sparse_matrix_writes_its_dense_twin_across_chunks(tmp_path):
+    # 93 rows of width 700 fill a write chunk, so 200 rows take three.
+    rng = np.random.default_rng(9)
+    dense = np.where(rng.random((200, 700)) < 0.02,
+                     rng.standard_normal((200, 700)), 0.0)
+    dense[[0, 199]] = 0.0
+    dense[199, 699] = -0.0
+    stored = (dense != 0) | np.signbit(dense)
+    # A COO input may come unsorted and hold duplicates, which add up.
+    order = rng.permutation(np.count_nonzero(stored))
+    half = dense[stored][order] / 2
+    row, col = (index[order] for index in np.nonzero(stored))
+    coo = sparse.coo_array((np.r_[half, half], (np.r_[row, row],
+                                                 np.r_[col, col])),
+                           shape=dense.shape)
+    want = csv_writer_bytes(dense.tolist())
+    for mat in (dense, np.asfortranarray(dense), coo):
+        hio.save_matrix(tmp_path / "m.csv", mat)
+        assert (tmp_path / "m.csv").read_bytes() == want
 
 
 def csv_writer_bytes(rows) -> bytes:
@@ -449,7 +497,8 @@ def test_cli_decompose_filter_round_trip(complex_file, tmp_path, complex7):
     assert y.values.shape == (10,)
 
 
-def test_cli_slepians_and_dictionary(complex_file, tmp_path):
+def test_cli_slepians_and_dictionary(complex_file, tmp_path, complex7,
+                                     monkeypatch):
     out = tmp_path / "slep.csv"
     assert run_cli(["slepians", str(complex_file), "--edges", "1,5,8",
                     "--freqs", "harm", "-o", str(out)]) == 0
@@ -463,9 +512,20 @@ def test_cli_slepians_and_dictionary(complex_file, tmp_path):
         {"h_down": [0.0, 1.0], "h_up": [0.0], "harmonic": None},
     ]))
     atoms = tmp_path / "atoms.csv"
-    assert run_cli(["dictionary", str(complex_file), "--order", "1",
-                    "--specs", str(specs), "-o", str(atoms)]) == 0
+
+    def no_dense_atoms(self):
+        raise AssertionError("the dictionary subcommand must write the "
+                             "sparse atoms")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HodgeDictionary, "atoms", property(no_dense_atoms))
+        assert run_cli(["dictionary", str(complex_file), "--order", "1",
+                        "--specs", str(specs), "-o", str(atoms)]) == 0
     assert hio.load_matrix(atoms).shape == (10, 20)
+    dense = tmp_path / "dense.csv"
+    hio.save_matrix(dense, build_dictionary(
+        complex7, 1, hio.load_filter_spec_list(specs)).atoms)
+    assert atoms.read_bytes() == dense.read_bytes()
 
 
 def test_cli_sample_reconstruct(complex_file, tmp_path, complex7):

@@ -67,8 +67,11 @@ def test_l2_is_the_minimum_norm_solution(seed, mask_kind, alpha, beta):
 
 
 def test_l2_singular_grid_matches_pseudo_inverse():
-    # A triangulated 6x6 grid with two unfilled squares (two holes), whose
-    # mask leaves one harmonic flow unobserved.
+    # A triangulated 6x6 grid with the squares at (1, 1) and (3, 3) left
+    # unfilled (four holes). h is the harmonic part of the cycle around
+    # the first square minus its projection on that of the second; the mask
+    # observes exactly the edges where h vanishes, so the system is
+    # singular and partly observed.
     m = 6
     rng = np.random.default_rng(21)
     edges, tris = [], []
@@ -84,14 +87,27 @@ def test_l2_singular_grid_matches_pseudo_inverse():
                 if (i, j) not in ((1, 1), (3, 3)):
                     tris += [(v, v + 1, v + m + 1), (v, v + m, v + m + 1)]
     c = build_complex(m * m, edges, tris)
-    mask, h = harmonic_unobserved_mask(c, rng)
+    harm = hodge_basis(c, 1).harmonic
+    index = {edge: i for i, edge in enumerate(c.edges)}
+
+    def around_square(v):
+        cycle = np.zeros(c.n1)
+        for edge, sign in (((v, v + 1), 1), ((v + 1, v + m + 1), 1),
+                           ((v + m, v + m + 1), -1), ((v, v + m), -1)):
+            cycle[index[edge]] = sign
+        return harm @ (harm.T @ cycle)
+
+    first, second = around_square(m + 1), around_square(3 * m + 3)
+    h = first - (first @ second) / (second @ second) * second
+    mask = np.abs(h) < 1e-9
+    assert np.count_nonzero(mask) == 5
     a = dense_system(c, mask, 0.5, 0.5)
     assert np.linalg.norm(a @ h) < 1e-9
     f = rng.standard_normal(c.n1)
     x = regularized_reconstruct(c, c.cochain(1, f), mask, 0.5, 0.5).values
     want = np.linalg.pinv(a) @ (mask * f)
     assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
-    assert abs(x @ h) < 1e-8  # no component along the unobserved hole
+    assert abs(x @ h) < 1e-8  # no component along the unobserved flow
 
 
 def test_l2_uses_no_dense_solve(complex7, monkeypatch):

@@ -5,8 +5,8 @@ Usage (from the repository root):
     python3 tools/scale.py            # writes BENCH_scale.json
     python3 tools/scale.py -o out.json
 
-It takes about 3 minutes, and the dense layers at m = 40 (dirac_basis,
-build_dictionary) need about 1.6 GB.
+It takes about 3 minutes, and the dense layers at m = 40 (dense_blocks,
+dirac_basis) need about 1 GB.
 
 Each layer is timed cold, on a fresh copy of the complex with nothing
 cached, in one process with the BLAS thread count pinned to 1; sizes up to
@@ -29,6 +29,7 @@ block widths):
     reconstruct_bandlimited    from those picks, band columns cached
     slepians                   on every 7th edge, band columns cached
     build_dictionary           two polynomial filters
+    dictionary_csv             save_matrix of those atoms to a temporary file
 
 Tier-1 runs ``python -m pytest -q`` from the repository root in a
 subprocess; its wall time, summary line and five slowest tests are kept.
@@ -43,6 +44,7 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -57,6 +59,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import hodgesp as hs  # noqa: E402
+import hodgesp.io as hio  # noqa: E402
 import inputs as gen  # noqa: E402
 from hodgesp.complexes import _incidence_svd  # noqa: E402
 
@@ -80,9 +83,9 @@ def band(basis) -> str:
             f"+curl:0..{min(9, basis.n_curl - 1)}")
 
 
-def prepare(c, layer: str):
+def prepare(c, layer: str, work: Path):
     """Everything ``layer`` needs on the fresh complex ``c`` but does not
-    time; returns the call to time."""
+    time; returns the call to time, which may write files under ``work``."""
     if layer == "betti":
         return lambda: hs.betti(c)
     if layer == "hodge_decompose":
@@ -92,6 +95,9 @@ def prepare(c, layer: str):
         return lambda: hs.hodge_basis(c, 1)
     if layer == "build_dictionary":
         return lambda: hs.build_dictionary(c, 1, SPECS)
+    if layer == "dictionary_csv":
+        atoms = hs.build_dictionary(c, 1, SPECS).csc
+        return lambda: hio.save_matrix(work / "atoms.csv", atoms)
     if layer == "dirac_basis":
         _incidence_svd(c, 1), _incidence_svd(c, 2)
         return lambda: hs.dirac_basis(c)
@@ -120,10 +126,11 @@ def prepare(c, layer: str):
 SIZES = ("complex7", "10", "20", "30", "40")
 LAYERS = ("betti", "hodge_decompose", "hodge_basis", "dense_blocks",
           "harmonic", "dirac_basis", "band_columns", "select_samples",
-          "reconstruct_bandlimited", "slepians", "build_dictionary")
+          "reconstruct_bandlimited", "slepians", "build_dictionary",
+          "dictionary_csv")
 
 
-def sweep(size: str) -> dict:
+def sweep(size: str, work: Path) -> dict:
     n0, edges, triangles = complex_arrays(size)
     c = hs.build_complex(n0, edges, triangles)
     repeats = 3 if c.n1 < 1500 else 1
@@ -131,11 +138,12 @@ def sweep(size: str) -> dict:
     for layer in LAYERS:
         best = np.inf
         for _ in range(repeats):
-            call = prepare(hs.build_complex(n0, edges, triangles), layer)
+            call = prepare(hs.build_complex(n0, edges, triangles), layer,
+                           work)
             start = time.perf_counter()
             call()
             best = min(best, time.perf_counter() - start)
-        call = prepare(hs.build_complex(n0, edges, triangles), layer)
+        call = prepare(hs.build_complex(n0, edges, triangles), layer, work)
         tracemalloc.start()
         call()
         peak[layer] = round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
@@ -170,6 +178,8 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", default=str(ROOT /
                                                       "BENCH_scale.json"))
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        sizes = {size: sweep(size, Path(work)) for size in SIZES}
     result = {
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__,
@@ -177,7 +187,7 @@ def main(argv=None) -> int:
             "cpus_usable": len(os.sched_getaffinity(0)),
             "blas_threads": 1,
         },
-        "sizes": {size: sweep(size) for size in SIZES},
+        "sizes": sizes,
         "tier1": tier1(),
     }
     Path(args.output).write_text(json.dumps(result, indent=1) + "\n")
