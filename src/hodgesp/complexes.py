@@ -135,7 +135,10 @@ class Cochain:
                 f"order-{self.order} cochain needs {expected} values, "
                 f"got shape {values.shape}"
             )
-        if values.size and not np.all(np.isfinite(values)):
+        # count_nonzero is one C call; .all() goes through numpy's Python
+        # reduction wrapper, which costs more than the check on the short
+        # vectors a stream builds every step
+        if np.count_nonzero(np.isfinite(values)) != values.size:
             raise ValueError("cochain values must be finite")
 
     def norm(self) -> float:
@@ -348,8 +351,9 @@ def incidence(c: SimplicialComplex, k: int, dense: bool = False):
 
 
 # Per-complex derived objects (Laplacians, incidence SVDs, lambda_max, the
-# sparse solvers, harmonic blocks), keyed by the immutable complex. No value refers back to its complex, so an
-# entry goes away with it.
+# sparse solvers, harmonic blocks, the LMS shift stack), keyed by the
+# immutable complex. No value refers back to its complex, so an entry goes
+# away with it.
 _cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
     weakref.WeakKeyDictionary()
 )

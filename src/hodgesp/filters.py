@@ -100,13 +100,16 @@ class HodgeFilterSpec:
                 and not any(self.h_down) and not any(self.h_up))
 
 
+def _zeros_like(x):
+    """A zero array or sparse array of the shape of ``x``."""
+    return sp.csr_array(x.shape) if sp.issparse(x) else np.zeros_like(x)
+
+
 def _polynomial(op, coeffs: tuple[float, ...], x):
-    """sum_t coeffs[t] * op^t x by the Krylov kernel; op=None is the zero
-    map, of which only op^0 = I survives. ``x`` is a dense array or a
-    sparse block; the sum starts from zero, so no dense entry is -0.0."""
-    if op is None:
-        coeffs = coeffs[:1]
-    y = sp.csr_array(x.shape) if sp.issparse(x) else np.zeros_like(x)
+    """sum_t coeffs[t] * op^t x by the Krylov kernel. ``x`` is a dense
+    array or a sparse block; the sum starts from zero, so no dense entry is
+    -0.0."""
+    y = _zeros_like(x)
     for h, z in zip(coeffs, krylov(lambda v: op @ v, x, len(coeffs) - 1)):
         if h:
             y += h * z
@@ -127,10 +130,31 @@ def _filter_values(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
                    values):
     """The filter applied to an (n_k,) vector or an (n_k, B) block, dense
     or sparse; a sparse block gives a sparse result."""
-    lap_down = hodge_laplacian(c, k, "down", sparse=True) if k > 0 else None
-    lap_up = hodge_laplacian(c, k, "up", sparse=True) if k < 2 else None
-    y = _polynomial(lap_down, spec.h_down, values)
-    y += _polynomial(lap_up, spec.h_up, values)
+    return _apply_terms(_filter_terms(c, k, spec), values)
+
+
+def _filter_terms(c: SimplicialComplex, k: int, spec: HodgeFilterSpec):
+    """The filter resolved on ``c`` for :func:`_apply_terms`: its
+    polynomials as (Laplacian or None, taps) pairs, down before up, and its
+    harmonic term as (L_k, epsilon, steps) or None. A missing Laplacian
+    (down at k=0, up at k=2) is the zero map, of which only the t=0 tap
+    survives.
+
+    Trailing zero taps are cut and a polynomial without a nonzero tap is
+    left out: a zero tap is never added, and each polynomial's sum starts
+    from zero, so it holds no -0.0 that adding zeros would change.
+    """
+    pairs = []
+    for present, variant, taps in ((k > 0, "down", spec.h_down),
+                                   (k < 2, "up", spec.h_up)):
+        lap = hodge_laplacian(c, k, variant, sparse=True) if present else None
+        if lap is None:
+            taps = taps[:1]
+        while taps and not taps[-1]:
+            taps = taps[:-1]
+        if taps:
+            pairs.append((lap, taps))
+    harmonic = None
     if spec.harmonic is not None:
         eps = spec.harmonic.epsilon
         lam = lambda_max(c, k)
@@ -138,9 +162,28 @@ def _filter_values(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
             raise ValueError(
                 f"epsilon {eps} outside the stability range (0, {2.0 / lam})"
             )
-        lap = hodge_laplacian(c, k, sparse=True)
-        for w in krylov(lambda v: v - eps * (lap @ v), values,
-                        spec.harmonic.steps):
+        harmonic = (hodge_laplacian(c, k, sparse=True), eps,
+                    spec.harmonic.steps)
+    return tuple(pairs), harmonic
+
+
+def _apply_terms(terms, values):
+    """A filter resolved by :func:`_filter_terms` applied to ``values``:
+    each polynomial summed from zero by the Krylov kernel, added in order,
+    then the harmonic term."""
+    pairs, harmonic = terms
+    y = None
+    for op, taps in pairs:
+        part = _polynomial(op, taps, values)
+        if y is None:
+            y = part
+        else:
+            y += part
+    if y is None:
+        y = _zeros_like(values)
+    if harmonic is not None:
+        lap, eps, steps = harmonic
+        for w in krylov(lambda v: v - eps * (lap @ v), values, steps):
             pass
         y += w
     return y

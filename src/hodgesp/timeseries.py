@@ -20,10 +20,18 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._linalg import krylov
-from .complexes import Cochain, ComplexSignal, SimplicialComplex, hodge_laplacian
-from .filters import HodgeFilterSpec, _filter_values
+from ._util import check_integer
+from .complexes import (
+    Cochain,
+    ComplexSignal,
+    SimplicialComplex,
+    _cached,
+    hodge_laplacian,
+)
+from .filters import HodgeFilterSpec, _apply_terms, _filter_terms
 
 __all__ = [
     "SCVarLag",
@@ -118,32 +126,64 @@ def _terms(c: SimplicialComplex, k: int) -> list:
     return terms
 
 
+def _plan(model: SCVarModel) -> list:
+    """The model resolved once for stepping: per level k, its size and the
+    entries feeding it in summation order, lag by lag and term by term.
+    An entry is (lag index, source level, the resolved pre-filter, the
+    incidence map or None, the resolved post-filter or None); the own-level
+    bank h_kk is the pre-filter of an entry without incidence map. A term
+    whose last filter is zero is left out: it adds exact zeros to a sum
+    that starts from zero."""
+    c = model.complex
+    plan = []
+    for k in (0, 1, 2):
+        terms = _terms(c, k)
+        entries = []
+        for p, lag in enumerate(model.lags):
+            for j, incidence in terms:
+                if incidence is None:
+                    own = getattr(lag, f"h{k}{k}")
+                    if not own.is_zero():
+                        entries.append((p, k, _filter_terms(c, k, own),
+                                        None, None))
+                    continue
+                post = getattr(lag, f"g{k}{j}")
+                if not post.is_zero():
+                    pre = getattr(lag, f"h{k}{j}")
+                    entries.append((p, j, _filter_terms(c, j, pre), incidence,
+                                    _filter_terms(c, k, post)))
+        plan.append((c.num_simplices(k), entries))
+    return plan
+
+
+def _step(plan: list, past: Sequence) -> list[np.ndarray]:
+    """One prediction of a :func:`_plan`: the values of levels 0, 1, 2;
+    past[p][j] holds the level-j values p + 1 steps back."""
+    out = []
+    for n, entries in plan:
+        acc = np.zeros(n)
+        for p, j, pre, incidence, post in entries:
+            v = _apply_terms(pre, past[p][j])
+            if incidence is not None:
+                v = _apply_terms(post, incidence @ v)
+            acc += v
+        out.append(acc)
+    return out
+
+
+def _past(model: SCVarModel, history: Sequence[ComplexSignal]) -> list:
+    """The values of the last model.order signals, most recent first."""
+    return [(sig.x0.values, sig.x1.values, sig.x2.values)
+            for sig in reversed(history[-model.order:])]
+
+
 def scvar_predict(model: SCVarModel,
                   history: Sequence[ComplexSignal]) -> ComplexSignal:
     """One-step-ahead prediction with zero noise; history[-p] is the signal
     p steps back."""
     _check_history(model, history)
-    c = model.complex
-    # past[p - 1][j] is the level-j signal p steps back
-    past = [(sig.x0.values, sig.x1.values, sig.x2.values)
-            for sig in reversed(history[-model.order:])]
-    out = []
-    for k in (0, 1, 2):
-        terms = _terms(c, k)
-        acc = np.zeros(c.num_simplices(k))
-        for lag, x in zip(model.lags, past):
-            for j, incidence in terms:
-                if incidence is None:
-                    acc += _filter_values(c, k, getattr(lag, f"h{k}{k}"),
-                                          x[k])
-                    continue
-                post = getattr(lag, f"g{k}{j}")
-                if not post.is_zero():
-                    moved = incidence @ _filter_values(
-                        c, j, getattr(lag, f"h{k}{j}"), x[j])
-                    acc += _filter_values(c, k, post, moved)
-        out.append(acc)
-    return ComplexSignal.from_arrays(c, *out)
+    return ComplexSignal.from_arrays(
+        model.complex, *_step(_plan(model), _past(model, history)))
 
 
 def svar_predict(model: SCVarModel,
@@ -161,23 +201,42 @@ def scvar_simulate(model: SCVarModel, steps: int,
                    rng: np.random.Generator | int | None = None
                    ) -> list[ComplexSignal]:
     """Roll the recursion forward, optionally injecting per-level Gaussian
-    noise; returns the generated continuation."""
+    noise; returns the generated continuation. The model is resolved into
+    its term plan once, and each step runs the plan on the last
+    model.order signals."""
+    check_integer(steps, "steps", 0)
+    noise_std = _check_noise(noise_std)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    _check_history(model, initial)
     c = model.complex
-    history = list(initial)
+    plan = _plan(model)
+    past = _past(model, initial)
     out = []
     for _ in range(steps):
-        pred = scvar_predict(model, history)
+        pred = _step(plan, past)
         nxt = ComplexSignal.from_arrays(
             c,
-            pred.x0.values + noise_std[0] * rng.standard_normal(c.n0),
-            pred.x1.values + noise_std[1] * rng.standard_normal(c.n1),
-            pred.x2.values + noise_std[2] * rng.standard_normal(c.n2),
+            pred[0] + noise_std[0] * rng.standard_normal(c.n0),
+            pred[1] + noise_std[1] * rng.standard_normal(c.n1),
+            pred[2] + noise_std[2] * rng.standard_normal(c.n2),
         )
         out.append(nxt)
-        history.append(nxt)
+        past = [(nxt.x0.values, nxt.x1.values, nxt.x2.values)] + past[:-1]
     return out
+
+
+def _check_noise(noise_std) -> tuple[float, float, float]:
+    """``noise_std`` as three floats, rejecting any other count and a
+    negative or non-finite deviation."""
+    try:
+        noise = tuple(float(s) for s in noise_std)
+    except (TypeError, ValueError):
+        noise = ()
+    if len(noise) != 3 or not all(0.0 <= s < math.inf for s in noise):
+        raise ValueError("noise_std must be three finite, non-negative "
+                         f"numbers, got {noise_std!r}")
+    return noise
 
 
 def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
@@ -316,10 +375,7 @@ class LmsState:
         if not 0 < self.mu < math.inf:
             raise ValueError(
                 f"step size mu must be positive and finite, got {self.mu}")
-        if self.t_down < 0 or self.t_up < 0:
-            name = "t_down" if self.t_down < 0 else "t_up"
-            raise ValueError(
-                f"{name} must be >= 0, got {getattr(self, name)}")
+        _check_orders(self.t_down, self.t_up)
         expected = 1 + self.t_down + self.t_up
         coeffs = np.asarray(self.coefficients, dtype=float)
         object.__setattr__(self, "coefficients", coeffs)
@@ -330,36 +386,61 @@ class LmsState:
             )
 
 
+def _check_orders(t_down, t_up) -> None:
+    check_integer(t_down, "t_down", 0)
+    check_integer(t_up, "t_up", 0)
+
+
 def lms_init(c: SimplicialComplex, t_down: int, t_up: int, mu: float,
              coefficients: Sequence[float] | None = None) -> LmsState:
+    _check_orders(t_down, t_up)
     if coefficients is None:
-        # a negative order is reported by LmsState, naming the parameter
-        coefficients = np.zeros(1 + max(t_down, 0) + max(t_up, 0))
+        coefficients = np.zeros(1 + t_down + t_up)
     return LmsState(complex=c, t_down=t_down, t_up=t_up, mu=mu,
                     coefficients=np.asarray(coefficients, dtype=float))
+
+
+def _shift_operators(c: SimplicialComplex):
+    """L1's down and up parts and their row stack [Ld; Lu]. Row i of a
+    product with the stack sums the entries of row i of its part in the
+    same order, so the two halves of the product are the products with
+    each part, bit for bit."""
+    down = hodge_laplacian(c, 1, "down", sparse=True)
+    up = hodge_laplacian(c, 1, "up", sparse=True)
+    return down, up, sp.vstack([down, up], format="csr")
 
 
 def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
                         t_down: int, t_up: int) -> np.ndarray:
     """Regressor of shifted flows, columns
     [x_t, Ld x_{t-1}, ..., Ld^Td x_{t-Td}, Lu x_{t-1}, ..., Lu^Tu x_{t-Tu}].
+
+    Column m of a group is m sparse products with its Laplacian; at
+    Td = Tu = 1 both columns are one product with [Ld; Lu].
     """
     need = max(t_down, t_up) + 1
     if len(window) < need:
         raise ValueError(
             f"insufficient history: need {need} flows, got {len(window)}"
         )
-    for x in window:
-        if x.complex is not c or x.order != 1:
-            raise ValueError("window must hold order-1 cochains on this complex")
-    lap_down = hodge_laplacian(c, 1, "down", sparse=True)
-    lap_up = hodge_laplacian(c, 1, "up", sparse=True)
-    cols = [window[-1].values]
+    if not all(x.complex is c and x.order == 1 for x in window):
+        raise ValueError("window must hold order-1 cochains on this complex")
+    lap_down, lap_up, stacked = _cached(c, ("lms_shift",), _shift_operators,
+                                        c)
+    x_mat = np.empty((c.n1, 1 + t_down + t_up))
+    x_mat[:, 0] = window[-1].values
+    if t_down == t_up == 1:
+        x_mat[:, 1:] = (stacked @ window[-2].values).reshape(2, -1).T
+        return x_mat
+    col = 1
     for lap, t_max in ((lap_down, t_down), (lap_up, t_up)):
         for m in range(1, t_max + 1):
-            *_, z = krylov(lambda v: lap @ v, window[-1 - m].values, m)
-            cols.append(z)
-    return np.column_stack(cols)
+            z = window[-1 - m].values
+            for _ in range(m):
+                z = lap @ z
+            x_mat[:, col] = z
+            col += 1
+    return x_mat
 
 
 def lms_step(state: LmsState, x_t: Cochain, y_t: Cochain,
@@ -386,22 +467,30 @@ def _lms_update(state: LmsState, x_t: Cochain, y_t: Cochain,
         raise ValueError("x_t must be an order-1 cochain on this complex")
     need = max(state.t_down, state.t_up) + 1
     window = (state.window + (x_t,))[-need:]
-    coeffs, error, prediction = state.coefficients, None, None
-    if len(window) == need:
-        if y_t.complex is not c or y_t.order != 1:
-            raise ValueError("y_t must be an order-1 cochain on this complex")
-        if mask is None:
-            m = np.ones(c.n1)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (c.n1,):
-                raise ValueError(f"mask must have shape ({c.n1},)")
-            m = mask.astype(float)
-        x_mat = lms_build_regressor(c, window, state.t_down, state.t_up)
-        prediction = x_mat @ coeffs
-        residual = m * (y_t.values - prediction)
-        error = float(residual @ residual)
-        coeffs = coeffs + state.mu * (x_mat.T @ residual)
-    return (LmsState(complex=c, t_down=state.t_down, t_up=state.t_up,
-                     mu=state.mu, coefficients=coeffs, window=window),
-            error, prediction)
+    if len(window) < need:
+        return _advance(state, state.coefficients, window), None, None
+    if y_t.complex is not c or y_t.order != 1:
+        raise ValueError("y_t must be an order-1 cochain on this complex")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (c.n1,):
+            raise ValueError(f"mask must have shape ({c.n1},)")
+    x_mat = lms_build_regressor(c, window, state.t_down, state.t_up)
+    coeffs = state.coefficients
+    prediction = x_mat @ coeffs
+    residual = y_t.values - prediction
+    if mask is not None:  # no mask is the all-ones mask, and 1.0 * r == r
+        residual = mask.astype(float) * residual
+    error = float(residual @ residual)
+    coeffs = coeffs + state.mu * (x_mat.T @ residual)
+    return _advance(state, coeffs, window), error, prediction
+
+
+def _advance(state: LmsState, coefficients: np.ndarray,
+             window: tuple[Cochain, ...]) -> LmsState:
+    """The state after a step of ``state``, with new coefficients and
+    window; what ``state`` passed at construction is not checked again."""
+    new = object.__new__(LmsState)
+    new.__dict__.update(state.__dict__, coefficients=coefficients,
+                        window=window)
+    return new

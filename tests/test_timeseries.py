@@ -1,5 +1,8 @@
 """Coupled autoregression (predict/simulate/fit) and the streaming LMS."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,12 @@ from hodgesp import (
     HarmonicTerm,
     HodgeFilterSpec,
     IllConditionedWarning,
+    LmsState,
     SCVarLag,
     SCVarModel,
     build_complex,
     hodge_decompose,
+    hodge_laplacian,
     lambda_max,
     lms_build_regressor,
     lms_init,
@@ -23,6 +28,7 @@ from hodgesp import (
     scvar_simulate,
     svar_predict,
 )
+from hodgesp.timeseries import _lms_update
 
 from conftest import EDGES7, TRIS7, complexes_with_cells
 
@@ -496,3 +502,253 @@ def test_lms_smoothed_error_nonincreasing(complex7):
     drops = smoothed[200::200]
     for a, b in zip(drops, drops[1:]):
         assert b <= a * 1.05  # monotone up to 5% tolerance
+
+
+@pytest.mark.parametrize("name", ["t_down", "t_up"])
+@pytest.mark.parametrize("value", [1.5, True])
+def test_lms_rejects_non_integer_orders(complex7, name, value):
+    orders = {"t_down": 1, "t_up": 1, name: value}
+    with pytest.raises(ValueError, match=name):
+        lms_init(complex7, mu=0.1, **orders)
+    with pytest.raises(ValueError, match=name):
+        LmsState(complex7, mu=0.1, coefficients=[0.0, 0.0, 0.0], **orders)
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, True])
+def test_simulate_rejects_bad_steps(complex7, steps):
+    model = planted_model(complex7)
+    init = [random_signal(complex7, np.random.default_rng(0))]
+    with pytest.raises(ValueError, match="steps"):
+        scvar_simulate(model, steps, init)
+
+
+@pytest.mark.parametrize("noise_std", [(0.1, 0.1), (0.1, -1.0, 0.1),
+                                       (0.1, np.nan, 0.1), (np.inf,) * 3,
+                                       0.1, ("a", "b", "c")])
+def test_simulate_rejects_bad_noise(complex7, noise_std):
+    model = planted_model(complex7)
+    init = [random_signal(complex7, np.random.default_rng(0))]
+    with pytest.raises(ValueError, match="noise_std"):
+        scvar_simulate(model, 3, init, noise_std=noise_std)
+
+
+# --- the streaming steps against the term-by-term and column-by-column
+# loops they replaced, byte for byte ---------------------------------------
+
+def reference_regressor(c, window, t_down, t_up) -> np.ndarray:
+    """Column m of a group is m products of its Laplacian with x_{t-m},
+    one vector at a time."""
+    cols = [window[-1].values]
+    for variant, t_max in (("down", t_down), ("up", t_up)):
+        lap = hodge_laplacian(c, 1, variant, sparse=True)
+        for m in range(1, t_max + 1):
+            z = window[-1 - m].values
+            for _ in range(m):
+                z = lap @ z
+            cols.append(z)
+    return np.column_stack(cols)
+
+
+def reference_lms_step(c, coeffs, window, t_down, t_up, mu, y, mask):
+    """The update with the regressor rebuilt from the window and the mask
+    applied as 0/1 weights, all ones without a mask."""
+    x_mat = reference_regressor(c, window, t_down, t_up)
+    m = np.ones(c.n1) if mask is None else mask.astype(float)
+    prediction = x_mat @ coeffs
+    residual = m * (y.values - prediction)
+    error = float(residual @ residual)
+    return coeffs + mu * (x_mat.T @ residual), error, prediction
+
+
+def assert_lms_matches_reference(c, rng, t_down, t_up, steps=10):
+    """A chain of steps, rebuilt by hand mid-stream and given a new window
+    by dataclasses.replace, against the reference loop."""
+    need = max(t_down, t_up) + 1
+    mu = 1e-3
+    state = lms_init(c, t_down, t_up, mu)
+    coeffs, window = state.coefficients, ()
+
+    def flow():
+        return c.cochain(1, rng.standard_normal(c.n1))
+
+    for step in range(need + steps):
+        if step == need + 2:
+            state = LmsState(c, t_down, t_up, mu, state.coefficients,
+                             state.window)
+        if step == need + 5:
+            window = tuple(flow() for _ in range(need - 1))
+            state = dataclasses.replace(state, window=window)
+        x, y = flow(), flow()
+        mask = (None, rng.random(c.n1) < 0.6,
+                np.zeros(c.n1, bool))[rng.integers(3)]
+        window = (window + (x,))[-need:]
+        state, error, prediction = _lms_update(state, x, y, mask)
+        if len(window) < need:
+            assert error is None and prediction is None
+            continue
+        coeffs, want, want_pred = reference_lms_step(
+            c, coeffs, window, t_down, t_up, mu, y, mask)
+        assert state.coefficients.tobytes() == coeffs.tobytes()
+        assert prediction.tobytes() == want_pred.tobytes()
+        assert error == want
+
+
+def test_lms_steps_match_the_rebuilt_regressor(complex7, cell7):
+    for c in (complex7, cell7):
+        rng = np.random.default_rng(20)
+        for t_down, t_up in itertools.product(range(4), repeat=2):
+            assert_lms_matches_reference(c, rng, t_down, t_up)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**32 - 1),
+       t_down=st.integers(0, 3), t_up=st.integers(0, 3))
+def test_lms_steps_match_the_rebuilt_regressor_random(c, seed, t_down, t_up):
+    assert_lms_matches_reference(c, np.random.default_rng(seed), t_down, t_up)
+
+
+def test_stepped_state_equals_a_validated_state(complex7):
+    """A state made by a step sets every field of LmsState and is what the
+    constructor, which validates, makes of the same public fields."""
+    rng = np.random.default_rng(23)
+    names = [f.name for f in dataclasses.fields(LmsState)]
+    state = lms_init(complex7, 2, 1, 1e-3)
+    for _ in range(5):
+        x = complex7.cochain(1, rng.standard_normal(10))
+        state, _ = lms_step(state, x, x)
+        assert sorted(vars(state)) == sorted(names)
+        rebuilt = LmsState(**{f.name: getattr(state, f.name)
+                              for f in dataclasses.fields(LmsState)
+                              if f.init})
+        assert sorted(vars(rebuilt)) == sorted(names)
+        for name in names:
+            got, want = getattr(state, name), getattr(rebuilt, name)
+            if name == "coefficients":
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            elif name == "window":
+                assert len(got) == len(want)
+                assert all(a is b for a, b in zip(got, want))
+            else:
+                assert got == want
+
+
+def test_regressor_matches_the_column_loop(complex7):
+    rng = np.random.default_rng(21)
+    window = [complex7.cochain(1, rng.standard_normal(10)) for _ in range(4)]
+    for t_down, t_up in itertools.product(range(4), repeat=2):
+        got = lms_build_regressor(complex7, window, t_down, t_up)
+        want = reference_regressor(complex7, window, t_down, t_up)
+        assert got.tobytes() == want.tobytes()
+
+
+def reference_filter(c, k, spec, x) -> np.ndarray:
+    """The filter summed term by term: each polynomial from zero, down
+    before up, then the harmonic term, with every tap of the spec."""
+    def polynomial(variant, taps):
+        if variant is None:
+            taps = taps[:1]
+        else:
+            lap = hodge_laplacian(c, k, variant, sparse=True)
+        y, z = np.zeros_like(x), x
+        for t, h in enumerate(taps):
+            if t:
+                z = lap @ z
+            if h:
+                y += h * z
+        return y
+
+    y = polynomial("down" if k > 0 else None, spec.h_down)
+    y += polynomial("up" if k < 2 else None, spec.h_up)
+    if spec.harmonic is not None:
+        lap, w = hodge_laplacian(c, k, sparse=True), x
+        for _ in range(spec.harmonic.steps):
+            w = w - spec.harmonic.epsilon * (lap @ w)
+        y += w
+    return y
+
+
+def reference_predict(model, history) -> np.ndarray:
+    """Every lag and term in turn; a cross term with a zero post-filter is
+    skipped, the own-level bank is always added."""
+    c = model.complex
+    past = [(s.x0.values, s.x1.values, s.x2.values)
+            for s in reversed(history[-model.order:])]
+    out = []
+    for k in range(3):
+        acc = np.zeros(c.num_simplices(k))
+        for lag, x in zip(model.lags, past):
+            if k > 0 and c.num_simplices(k - 1):
+                post = getattr(lag, f"g{k}{k - 1}")
+                if not post.is_zero():
+                    pre = getattr(lag, f"h{k}{k - 1}")
+                    moved = getattr(c, f"b{k}").T @ reference_filter(
+                        c, k - 1, pre, x[k - 1])
+                    acc += reference_filter(c, k, post, moved)
+            acc += reference_filter(c, k, getattr(lag, f"h{k}{k}"), x[k])
+            if k < 2 and c.num_simplices(k + 1):
+                post = getattr(lag, f"g{k}{k + 1}")
+                if not post.is_zero():
+                    pre = getattr(lag, f"h{k}{k + 1}")
+                    moved = getattr(c, f"b{k + 1}") @ reference_filter(
+                        c, k + 1, pre, x[k + 1])
+                    acc += reference_filter(c, k, post, moved)
+        out.append(acc)
+    return np.concatenate(out)
+
+
+def mixed_lag(c, rng, harmonic_bank=None) -> SCVarLag:
+    """Banks drawn from zero, identity, taps with trailing zeros and -0.0,
+    and random; ``harmonic_bank`` gets a harmonic term."""
+    lag = random_lag(c, rng, harmonic_bank)
+    banks = {}
+    for name in BANK_LEVEL:
+        kind = rng.integers(4)
+        if name == harmonic_bank or kind == 3:
+            banks[name] = getattr(lag, name)
+        elif kind == 0:
+            banks[name] = HodgeFilterSpec()
+        elif kind == 1:
+            banks[name] = HodgeFilterSpec.identity()
+        else:
+            banks[name] = HodgeFilterSpec(
+                (-0.0, 0.2 * rng.standard_normal(), 0.0),
+                (0.2 * rng.standard_normal(), -0.0))
+    return SCVarLag(**banks)
+
+
+def assert_scvar_matches_reference(c, rng):
+    for order in (1, 2, 3):
+        lags = tuple(mixed_lag(c, rng, harmonic_bank=("h11", "g21", None)[p])
+                     for p in range(order))
+        model = SCVarModel(complex=c, lags=lags)
+        initial = [random_signal(c, rng) for _ in range(order)]
+        pred = scvar_predict(model, initial)
+        assert pred.stacked().tobytes() == \
+            reference_predict(model, initial).tobytes()
+        seed = int(rng.integers(2**32))
+        sim = scvar_simulate(model, 6, initial, noise_std=(0.1, 0.0, 0.2),
+                             rng=seed)
+        noise = np.random.default_rng(seed)
+        history = list(initial)
+        for got in sim:
+            want = reference_predict(model, history)
+            want += np.concatenate([
+                s * noise.standard_normal(c.num_simplices(k))
+                for k, s in enumerate((0.1, 0.0, 0.2))])
+            assert got.stacked().tobytes() == want.tobytes()
+            history.append(got)
+
+
+def test_scvar_steps_match_the_term_loop(complex7, cell7, skeleton7):
+    for c in (complex7, cell7, skeleton7):
+        assert_scvar_matches_reference(c, np.random.default_rng(22))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**32 - 1),
+       triangle_free=st.booleans())
+def test_scvar_steps_match_the_term_loop_random(c, seed, triangle_free):
+    if triangle_free:
+        c = build_complex(c.n0, c.edges)
+    assert_scvar_matches_reference(c, np.random.default_rng(seed))

@@ -31,6 +31,13 @@ block widths):
     build_dictionary           two polynomial filters
     dictionary_csv             save_matrix of those atoms to a temporary file
 
+Streaming layers are timed warm, in microseconds per step: the mean over
+200 steps after the state or model has run once, best of three.
+
+    lms_step_T1, lms_step_T3   lms_step at t_down = t_up = 1 and 3
+    scvar_step                 one scvar_simulate step of the order-2
+                               model of the stream benchmark workload
+
 Tier-1 runs ``python -m pytest -q`` from the repository root in a
 subprocess; its wall time, summary line and five slowest tests are kept.
 """
@@ -123,11 +130,44 @@ def prepare(c, layer: str, work: Path):
     raise ValueError(f"unknown layer {layer!r}")
 
 
+STEPS = 200
+
+
+def stream_call(c, layer: str):
+    """A stream on ``c`` that has run once, and the call that runs STEPS
+    more steps of ``layer``."""
+    rng = np.random.default_rng(0)
+    if layer == "scvar_step":
+        lags = tuple(hs.SCVarLag(**{
+            name: hs.HodgeFilterSpec(spec["h_down"], spec["h_up"])
+            for name, spec in lag.items()}) for lag in gen.scvar_model())
+        model = hs.SCVarModel(complex=c, lags=lags)
+        initial = [hs.ComplexSignal.from_arrays(
+            c, *(rng.standard_normal(c.num_simplices(k)) for k in range(3)))
+            for _ in range(model.order)]
+        hs.scvar_simulate(model, 1, initial)
+        return lambda: hs.scvar_simulate(model, STEPS, initial)
+    order = int(layer[-1])
+    flows = [c.cochain(1, rng.standard_normal(c.n1))
+             for _ in range(order + 1 + STEPS)]
+    # a step size far below the stability bound keeps every size finite
+    state = hs.lms_init(c, order, order, 1e-12)
+    for x in flows[:order + 1]:
+        state, _ = hs.lms_step(state, x, x)
+
+    def call():
+        s = state
+        for x in flows[order + 1:]:
+            s, _ = hs.lms_step(s, x, x)
+    return call
+
+
 SIZES = ("complex7", "10", "20", "30", "40")
 LAYERS = ("betti", "hodge_decompose", "hodge_basis", "dense_blocks",
           "harmonic", "dirac_basis", "band_columns", "select_samples",
           "reconstruct_bandlimited", "slepians", "build_dictionary",
           "dictionary_csv")
+STREAM_LAYERS = ("lms_step_T1", "lms_step_T3", "scvar_step")
 
 
 def sweep(size: str, work: Path) -> dict:
@@ -151,9 +191,20 @@ def sweep(size: str, work: Path) -> dict:
         cold[layer] = round(best, 5)
         print(f"{size:>8} {layer:>24} {best:9.4f} s {peak[layer]:9.3f} MB",
               file=sys.stderr)
+    step_us = {}
+    for layer in STREAM_LAYERS:
+        call = stream_call(hs.build_complex(n0, edges, triangles), layer)
+        best = np.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            call()
+            best = min(best, time.perf_counter() - start)
+        step_us[layer] = round(best / STEPS * 1e6, 2)
+        print(f"{size:>8} {layer:>24} {step_us[layer]:9.2f} us/step",
+              file=sys.stderr)
     return {"n": [c.n0, c.n1, c.n2], "betti": list(hs.betti(c)),
             "band": band(hs.hodge_basis(c, 1)), "repeats": repeats,
-            "cold_s": cold, "peak_mb": peak}
+            "cold_s": cold, "peak_mb": peak, "step_us": step_us}
 
 
 def tier1() -> dict:
