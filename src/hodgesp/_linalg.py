@@ -1,7 +1,6 @@
 """Shared linear-algebra helpers: tolerances, sign fixing, the greedy loops'
-Gram-Schmidt step, power iteration, the Krylov kernel behind every Laplacian
-and Dirac polynomial, and the conjugate-gradient solver of the quadratic
-reconstruction."""
+Gram-Schmidt step, power iteration, and the Krylov kernel behind every
+Laplacian and Dirac polynomial."""
 
 from __future__ import annotations
 
@@ -87,33 +86,3 @@ def krylov(matvec, x: np.ndarray, t_max: int):
     for _ in range(t_max):
         x = matvec(x)
         yield x
-
-
-# Relative residual ||b - A x|| / ||b|| at which conjugate_gradient stops.
-CG_RTOL = 1e-12
-
-
-def conjugate_gradient(matvec, b: np.ndarray, max_iter: int):
-    """Solve A x = b for a symmetric PSD operator A by conjugate gradients
-    started at zero; returns (x, iterations, relative residual).
-
-    Every iterate lies in the Krylov space of b. When b is in range(A) that
-    space is orthogonal to the null space of A, so x is the minimum-norm
-    solution, also for singular A. Stops at a relative residual of CG_RTOL
-    or after max_iter iterations.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    d = b.copy()
-    rr = b_rr = float(r @ r)
-    it = 0
-    while rr > CG_RTOL**2 * b_rr and it < max_iter:
-        ad = matvec(d)
-        step = rr / float(d @ ad)
-        x += step * d
-        r -= step * ad
-        rr_new = float(r @ r)
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-        it += 1
-    return x, it, np.sqrt(rr / b_rr) if b_rr else 0.0

@@ -14,7 +14,9 @@ All signal vectors index against this ordering.
 
 The topology core is exact and sparse, and cached once per complex: the
 connected components, the pivot columns of b2 from elimination over a
-prime field, and one sparse LU each for the pseudo-inverses of L0 and L2.
+prime field, and one sparse LU each for the pseudo-inverses of L0 and L2,
+grounded on those pivots (``_Grounded``, which also serves the quadratic
+edge-flow reconstruction).
 Betti numbers, the default Hodge decomposition and gradient projection
 come from it, with no SVD and no dense n1 x n1 or n1 x n2 array.
 """
@@ -351,9 +353,9 @@ def incidence(c: SimplicialComplex, k: int, dense: bool = False):
 
 
 # Per-complex derived objects (Laplacians, incidence SVDs, lambda_max, the
-# sparse solvers, harmonic blocks, the LMS shift stack), keyed by the
-# immutable complex. No value refers back to its complex, so an entry goes
-# away with it.
+# sparse solvers, the quadratic reconstruction's factor, harmonic blocks,
+# the LMS shift stack), keyed by the immutable complex. No value refers
+# back to its complex, so an entry goes away with it.
 _cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -367,6 +369,17 @@ def _cached(c: SimplicialComplex, key, compute, *args):
     except KeyError:
         value = _cache.setdefault(c, {})[key] = compute(*args)
         return value
+
+
+def _cached_slot(c: SimplicialComplex, name, key, compute, *args):
+    """``compute(*args)`` held in the one cache slot ``name`` of ``c``,
+    recomputed when ``key`` differs from the key it was computed for; a new
+    key replaces the slot, so memory stays bounded when the key varies."""
+    entries = _cache.setdefault(c, {})
+    held = entries.get(name)
+    if held is None or held[0] != key:
+        held = entries[name] = (key, compute(*args))
+    return held[1]
 
 
 def hodge_laplacian(c: SimplicialComplex, k: int, variant: str = "full",
@@ -532,7 +545,7 @@ def _components(c: SimplicialComplex) -> tuple[np.ndarray, int]:
 
 
 def _connected_components(c: SimplicialComplex) -> tuple[np.ndarray, int]:
-    # Imported on first use, as splu in _Potential: importing csgraph or
+    # Imported on first use, as splu in _Grounded: importing csgraph or
     # scipy.sparse.linalg takes about 0.14 s, which every CLI call would pay.
     from scipy.sparse.csgraph import connected_components
 
@@ -574,51 +587,40 @@ def _eliminate(b: sp.csr_array) -> np.ndarray:
     return np.array(pivots, dtype=np.int64)
 
 
-class _Potential:
-    """Minimum-norm solves with L = A^T A: L0 with A = b1^T (k=0) or L2
-    with A = b2 (k=2), A mapping order-k potentials to edge flows.
+class _Grounded:
+    """Minimum-norm solves with a symmetric PSD matrix L = A^T A, given
+    ``pivots``: columns of A that form a basis of its range.
 
-    L restricted to ``pivots`` is nonsingular and factored by one sparse LU:
-    L0 grounds the first vertex of each component, L2 keeps the pivot
-    columns of b2. ``kernel`` is an orthonormal basis of ker(L). A solution
-    supported on the pivots, minus its kernel part, is the minimum-norm one.
-    Methods take an (n,) vector or an (n, B) block.
+    L restricted to the pivots is then symmetric positive definite and
+    factored by one sparse LU. Each free column j (off the pivots) is
+    A[:, pivots] z with L[pivots, pivots] z = L[pivots, j], so e_j - z is in
+    ker(L); ``kernel`` is an orthonormal basis of those vectors by QR,
+    unless given. A solution supported on the pivots, minus its kernel
+    part, is the minimum-norm one. Methods take an (n,) vector or an (n, B)
+    block.
     """
 
-    def __init__(self, c: SimplicialComplex, k: int):
+    def __init__(self, lap: sp.csr_array, pivots: np.ndarray,
+                 kernel: np.ndarray | sp.csr_array | None = None):
         from scipy.sparse.linalg import splu
 
-        # A, the kernel and both transposes are stored as built: a transpose
-        # taken per call cost more than the solve on small complexes.
-        self.a = sp.csr_array((c.b1.T if k == 0 else c.b2).astype(float))
-        self.a_t = sp.csr_array(self.a.T)
-        lap = hodge_laplacian(c, k, sparse=True)
         n = lap.shape[0]
-        if k == 0:
-            labels, count = _components(c)
-            free = np.unique(labels, return_index=True)[1]
-            self.pivots = np.setdiff1d(np.arange(n), free)
-            size = np.bincount(labels, minlength=count)
-            kernel = sp.csr_array((1.0 / np.sqrt(size[labels]),
-                                   (np.arange(n), labels)), shape=(n, count))
-        else:
-            self.pivots = _b2_pivots(c)
-            free = np.setdiff1d(np.arange(n), self.pivots)
-        # The restricted matrix is symmetric positive definite: a symmetric
-        # fill-reducing order and diagonal pivots suit it.
-        self.lu = splu(sp.csc_array(lap[self.pivots][:, self.pivots]),
+        self.pivots = pivots
+        # A symmetric fill-reducing order and diagonal pivots suit the
+        # symmetric positive definite restriction.
+        self.lu = splu(sp.csc_array(lap[pivots][:, pivots]),
                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True}) \
-            if self.pivots.size else None
-        if k == 2:
-            # Column j of b2 off the pivots is b2[:, pivots] z with
-            # L2[pivots, pivots] z = L2[pivots, j], so e_j - z is in ker(b2).
+            if pivots.size else None
+        if kernel is None:
+            free = np.setdiff1d(np.arange(n), pivots)
             null = np.zeros((n, free.size))
             null[free, np.arange(free.size)] = 1.0
             if self.lu is not None and free.size:
-                null[self.pivots] = -self.lu.solve(
-                    lap[self.pivots][:, free].toarray())
+                null[pivots] = -self.lu.solve(lap[pivots][:, free].toarray())
             kernel = np.linalg.qr(null)[0]
+        # The kernel and its transpose are stored as built: a transpose
+        # taken per call cost more than the solve on small complexes.
         self.kernel, self.kernel_t = kernel, kernel.T.copy()
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -631,6 +633,33 @@ class _Potential:
         if self.lu is not None:
             w[self.pivots] = self.lu.solve(rhs[self.pivots])
         return self.project(w)
+
+
+class _Potential(_Grounded):
+    """Minimum-norm solves with L = A^T A: L0 with A = b1^T (k=0) or L2
+    with A = b2 (k=2), A mapping order-k potentials to edge flows.
+
+    L0 grounds the first vertex of each component, whose kernel is the
+    normalized component indicators; L2 keeps the pivot columns of b2.
+    """
+
+    def __init__(self, c: SimplicialComplex, k: int):
+        # A and its transpose are stored as built, as the kernel is.
+        self.a = sp.csr_array((c.b1.T if k == 0 else c.b2).astype(float))
+        self.a_t = sp.csr_array(self.a.T)
+        lap = hodge_laplacian(c, k, sparse=True)
+        n = lap.shape[0]
+        kernel = None
+        if k == 0:
+            labels, count = _components(c)
+            free = np.unique(labels, return_index=True)[1]
+            pivots = np.setdiff1d(np.arange(n), free)
+            size = np.bincount(labels, minlength=count)
+            kernel = sp.csr_array((1.0 / np.sqrt(size[labels]),
+                                   (np.arange(n), labels)), shape=(n, count))
+        else:
+            pivots = _b2_pivots(c)
+        super().__init__(lap, pivots, kernel)
 
     def flow_part(self, flow: np.ndarray):
         """The projection of edge flows onto range(A), and their

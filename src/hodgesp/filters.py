@@ -21,12 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import CG_RTOL, conjugate_gradient, krylov
+from ._linalg import krylov
+from ._util import check_integer
 from .complexes import (
     Cochain,
     ComplexSignal,
     SimplicialComplex,
+    _cached_slot,
     _dirac_matrix,
+    _eliminate,
+    _Grounded,
     hodge_laplacian,
     lambda_max,
 )
@@ -46,7 +50,8 @@ __all__ = [
 
 
 class ConvergenceWarning(UserWarning):
-    """Iterative solver stopped before reaching its tolerance."""
+    """A solver missed its tolerance: an iteration stopped before reaching
+    it, or a direct solve left a larger residual."""
 
 
 @dataclass(frozen=True)
@@ -273,6 +278,33 @@ def dirac_filter(c: SimplicialComplex, spec: HodgeFilterSpec,
                                                      x.stacked()))
 
 
+def _l2_factor(c: SimplicialComplex, mask: np.ndarray, alpha: float,
+               beta: float) -> tuple[sp.csr_array, _Grounded]:
+    """The matrix A = M + alpha*L1_down + beta*L1_up of the quadratic
+    reconstruction, and its grounded factor.
+
+    A = C^T C with C = [M; sqrt(alpha) b1; sqrt(beta) b2^T]. The observed
+    edges are pivot columns of C through M. The unobserved edges, which M
+    does not reach, add the pivot columns of their incidence rows
+    [b1[:, U]; b2[U, :]^T] by exact elimination, a block left out when its
+    weight is zero; the remaining columns are free and span ker(A).
+    """
+    a = sp.csr_array(sp.diags(mask.astype(float)))
+    blocks = []
+    if alpha:
+        a = a + alpha * hodge_laplacian(c, 1, "down", sparse=True)
+        blocks.append(c.b1)
+    if beta:
+        a = a + beta * hodge_laplacian(c, 1, "up", sparse=True)
+        blocks.append(c.b2.T)
+    pivots = np.flatnonzero(mask)
+    unobserved = np.flatnonzero(~mask)
+    if blocks and unobserved.size:
+        stack = sp.vstack([b[:, unobserved] for b in blocks], format="csc")
+        pivots = np.union1d(pivots, unobserved[_eliminate(stack)])
+    return a, _Grounded(a, pivots)
+
+
 def _objective(mask, f, x, b1, b2t, alpha, beta, p, q) -> float:
     fit = f[mask] - x[mask]
     val = float(fit @ fit)
@@ -283,6 +315,11 @@ def _objective(mask, f, x, b1, b2t, alpha, beta, p, q) -> float:
     return val
 
 
+# Relative residual ||A x - M f|| / ||M f|| of the quadratic
+# reconstruction's direct solve above which it warns.
+L2_RESIDUAL_TOL = 1e-10
+
+
 def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
                             mask: np.ndarray, alpha: float, beta: float,
                             p: int = 2, q: int = 2,
@@ -291,16 +328,24 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
     """Edge flow estimate minimizing
     ||M(f - x)||^2 + alpha*||b1 x||_p^p + beta*||b2^T x||_q^q.
 
-    For p = q = 2 the normal equations (M + alpha*L1_down + beta*L1_up) x
-    = M f are solved on the sparse system by conjugate gradients started at
-    zero, to a relative residual of 1e-12 or max_iter iterations. M f lies
-    in the range of the system matrix, so the result is its minimum-norm
-    solution, also when a harmonic flow is left unobserved and the system
-    is singular. Any l1 term is handled by a primal-dual proximal gradient
-    iteration with step sizes from the Lipschitz constant of the quadratic
-    part, run to relative change < rtol (used by this path only) or
-    max_iter iterations. Non-convergence of either is reported via
-    :class:`ConvergenceWarning` with the final residual or relative change.
+    For p = q = 2 the normal equations A x = M f, with
+    A = M + alpha*L1_down + beta*L1_up, are solved directly by a sparse LU
+    factor of A grounded as the topology core grounds L2: the observed
+    edges and the pivot columns of the incidence rows of the unobserved
+    edges carry the factor, the other columns give an orthonormal basis of
+    ker(A), and each solve is projected off it. The result is the
+    minimum-norm solution, also when a harmonic flow is left unobserved
+    and A is singular. The factor is cached on the complex for one
+    (mask, alpha, beta) at a time, so repeated calls with the same mask
+    and weights each cost two triangular solves. If the relative residual
+    ||A x - M f|| / ||M f|| exceeds 1e-10, a :class:`ConvergenceWarning`
+    reports it. ``max_iter`` and ``rtol`` are not used on this path.
+
+    Any l1 term is handled by a primal-dual proximal gradient iteration
+    with step sizes from the Lipschitz constant of the quadratic part, run
+    to relative change < ``rtol`` or ``max_iter`` iterations; if it stops
+    at the cap, a :class:`ConvergenceWarning` reports the final relative
+    change and objective.
     """
     if f.complex is not c or f.order != 1:
         raise ValueError("f must be an order-1 cochain on this complex")
@@ -313,22 +358,28 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
                              f"got {weight}")
     if p not in (1, 2) or q not in (1, 2):
         raise ValueError("p and q must be 1 or 2")
+    check_integer(max_iter, "max_iter", 1)
+    if not (np.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"rtol must be finite and positive, got {rtol}")
 
     m_diag = mask.astype(float)
-    lap_down = hodge_laplacian(c, 1, "down", sparse=True)
-    lap_up = hodge_laplacian(c, 1, "up", sparse=True)
-
     if p == 2 and q == 2:
-        a = sp.csr_array(sp.diags(m_diag)) + alpha * lap_down + beta * lap_up
-        x, iters, res = conjugate_gradient(lambda v: a @ v,
-                                           m_diag * f.values, max_iter)
-        if res > CG_RTOL:
+        # Keyed on the mask's values: a caller may change it in place.
+        a, factor = _cached_slot(c, ("l2_factor",),
+                                 (mask.tobytes(), float(alpha), float(beta)),
+                                 _l2_factor, c, mask, alpha, beta)
+        rhs = m_diag * f.values
+        x = factor.solve(rhs)
+        res = np.linalg.norm(a @ x - rhs) / (np.linalg.norm(rhs) or 1.0)
+        if res > L2_RESIDUAL_TOL:
             warnings.warn(
-                "regularized_reconstruct did not converge: relative "
-                f"residual {res:.3e} after {iters} conjugate-gradient "
-                "iterations", ConvergenceWarning)
+                "regularized_reconstruct: the direct solve left a relative "
+                f"residual {res:.3e} above {L2_RESIDUAL_TOL:g}",
+                ConvergenceWarning)
         return Cochain(c, 1, x)
 
+    lap_down = hodge_laplacian(c, 1, "down", sparse=True)
+    lap_up = hodge_laplacian(c, 1, "up", sparse=True)
     b1 = c.b1.astype(float)
     b2t = c.b2.T.astype(float)
 

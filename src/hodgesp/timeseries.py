@@ -451,7 +451,8 @@ def lms_step(state: LmsState, x_t: Cochain, y_t: Cochain,
     x_t extends the input window; while the window is still too short for
     the regressor the coefficients are left untouched and the error is None.
     The returned error is the pre-update masked residual energy
-    ||M(y - X h)||^2.
+    ||M(y - X h)||^2; when it is not finite, the filter has diverged and a
+    ValueError names mu.
     """
     state, error, _ = _lms_update(state, x_t, y_t, mask)
     return state, error
@@ -482,6 +483,10 @@ def _lms_update(state: LmsState, x_t: Cochain, y_t: Cochain,
     if mask is not None:  # no mask is the all-ones mask, and 1.0 * r == r
         residual = mask.astype(float) * residual
     error = float(residual @ residual)
+    if not math.isfinite(error):  # one scalar check, not the coefficients
+        raise ValueError(
+            f"LMS diverged: the step's squared error is {error}; the step "
+            f"size mu = {state.mu} is too large for these inputs")
     coeffs = coeffs + state.mu * (x_mat.T @ residual)
     return _advance(state, coeffs, window), error, prediction
 

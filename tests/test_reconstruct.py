@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
+import hodgesp.complexes as hc
 import hodgesp.filters as hf
 from hodgesp import (
     ConvergenceWarning,
@@ -15,8 +16,9 @@ from hodgesp import (
     hodge_basis,
     regularized_reconstruct,
 )
+from hodgesp.complexes import _Grounded as Grounded
 
-from conftest import EDGES7, TRIS7, random_complex
+from conftest import EDGES7, TRIS7, complexes_with_cells, random_complex
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -133,12 +135,117 @@ def test_l2_uses_no_dense_solve(complex7, monkeypatch):
     assert dense_laplacians == []
 
 
-def test_l2_iteration_cap_warns_with_residual(complex7):
+def test_l2_ignores_max_iter(complex7):
+    # The quadratic path is a direct solve: there is no iteration to cap.
     f = complex7.cochain(1, np.arange(10.0))
-    mask = np.ones(10, bool)
+    mask = np.arange(10) % 3 != 0
+    want = regularized_reconstruct(complex7, f, mask, 0.5, 0.5).values
+    for max_iter in (1, 2, 10**9):
+        got = regularized_reconstruct(complex7, f, mask, 0.5, 0.5,
+                                      max_iter=max_iter, rtol=0.5).values
+        assert np.array_equal(got, want)
+
+
+def test_l2_residual_warns(complex7, monkeypatch):
+    # The direct solve is certified by its residual: a solve that misses
+    # the normal equations is reported with its relative residual.
+    real_solve = Grounded.solve
+    monkeypatch.setattr(Grounded, "solve",
+                        lambda self, rhs: 1.001 * real_solve(self, rhs))
+    f = complex7.cochain(1, np.arange(10.0))
     with pytest.warns(ConvergenceWarning,
-                      match=r"relative residual \d\.\d+e[-+]\d+ after 1 "):
-        regularized_reconstruct(complex7, f, mask, 0.5, 0.5, max_iter=1)
+                      match=r"relative residual \d\.\d+e-0[34] above 1e-10"):
+        regularized_reconstruct(complex7, f, np.ones(10, bool), 0.5, 0.5)
+
+
+def count_splu(monkeypatch) -> list:
+    """Record every sparse LU factorization made from now on."""
+    import scipy.sparse.linalg as spla
+
+    calls, real_splu = [], spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+def assert_pseudo_inverse_solution(c, mask, alpha, beta, f, x):
+    want = np.linalg.pinv(dense_system(c, mask, alpha, beta)) @ (mask * f)
+    assert np.linalg.norm(x - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+
+
+def test_l2_factor_is_reused(monkeypatch):
+    rng = np.random.default_rng(23)
+    c = filled_random_complex(rng)
+    mask = rng.random(c.n1) < 0.6
+    calls = count_splu(monkeypatch)
+    for _ in range(3):
+        f = c.cochain(1, rng.standard_normal(c.n1))
+        x = regularized_reconstruct(c, f, mask.copy(), 0.5, 0.25).values
+        assert_pseudo_inverse_solution(c, mask, 0.5, 0.25, f.values, x)
+    assert len(calls) == 1
+
+
+def test_l2_factor_follows_the_mask_values(monkeypatch):
+    # The factor is cached on the values of (mask, alpha, beta), not on
+    # the mask object: mutating the caller's mask in place, or changing a
+    # weight, gives a new factor that replaces the old one.
+    rng = np.random.default_rng(24)
+    c = filled_random_complex(rng)
+    f = rng.standard_normal(c.n1)
+    mask = rng.random(c.n1) < 0.6
+    calls = count_splu(monkeypatch)
+    steps = [(0.5, 0.25), (0.5, 0.25), (0.5, 0.25), (2.0, 0.25), (2.0, 0.0)]
+    for i, (alpha, beta) in enumerate(steps):
+        if i == 2:
+            mask[:2] ^= True
+        x = regularized_reconstruct(c, c.cochain(1, f), mask, alpha,
+                                    beta).values
+        assert_pseudo_inverse_solution(c, mask, alpha, beta, f, x)
+    assert len(calls) == 4
+    # one slot per complex, holding the last key
+    assert hc._cache[c][("l2_factor",)][0] == (mask.tobytes(), 2.0, 0.0)
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), seed=SEEDS, alpha=WEIGHTS, beta=WEIGHTS)
+def test_l2_kernel_is_the_unobserved_null_space(c, seed, alpha, beta):
+    # ker(M + alpha L1_down + beta L1_up) is {x : x = 0 on the observed
+    # edges, b1 x = 0 if alpha > 0, b2^T x = 0 if beta > 0}.
+    rng = np.random.default_rng(seed)
+    mask = rng.random(c.n1) < rng.random()
+    unobserved = np.flatnonzero(~mask)
+    rows = [c.b1.toarray()[:, unobserved]] * (alpha > 0)
+    rows += [c.b2.toarray().T[:, unobserved]] * (beta > 0)
+    stack = np.vstack(rows + [np.zeros((0, unobserved.size))])
+    rank = np.linalg.matrix_rank(stack) if stack.size else 0
+    a, factor = hf._l2_factor(c, mask, alpha, beta)
+    kernel = factor.kernel
+    assert kernel.shape == (c.n1, unobserved.size - rank)
+    assert np.allclose(kernel.T @ kernel, np.eye(kernel.shape[1]), atol=1e-12)
+    assert np.linalg.norm(a @ kernel) <= 1e-10 * max(1.0, c.n1)
+    assert np.all(np.abs(kernel[mask]) <= 1e-12)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, True, "10", None])
+def test_reconstruct_rejects_bad_max_iter(complex7, max_iter):
+    f = complex7.cochain(1, np.arange(10.0))
+    for p in (1, 2):
+        with pytest.raises(ValueError, match="max_iter"):
+            regularized_reconstruct(complex7, f, np.ones(10, bool), 0.5, 0.5,
+                                    p=p, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1e-8, np.nan, np.inf])
+def test_reconstruct_rejects_bad_rtol(complex7, rtol):
+    f = complex7.cochain(1, np.arange(10.0))
+    for p in (1, 2):
+        with pytest.raises(ValueError, match="rtol"):
+            regularized_reconstruct(complex7, f, np.ones(10, bool), 0.5, 0.5,
+                                    p=p, rtol=rtol)
 
 
 def l1_certificate(c, f, mask, alpha, beta, p, q, x) -> float:

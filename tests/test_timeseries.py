@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from hodgesp import (
 )
 from hodgesp.timeseries import _lms_update
 
-from conftest import EDGES7, TRIS7, complexes_with_cells
+from conftest import EDGES7, TRIS7, complexes_with_cells, triangulated_grid
 
 
 def random_signal(c, rng) -> ComplexSignal:
@@ -512,6 +513,24 @@ def test_lms_rejects_non_integer_orders(complex7, name, value):
         lms_init(complex7, mu=0.1, **orders)
     with pytest.raises(ValueError, match=name):
         LmsState(complex7, mu=0.1, coefficients=[0.0, 0.0, 0.0], **orders)
+
+
+@pytest.mark.parametrize("order,mu", [(1, 1e-2), (3, 1e-4)])
+def test_lms_divergence_names_mu(order, mu):
+    # A 12 x 12 grid with nine unfilled squares (n1 = 385, eighteen
+    # holes) and unit-variance inputs, predicting the input itself: mu
+    # times the largest eigenvalue of X^T X is about 45 at order 1 and far
+    # above 2 at order 3 with mu = 1e-4, so the stream overflows.
+    c = triangulated_grid(12, holes=[(i, j) for i in (2, 5, 8)
+                                     for j in (3, 6, 9)])
+    rng = np.random.default_rng(25)
+    state = lms_init(c, order, order, mu)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=rf"mu = {mu}\b") as info:
+        for _ in range(3000):
+            x = c.cochain(1, rng.standard_normal(c.n1))
+            state, _ = lms_step(state, x, x)
+    assert re.search(r"squared error is (inf|nan)", str(info.value))
 
 
 @pytest.mark.parametrize("steps", [-1, 2.5, True])

@@ -30,6 +30,9 @@ block widths):
     slepians                   on every 7th edge, band columns cached
     build_dictionary           two polynomial filters
     dictionary_csv             save_matrix of those atoms to a temporary file
+    l2_reconstruct             a quadratic regularized_reconstruct (alpha =
+                               beta = 0.5, 70% of the edges observed),
+                               factor included
 
 Streaming layers are timed warm, in microseconds per step: the mean over
 200 steps after the state or model has run once, best of three.
@@ -37,6 +40,12 @@ Streaming layers are timed warm, in microseconds per step: the mean over
     lms_step_T1, lms_step_T3   lms_step at t_down = t_up = 1 and 3
     scvar_step                 one scvar_simulate step of the order-2
                                model of the stream benchmark workload
+
+Warm per-call layers are timed in microseconds per call: the mean over
+64 calls after one call has filled the caches, best of three.
+
+    l2_reconstruct             64 flows through the mask and weights above,
+                               as in the many-signals benchmark workload
 
 Tier-1 runs ``python -m pytest -q`` from the repository root in a
 subprocess; its wall time, summary line and five slowest tests are kept.
@@ -90,6 +99,17 @@ def band(basis) -> str:
             f"+curl:0..{min(9, basis.n_curl - 1)}")
 
 
+ALPHA = BETA = 0.5  # the l2 reconstruction's weights, as in many-signals
+
+
+def l2_inputs(c, count: int = 1):
+    """A mask that observes 70% of the edges and ``count`` flows."""
+    rng = np.random.default_rng(0)
+    mask = gen.mask(c.n1, rng)
+    return mask, [c.cochain(1, rng.standard_normal(c.n1))
+                  for _ in range(count)]
+
+
 def prepare(c, layer: str, work: Path):
     """Everything ``layer`` needs on the fresh complex ``c`` but does not
     time; returns the call to time, which may write files under ``work``."""
@@ -105,6 +125,9 @@ def prepare(c, layer: str, work: Path):
     if layer == "dictionary_csv":
         atoms = hs.build_dictionary(c, 1, SPECS).csc
         return lambda: hio.save_matrix(work / "atoms.csv", atoms)
+    if layer == "l2_reconstruct":
+        mask, (f,) = l2_inputs(c)
+        return lambda: hs.regularized_reconstruct(c, f, mask, ALPHA, BETA)
     if layer == "dirac_basis":
         _incidence_svd(c, 1), _incidence_svd(c, 2)
         return lambda: hs.dirac_basis(c)
@@ -162,12 +185,37 @@ def stream_call(c, layer: str):
     return call
 
 
+CALLS = 64
+
+
+def l2_warm_call(c):
+    """The call that runs CALLS l2 reconstructions on ``c`` through one
+    mask, after one call has built the factor."""
+    mask, flows = l2_inputs(c, CALLS)
+    hs.regularized_reconstruct(c, flows[0], mask, ALPHA, BETA)
+
+    def call():
+        for f in flows:
+            hs.regularized_reconstruct(c, f, mask, ALPHA, BETA)
+    return call
+
+
 SIZES = ("complex7", "10", "20", "30", "40")
 LAYERS = ("betti", "hodge_decompose", "hodge_basis", "dense_blocks",
           "harmonic", "dirac_basis", "band_columns", "select_samples",
           "reconstruct_bandlimited", "slepians", "build_dictionary",
-          "dictionary_csv")
+          "dictionary_csv", "l2_reconstruct")
 STREAM_LAYERS = ("lms_step_T1", "lms_step_T3", "scvar_step")
+
+
+def best_of_three(call) -> float:
+    """The shortest of three timed runs of ``call``, in seconds."""
+    best = np.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def sweep(size: str, work: Path) -> dict:
@@ -193,18 +241,20 @@ def sweep(size: str, work: Path) -> dict:
               file=sys.stderr)
     step_us = {}
     for layer in STREAM_LAYERS:
-        call = stream_call(hs.build_complex(n0, edges, triangles), layer)
-        best = np.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            call()
-            best = min(best, time.perf_counter() - start)
+        best = best_of_three(stream_call(hs.build_complex(n0, edges,
+                                                          triangles), layer))
         step_us[layer] = round(best / STEPS * 1e6, 2)
         print(f"{size:>8} {layer:>24} {step_us[layer]:9.2f} us/step",
               file=sys.stderr)
+    best = best_of_three(l2_warm_call(hs.build_complex(n0, edges,
+                                                       triangles)))
+    warm_us = {"l2_reconstruct": round(best / CALLS * 1e6, 2)}
+    print(f"{size:>8} {'l2_reconstruct':>24} "
+          f"{warm_us['l2_reconstruct']:9.2f} us/call warm", file=sys.stderr)
     return {"n": [c.n0, c.n1, c.n2], "betti": list(hs.betti(c)),
             "band": band(hs.hodge_basis(c, 1)), "repeats": repeats,
-            "cold_s": cold, "peak_mb": peak, "step_us": step_us}
+            "cold_s": cold, "peak_mb": peak, "step_us": step_us,
+            "warm_us": warm_us}
 
 
 def tier1() -> dict:
