@@ -59,23 +59,26 @@ def gram_schmidt(q: np.ndarray, col: np.ndarray
 
 def power_iteration_lambda_max(matvec, n: int, rtol: float = 1e-6,
                                max_iter: int = 5000) -> float:
-    """Largest eigenvalue of a symmetric PSD operator given by its matvec."""
+    """Largest eigenvalue of a symmetric PSD operator given by its matvec;
+    ``iterations + 1`` matvecs, as the product that gives a step's Rayleigh
+    quotient is the next step's power."""
     if n == 0:
         return 0.0
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
+    w = matvec(v)
     for _ in range(max_iter):
-        w = matvec(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
-        v_new = w / norm
-        lam_new = float(v_new @ matvec(v_new))
+        v = w / norm
+        w = matvec(v)
+        lam_new = float(v @ w)
         if abs(lam_new - lam) <= rtol * max(abs(lam_new), 1e-30):
             return lam_new
-        v, lam = v_new, lam_new
+        lam = lam_new
     return lam
 
 

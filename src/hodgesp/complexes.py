@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -103,7 +104,7 @@ class SimplicialComplex:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "_edge_lookup", {e: i for i, e in enumerate(self.edges)}
+            self, "_edge_lookup", dict(zip(self.edges, range(self.n1)))
         )
 
     def cochain(self, order: int, values: Sequence[float]) -> "Cochain":
@@ -216,6 +217,104 @@ def _check_vertex(v, n: int, owner: str) -> int:
     return int(v)
 
 
+def _edge_vertices(e, n: int) -> tuple[int, int]:
+    """The canonical (u, v), u < v, of one edge, or TopologyError."""
+    if len(e) != 2:
+        raise TopologyError(f"edge {tuple(e)} must have exactly 2 vertices")
+    u, v = (_check_vertex(x, n, f"edge {tuple(e)}") for x in e)
+    if u == v:
+        raise TopologyError(f"edge ({u}, {v}) is a self-loop")
+    return (u, v) if u < v else (v, u)
+
+
+def _triangle_vertices(t, n: int) -> tuple[int, int, int]:
+    """The sorted vertices of one triangle, or TopologyError."""
+    if len(t) != 3:
+        raise TopologyError(
+            f"triangle {tuple(t)} must have exactly 3 vertices"
+        )
+    vs = tuple(sorted(_check_vertex(x, n, f"triangle {tuple(t)}") for x in t))
+    if len(set(vs)) != 3:
+        raise TopologyError(f"triangle {tuple(t)} repeats a vertex")
+    return vs
+
+
+def _integer_rows(items, width: int) -> np.ndarray | None:
+    """``items`` as an (m, width) int64 array when every item has ``width``
+    entries and each is an int or a numpy integer, else None."""
+    if isinstance(items, np.ndarray):
+        arr = items
+    else:
+        try:
+            kinds = set(map(type, chain.from_iterable(items)))
+            if not all(issubclass(t, (int, np.integer)) for t in kinds):
+                return None
+            arr = np.asarray(items)
+        except (TypeError, ValueError):  # an item that is not a sequence,
+            return None                  # or items of unequal lengths
+    if arr.dtype.kind not in "iu" or arr.shape != (len(items), width):
+        return None
+    return arr.astype(np.int64)
+
+
+def _vertex_rows(items, width: int, n: int, check):
+    """The sorted vertex rows of ``items``, checked one by one by ``check``
+    (``_edge_vertices`` or ``_triangle_vertices``): an (s, width) int64
+    array of the items before the first one that fails, and that item's
+    TopologyError, or None when all s = len(items) pass.
+
+    An integer array is checked at once: the same range and
+    repeated-vertex tests, with ``check`` run only on the first failing
+    item to raise its error."""
+    if not isinstance(items, np.ndarray):
+        items = list(items)
+    arr = _integer_rows(items, width)
+    if arr is not None:
+        arr.sort(axis=1)
+        bad = (arr[:, 0] < 0) | (arr[:, -1] >= n)
+        bad |= (arr[:, 1:] == arr[:, :-1]).any(axis=1)
+        stop = int(bad.argmax()) if bad.any() else len(items)
+        rows = arr[:stop]
+    else:
+        rows = []
+        for item in items:
+            try:
+                rows.append(check(item, n))
+            except TopologyError:
+                break
+        stop = len(rows)
+        rows = np.array(rows, dtype=np.int64).reshape(-1, width)
+    if stop == len(items):
+        return rows, None
+    try:
+        check(items[stop], n)
+    except TopologyError as exc:
+        return rows, exc
+    raise AssertionError(f"internal error: item {stop} passed its check")
+
+
+def _first_repeat(rows: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """The order that sorts ``rows`` lexicographically (stable), and the
+    index of the first row, in input order, equal to an earlier one."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    same = (ranked[1:] == ranked[:-1]).all(axis=1)
+    return order, int(order[1:][same].min()) if same.any() else None
+
+
+def _triangle_faces(edge_keys: np.ndarray, n: int,
+                    triangles: np.ndarray) -> np.ndarray:
+    """For each sorted row (u, v, w) of ``triangles``, the positions of its
+    faces (u, v), (u, w), (v, w) in the ascending keys a * n + b of the
+    edges (a, b), and -1 where a face is not an edge."""
+    keys = triangles[:, [0, 0, 1]] * n + triangles[:, [1, 2, 2]]
+    if not edge_keys.size:
+        return np.full(keys.shape, -1)
+    pos = np.searchsorted(edge_keys, keys)
+    found = edge_keys[np.minimum(pos, edge_keys.size - 1)] == keys
+    return np.where(found, pos, -1)
+
+
 def build_complex(
     num_vertices: int,
     edges: Sequence[Sequence[int]] = (),
@@ -226,49 +325,47 @@ def build_complex(
 
     Every triangle must have all three of its edges present (simplicial
     inclusivity); every cell must have all of its boundary edges present.
-    Raises :class:`TopologyError` naming the offending simplex otherwise.
+    Raises :class:`TopologyError` naming the offending simplex otherwise:
+    the first one, in input order, of the edges, then the triangles, then
+    the cells.
     """
     n = int(num_vertices)
     if n < 0:
         raise TopologyError(f"num_vertices must be >= 0, got {n}")
 
-    norm_edges = []
-    seen = set()
-    for e in edges:
-        if len(e) != 2:
-            raise TopologyError(f"edge {tuple(e)} must have exactly 2 vertices")
-        u, v = (_check_vertex(x, n, f"edge {tuple(e)}") for x in e)
-        if u == v:
-            raise TopologyError(f"edge ({u}, {v}) is a self-loop")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise TopologyError(f"duplicate edge {key}")
-        seen.add(key)
-        norm_edges.append(key)
-    norm_edges.sort()
-    edge_pos = {e: i for i, e in enumerate(norm_edges)}
+    edge_rows, err = _vertex_rows(edges, 2, n, _edge_vertices)
+    order, dup = _first_repeat(edge_rows)
+    if dup is not None:
+        raise TopologyError(
+            f"duplicate edge {tuple(edge_rows[dup].tolist())}")
+    if err is not None:
+        raise err
+    edge_rows = edge_rows[order]
+    edge_keys = edge_rows[:, 0] * n + edge_rows[:, 1]
+    norm_edges = list(zip(*(col.tolist() for col in edge_rows.T)))
 
-    norm_tris = []
-    seen_tris = set()
-    for t in triangles:
-        if len(t) != 3:
-            raise TopologyError(
-                f"triangle {tuple(t)} must have exactly 3 vertices"
-            )
-        vs = tuple(sorted(_check_vertex(x, n, f"triangle {tuple(t)}") for x in t))
-        if len(set(vs)) != 3:
-            raise TopologyError(f"triangle {tuple(t)} repeats a vertex")
-        if vs in seen_tris:
-            raise TopologyError(f"duplicate triangle {vs}")
-        seen_tris.add(vs)
-        for a, b in ((vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])):
-            if (a, b) not in edge_pos:
-                raise TopologyError(
-                    f"triangle {vs} is missing its edge ({a}, {b})"
-                )
-        norm_tris.append(vs)
-    norm_tris.sort()
+    tri_rows, err = _vertex_rows(triangles, 3, n, _triangle_vertices)
+    order, dup = _first_repeat(tri_rows)
+    faces = _triangle_faces(edge_keys, n, tri_rows)
+    missing = (faces < 0).any(axis=1)
+    gap = int(missing.argmax()) if missing.any() else None
+    if dup is not None and (gap is None or dup <= gap):
+        raise TopologyError(
+            f"duplicate triangle {tuple(tri_rows[dup].tolist())}")
+    if gap is not None:
+        vs = tri_rows[gap].tolist()
+        a, b = ((vs[0], vs[1]), (vs[0], vs[2]),
+                (vs[1], vs[2]))[int((faces[gap] < 0).argmax())]
+        raise TopologyError(
+            f"triangle {tuple(vs)} is missing its edge ({a}, {b})")
+    if err is not None:
+        raise err
+    norm_tris = list(zip(*(col.tolist() for col in tri_rows[order].T)))
 
+    n1 = len(norm_edges)
+    cells = list(cells)
+    seen_tris = set(norm_tris) if cells else set()
+    edge_pos = dict(zip(norm_edges, range(n1))) if cells else {}
     norm_cells = []
     seen_cells = set()
     for cyc in cells:
@@ -294,17 +391,18 @@ def build_complex(
                 )
         norm_cells.append(canon)
     norm_cells.sort()
+    cell_edges = [
+        [(edge_pos[(a, b) if a < b else (b, a)], 1 if a < b else -1)
+         for a, b in zip(canon, canon[1:] + canon[:1])]
+        for canon in norm_cells
+    ]
 
-    n1 = len(norm_edges)
-    rows, cols, vals = [], [], []
-    for j, (u, v) in enumerate(norm_edges):
-        rows += [u, v]
-        cols += [j, j]
-        vals += [-1, 1]  # tail, head
     b1 = sp.csr_array(
-        sp.coo_array((vals, (rows, cols)), shape=(n, n1), dtype=np.int64)
+        sp.coo_array((np.tile([-1, 1], n1),  # tail, head
+                      (edge_rows.ravel(), np.repeat(np.arange(n1), 2))),
+                     shape=(n, n1), dtype=np.int64)
     )
-    b2 = _boundary_matrix(edge_pos, norm_tris, norm_cells)
+    b2 = _boundary_matrix(n1, faces[order], cell_edges)
 
     if n1 and b2.shape[1] and (b1 @ b2).count_nonzero():
         raise AssertionError("internal error: b1 @ b2 != 0")
@@ -319,25 +417,23 @@ def build_complex(
     )
 
 
-def _boundary_matrix(edge_pos: dict, triangles, cells=()) -> sp.csr_array:
-    """The n1 x n2 integer boundary matrix b2 of canonical triangles, then
-    canonical cells, over the edges indexed by ``edge_pos``; the simplices
-    are not validated."""
-    rows, cols, vals = [], [], []
-    for j, (u, v, w) in enumerate(triangles):
-        # boundary of [u,v,w]: +[v,w] - [u,w] + [u,v]
-        rows += [edge_pos[(v, w)], edge_pos[(u, w)], edge_pos[(u, v)]]
-        cols += [j, j, j]
-        vals += [1, -1, 1]
-    for j, canon in enumerate(cells, start=len(triangles)):
-        for a, b in zip(canon, canon[1:] + canon[:1]):
-            key = (a, b) if a < b else (b, a)
-            rows.append(edge_pos[key])
-            cols.append(j)
-            vals.append(1 if a < b else -1)
-    shape = (len(edge_pos), len(triangles) + len(cells))
+def _boundary_matrix(n1: int, faces: np.ndarray, cells=()) -> sp.csr_array:
+    """The n1 x n2 integer boundary matrix b2. Column j < len(faces) is the
+    triangle [u,v,w] whose faces (u, v), (u, w), (v, w) are the edges
+    ``faces[j]``: its boundary is +[u,v] - [u,w] + [v,w]. Then one column
+    per cell, given as the (edge index, sign) pairs of its boundary."""
+    m = len(faces)
+    rows = [faces.ravel()]
+    cols = [np.repeat(np.arange(m), 3)]
+    vals = [np.tile([1, -1, 1], m)]
+    for j, pairs in enumerate(cells, start=m):
+        rows.append([e for e, _ in pairs])
+        cols.append([j] * len(pairs))
+        vals.append([sign for _, sign in pairs])
     return sp.csr_array(
-        sp.coo_array((vals, (rows, cols)), shape=shape, dtype=np.int64)
+        sp.coo_array((np.concatenate(vals), (np.concatenate(rows),
+                                             np.concatenate(cols))),
+                     shape=(n1, m + len(cells)), dtype=np.int64)
     )
 
 
@@ -352,10 +448,11 @@ def incidence(c: SimplicialComplex, k: int, dense: bool = False):
     return b.toarray().astype(float) if dense else b
 
 
-# Per-complex derived objects (Laplacians, incidence SVDs, lambda_max, the
-# sparse solvers, the quadratic reconstruction's factor, harmonic blocks,
-# the LMS shift stack), keyed by the immutable complex. No value refers
-# back to its complex, so an entry goes away with it.
+# Per-complex derived objects (Laplacians, incidence SVDs and their
+# values-only spectra, lambda_max, the sparse solvers, the quadratic
+# reconstruction's factor, harmonic blocks, the LMS shift stack), keyed by
+# the immutable complex. No value refers back to its complex, so an entry
+# goes away with it.
 _cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -458,18 +555,16 @@ def _lambda_max(c: SimplicialComplex, k: int, rtol: float) -> float:
 def _incidence_svd(c: SimplicialComplex, k: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD (u, s, vt) of b_k (k in {1, 2}), s descending, computed
-    once per complex from the eigenpairs of one Gram matrix of b_k; the
-    arrays are read-only.
+    once per complex from the eigenpairs of one Gram matrix of b_k
+    (:func:`_gram`); the arrays are read-only.
 
-    The Gram matrix is a cached sparse Laplacian made dense: L0 = b1 b1^T
-    or L2 = b2^T b2, unless n1 is smaller, then L1,down = b1^T b1 or
-    L1,up = b2 b2^T. Its eigenvectors w are one side of the SVD and its
+    The Gram matrix's eigenvectors w are one side of the SVD and its
     eigenvalues the squared singular values; the other side is derived as
     b^T w / sigma or b w / sigma. An eigenvalue at or below
-    max(m, n) * eps * lambda_max (b_k is m x n) is rounding noise of a zero
-    one: its singular value is exactly 0 and its derived column zero, so no
-    tolerance counts it as rank. The derived side is orthonormal only to
-    about eps * lambda_max / lambda_min, lambda_min the smallest nonzero
+    :func:`_zero_floor` is rounding noise of a zero one: its singular value
+    is exactly 0 and its derived column zero, so no tolerance counts it as
+    rank. The derived side is orthonormal only to about
+    eps * lambda_max / lambda_min, lambda_min the smallest nonzero
     eigenvalue: 7e-14 on a 20 x 20 grid with 6 holes, 1e-10 on a
     2000-vertex path, 2e-11 on an 800-rung triangle ladder, where a dense
     SVD reaches about 1e-14.
@@ -477,21 +572,52 @@ def _incidence_svd(c: SimplicialComplex, k: int
     return _cached(c, ("svd", k), _gram_svd, c, k)
 
 
+def _incidence_values(c: SimplicialComplex, k: int) -> np.ndarray:
+    """The squared singular values of b_k (k in {1, 2}), descending,
+    computed once per complex by ``eigvalsh`` of the Gram matrix that
+    :func:`_incidence_svd` factors, with no eigenvectors; values at or
+    below :func:`_zero_floor` are exactly 0. Read-only. They may differ
+    from the squares of ``_incidence_svd(c, k)[1]`` by rounding."""
+    return _cached(c, ("values", k), _gram_values, c, k)
+
+
+def _gram(c: SimplicialComplex, k: int) -> tuple[sp.csr_array, bool]:
+    """The cached sparse Gram matrix of b_k that the spectra factor, and
+    whether it is the edge-side one: L0 = b1 b1^T or L2 = b2^T b2, unless
+    n1 is smaller, then L1,down = b1^T b1 or L1,up = b2 b2^T."""
+    far = 0 if k == 1 else 2  # the order b_k joins to the edges
+    if c.n1 < c.num_simplices(far):
+        return hodge_laplacian(c, 1, "down" if k == 1 else "up",
+                               sparse=True), True
+    return hodge_laplacian(c, far, sparse=True), False
+
+
+def _zero_floor(c: SimplicialComplex, k: int, lam: np.ndarray) -> float:
+    """max(m, n) * eps * lambda_max for the m x n b_k, given the Gram
+    eigenvalues ``lam`` in descending order: eigenvalues at or below it
+    are rounding noise of zero ones."""
+    if not lam.size:
+        return 0.0
+    size = max(c.num_simplices(k - 1), c.num_simplices(k))
+    return size * np.finfo(float).eps * lam[0]
+
+
+def _gram_values(c: SimplicialComplex, k: int) -> np.ndarray:
+    lam = np.linalg.eigvalsh(_gram(c, k)[0].toarray())[::-1]
+    lam = np.where(lam > _zero_floor(c, k, lam), lam, 0.0)
+    lam.flags.writeable = False
+    return lam
+
+
 def _gram_svd(c: SimplicialComplex, k: int):
     b = incidence(c, k).astype(float)
-    far = 0 if k == 1 else 2  # the order b_k joins to the edges
-    on_edges = c.n1 < c.num_simplices(far)
-    if on_edges:
-        lap = hodge_laplacian(c, 1, "down" if k == 1 else "up", sparse=True)
-    else:
-        lap = hodge_laplacian(c, far, sparse=True)
+    lap, on_edges = _gram(c, k)
     # The Gram matrix taken is a a^T; its eigenvectors are the left
     # singular vectors of a.
     a = b.T if (k == 1) == on_edges else b
     lam, w = np.linalg.eigh(lap.toarray())
     lam, w = lam[::-1], np.ascontiguousarray(w[:, ::-1])
-    floor = max(b.shape) * np.finfo(float).eps * lam[0] if lam.size else 0.0
-    rank = int(np.count_nonzero(lam > floor))
+    rank = int(np.count_nonzero(lam > _zero_floor(c, k, lam)))
     s = np.zeros(lam.size)
     s[:rank] = np.sqrt(lam[:rank])
     derived = np.zeros((a.shape[1], lam.size))
@@ -526,11 +652,11 @@ def betti(c: SimplicialComplex, tol: float | None = None) -> tuple[int, int, int
 def _rank(c: SimplicialComplex, k: int, tol: float | None = None) -> int:
     """rank(b_k), k in {1, 2}: exact by default, n0 - beta0 for b1 and the
     pivot count for b2; with an explicit ``tol`` the number of singular
-    values above sqrt(tol)."""
+    values above sqrt(tol), read from the values-only spectrum."""
     if tol is None:
         return c.n0 - _components(c)[1] if k == 1 else _b2_pivots(c).size
     thr = _zero_tolerance(c, tol) ** 0.5
-    return int(np.count_nonzero(_incidence_svd(c, k)[1] > thr))
+    return int(np.count_nonzero(np.sqrt(_incidence_values(c, k)) > thr))
 
 
 # Prime modulus of the elimination that ranks b2. Columns independent mod

@@ -28,6 +28,7 @@ from .complexes import (
     _boundary_matrix,
     _incidence_svd,
     _potential,
+    _triangle_faces,
     _zero_tolerance,
 )
 
@@ -119,8 +120,10 @@ def infer_triangles(c: SimplicialComplex, flows: np.ndarray, count: int,
         )
     proj = project_out_gradient(c, flows, tol)
     # Row i is the boundary +[v,w] - [u,w] + [u,v] of candidate i.
-    rows = _boundary_matrix(c._edge_lookup,
-                            candidates).T.tocsr().astype(float)
+    edges = np.array(c.edges, dtype=np.int64).reshape(-1, 2)
+    triples = np.array(candidates, dtype=np.int64).reshape(-1, 3)
+    faces = _triangle_faces(edges[:, 0] * c.n0 + edges[:, 1], c.n0, triples)
+    rows = _boundary_matrix(c.n1, faces).T.tocsr().astype(float)
 
     # Score threshold is relative to the input flow energy, keeping the
     # selected sequence invariant under positive rescaling of the flows.

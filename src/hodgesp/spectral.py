@@ -16,23 +16,31 @@ What comes from where:
   of the topology core, with the cut moved past any cluster of equal
   eigenvalues. Inside a cluster they may be another orthonormal basis of
   the same space as the dense columns.
-* Dense blocks. ``gradient``, ``curl``, their frequencies, the frequency
-  table, :meth:`HodgeBasis.matrix`, transforms, Dirac eigenpairs, and
-  everything under an explicit ``tol`` come from the thin SVDs of b1 and
-  b2, computed once per complex and cached with it, and built on first
-  access. Each SVD is one ``eigh`` of the smaller Gram matrix of b_k, a
-  cached sparse Laplacian made dense (L0 or L1,down for b1, L2 or L1,up
-  for b2), with the other side derived as b^T w / sigma or b w / sigma;
-  no dense incidence matrix is formed. Eigenvalues at or below
-  max(m, n) * eps * lambda_max of the m x n b_k are exact zeros, so
-  rounding noise never counts as rank. The derived columns are
-  orthonormal to about eps * lambda_max / lambda_min (lambda_min the
-  smallest nonzero eigenvalue): 7e-14 on a 20 x 20 grid with 6 holes,
-  1e-10 on a 2000-vertex path, against 1e-14 for a dense SVD. Under the
-  default tolerance the blocks keep the exact widths.
+* Frequencies. Gradient and curl frequencies, the frequency table, and
+  the ranks under an explicit ``tol`` come from the values-only spectra
+  of b1 and b2, cached once per complex: one ``eigvalsh`` of the smaller
+  Gram matrix of b_k (L0 or L1,down for b1, L2 or L1,up for b2), with no
+  eigenvectors, and values at or below max(m, n) * eps * lambda_max of
+  the m x n b_k set to exactly 0. A frequency table builds no block and
+  reads no tolerance.
+* Dense blocks. ``gradient``, ``curl``, :meth:`HodgeBasis.matrix`,
+  transforms, Dirac eigenpairs, and the explicit-``tol`` split come from
+  the thin SVDs of b1 and b2, computed once per complex and cached with
+  it, and built on first access. Each SVD is one ``eigh`` of the same
+  Gram matrix, a cached sparse Laplacian made dense, with the other side
+  derived as b^T w / sigma or b w / sigma; no dense incidence matrix is
+  formed. Eigenvalues under the same floor are exact zeros, so rounding
+  noise never counts as rank. These squared singular values, which the
+  Dirac eigenvalues and the split use, may differ from the frequencies
+  by rounding. The derived columns are orthonormal to about
+  eps * lambda_max / lambda_min (lambda_min the smallest nonzero
+  eigenvalue): 7e-14 on a 20 x 20 grid with 6 holes, 1e-10 on a
+  2000-vertex path, against 1e-14 for a dense SVD. Under the default
+  tolerance the blocks keep the exact widths.
 * The zero tolerance is complex-wide: by default 1e-10 times the largest
   singular value of b1 and b2, taken as sqrt(lambda_max(L1)) from the
-  cached power iteration.
+  cached power iteration. :attr:`HodgeBasis.tolerance` computes it on
+  first read, for the sign fix of a block or of band columns.
 * The default Hodge decomposition uses no SVD: it solves L0 p = b1 x and
   L2 q = b2^T x with the exact sparse topology core (sparse LU factors,
   minimum-norm potentials).
@@ -69,6 +77,7 @@ from .complexes import (
     SimplicialComplex,
     _cached,
     _incidence_svd,
+    _incidence_values,
     _low_spectrum,
     _potential,
     _rank,
@@ -111,60 +120,75 @@ class HodgeBasis:
     kernel(L_k); the three blocks are mutually orthonormal and their widths
     sum to N_k. Column signs are fixed (first entry of magnitude > tolerance
     positive), so the basis is a deterministic function of the complex.
-    The widths are fixed up front: under the default tolerance (``exact``)
-    they are the exact ranks of the topology core. Every block is built on
-    first access.
+    The widths are fixed up front: under the default tolerance (``exact``,
+    ``tol`` None) they are the exact ranks of the topology core. Every
+    block, and the zero tolerance, is computed on first access.
     """
 
     complex: SimplicialComplex
     order: int
     n_gradient: int
     n_curl: int
-    tolerance: float
-    exact: bool
+    tol: float | None
+
+    @property
+    def exact(self) -> bool:
+        return self.tol is None
 
     @cached_property
-    def _gradient_block(self) -> tuple[np.ndarray, np.ndarray]:
+    def tolerance(self) -> float:
+        """The zero tolerance in force: ``tol``, or by default the
+        complex-wide one, whose first read runs the ``lambda_max(L1)``
+        power iteration."""
+        return _zero_tolerance(self.complex, self.tol)
+
+    @cached_property
+    def _gradient_block(self) -> np.ndarray:
         return self._dense_block(self.order, self.n_gradient, right=True)
 
     @cached_property
-    def _curl_block(self) -> tuple[np.ndarray, np.ndarray]:
+    def _curl_block(self) -> np.ndarray:
         return self._dense_block(self.order + 1, self.n_curl, right=False)
 
-    def _dense_block(self, k: int, r: int, right: bool):
+    def _dense_block(self, k: int, r: int, right: bool) -> np.ndarray:
         """The r right (gradient) or left (curl) singular vectors of b_k
-        with the largest singular values, ascending, and their squares."""
+        with the largest singular values, ascending."""
         if not 1 <= k <= 2:
-            nk = self.complex.num_simplices(self.order)
-            return np.zeros((nk, 0)), np.zeros(0)
-        u, s, vt = _incidence_svd(self.complex, k)
+            return np.zeros((self.complex.num_simplices(self.order), 0))
+        u, _, vt = _incidence_svd(self.complex, k)
         vecs = vt[:r][::-1].T if right else u[:, :r][:, ::-1]
-        return fix_column_signs(vecs, self.tolerance), s[:r][::-1] ** 2
+        return fix_column_signs(vecs, self.tolerance)
+
+    def _frequencies(self, k: int, r: int) -> np.ndarray:
+        """The r largest squared singular values of b_k, ascending, from
+        the values-only spectrum (read-only)."""
+        if not 1 <= k <= 2:
+            return np.zeros(0)
+        return _incidence_values(self.complex, k)[:r][::-1]
 
     @property
     def gradient(self) -> np.ndarray:
-        return self._gradient_block[0]
+        return self._gradient_block
 
     @property
     def gradient_frequencies(self) -> np.ndarray:
-        return self._gradient_block[1]
+        return self._frequencies(self.order, self.n_gradient)
 
     @property
     def curl(self) -> np.ndarray:
-        return self._curl_block[0]
+        return self._curl_block
 
     @property
     def curl_frequencies(self) -> np.ndarray:
-        return self._curl_block[1]
+        return self._frequencies(self.order + 1, self.n_curl)
 
     @cached_property
     def harmonic(self) -> np.ndarray:
         """Orthonormal basis of ker(L_k), cached with the complex per order
         and tolerance and read-only; see :func:`_harmonic_block`."""
         c, k = self.complex, self.order
-        tol = None if self.exact else self.tolerance
-        return _cached(c, ("harmonic", k, tol), _harmonic_block, c, k,
-                       self.n_harmonic, tol)
+        return _cached(c, ("harmonic", k, self.tol), _harmonic_block, c, k,
+                       self.n_harmonic, self.tol)
 
     @property
     def n_harmonic(self) -> int:
@@ -271,9 +295,15 @@ class HodgeComponents(NamedTuple):
 
 def _svd_rank(c: SimplicialComplex, k: int, tol: float | None):
     """Cached thin SVD of b_k and its rank: exact by default, else the
-    number of singular values above sqrt(tol)."""
+    number of singular values above sqrt(tol). That count comes from the
+    values-only spectrum, so it is capped at the SVD's count of nonzero
+    singular values: a value that rounding moved across the zero floor
+    never makes a caller divide by a zero one."""
     u, s, vt = _incidence_svd(c, k)
-    return u, s, vt, _rank(c, k, tol)
+    r = _rank(c, k, tol)
+    if tol is not None:
+        r = min(r, int(np.count_nonzero(s)))
+    return u, s, vt, r
 
 
 def hodge_basis(c: SimplicialComplex, k: int,
@@ -282,7 +312,8 @@ def hodge_basis(c: SimplicialComplex, k: int,
 
     Gradient columns are right singular vectors of b_k, curl columns left
     singular vectors of b_{k+1}, both in ascending frequency order. Only
-    the block widths are computed here; see :class:`HodgeBasis`.
+    the block widths are computed here (which also checks ``tol``); see
+    :class:`HodgeBasis`.
     """
     c.num_simplices(k)  # validates k
     return HodgeBasis(
@@ -290,8 +321,7 @@ def hodge_basis(c: SimplicialComplex, k: int,
         order=k,
         n_gradient=_rank(c, k, tol) if k >= 1 else 0,
         n_curl=_rank(c, k + 1, tol) if k <= 1 else 0,
-        tolerance=_zero_tolerance(c, tol),
-        exact=tol is None,
+        tol=None if tol is None else float(tol),
     )
 
 

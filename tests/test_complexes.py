@@ -4,6 +4,8 @@ Betti numbers, and elementary boundary operations."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hodgesp import (
     ComplexSignal,
@@ -96,6 +98,103 @@ def test_duplicate_and_range_errors():
     with pytest.raises(TopologyError, match="duplicates triangle"):
         build_complex(3, [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)],
                       cells=[(0, 1, 2)])
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def scrambled(c, rng):
+    """The simplices of ``c`` in a random order, each edge and triangle with
+    its vertices in a random order and each cell rotated and maybe
+    reversed."""
+    def shuffle(items):
+        return [items[i] for i in rng.permutation(len(items))]
+
+    cells = []
+    for cyc in c.cells:
+        turn = int(rng.integers(len(cyc)))
+        cyc = cyc[turn:] + cyc[:turn]
+        cells.append(cyc[::-1] if rng.random() < 0.5 else cyc)
+    return (shuffle([tuple(rng.permutation(e).tolist()) for e in c.edges]),
+            shuffle([tuple(rng.permutation(t).tolist())
+                     for t in c.triangles]),
+            shuffle(cells))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=SEEDS, with_cells=st.booleans(), as_arrays=st.booleans())
+def test_build_ignores_input_order_and_orientation(seed, with_cells,
+                                                   as_arrays):
+    rng = np.random.default_rng(seed)
+    c = random_complex(rng, max_vertices=14, with_cells=with_cells)
+    edges, triangles, cells = scrambled(c, rng)
+    if as_arrays:
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+    d = build_complex(c.n0, edges, triangles, cells)
+    assert (d.edges, d.triangles, d.cells) == (c.edges, c.triangles, c.cells)
+    for got, want in ((d.b1, c.b1), (d.b2, c.b2)):
+        assert got.dtype == want.dtype == np.int64
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+DEFECTS = ("edge range", "edge type", "edge self-loop", "edge duplicate",
+           "edge length", "triangle range", "triangle repeat",
+           "triangle duplicate", "triangle missing", "triangle length")
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=SEEDS, defect=st.sampled_from(DEFECTS),
+       where=st.floats(0.0, 1.0))
+def test_defect_raises_naming_its_simplex(seed, defect, where):
+    """One defective simplex at a random position among valid, scrambled
+    ones raises the error that names it."""
+    rng = np.random.default_rng(seed)
+    c = random_complex(rng, max_vertices=10)
+    n = c.n0
+    edges, triangles, _ = scrambled(c, rng)
+    a, b, x = (int(v) for v in rng.permutation(n)[:3])
+    group, kind = defect.split()
+    if kind == "range":
+        bad = (a, n + x) if group == "edge" else (a, b, n + x)
+        message = (f"{group} {bad}: vertex index {n + x} out of range "
+                   f"[0, {n})")
+    elif kind == "type":
+        bad = (a, b + 0.5)
+        message = f"edge {bad}: vertex index {b + 0.5!r} is not an integer"
+    elif kind == "self-loop":
+        bad = (a, a)
+        message = f"edge ({a}, {a}) is a self-loop"
+    elif kind == "length":
+        bad = (a,) if group == "edge" else (a, b)
+        width = 2 if group == "edge" else 3
+        message = f"{group} {bad} must have exactly {width} vertices"
+    elif kind == "repeat":
+        bad = (a, b, a)
+        message = f"triangle {bad} repeats a vertex"
+    elif kind == "duplicate":
+        pool = c.edges if group == "edge" else c.triangles
+        assume(pool)
+        simplex = pool[int(rng.integers(len(pool)))]
+        bad = tuple(rng.permutation(simplex).tolist())
+        message = f"duplicate {group} {simplex}"
+    else:  # a triple with an edge missing
+        edge_set = set(c.edges)
+        triples = [(u, v, w) for u in range(n) for v in range(u + 1, n)
+                   for w in range(v + 1, n)
+                   if not {(u, v), (u, w), (v, w)} <= edge_set]
+        assume(triples)
+        bad = triples[int(rng.integers(len(triples)))]
+        u, v, w = bad
+        gap = next(e for e in ((u, v), (u, w), (v, w)) if e not in edge_set)
+        message = f"triangle {bad} is missing its edge {gap}"
+        bad = tuple(rng.permutation(bad).tolist())
+    pool = edges if group == "edge" else triangles
+    pool.insert(int(where * len(pool)), bad)
+    with pytest.raises(TopologyError) as info:
+        build_complex(n, edges, triangles)
+    assert str(info.value) == message
 
 
 def test_degenerate_complexes_legal():

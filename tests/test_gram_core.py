@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hodgesp.complexes as hc
 import hodgesp.io as hio
 from hodgesp import (
     betti,
@@ -144,6 +145,36 @@ def test_band_subcommands_build_no_harmonic_block(tmp_path, complex7, no_qr):
                     "--observed", p["obs.csv"], "-o", p["rec.csv"]]) == 0
     assert run_cli(["slepians", str(comp), "--edges", "1,5,8",
                     "--freqs", SELECTOR, "-o", p["slep.csv"]]) == 0
+
+
+@pytest.mark.parametrize("tol", [None, "1e-8"])
+def test_spectrum_subcommand_runs_no_eigh_and_no_lambda_max(tmp_path, tol,
+                                                            monkeypatch):
+    """Without --basis-output a cold ``spectrum`` writes the values-only
+    frequencies: no eigenvector solve, and no power iteration for a zero
+    tolerance that nothing reads."""
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    c = triangulated_grid(6, [(1, 1), (3, 2)])
+    comp, out = tmp_path / "c.json", tmp_path / "spec.csv"
+    hio.save_complex(comp, c)
+    monkeypatch.setattr(np.linalg, "eigh", refuse("np.linalg.eigh"))
+    monkeypatch.setattr(hc, "_lambda_max", refuse("complexes._lambda_max"))
+    sigma2 = {k: np.linalg.svd(incidence(c, k, dense=True),
+                               compute_uv=False)[::-1] ** 2 for k in (1, 2)}
+    for k in (0, 1, 2):
+        argv = ["spectrum", str(comp), "--order", str(k), "-o", str(out)]
+        assert run_cli(argv + (["--tolerance", tol] if tol else [])) == 0
+        rows = [line.split(",") for line in
+                out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == c.num_simplices(k)
+        for kind, j in (("gradient", k), ("curl", k + 1)):
+            got = np.array([float(r[2]) for r in rows if r[1] == kind])
+            want = sigma2[j][sigma2[j] > 1e-8] if j in sigma2 else []
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def assert_columns_are_matrix_columns(c, rng):

@@ -20,6 +20,7 @@ from hodgesp import (
     dirac,
     dirac_basis,
     frequency_response,
+    frequency_table,
     hodge_basis,
     hodge_decompose,
     hodge_laplacian,
@@ -34,7 +35,15 @@ from hodgesp import (
     tft,
 )
 
-from conftest import EDGES7, TRIS7, complexes_with_cells, random_complex
+from hodgesp._linalg import power_iteration_lambda_max
+
+from conftest import (
+    EDGES7,
+    TRIS7,
+    complexes_with_cells,
+    random_complex,
+    triangulated_grid,
+)
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -143,33 +152,36 @@ def test_filter_is_its_frequency_response(c, seed, k, h_down, h_up, steps):
 
 def test_incidence_grams_factored_once_per_complex(monkeypatch):
     c = build_complex(7, EDGES7, TRIS7)  # fresh: nothing cached yet
-    svd_shapes, eigh_shapes = [], []
-    real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
+    shapes = {"svd": [], "eigh": [], "eigvalsh": []}
 
-    def counting_svd(a, *args, **kwargs):
-        svd_shapes.append(np.shape(a))
-        return real_svd(a, *args, **kwargs)
+    def counting(name):
+        real = getattr(np.linalg, name)
 
-    def counting_eigh(a, *args, **kwargs):
-        eigh_shapes.append(np.shape(a))
-        return real_eigh(a, *args, **kwargs)
+        def call(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     rng = np.random.default_rng(0)
     for tol in (None, 2.5):
         for k in (0, 1, 2):
-            hodge_basis(c, k, tol)
+            frequency_table(hodge_basis(c, k, tol))
             x = c.cochain(k, rng.standard_normal(c.num_simplices(k)))
             hodge_decompose(c, x, tol)
         dirac_basis(c, tol)
         betti(c, tol)
         project_out_gradient(c, rng.standard_normal((c.n1, 3)), tol)
         infer_triangles(c, rng.standard_normal((c.n1, 3)), 2, tol=tol)
-    # n0 <= n1 and n2 <= n1: the Gram matrices are L0 (of b1) and L2 (of b2).
-    assert eigh_shapes == [(c.n0, c.n0), (c.n2, c.n2)]
+    # n0 <= n1 and n2 <= n1: the Gram matrices are L0 (of b1) and L2 (of
+    # b2), each given at most one values-only and one vector solve. The
+    # frequency tables come first, so their values solves come first.
+    grams = [(c.n0, c.n0), (c.n2, c.n2)]
+    assert shapes["eigvalsh"] == grams
+    assert shapes["eigh"] == grams
     incidence_shapes = {(c.n0, c.n1), (c.n1, c.n0), (c.n1, c.n2), (c.n2, c.n1)}
-    assert not incidence_shapes & set(svd_shapes)
+    assert not incidence_shapes & set(shapes["svd"])
 
 
 def test_cached_factors_are_read_only(complex7):
@@ -228,3 +240,111 @@ def test_bad_tolerance_rejected_naming_tol(complex7, tol):
     for call in calls:
         with pytest.raises(ValueError, match="tol"):
             call()
+
+
+def fresh(c):
+    """An uncached copy of ``c``."""
+    return build_complex(c.n0, c.edges, c.triangles, c.cells)
+
+
+def grid_oneshot_complex(seed: int, m: int = 20, holes: int = 6):
+    """The grid-oneshot benchmark complex of ``seed``: an m x m grid whose
+    squares on ``holes`` random square rows and columns stay unfilled."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(m - 1, size=holes, replace=False).tolist()
+    cols = rng.choice(m - 1, size=holes, replace=False).tolist()
+    return triangulated_grid(m, [(i, j) for i in rows for j in cols])
+
+
+@pytest.mark.parametrize("case", ["fixtures"] + [f"grid{seed}"
+                                                 for seed in range(1, 11)])
+def test_explicit_tol_widths_count_the_svd(case, complex7, skeleton7, cell7,
+                                           tetra_surface, two_tetra_surfaces):
+    """Explicit-tol ranks come from the values-only spectrum, the split and
+    the Dirac pairs from the SVD: the two must agree, and no singular value
+    the split divides by may be zero, however small tol is."""
+    cases = ([complex7, skeleton7, cell7, tetra_surface, two_tetra_surfaces]
+             if case == "fixtures" else [grid_oneshot_complex(int(case[4:]))])
+    rng = np.random.default_rng(0)
+    for base in cases:
+        c = fresh(base)
+        for tol in (1e-300, 1e-8, 0.5):
+            s = {k: hc._incidence_svd(c, k)[1] for k in (1, 2)}
+            width = {k: int(np.count_nonzero(s[k] > np.sqrt(tol)))
+                     for k in (1, 2)}
+            for k in (0, 1, 2):
+                basis = hodge_basis(c, k, tol)
+                assert basis.n_gradient == width.get(k, 0)
+                assert basis.n_curl == width.get(k + 1, 0)
+            assert betti(c, tol) == (c.n0 - width[1],
+                                     c.n1 - width[1] - width[2],
+                                     c.n2 - width[2])
+            with np.errstate(divide="raise", invalid="raise"):
+                x = c.cochain(1, rng.standard_normal(c.n1))
+                parts = hodge_decompose(c, x, tol)
+                assert np.all(np.isfinite(parts.lower_potential.values))
+                assert np.all(np.isfinite(parts.upper_potential.values))
+                if case == "fixtures":
+                    assert np.all(np.isfinite(dirac_basis(c, tol).matrix()))
+
+
+def _two_matvec_power_iteration(matvec, n, rtol=1e-6, max_iter=5000):
+    """Power iteration with one matvec for each step's power and another
+    for its Rayleigh quotient; returns the estimate and the step count."""
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for step in range(1, max_iter + 1):
+        w = matvec(v)
+        v_new = w / np.linalg.norm(w)
+        lam_new = float(v_new @ matvec(v_new))
+        if abs(lam_new - lam) <= rtol * max(abs(lam_new), 1e-30):
+            return lam_new, step
+        v, lam = v_new, lam_new
+    return lam, max_iter
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("rtol", [1e-6, 1e-12])
+def test_power_iteration_takes_one_matvec_per_step(k, rtol):
+    c = triangulated_grid(10, [(2, 2), (5, 6)])
+    lap = hodge_laplacian(c, k, sparse=True)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return lap @ v
+
+    want, steps = _two_matvec_power_iteration(lambda v: lap @ v,
+                                              lap.shape[0], rtol)
+    got = power_iteration_lambda_max(matvec, lap.shape[0], rtol)
+    assert got == want  # the same products in the same order
+    assert len(calls) == steps + 1
+
+
+# lambda_max(c, k), k = 0, 1, 2, at the default rtol, as float.hex: the
+# values of the two-matvec power iteration, which the one-matvec loop must
+# reproduce bit for bit.
+LAMBDA_MAX_HEX = {
+    "complex7": ("0x1.bffff11e90433p+2", "0x1.bffff4c2cafc1p+2",
+                 "0x1.ffffe18e0869bp+1"),
+    "skeleton7": ("0x1.bffff11e90433p+2", "0x1.bffff4d44d83dp+2", "0x0.0p+0"),
+    "cell7": ("0x1.890e1b57a1513p+2", "0x1.890e1268a4e43p+2",
+              "0x1.278dd422f250cp+2"),
+    "tetra_surface": ("0x1.0000000000000p+2", "0x1.0000000000000p+2",
+                      "0x1.0000000000001p+2"),
+    "two_tetra_surfaces": ("0x1.0000000000000p+2", "0x1.0000000000000p+2",
+                           "0x1.0000000000000p+2"),
+    "holed_grid": ("0x1.19bd3c225f28ep+3", "0x1.19b840663b7ebp+3",
+                   "0x1.78e1d9fa108f1p+2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDA_MAX_HEX))
+def test_lambda_max_is_pinned_bit_for_bit(name, request):
+    if name == "holed_grid":
+        c = triangulated_grid(10, [(2, 2), (5, 6)])
+    else:
+        c = fresh(request.getfixturevalue(name))
+    got = tuple(lambda_max(c, k).hex() for k in (0, 1, 2))
+    assert got == LAMBDA_MAX_HEX[name]

@@ -20,7 +20,9 @@ Layers (order-1 bases; the band is ``grad:0..9+curl:0..9``, clipped to the
 block widths):
 
     betti, hodge_decompose     the exact sparse topology core
-    hodge_basis                the lazy basis: widths and zero tolerance
+    hodge_basis                the lazy basis: the block widths
+    frequency_table            hodge_basis and its frequency table, as the
+                               spectrum subcommand computes them
     dense_blocks               its gradient and curl blocks (Gram eigh)
     harmonic                   its harmonic block, from the sparse core
     dirac_basis                with the incidence SVDs already cached
@@ -120,6 +122,8 @@ def prepare(c, layer: str, work: Path):
         return lambda: hs.hodge_decompose(c, x)
     if layer == "hodge_basis":
         return lambda: hs.hodge_basis(c, 1)
+    if layer == "frequency_table":
+        return lambda: hs.frequency_table(hs.hodge_basis(c, 1))
     if layer == "build_dictionary":
         return lambda: hs.build_dictionary(c, 1, SPECS)
     if layer == "dictionary_csv":
@@ -201,10 +205,10 @@ def l2_warm_call(c):
 
 
 SIZES = ("complex7", "10", "20", "30", "40")
-LAYERS = ("betti", "hodge_decompose", "hodge_basis", "dense_blocks",
-          "harmonic", "dirac_basis", "band_columns", "select_samples",
-          "reconstruct_bandlimited", "slepians", "build_dictionary",
-          "dictionary_csv", "l2_reconstruct")
+LAYERS = ("betti", "hodge_decompose", "hodge_basis", "frequency_table",
+          "dense_blocks", "harmonic", "dirac_basis", "band_columns",
+          "select_samples", "reconstruct_bandlimited", "slepians",
+          "build_dictionary", "dictionary_csv", "l2_reconstruct")
 STREAM_LAYERS = ("lms_step_T1", "lms_step_T3", "scvar_step")
 
 
