@@ -81,7 +81,6 @@ from .timeseries import (
     scvar_fit,
     scvar_predict,
     scvar_simulate,
-    svar_predict,
 )
 
 __version__ = "0.1.0"
@@ -104,5 +103,5 @@ __all__ = [
     "frequency_table", "hodge_basis", "hodge_decompose", "itft", "tft",
     "IllConditionedWarning", "LmsState", "SCVarLag", "SCVarModel",
     "lms_build_regressor", "lms_init", "lms_step", "scvar_fit",
-    "scvar_predict", "scvar_simulate", "svar_predict",
+    "scvar_predict", "scvar_simulate",
 ]

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import check_tolerance
+
 
 def zero_tolerance(sigma_max: float, override: float | None = None) -> float:
     """Scale-aware threshold below which an eigenvalue counts as zero.
@@ -17,12 +19,6 @@ def zero_tolerance(sigma_max: float, override: float | None = None) -> float:
         check_tolerance(override)
         return float(override)
     return 1e-10 * max(1.0, float(sigma_max))
-
-
-def check_tolerance(tol: float | None) -> None:
-    """Reject a ``tol`` override that is not finite and positive."""
-    if tol is not None and not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def column_signs(u: np.ndarray, tol: float) -> np.ndarray:

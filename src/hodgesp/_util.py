@@ -1,7 +1,11 @@
-"""Small shared validation helpers."""
+"""The parameter contract: every public parameter that is an index set, an
+integer, a real number or a zero tolerance is checked by one of these
+helpers, and a rejected value raises a ValueError that names the
+parameter."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -25,9 +29,33 @@ def as_index_tuple(indices: Sequence[int], n: int, name: str) -> tuple[int, ...]
     return tuple(out)
 
 
-def check_integer(value, name: str, minimum: int) -> None:
-    """Reject a non-integer (or bool) ``value``, or one below ``minimum``."""
+def check_integer(value, name: str, minimum: int,
+                  maximum: int | None = None) -> None:
+    """Reject a non-integer (or bool) ``value``, or one outside
+    [minimum, maximum]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
+
+
+def check_real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float; rejects a bool, a non-number (a string
+    included), nan, inf and a negative value, and with ``positive`` zero."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and value >= 0) or (positive and not value):
+        raise ValueError(f"{name} must be finite and "
+                         f"{'positive' if positive else 'nonnegative'}, "
+                         f"got {value}")
+    return float(value)
+
+
+def check_tolerance(tol: float | None) -> None:
+    """Reject a ``tol`` override that is not a finite positive number;
+    None, the scale-aware default, passes."""
+    if tol is not None:
+        check_real(tol, "tol", positive=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as hio
-from ._linalg import check_tolerance
+from ._util import check_tolerance
 from .complexes import betti
 from .dictionaries import build_dictionary, slepians
 from .filters import apply_filter
@@ -172,12 +172,7 @@ def _cmd_forecast(args) -> None:
     c = hio.load_complex(args.complex)
     model = hio.load_model(args.model, c)
     series = hio.load_series(args.series, c)
-    if len(series) < model.order:
-        raise ValueError(f"series has {len(series)} steps but the model "
-                         f"needs {model.order}")
     noise = tuple(float(s) for s in args.noise_std.split(","))
-    if len(noise) != 3:
-        raise ValueError("--noise-std needs three comma-separated values")
     rng = np.random.default_rng(args.seed)
     out = scvar_simulate(model, args.steps, series, noise_std=noise, rng=rng)
     hio.save_series(args.output, out, start=len(series))

@@ -32,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import power_iteration_lambda_max, zero_tolerance
+from ._util import check_integer, check_real
 
 __all__ = [
     "TopologyError",
@@ -130,8 +131,7 @@ class Cochain:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if self.order not in (0, 1, 2):
-            raise ValueError(f"order must be 0, 1 or 2, got {self.order}")
+        check_integer(self.order, "order", 0, 2)
         expected = self.complex.num_simplices(self.order)
         if values.ndim != 1 or values.shape[0] != expected:
             raise ValueError(
@@ -329,9 +329,8 @@ def build_complex(
     the first one, in input order, of the edges, then the triangles, then
     the cells.
     """
+    check_integer(num_vertices, "num_vertices", 0)
     n = int(num_vertices)
-    if n < 0:
-        raise TopologyError(f"num_vertices must be >= 0, got {n}")
 
     edge_rows, err = _vertex_rows(edges, 2, n, _edge_vertices)
     order, dup = _first_repeat(edge_rows)
@@ -439,12 +438,8 @@ def _boundary_matrix(n1: int, faces: np.ndarray, cells=()) -> sp.csr_array:
 
 def incidence(c: SimplicialComplex, k: int, dense: bool = False):
     """Incidence matrix b_k (k in {1, 2}); entries in {-1, 0, +1}."""
-    if k == 1:
-        b = c.b1
-    elif k == 2:
-        b = c.b2
-    else:
-        raise ValueError(f"incidence order must be 1 or 2, got {k}")
+    check_integer(k, "k", 1, 2)
+    b = c.b1 if k == 1 else c.b2
     return b.toarray().astype(float) if dense else b
 
 
@@ -487,14 +482,11 @@ def hodge_laplacian(c: SimplicialComplex, k: int, variant: str = "full",
     undefined at k=0 and the up part at k=2. Sparse results are cached on
     the (immutable) complex and must be treated as read-only.
     """
+    check_integer(k, "k", 0, 2)
     if variant not in ("full", "down", "up"):
         raise ValueError(f"variant must be full, down or up, got {variant!r}")
-    if k == 0 and variant == "down":
-        raise ValueError("k=0 has no down Laplacian")
-    if k == 2 and variant == "up":
-        raise ValueError("k=2 has no up Laplacian")
-    if k not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {k}")
+    if (k, variant) in ((0, "down"), (2, "up")):
+        raise ValueError(f"k={k} has no {variant} Laplacian")
 
     if k != 1:
         variant = "full"  # L0's up part and L2's down part are L0 and L2
@@ -543,6 +535,8 @@ def _dirac_blocks(b1, b2) -> sp.csr_array:
 def lambda_max(c: SimplicialComplex, k: int, rtol: float = 1e-6) -> float:
     """Largest eigenvalue of L_k, by power iteration, cached per complex
     and rtol."""
+    check_integer(k, "k", 0, 2)
+    check_real(rtol, "rtol", positive=True)
     return _cached(c, ("lambda_max", k, rtol), _lambda_max, c, k, rtol)
 
 
@@ -857,30 +851,32 @@ def _partial_eigh(c: SimplicialComplex, k: int, count: int):
     return None
 
 
-def _check_bound(c: SimplicialComplex, x: Cochain, k: int) -> None:
+def _check_bound(c: SimplicialComplex, x, name: str,
+                 k: int | None = None) -> None:
+    """Reject the parameter ``name``, a cochain, signal or basis ``x``,
+    unless it belongs to ``c`` and, given ``k``, is of order k."""
     if x.complex is not c:
-        raise ValueError("cochain is bound to a different complex")
-    if x.order != k:
-        raise ValueError(f"expected an order-{k} cochain, got order {x.order}")
+        raise ValueError(f"{name} is bound to a different complex")
+    if k is not None and x.order != k:
+        raise ValueError(f"{name} must be of order {k}, got order {x.order}")
 
 
 def divergence(c: SimplicialComplex, x1: Cochain) -> Cochain:
     """Net flow b1 @ x1 into each vertex."""
-    _check_bound(c, x1, 1)
+    _check_bound(c, x1, "x1", 1)
     return Cochain(c, 0, c.b1 @ x1.values)
 
 
 def curl(c: SimplicialComplex, x1: Cochain) -> Cochain:
     """Circulation b2^T @ x1 around each triangle/cell."""
-    _check_bound(c, x1, 1)
+    _check_bound(c, x1, "x1", 1)
     return Cochain(c, 2, c.b2.T @ x1.values)
 
 
 def dirac_shift(c: SimplicialComplex, x: ComplexSignal) -> ComplexSignal:
     """One application of the Dirac operator:
     (b1 x1, b1^T x0 + b2 x2, b2^T x1)."""
-    if x.complex is not c:
-        raise ValueError("signal is bound to a different complex")
+    _check_bound(c, x, "x")
     return ComplexSignal.from_arrays(
         c,
         c.b1 @ x.x1.values,

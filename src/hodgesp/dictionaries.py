@@ -12,9 +12,9 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from ._linalg import check_tolerance, fix_column_signs, gram_schmidt
-from ._util import as_index_tuple, check_integer
-from .complexes import Cochain, SimplicialComplex
+from ._linalg import fix_column_signs, gram_schmidt
+from ._util import as_index_tuple, check_integer, check_real, check_tolerance
+from .complexes import Cochain, SimplicialComplex, _check_bound
 from .filters import HodgeFilterSpec, _filter_values
 from .spectral import HodgeBasis, hodge_basis
 
@@ -89,6 +89,7 @@ def slepians(c: SimplicialComplex, edge_set: Sequence[int],
     check_tolerance(tol)
     if basis is None:
         basis = hodge_basis(c, 1, tol)
+    _check_bound(c, basis, "basis", 1)
     n1 = c.n1
     s_idx = as_index_tuple(edge_set, n1, "edge set")
     f_idx = as_index_tuple(frequency_set, n1, "frequency set")
@@ -98,8 +99,7 @@ def slepians(c: SimplicialComplex, edge_set: Sequence[int],
         raise ValueError("frequency set must be nonempty")
     if m is None:
         m = len(f_idx)
-    if not 1 <= m <= len(f_idx):
-        raise ValueError(f"m must be in [1, {len(f_idx)}], got {m}")
+    check_integer(m, "m", 1, len(f_idx))
 
     u_f = basis.columns(f_idx)
     sel = np.zeros(n1)
@@ -128,6 +128,7 @@ def build_dictionary(c: SimplicialComplex, k: int,
     entries that cancel to zero are not stored. Harmonic terms are not part
     of the dictionary parameterization and are rejected.
     """
+    check_integer(k, "k", 0, 2)
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one filter spec")
@@ -203,9 +204,7 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
     if atoms.ndim != 2 or atoms.shape[0] != target.shape[0]:
         raise ValueError("dictionary and signal dimensions do not match")
     check_integer(sparsity, "sparsity", 1)
-    if not (np.isfinite(residual_tol) and residual_tol >= 0):
-        raise ValueError("residual_tol must be finite and >= 0, got "
-                         f"{residual_tol}")
+    check_real(residual_tol, "residual_tol")
 
     if isinstance(dictionary, HodgeDictionary):
         correlator, norms = dictionary._correlator

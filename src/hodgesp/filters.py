@@ -22,12 +22,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import krylov
-from ._util import check_integer
+from ._util import check_integer, check_real
 from .complexes import (
     Cochain,
     ComplexSignal,
     SimplicialComplex,
     _cached_slot,
+    _check_bound,
     _dirac_matrix,
     _eliminate,
     _Grounded,
@@ -63,10 +64,8 @@ class HarmonicTerm:
     steps: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if int(self.steps) != self.steps or self.steps < 0:
-            raise ValueError(f"steps must be a nonnegative integer, got {self.steps}")
+        check_real(self.epsilon, "epsilon", positive=True)
+        check_integer(self.steps, "steps", 0)
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,8 @@ def _polynomial(op, coeffs: tuple[float, ...], x):
 def apply_filter(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
                  x: Cochain) -> Cochain:
     """Shift-and-sum filter application in the simplex domain."""
-    if x.complex is not c:
-        raise ValueError("cochain is bound to a different complex")
-    if x.order != k:
-        raise ValueError(f"expected an order-{k} cochain, got order {x.order}")
+    check_integer(k, "k", 0, 2)
+    _check_bound(c, x, "x", k)
     return Cochain(c, k, _filter_values(c, k, spec, x.values))
 
 
@@ -206,8 +203,10 @@ def frequency_response(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
     contributes its constant term alone), and symmetrically for curl; the
     harmonic gain is h_down[0] + h_up[0], or exactly 1 with a harmonic term.
     """
+    check_integer(k, "k", 0, 2)
     if basis is None:
         basis = hodge_basis(c, k)
+    _check_bound(c, basis, "basis", k)
     down0 = spec.h_down[0] if spec.h_down else 0.0
     up0 = spec.h_up[0] if spec.h_up else 0.0
 
@@ -249,8 +248,7 @@ def filterbank_edge(c: SimplicialComplex, spec_11: HodgeFilterSpec,
     triangle branch in the up Laplacian only; cross-branch harmonic terms
     are rejected (they would be redundant or annihilated).
     """
-    if x.complex is not c:
-        raise ValueError("signal is bound to a different complex")
+    _check_bound(c, x, "x")
     _require_one_sided(spec_01, "down", "spec_01 (node branch)")
     _require_one_sided(spec_21, "up", "spec_21 (triangle branch)")
 
@@ -270,8 +268,7 @@ def dirac_filter(c: SimplicialComplex, spec: HodgeFilterSpec,
     The polynomial is taken from h_down; h_up must be zero and no harmonic
     term is allowed.
     """
-    if x.complex is not c:
-        raise ValueError("signal is bound to a different complex")
+    _check_bound(c, x, "x")
     _require_one_sided(spec, "down", "a Dirac filter")
     return ComplexSignal.from_stacked(c, _polynomial(_dirac_matrix(c),
                                                      spec.h_down,
@@ -347,20 +344,16 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
     at the cap, a :class:`ConvergenceWarning` reports the final relative
     change and objective.
     """
-    if f.complex is not c or f.order != 1:
-        raise ValueError("f must be an order-1 cochain on this complex")
+    _check_bound(c, f, "f", 1)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (c.n1,):
         raise ValueError(f"mask must have shape ({c.n1},)")
-    for name, weight in (("alpha", alpha), ("beta", beta)):
-        if not (np.isfinite(weight) and weight >= 0):
-            raise ValueError(f"{name} must be finite and nonnegative, "
-                             f"got {weight}")
-    if p not in (1, 2) or q not in (1, 2):
-        raise ValueError("p and q must be 1 or 2")
+    check_real(alpha, "alpha")
+    check_real(beta, "beta")
+    check_integer(p, "p", 1, 2)
+    check_integer(q, "q", 1, 2)
     check_integer(max_iter, "max_iter", 1)
-    if not (np.isfinite(rtol) and rtol > 0):
-        raise ValueError(f"rtol must be finite and positive, got {rtol}")
+    check_real(rtol, "rtol", positive=True)
 
     m_diag = mask.astype(float)
     if p == 2 and q == 2:

@@ -21,16 +21,10 @@ import warnings
 
 import numpy as np
 
-from ._linalg import check_tolerance, gram_schmidt
-from ._util import check_integer
-from .complexes import (
-    SimplicialComplex,
-    _boundary_matrix,
-    _incidence_svd,
-    _potential,
-    _triangle_faces,
-    _zero_tolerance,
-)
+from ._linalg import gram_schmidt
+from ._util import check_integer, check_tolerance
+from .complexes import SimplicialComplex, _boundary_matrix, _triangle_faces
+from .spectral import _gradient_part
 
 __all__ = [
     "DegenerateScoresWarning",
@@ -62,11 +56,7 @@ def project_out_gradient(c: SimplicialComplex, flows: np.ndarray,
         flows = flows.T
     if flows.shape[0] != c.n1:
         raise ValueError(f"flows must have {c.n1} rows (one per edge)")
-    if tol is None:
-        return flows - _potential(c, 0).flow_part(flows)[0]
-    _, s, vt = _incidence_svd(c, 1)
-    v_grad = vt[s > _zero_tolerance(c, tol) ** 0.5].T
-    return flows - v_grad @ (v_grad.T @ flows)
+    return flows - _gradient_part(c, 1, flows, tol)[0]
 
 
 def residual_energy(projected_flows: np.ndarray) -> float:

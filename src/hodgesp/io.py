@@ -165,10 +165,20 @@ def _write_csv(path, header: str | None, row_fmt: str, *columns) -> None:
 
 
 def _integer(v) -> int:
-    """A JSON vertex index as int; fractions and booleans raise."""
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+    """A JSON integer as int; fractions, booleans and strings raise."""
+    if isinstance(v, (bool, str)) or (isinstance(v, float)
+                                      and not v.is_integer()):
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
+
+
+def _integer_field(data: dict, name: str) -> int:
+    """The integer field ``name`` of a JSON object; a value that is not an
+    integer raises a ValueError that names the field."""
+    try:
+        return _integer(data[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
 
 
 def _read_json(path):
@@ -191,14 +201,13 @@ def load_complex(path) -> SimplicialComplex:
             try:
                 out.append([_integer(v) - 1 for v in simplex])
             except (TypeError, ValueError) as exc:
-                raise FileFormatError(
-                    f"{path}: field '{group}': bad {name} {simplex!r} ({exc})"
-                ) from exc
+                raise ValueError(f"field '{group}': bad {name} {simplex!r} "
+                                 f"({exc})") from exc
         return out
 
     try:
         return build_complex(
-            int(data["num_vertices"]),
+            _integer_field(data, "num_vertices"),
             edges=shift("edges", "edge"),
             triangles=shift("triangles", "triangle"),
             cells=shift("cells", "cell"),
@@ -207,6 +216,8 @@ def load_complex(path) -> SimplicialComplex:
         raise TopologyError(
             f"{path}: {exc} (indices reported 0-based; the file is 1-based)"
         ) from exc
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def save_complex(path, c: SimplicialComplex) -> None:
@@ -314,7 +325,7 @@ def _spec_from_json(data: dict, where: str) -> HodgeFilterSpec:
         harm = data.get("harmonic")
         harmonic = None if harm is None else \
             HarmonicTerm(epsilon=float(harm["epsilon"]),
-                         steps=int(harm["T_h"]))
+                         steps=_integer_field(harm, "T_h"))
         return HodgeFilterSpec(
             h_down=tuple(float(v) for v in data.get("h_down", [])),
             h_up=tuple(float(v) for v in data.get("h_up", [])),

@@ -14,9 +14,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import check_tolerance, zero_tolerance
-from ._util import as_index_tuple
-from .complexes import Cochain, SimplicialComplex
+from ._linalg import zero_tolerance
+from ._util import as_index_tuple, check_integer, check_tolerance
+from .complexes import Cochain, SimplicialComplex, _check_bound
 from .spectral import HodgeBasis, hodge_basis
 
 __all__ = [
@@ -38,17 +38,33 @@ class Recoverability(NamedTuple):
     margin: float  # smallest singular value of the sampled sub-basis
 
 
-def _sampled_basis(basis: HodgeBasis, freq_set, sample_set):
-    u_f = basis.columns(freq_set)
-    return u_f, u_f[list(sample_set), :]
+def _sampled_fit(c: SimplicialComplex, k: int, freq_set, sample_set,
+                 basis: HodgeBasis | None, tol: float | None):
+    """What the sampled fit starts from, its parameters checked: the
+    |F| band columns U_F of ``basis`` (built from ``tol`` when None), and
+    their |S| rows on the sample set."""
+    check_integer(k, "k", 0, 2)
+    check_tolerance(tol)
+    if basis is None:
+        basis = hodge_basis(c, k, tol)
+    _check_bound(c, basis, "basis", k)
+    nk = c.num_simplices(k)
+    f_idx = as_index_tuple(freq_set, nk, "frequency set")
+    s_idx = as_index_tuple(sample_set, nk, "sample set")
+    u_f = basis.columns(f_idx)
+    return u_f, u_f[list(s_idx), :]
 
 
-def _margin(sampled: np.ndarray, n_freq: int) -> float:
-    """|F|-th singular value of the sampled sub-basis (0 when |S| < |F|)."""
-    if sampled.shape[0] < n_freq:
-        return 0.0
-    s = np.linalg.svd(sampled, compute_uv=False)
-    return float(s[-1]) if s.size else 0.0
+def _recoverability(sampled: np.ndarray, tol: float | None
+                    ) -> Recoverability:
+    """The |F|-th singular value of the sampled sub-basis as margin (0 when
+    |S| < |F|), and whether it is above the zero threshold of ``tol``."""
+    margin = 0.0
+    if sampled.shape[0] >= sampled.shape[1]:
+        s = np.linalg.svd(sampled, compute_uv=False)
+        margin = float(s[-1]) if s.size else 0.0
+    return Recoverability(ok=margin > zero_tolerance(1.0, tol) ** 0.5,
+                          margin=margin)
 
 
 def is_perfectly_recoverable(c: SimplicialComplex, k: int,
@@ -58,18 +74,10 @@ def is_perfectly_recoverable(c: SimplicialComplex, k: int,
                              tol: float | None = None) -> Recoverability:
     """Full-rank test for the sampled basis, with the smallest singular
     value as margin."""
-    check_tolerance(tol)
-    if basis is None:
-        basis = hodge_basis(c, k, tol)
-    nk = c.num_simplices(k)
-    f_idx = as_index_tuple(freq_set, nk, "frequency set")
-    s_idx = as_index_tuple(sample_set, nk, "sample set")
-    if not f_idx or not s_idx:
+    sampled = _sampled_fit(c, k, freq_set, sample_set, basis, tol)[1]
+    if not sampled.size:
         raise ValueError("frequency and sample sets must be nonempty")
-    _, sampled = _sampled_basis(basis, f_idx, s_idx)
-    margin = _margin(sampled, len(f_idx))
-    thr = zero_tolerance(1.0, tol) ** 0.5
-    return Recoverability(ok=margin > thr, margin=margin)
+    return _recoverability(sampled, tol)
 
 
 def reconstruct_bandlimited(c: SimplicialComplex, k: int,
@@ -87,21 +95,13 @@ def reconstruct_bandlimited(c: SimplicialComplex, k: int,
     system is reported through :class:`RankDeficientWarning` with its margin
     and the minimum-norm best effort is returned.
     """
-    check_tolerance(tol)
-    if basis is None:
-        basis = hodge_basis(c, k, tol)
-    nk = c.num_simplices(k)
-    f_idx = as_index_tuple(freq_set, nk, "frequency set")
-    s_idx = as_index_tuple(sample_set, nk, "sample set")
+    u_f, sampled = _sampled_fit(c, k, freq_set, sample_set, basis, tol)
     observed = np.asarray(observed, dtype=float)
-    if observed.shape != (len(s_idx),):
-        raise ValueError(
-            f"expected {len(s_idx)} observed values, got shape {observed.shape}"
-        )
-    u_f, sampled = _sampled_basis(basis, f_idx, s_idx)
-    margin = _margin(sampled, len(f_idx))
-    thr = zero_tolerance(1.0, tol) ** 0.5
-    if margin <= thr:
+    if observed.shape != sampled.shape[:1]:
+        raise ValueError(f"expected {sampled.shape[0]} observed values, got "
+                         f"shape {observed.shape}")
+    ok, margin = _recoverability(sampled, tol)
+    if not ok:
         warnings.warn(
             f"sample set does not determine the bandlimited signal "
             f"(margin {margin:.3e}); returning least-squares best effort",
@@ -128,18 +128,11 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
     picks are those of a scan that computes one SVD per candidate.
     Raises when m >= |F| but no recoverable set exists along the greedy path.
     """
-    check_tolerance(tol)
-    if basis is None:
-        basis = hodge_basis(c, k, tol)
-    nk = c.num_simplices(k)
-    f_idx = as_index_tuple(freq_set, nk, "frequency set")
-    if not f_idx:
+    u_f = _sampled_fit(c, k, freq_set, (), basis, tol)[0]
+    nk, nf = u_f.shape
+    if not nf:
         raise ValueError("frequency set must be nonempty")
-    if not 1 <= m <= nk:
-        raise ValueError(f"m must be in [1, {nk}], got {m}")
-
-    u_f = basis.columns(f_idx)
-    nf = len(f_idx)
+    check_integer(m, "m", 1, nk)
     gram = np.zeros((nf, nf))  # column Gram matrix of the picked rows
     free = np.ones(nk, dtype=bool)
     selected: list[int] = []
@@ -163,10 +156,9 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
         free[best_idx] = False
         gram += np.outer(u_f[best_idx], u_f[best_idx])
 
-    if m >= len(f_idx):
-        final = _margin(u_f[selected, :], len(f_idx))
-        thr = zero_tolerance(1.0, tol) ** 0.5
-        if final <= thr:
+    if m >= nf:
+        ok, final = _recoverability(u_f[selected, :], tol)
+        if not ok:
             raise ValueError(
                 f"no recoverable sample set of size {m} along the greedy "
                 f"path (final margin {final:.3e}); the basis rows cannot "

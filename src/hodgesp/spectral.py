@@ -71,11 +71,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import column_signs, fix_column_signs
+from ._util import check_integer
 from .complexes import (
     Cochain,
     ComplexSignal,
     SimplicialComplex,
     _cached,
+    _check_bound,
     _incidence_svd,
     _incidence_values,
     _low_spectrum,
@@ -315,7 +317,7 @@ def hodge_basis(c: SimplicialComplex, k: int,
     the block widths are computed here (which also checks ``tol``); see
     :class:`HodgeBasis`.
     """
-    c.num_simplices(k)  # validates k
+    check_integer(k, "k", 0, 2)
     return HodgeBasis(
         complex=c,
         order=k,
@@ -327,12 +329,7 @@ def hodge_basis(c: SimplicialComplex, k: int,
 
 def tft(basis: HodgeBasis, x: Cochain) -> TftCoefficients:
     """Blockwise projection U^T x onto the typed basis."""
-    if x.order != basis.order:
-        raise ValueError(
-            f"cochain order {x.order} does not match basis order {basis.order}"
-        )
-    if x.values.shape[0] != basis.complex.num_simplices(basis.order):
-        raise ValueError("cochain length does not match the basis")
+    _check_bound(basis.complex, x, "x", basis.order)
     return TftCoefficients(
         gradient=basis.gradient.T @ x.values,
         curl=basis.curl.T @ x.values,
@@ -360,28 +357,39 @@ def _split(c: SimplicialComplex, k: int, values: np.ndarray,
     (n_k,) vector or an (n_k, B) block, and their lower and upper
     potentials (None where order k has none); see :func:`hodge_decompose`.
     """
-    grad = curl = np.zeros_like(values)
-    lower = upper = None
+    grad, lower = _gradient_part(c, k, values, tol)
+    curl, upper = _curl_part(c, k, values, tol)
+    return grad, curl, lower, upper
+
+
+def _gradient_part(c: SimplicialComplex, k: int, values: np.ndarray,
+                   tol: float | None):
+    """The gradient part and lower potential of :func:`_split`, from the
+    L0 (k = 1) or L2 (k = 2) solver alone, or the SVD of b_k."""
+    if k == 0:
+        return np.zeros_like(values), None
+    if tol is None:
+        if k == 1:
+            return _potential(c, 0).flow_part(values)
+        return _potential(c, 2).cochain_part(values)
+    u, s, vt, r = _svd_rank(c, k, tol)
+    coef = vt[:r] @ values
+    return vt[:r].T @ coef, u[:, :r] @ (coef.T / s[:r]).T
+
+
+def _curl_part(c: SimplicialComplex, k: int, values: np.ndarray,
+               tol: float | None):
+    """The curl part and upper potential of :func:`_split`, from the L0
+    (k = 0) or L2 (k = 1) solver alone, or the SVD of b_{k+1}."""
+    if k == 2:
+        return np.zeros_like(values), None
     if tol is None:
         if k == 0:
-            curl, upper = _potential(c, 0).cochain_part(values)
-        elif k == 1:
-            grad, lower = _potential(c, 0).flow_part(values)
-            curl, upper = _potential(c, 2).flow_part(values)
-        else:
-            grad, lower = _potential(c, 2).cochain_part(values)
-    else:
-        if k >= 1:
-            u, s, vt, r = _svd_rank(c, k, tol)
-            coef = vt[:r] @ values
-            grad = vt[:r].T @ coef
-            lower = u[:, :r] @ (coef.T / s[:r]).T
-        if k <= 1:
-            u, s, vt, r = _svd_rank(c, k + 1, tol)
-            coef = u[:, :r].T @ values
-            curl = u[:, :r] @ coef
-            upper = vt[:r].T @ (coef.T / s[:r]).T
-    return grad, curl, lower, upper
+            return _potential(c, 0).cochain_part(values)
+        return _potential(c, 2).flow_part(values)
+    u, s, vt, r = _svd_rank(c, k + 1, tol)
+    coef = u[:, :r].T @ values
+    return u[:, :r] @ coef, vt[:r].T @ (coef.T / s[:r]).T
 
 
 def _harmonic_block(c: SimplicialComplex, k: int, width: int,
@@ -417,8 +425,7 @@ def hodge_decompose(c: SimplicialComplex, x: Cochain,
     likewise curl and the upper potential from b_{k+1}, singular values at
     or below sqrt(tol) counting as zero. The harmonic part is the remainder.
     """
-    if x.complex is not c:
-        raise ValueError("cochain is bound to a different complex")
+    _check_bound(c, x, "x")
     k = x.order
     grad_vals, curl_vals, lower, upper = _split(c, k, x.values, tol)
     return HodgeComponents(
@@ -532,10 +539,10 @@ def dirac_basis(c: SimplicialComplex, tol: float | None = None) -> DiracBasis:
 def dirac_tft(c: SimplicialComplex, x: ComplexSignal,
               basis: DiracBasis | None = None) -> np.ndarray:
     """Projection of the stacked (x0, x1, x2) onto the Dirac eigenbasis."""
-    if x.complex is not c:
-        raise ValueError("signal is bound to a different complex")
+    _check_bound(c, x, "x")
     if basis is None:
         basis = dirac_basis(c)
+    _check_bound(c, basis, "basis")
     return basis.matrix().T @ x.stacked()
 
 
@@ -544,6 +551,7 @@ def dirac_itft(c: SimplicialComplex, coeffs: np.ndarray,
     """Inverse of :func:`dirac_tft`."""
     if basis is None:
         basis = dirac_basis(c)
+    _check_bound(c, basis, "basis")
     u = basis.matrix()
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (u.shape[1],):

@@ -23,12 +23,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import krylov
-from ._util import check_integer
+from ._util import check_integer, check_real
 from .complexes import (
     Cochain,
     ComplexSignal,
     SimplicialComplex,
     _cached,
+    _check_bound,
     hodge_laplacian,
 )
 from .filters import HodgeFilterSpec, _apply_terms, _filter_terms
@@ -39,7 +40,6 @@ __all__ = [
     "LmsState",
     "IllConditionedWarning",
     "scvar_predict",
-    "svar_predict",
     "scvar_simulate",
     "scvar_fit",
     "lms_init",
@@ -102,15 +102,17 @@ class SCVarModel:
             raise ValueError("model needs at least one lag")
 
 
-def _check_history(model: SCVarModel,
-                   history: Sequence[ComplexSignal]) -> None:
+def _check_history(model: SCVarModel, history: Sequence[ComplexSignal],
+                   name: str) -> None:
+    """Reject ``name`` unless it holds at least model.order signals, all on
+    the model's complex."""
     if len(history) < model.order:
         raise ValueError(
-            f"need at least {model.order} past signals, got {len(history)}"
+            f"{name}: need at least {model.order} past signals, got "
+            f"{len(history)}"
         )
     for sig in history:
-        if sig.complex is not model.complex:
-            raise ValueError("history signal bound to a different complex")
+        _check_bound(model.complex, sig, name)
 
 
 def _terms(c: SimplicialComplex, k: int) -> list:
@@ -181,18 +183,9 @@ def scvar_predict(model: SCVarModel,
                   history: Sequence[ComplexSignal]) -> ComplexSignal:
     """One-step-ahead prediction with zero noise; history[-p] is the signal
     p steps back."""
-    _check_history(model, history)
+    _check_history(model, history, "history")
     return ComplexSignal.from_arrays(
         model.complex, *_step(_plan(model), _past(model, history)))
-
-
-def svar_predict(model: SCVarModel,
-                 history: Sequence[ComplexSignal]) -> ComplexSignal:
-    """Prediction with every cross-level term forced to zero:
-    :func:`scvar_predict` on the model without its cross terms."""
-    own = tuple(SCVarLag(h00=lag.h00, h11=lag.h11, h22=lag.h22)
-                for lag in model.lags)
-    return scvar_predict(SCVarModel(complex=model.complex, lags=own), history)
 
 
 def scvar_simulate(model: SCVarModel, steps: int,
@@ -205,10 +198,17 @@ def scvar_simulate(model: SCVarModel, steps: int,
     its term plan once, and each step runs the plan on the last
     model.order signals."""
     check_integer(steps, "steps", 0)
-    noise_std = _check_noise(noise_std)
+    try:
+        noise = tuple(noise_std)
+    except TypeError:
+        noise = ()
+    if len(noise) != 3:
+        raise ValueError(f"noise_std must hold three deviations, got "
+                         f"{noise_std!r}")
+    noise_std = [check_real(s, "noise_std") for s in noise]
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    _check_history(model, initial)
+    _check_history(model, initial, "initial")
     c = model.complex
     plan = _plan(model)
     past = _past(model, initial)
@@ -224,19 +224,6 @@ def scvar_simulate(model: SCVarModel, steps: int,
         out.append(nxt)
         past = [(nxt.x0.values, nxt.x1.values, nxt.x2.values)] + past[:-1]
     return out
-
-
-def _check_noise(noise_std) -> tuple[float, float, float]:
-    """``noise_std`` as three floats, rejecting any other count and a
-    negative or non-finite deviation."""
-    try:
-        noise = tuple(float(s) for s in noise_std)
-    except (TypeError, ValueError):
-        noise = ()
-    if len(noise) != 3 or not all(0.0 <= s < math.inf for s in noise):
-        raise ValueError("noise_std must be three finite, non-negative "
-                         f"numbers, got {noise_std!r}")
-    return noise
 
 
 def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
@@ -259,18 +246,15 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
     """
     series = list(series)
     t_len = len(series)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if filter_order < 0:
-        raise ValueError(f"filter_order must be >= 0, got {filter_order}")
+    check_integer(order, "order", 1)
+    check_integer(filter_order, "filter_order", 0)
     if t_len <= order + filter_order:
         raise ValueError(
             f"need more than order + filter_order = {order + filter_order} "
             f"signals, got {t_len}"
         )
     for sig in series:
-        if sig.complex is not c:
-            raise ValueError("series signal bound to a different complex")
+        _check_bound(c, sig, "series")
 
     t_ord = filter_order
     n_fit = t_len - order
@@ -372,10 +356,10 @@ class LmsState:
     window: tuple[Cochain, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not 0 < self.mu < math.inf:
-            raise ValueError(
-                f"step size mu must be positive and finite, got {self.mu}")
+        check_real(self.mu, "mu", positive=True)
         _check_orders(self.t_down, self.t_up)
+        for x in self.window:
+            _check_bound(self.complex, x, "window", 1)
         expected = 1 + self.t_down + self.t_up
         coeffs = np.asarray(self.coefficients, dtype=float)
         object.__setattr__(self, "coefficients", coeffs)
@@ -401,13 +385,14 @@ def lms_init(c: SimplicialComplex, t_down: int, t_up: int, mu: float,
 
 
 def _shift_operators(c: SimplicialComplex):
-    """L1's down and up parts and their row stack [Ld; Lu]. Row i of a
-    product with the stack sums the entries of row i of its part in the
-    same order, so the two halves of the product are the products with
-    each part, bit for bit."""
+    """The row stack [Ld; Lu] of L1's down and up parts and their block
+    diagonal diag(Ld, Lu). Row i of a product with either sums the entries
+    of row i of its part in the same order, so the two halves of the
+    product are the products with each part, bit for bit."""
     down = hodge_laplacian(c, 1, "down", sparse=True)
     up = hodge_laplacian(c, 1, "up", sparse=True)
-    return down, up, sp.vstack([down, up], format="csr")
+    return (sp.vstack([down, up], format="csr"),
+            sp.block_diag([down, up], format="csr"))
 
 
 def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
@@ -415,31 +400,35 @@ def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
     """Regressor of shifted flows, columns
     [x_t, Ld x_{t-1}, ..., Ld^Td x_{t-Td}, Lu x_{t-1}, ..., Lu^Tu x_{t-Tu}].
 
-    Column m of a group is m sparse products with its Laplacian; at
-    Td = Tu = 1 both columns are one product with [Ld; Lu].
+    Lag m takes one product with [Ld; Lu] and m - 1 with diag(Ld, Lu):
+    as Ld Lu = 0, that is [Ld^m x_{t-m}; Lu^m x_{t-m}].
     """
+    _check_orders(t_down, t_up)
     need = max(t_down, t_up) + 1
     if len(window) < need:
         raise ValueError(
             f"insufficient history: need {need} flows, got {len(window)}"
         )
-    if not all(x.complex is c and x.order == 1 for x in window):
-        raise ValueError("window must hold order-1 cochains on this complex")
-    lap_down, lap_up, stacked = _cached(c, ("lms_shift",), _shift_operators,
-                                        c)
-    x_mat = np.empty((c.n1, 1 + t_down + t_up))
+    for x in window:
+        _check_bound(c, x, "window", 1)
+    return _regressor(c, window, t_down, t_up)
+
+
+def _regressor(c: SimplicialComplex, window: Sequence[Cochain], t_down: int,
+               t_up: int) -> np.ndarray:
+    """:func:`lms_build_regressor` for checked arguments."""
+    stacked, blocks = _cached(c, ("lms_shift",), _shift_operators, c)
+    n = c.n1
+    x_mat = np.empty((n, 1 + t_down + t_up))
     x_mat[:, 0] = window[-1].values
-    if t_down == t_up == 1:
-        x_mat[:, 1:] = (stacked @ window[-2].values).reshape(2, -1).T
-        return x_mat
-    col = 1
-    for lap, t_max in ((lap_down, t_down), (lap_up, t_up)):
-        for m in range(1, t_max + 1):
-            z = window[-1 - m].values
-            for _ in range(m):
-                z = lap @ z
-            x_mat[:, col] = z
-            col += 1
+    for m in range(1, max(t_down, t_up) + 1):
+        z = stacked @ window[-1 - m].values
+        for _ in range(m - 1):
+            z = blocks @ z
+        if m <= t_down:
+            x_mat[:, m] = z[:n]
+        if m <= t_up:
+            x_mat[:, t_down + m] = z[n:]
     return x_mat
 
 
@@ -464,19 +453,17 @@ def _lms_update(state: LmsState, x_t: Cochain, y_t: Cochain,
     """:func:`lms_step`, also returning the pre-update prediction X h (None
     while the window fills)."""
     c = state.complex
-    if x_t.complex is not c or x_t.order != 1:
-        raise ValueError("x_t must be an order-1 cochain on this complex")
+    _check_bound(c, x_t, "x_t", 1)
     need = max(state.t_down, state.t_up) + 1
     window = (state.window + (x_t,))[-need:]
     if len(window) < need:
         return _advance(state, state.coefficients, window), None, None
-    if y_t.complex is not c or y_t.order != 1:
-        raise ValueError("y_t must be an order-1 cochain on this complex")
+    _check_bound(c, y_t, "y_t", 1)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (c.n1,):
             raise ValueError(f"mask must have shape ({c.n1},)")
-    x_mat = lms_build_regressor(c, window, state.t_down, state.t_up)
+    x_mat = _regressor(c, window, state.t_down, state.t_up)
     coeffs = state.coefficients
     prediction = x_mat @ coeffs
     residual = y_t.values - prediction

@@ -1,0 +1,263 @@
+"""The parameter contract of the public API, table-driven.
+
+Every integer, count, order, weight, step and tolerance parameter of a
+callable in ``hodgesp.__all__`` is tried with each bad value that applies
+and must raise a ValueError naming it; every cochain, signal or basis
+bound to another complex, or of the wrong order, likewise. The signature
+walk fails on a public parameter that is neither in the table nor
+exempted, so a new entry point cannot skip the contract.
+"""
+
+import inspect
+import math
+import re
+
+import numpy as np
+import pytest
+
+import hodgesp as hs
+
+from conftest import EDGES7, TRIS7
+
+C = hs.build_complex(7, EDGES7, TRIS7)
+OTHER = hs.build_complex(7, EDGES7, TRIS7)  # equal, but another complex
+SKELETON = hs.build_complex(7, EDGES7)
+SPEC = hs.HodgeFilterSpec(h_down=(1.0, 0.5))
+
+
+def flow(c=C):
+    return c.cochain(1, np.linspace(-1.0, 1.0, c.n1))
+
+
+def signal(c=C, seed=0):
+    rng = np.random.default_rng(seed)
+    return hs.ComplexSignal.from_arrays(c, rng.standard_normal(c.n0),
+                                        rng.standard_normal(c.n1),
+                                        rng.standard_normal(c.n2))
+
+
+def model(c=C):
+    return hs.SCVarModel(c, (hs.SCVarLag(h11=hs.HodgeFilterSpec((0.5,))),))
+
+
+# Valid keyword arguments of each callable the table covers.
+VALID = {
+    "build_complex": lambda: dict(num_vertices=3, edges=[(0, 1)]),
+    "Cochain": lambda: dict(complex=C, order=1, values=np.ones(C.n1)),
+    "betti": lambda: dict(c=C),
+    "incidence": lambda: dict(c=C, k=1),
+    "hodge_laplacian": lambda: dict(c=C, k=1),
+    "lambda_max": lambda: dict(c=C, k=1),
+    "hodge_basis": lambda: dict(c=C, k=1),
+    "hodge_decompose": lambda: dict(c=C, x=flow()),
+    "dirac_basis": lambda: dict(c=C),
+    "HarmonicTerm": lambda: dict(epsilon=0.1, steps=2),
+    "apply_filter": lambda: dict(c=C, k=1, spec=SPEC, x=flow()),
+    "frequency_response": lambda: dict(c=C, k=1, spec=SPEC),
+    "regularized_reconstruct": lambda: dict(
+        c=C, f=flow(), mask=np.ones(C.n1, bool), alpha=0.5, beta=0.5),
+    "build_dictionary": lambda: dict(c=C, k=1, specs=[SPEC]),
+    "slepians": lambda: dict(c=C, edge_set=[0, 1, 2], frequency_set=[4, 5]),
+    "sparse_code": lambda: dict(dictionary=np.eye(C.n1), x=flow(),
+                                sparsity=2),
+    "is_perfectly_recoverable": lambda: dict(c=C, k=1, freq_set=[4, 5],
+                                             sample_set=[0, 1, 2]),
+    "reconstruct_bandlimited": lambda: dict(
+        c=C, k=1, freq_set=[4, 5], sample_set=[0, 1, 2],
+        observed=[1.0, 0.0, -1.0]),
+    "select_samples": lambda: dict(c=C, k=1, freq_set=[4, 5], m=3),
+    "project_out_gradient": lambda: dict(c=C, flows=flow().values),
+    "infer_triangles": lambda: dict(c=SKELETON, flows=np.ones((10, 2)),
+                                    count=1),
+    "LmsState": lambda: dict(complex=C, t_down=1, t_up=1, mu=0.1,
+                             coefficients=np.zeros(3)),
+    "lms_init": lambda: dict(c=C, t_down=1, t_up=1, mu=0.1),
+    "lms_build_regressor": lambda: dict(c=C, window=[flow()] * 4, t_down=1,
+                                        t_up=1),
+    "scvar_simulate": lambda: dict(model=model(), steps=2,
+                                   initial=[signal()]),
+    "scvar_fit": lambda: dict(c=C, series=[signal(seed=t) for t in range(8)],
+                              order=1, filter_order=1),
+}
+
+INTEGER = (2.5, 2.0, True, -1, math.nan, math.inf, "3")
+REAL = (True, -1, math.nan, math.inf, "3")
+POSITIVE = REAL + (0.0,)
+ORDER = INTEGER + (3,)
+
+# (callable, parameter): the bad values it must reject.
+CONTRACT = {
+    ("build_complex", "num_vertices"): INTEGER,
+    ("Cochain", "order"): ORDER,
+    ("betti", "tol"): POSITIVE,
+    ("incidence", "k"): ORDER + (0,),
+    ("hodge_laplacian", "k"): ORDER,
+    ("lambda_max", "k"): ORDER,
+    ("lambda_max", "rtol"): POSITIVE,
+    ("hodge_basis", "k"): ORDER,
+    ("hodge_basis", "tol"): POSITIVE,
+    ("hodge_decompose", "tol"): POSITIVE,
+    ("dirac_basis", "tol"): POSITIVE,
+    ("HarmonicTerm", "epsilon"): POSITIVE,
+    ("HarmonicTerm", "steps"): INTEGER,
+    ("apply_filter", "k"): ORDER,
+    ("frequency_response", "k"): ORDER,
+    ("regularized_reconstruct", "alpha"): REAL,
+    ("regularized_reconstruct", "beta"): REAL,
+    ("regularized_reconstruct", "p"): INTEGER + (0, 3),
+    ("regularized_reconstruct", "q"): INTEGER + (0, 3),
+    ("regularized_reconstruct", "max_iter"): INTEGER + (0,),
+    ("regularized_reconstruct", "rtol"): POSITIVE,
+    ("build_dictionary", "k"): ORDER,
+    ("slepians", "m"): INTEGER + (0, 3),
+    ("slepians", "tol"): POSITIVE,
+    ("sparse_code", "sparsity"): INTEGER + (0,),
+    ("sparse_code", "residual_tol"): REAL,
+    ("is_perfectly_recoverable", "k"): ORDER,
+    ("is_perfectly_recoverable", "tol"): POSITIVE,
+    ("reconstruct_bandlimited", "k"): ORDER,
+    ("reconstruct_bandlimited", "tol"): POSITIVE,
+    ("select_samples", "k"): ORDER,
+    ("select_samples", "m"): INTEGER + (0, 11),
+    ("select_samples", "tol"): POSITIVE,
+    ("project_out_gradient", "tol"): POSITIVE,
+    ("infer_triangles", "count"): INTEGER,
+    ("infer_triangles", "tol"): POSITIVE,
+    ("LmsState", "t_down"): INTEGER,
+    ("LmsState", "t_up"): INTEGER,
+    ("LmsState", "mu"): POSITIVE,
+    ("lms_init", "t_down"): INTEGER,
+    ("lms_init", "t_up"): INTEGER,
+    ("lms_init", "mu"): POSITIVE,
+    ("lms_build_regressor", "t_down"): INTEGER,
+    ("lms_build_regressor", "t_up"): INTEGER,
+    ("scvar_simulate", "steps"): INTEGER,
+    ("scvar_simulate", "noise_std"): tuple((0.1, v, 0.1) for v in REAL)
+    + (0.1, (0.1, 0.1)),
+    ("scvar_fit", "order"): INTEGER + (0,),
+    ("scvar_fit", "filter_order"): INTEGER,
+}
+
+# Parameters that carry data, not a number: cochains, signals, bases,
+# complexes and models are covered by test_binding_is_checked; the rest
+# are arrays, index sets, filter specs, flags and keyword choices that
+# their own tests check.
+EXEMPT_NAMES = {
+    "c", "complex", "x", "x0", "x1", "x2", "x_t", "y_t", "f", "basis",
+    "window", "history", "initial", "series", "model", "state",
+    "values", "mask", "flows", "projected_flows", "coeffs", "coefficients",
+    "observed", "dictionary", "edges", "triangles", "cells", "edge_set",
+    "frequency_set", "freq_set", "sample_set", "text", "spec", "specs",
+    "spec_11", "spec_01", "spec_21", "h_down", "h_up", "harmonic",
+    "variant", "criterion", "sparse", "dense", "include_cross", "rng",
+    "h00", "g01", "h01", "h11", "g10", "h10", "g12", "h12", "g21", "h21",
+    "h22", "lags",
+}
+# Result types: the library builds them, after checking what it was given.
+RESULTS = {
+    "SimplicialComplex", "DiracOperator", "HodgeDictionary", "SlepianSet",
+    "Recoverability", "DiracBasis", "FrequencyEntry", "HodgeBasis",
+    "HodgeComponents", "TftCoefficients",
+}
+
+
+def public_parameters():
+    for name in hs.__all__:
+        obj = getattr(hs, name)
+        if name in RESULTS or (inspect.isclass(obj)
+                               and issubclass(obj, Exception)):
+            continue
+        for param in inspect.signature(obj).parameters:
+            yield name, param
+
+
+def test_every_public_parameter_is_in_the_contract():
+    public = set(public_parameters())
+    loose = [pair for pair in public
+             if pair not in CONTRACT and pair[1] not in EXEMPT_NAMES]
+    assert not loose, f"parameters outside the contract: {sorted(loose)}"
+    assert set(CONTRACT) <= public, "the table names a parameter that is gone"
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_valid_arguments_pass(name):
+    getattr(hs, name)(**VALID[name]())
+
+
+CASES = [(name, param, bad) for (name, param), values in CONTRACT.items()
+         for bad in values]
+
+
+@pytest.mark.parametrize("name, param, bad", CASES, ids=[
+    f"{name}-{param}-{bad!r}" for name, param, bad in CASES])
+def test_bad_value_is_rejected_by_name(name, param, bad):
+    kwargs = VALID[name]()
+    kwargs[param] = bad
+    with pytest.raises(ValueError, match=rf"\b{re.escape(param)}\b"):
+        getattr(hs, name)(**kwargs)
+
+
+def _state_with_window():
+    state = hs.lms_init(C, 1, 1, 0.1)
+    return hs.lms_step(state, flow(), flow())[0]
+
+
+BINDING = {
+    "frequency_response-order": (
+        lambda: hs.frequency_response(C, 1, SPEC,
+                                      basis=hs.hodge_basis(C, 0)), "basis"),
+    "frequency_response-complex": (
+        lambda: hs.frequency_response(C, 1, SPEC,
+                                      basis=hs.hodge_basis(OTHER, 1)),
+        "basis"),
+    "tft-complex": (lambda: hs.tft(hs.hodge_basis(C, 1), flow(OTHER)), "x"),
+    "tft-order": (lambda: hs.tft(hs.hodge_basis(C, 1), C.zero_cochain(0)),
+                  "x"),
+    "dirac_tft": (lambda: hs.dirac_tft(C, signal(),
+                                       basis=hs.dirac_basis(OTHER)), "basis"),
+    "dirac_itft": (lambda: hs.dirac_itft(C, np.zeros(C.n0 + C.n1 + C.n2),
+                                         basis=hs.dirac_basis(OTHER)),
+                   "basis"),
+    "select_samples": (lambda: hs.select_samples(
+        C, 1, [4, 5], 3, basis=hs.hodge_basis(OTHER, 1)), "basis"),
+    "is_perfectly_recoverable": (lambda: hs.is_perfectly_recoverable(
+        C, 1, [4, 5], [0, 1], basis=hs.hodge_basis(C, 2)), "basis"),
+    "reconstruct_bandlimited": (lambda: hs.reconstruct_bandlimited(
+        C, 1, [4, 5], [0, 1], [0.0, 1.0], basis=hs.hodge_basis(OTHER, 1)),
+        "basis"),
+    "slepians": (lambda: hs.slepians(C, [0, 1], [0, 1],
+                                     basis=hs.hodge_basis(C, 0)), "basis"),
+    "apply_filter-complex": (lambda: hs.apply_filter(C, 1, SPEC,
+                                                     flow(OTHER)), "x"),
+    "apply_filter-order": (lambda: hs.apply_filter(C, 0, SPEC, flow()), "x"),
+    "divergence": (lambda: hs.divergence(C, flow(OTHER)), "x1"),
+    "curl": (lambda: hs.curl(C, C.zero_cochain(2)), "x1"),
+    "hodge_decompose": (lambda: hs.hodge_decompose(C, flow(OTHER)), "x"),
+    "dirac_shift": (lambda: hs.dirac_shift(C, signal(OTHER)), "x"),
+    "dirac_filter": (lambda: hs.dirac_filter(C, SPEC, signal(OTHER)), "x"),
+    "filterbank_edge": (lambda: hs.filterbank_edge(
+        C, SPEC, SPEC, hs.HodgeFilterSpec((0.0,), (1.0,)), signal(OTHER)),
+        "x"),
+    "regularized_reconstruct": (lambda: hs.regularized_reconstruct(
+        C, flow(OTHER), np.ones(C.n1, bool), 0.5, 0.5), "f"),
+    "lms_build_regressor": (lambda: hs.lms_build_regressor(
+        C, [flow(), flow(OTHER)], 1, 1), "window"),
+    "LmsState": (lambda: hs.LmsState(C, 1, 1, 0.1, np.zeros(3),
+                                     (flow(OTHER),)), "window"),
+    "lms_step-x_t": (lambda: hs.lms_step(hs.lms_init(C, 1, 1, 0.1),
+                                         flow(OTHER), flow()), "x_t"),
+    "lms_step-y_t": (lambda: hs.lms_step(_state_with_window(), flow(),
+                                         flow(OTHER)), "y_t"),
+    "scvar_predict": (lambda: hs.scvar_predict(model(), [signal(OTHER)]),
+                      "history"),
+    "scvar_simulate": (lambda: hs.scvar_simulate(model(), 1,
+                                                 [signal(OTHER)]), "initial"),
+    "scvar_fit": (lambda: hs.scvar_fit(C, [signal(OTHER)] * 6, 1), "series"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BINDING))
+def test_binding_is_checked(case):
+    call, param = BINDING[case]
+    with pytest.raises(ValueError, match=rf"^{param}\b"):
+        call()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hodgesp.complexes as hc
 from hodgesp import (
     DegenerateScoresWarning,
     build_complex,
@@ -21,7 +22,7 @@ from hodgesp import (
     triangle_candidates,
 )
 
-from conftest import complexes_with_cells
+from conftest import EDGES7, TRIS7, complexes_with_cells
 
 
 def boundary_column(c, tri):
@@ -89,6 +90,25 @@ def test_projection_idempotent_and_divergence_free(skeleton7):
     twice = project_out_gradient(skeleton7, once)
     assert np.allclose(once, twice, atol=1e-12)
     assert np.max(np.abs(skeleton7.b1.toarray() @ once)) <= 1e-10
+
+
+def test_projection_builds_only_the_gradient_solver():
+    c = build_complex(7, EDGES7, TRIS7)
+    project_out_gradient(c, np.ones((10, 2)))
+    assert ("potential", 0) in hc._cache[c]
+    assert ("potential", 2) not in hc._cache[c]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6, 2.5])
+def test_projection_with_tol_matches_the_singular_vectors(complex7, tol):
+    # The explicit-tol projection removes the right singular vectors of b1
+    # whose singular values exceed sqrt(tol), as the thresholded SVD did.
+    flows = np.random.default_rng(3).standard_normal((10, 4))
+    _, s, vt = hc._incidence_svd(complex7, 1)
+    v_grad = vt[s > hc._zero_tolerance(complex7, tol) ** 0.5].T
+    want = flows - v_grad @ (v_grad.T @ flows)
+    got = project_out_gradient(complex7, flows, tol)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_residual_energy_values(complex7, skeleton7):

@@ -98,6 +98,12 @@ def test_complex_parse_errors(tmp_path):
         hio.load_complex(bad)
     bad.write_text('{"num_vertices": 2.0, "edges": [[1.0, 2.0]]}')
     assert hio.load_complex(bad).edges == ((0, 1),)
+    # nor may the vertex count be truncated or read from a boolean or text
+    for count in ("3.7", "true", '"3"'):
+        bad.write_text('{"num_vertices": %s, "edges": [[1, 2]]}' % count)
+        with pytest.raises(hio.FileFormatError,
+                           match="field 'num_vertices'"):
+            hio.load_complex(bad)
 
 
 def test_signal_round_trip(tmp_path, complex7):
@@ -138,6 +144,12 @@ def test_filter_spec_round_trip(tmp_path):
     assert hio.load_filter_spec(path) == spec
     data = json.loads(path.read_text())
     assert data["harmonic"] == {"epsilon": 0.125, "T_h": 50}
+    # int() would truncate 2.5 steps to 2 and read true as 1
+    for steps in (2.5, True):
+        data["harmonic"]["T_h"] = steps
+        path.write_text(json.dumps(data))
+        with pytest.raises(hio.FileFormatError, match="field 'T_h'"):
+            hio.load_filter_spec(path)
 
 
 def test_series_round_trip(tmp_path, complex7):
