@@ -12,8 +12,8 @@ import numpy as np
 
 
 def as_index_tuple(indices: Sequence[int], n: int, name: str) -> tuple[int, ...]:
-    """Validate a set of indices into range(n); preserves order, rejects
-    duplicates."""
+    """Validate a nonempty set of indices into range(n); preserves order,
+    rejects duplicates."""
     out = []
     seen = set()
     for i in indices:
@@ -26,6 +26,8 @@ def as_index_tuple(indices: Sequence[int], n: int, name: str) -> tuple[int, ...]
             raise ValueError(f"{name}: duplicate index {i}")
         seen.add(i)
         out.append(i)
+    if not out:
+        raise ValueError(f"{name} must be nonempty")
     return tuple(out)
 
 
@@ -41,11 +43,16 @@ def check_integer(value, name: str, minimum: int,
         raise ValueError(f"{name} must be <= {maximum}, got {value}")
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is an int or float, numpy's included, not a bool."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float, np.integer, np.floating))
+
+
 def check_real(value, name: str, positive: bool = False) -> float:
     """``value`` as a float; rejects a bool, a non-number (a string
     included), nan, inf and a negative value, and with ``positive`` zero."""
-    if isinstance(value, bool) or not isinstance(
-            value, (int, float, np.integer, np.floating)):
+    if not is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(value) and value >= 0) or (positive and not value):
         raise ValueError(f"{name} must be finite and "

@@ -87,13 +87,10 @@ class SimplicialComplex:
         return len(self.triangles) + len(self.cells)
 
     def num_simplices(self, k: int) -> int:
+        check_integer(k, "k", 0, 2)
         if k == 0:
             return self.n0
-        if k == 1:
-            return self.n1
-        if k == 2:
-            return self.n2
-        raise ValueError(f"order must be 0, 1 or 2, got {k}")
+        return self.n1 if k == 1 else self.n2
 
     def edge_index(self, u: int, v: int) -> int:
         """Canonical index of edge {u, v}."""
@@ -112,6 +109,7 @@ class SimplicialComplex:
         return Cochain(self, order, np.asarray(values, dtype=float))
 
     def zero_cochain(self, order: int) -> "Cochain":
+        check_integer(order, "order", 0, 2)
         return Cochain(self, order, np.zeros(self.num_simplices(order)))
 
     def zero_signal(self) -> "ComplexSignal":

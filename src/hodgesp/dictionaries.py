@@ -13,10 +13,11 @@ import numpy as np
 from scipy import sparse
 
 from ._linalg import fix_column_signs, gram_schmidt
-from ._util import as_index_tuple, check_integer, check_real, check_tolerance
-from .complexes import Cochain, SimplicialComplex, _check_bound
+from ._util import check_integer, check_real
+from .complexes import Cochain, SimplicialComplex
 from .filters import HodgeFilterSpec, _filter_values
-from .spectral import HodgeBasis, hodge_basis
+from .sampling import _recoverability, _sampled_fit
+from .spectral import HodgeBasis
 
 __all__ = [
     "SlepianSet",
@@ -81,37 +82,23 @@ def slepians(c: SimplicialComplex, edge_set: Sequence[int],
     """Top-m eigenvectors of the bandlimit-then-concentrate operator
     F_F C_S F_F.
 
-    Solved in the |F|-dimensional bandlimited coordinates (the reduced
-    operator U_F^T C_S U_F), so every returned vector satisfies
-    F_F psi = psi exactly; eigenvectors beyond the operator's rank are an
+    In the |F|-dimensional bandlimited coordinates the operator is
+    U_F[S]^T U_F[S], with U_F[S] the edge-set rows of the band columns, so
+    its eigenpairs are the right singular vectors and squared singular
+    values of U_F[S]: the one SVD that :mod:`hodgesp.sampling` takes for
+    the recovery margin and the fit. Every returned vector satisfies
+    F_F psi = psi exactly; vectors beyond the rank of U_F[S] are an
     orthonormal completion of the bandlimited space with concentration 0.
     """
-    check_tolerance(tol)
-    if basis is None:
-        basis = hodge_basis(c, 1, tol)
-    _check_bound(c, basis, "basis", 1)
-    n1 = c.n1
-    s_idx = as_index_tuple(edge_set, n1, "edge set")
-    f_idx = as_index_tuple(frequency_set, n1, "frequency set")
-    if not s_idx:
-        raise ValueError("edge set must be nonempty")
-    if not f_idx:
-        raise ValueError("frequency set must be nonempty")
-    if m is None:
-        m = len(f_idx)
+    u_f, sampled, basis, f_idx, s_idx = _sampled_fit(
+        c, 1, frequency_set, basis, tol, edge_set, "edge set")
+    m = len(f_idx) if m is None else m
     check_integer(m, "m", 1, len(f_idx))
-
-    u_f = basis.columns(f_idx)
-    sel = np.zeros(n1)
-    sel[list(s_idx)] = 1.0
-    reduced = u_f.T @ (sel[:, None] * u_f)
-    evals, evecs = np.linalg.eigh(reduced)
-    order = np.argsort(evals, kind="stable")[::-1]
-    evals = np.clip(evals[order][:m], 0.0, 1.0)
-    vectors = fix_column_signs(u_f @ evecs[:, order][:, :m], basis.tolerance)
+    (_, s, vt), _ = _recoverability(sampled, tol)
+    concentrations = np.pad(np.minimum(s**2, 1.0), (0, len(f_idx) - s.size))
     return SlepianSet(
-        vectors=vectors,
-        concentrations=evals,
+        vectors=fix_column_signs(u_f @ vt[:m].T, basis.tolerance),
+        concentrations=concentrations[:m],
         edge_set=s_idx,
         frequency_set=f_idx,
     )

@@ -15,6 +15,7 @@ are kept.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import krylov
-from ._util import check_integer, check_real
+from ._util import check_integer, check_real, is_real
 from .complexes import (
     Cochain,
     ComplexSignal,
@@ -64,7 +65,8 @@ class HarmonicTerm:
     steps: int
 
     def __post_init__(self) -> None:
-        check_real(self.epsilon, "epsilon", positive=True)
+        object.__setattr__(self, "epsilon",
+                           check_real(self.epsilon, "epsilon", positive=True))
         check_integer(self.steps, "steps", 0)
 
 
@@ -82,18 +84,16 @@ class HodgeFilterSpec:
     harmonic: HarmonicTerm | None = None
 
     def __post_init__(self) -> None:
-        down = tuple(float(v) for v in self.h_down)
-        up = tuple(float(v) for v in self.h_up)
-        object.__setattr__(self, "h_down", down)
-        object.__setattr__(self, "h_up", up)
-        if not all(np.isfinite(down)) or not all(np.isfinite(up)):
-            raise ValueError("filter coefficients must be finite")
-        if self.harmonic is not None:
-            if (down and down[0] != 0.0) or (up and up[0] != 0.0):
-                raise ValueError(
-                    "with a harmonic term the polynomials start at t=1; "
-                    "set h_down[0] = h_up[0] = 0"
-                )
+        for name in ("h_down", "h_up"):
+            taps = tuple(getattr(self, name))
+            if not all(is_real(v) and math.isfinite(v) for v in taps):
+                raise ValueError(f"{name} must hold finite real numbers, "
+                                 f"got {taps!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in taps))
+        if self.harmonic is not None and any(
+                taps and taps[0] != 0.0 for taps in (self.h_down, self.h_up)):
+            raise ValueError("with a harmonic term the polynomials start at "
+                             "t=1; set h_down[0] = h_up[0] = 0")
 
     @classmethod
     def identity(cls) -> "HodgeFilterSpec":

@@ -324,13 +324,10 @@ def _spec_from_json(data: dict, where: str) -> HodgeFilterSpec:
     try:
         harm = data.get("harmonic")
         harmonic = None if harm is None else \
-            HarmonicTerm(epsilon=float(harm["epsilon"]),
+            HarmonicTerm(epsilon=harm["epsilon"],
                          steps=_integer_field(harm, "T_h"))
-        return HodgeFilterSpec(
-            h_down=tuple(float(v) for v in data.get("h_down", [])),
-            h_up=tuple(float(v) for v in data.get("h_up", [])),
-            harmonic=harmonic,
-        )
+        return HodgeFilterSpec(h_down=data.get("h_down", []),
+                               h_up=data.get("h_up", []), harmonic=harmonic)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 

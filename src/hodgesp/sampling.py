@@ -3,8 +3,11 @@
 A signal is F-bandlimited when its transform is supported on the frequency
 set F (indices into the typed frequency table, so F can target e.g. only
 gradient frequencies). Perfect recovery from samples on a simplex set S
-holds exactly when the |S| x |F| matrix of sampled basis columns has full
-column rank.
+holds exactly when the sampled band U_F[S], the |S| x |F| matrix of sampled
+basis columns, has full column rank. One SVD of U_F[S] serves every
+consumer: its smallest singular value is the recovery margin, its
+pseudo-inverse the reconstruction, and its right singular vectors and
+squared singular values the Slepian set of :func:`hodgesp.slepians`.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ class Recoverability(NamedTuple):
     margin: float  # smallest singular value of the sampled sub-basis
 
 
-def _sampled_fit(c: SimplicialComplex, k: int, freq_set, sample_set,
-                 basis: HodgeBasis | None, tol: float | None):
-    """What the sampled fit starts from, its parameters checked: the
-    |F| band columns U_F of ``basis`` (built from ``tol`` when None), and
-    their |S| rows on the sample set."""
+def _sampled_fit(c: SimplicialComplex, k: int, freq_set, basis, tol,
+                 sample_set=None, samples: str = "sample set"):
+    """What every band consumer starts from, its parameters checked: the
+    |F| band columns U_F, their rows U_F[S], the basis (built from ``tol``
+    when None) and the frequency and sample index tuples; without
+    ``sample_set`` the S entries are None. ``samples`` is the sample set's
+    name in error messages."""
     check_integer(k, "k", 0, 2)
     check_tolerance(tol)
     if basis is None:
@@ -50,21 +55,23 @@ def _sampled_fit(c: SimplicialComplex, k: int, freq_set, sample_set,
     _check_bound(c, basis, "basis", k)
     nk = c.num_simplices(k)
     f_idx = as_index_tuple(freq_set, nk, "frequency set")
-    s_idx = as_index_tuple(sample_set, nk, "sample set")
     u_f = basis.columns(f_idx)
-    return u_f, u_f[list(s_idx), :]
+    if sample_set is None:
+        return u_f, None, basis, f_idx, None
+    s_idx = as_index_tuple(sample_set, nk, samples)
+    return u_f, u_f[list(s_idx), :], basis, f_idx, s_idx
 
 
-def _recoverability(sampled: np.ndarray, tol: float | None
-                    ) -> Recoverability:
-    """The |F|-th singular value of the sampled sub-basis as margin (0 when
-    |S| < |F|), and whether it is above the zero threshold of ``tol``."""
-    margin = 0.0
-    if sampled.shape[0] >= sampled.shape[1]:
-        s = np.linalg.svd(sampled, compute_uv=False)
-        margin = float(s[-1]) if s.size else 0.0
-    return Recoverability(ok=margin > zero_tolerance(1.0, tol) ** 0.5,
-                          margin=margin)
+def _recoverability(sampled: np.ndarray, tol: float | None):
+    """The SVD of the sampled band U_F[S], thin but with the complete
+    |F| x |F| V^T also when |S| < |F|, and its :class:`Recoverability`:
+    the |F|-th singular value as margin (0 when |S| < |F|), and whether it
+    is above the zero threshold of ``tol``."""
+    rows, nf = sampled.shape
+    svd = np.linalg.svd(sampled, full_matrices=rows < nf)
+    margin = float(svd.S[-1]) if rows >= nf else 0.0
+    return svd, Recoverability(
+        ok=margin > zero_tolerance(1.0, tol) ** 0.5, margin=margin)
 
 
 def is_perfectly_recoverable(c: SimplicialComplex, k: int,
@@ -74,10 +81,8 @@ def is_perfectly_recoverable(c: SimplicialComplex, k: int,
                              tol: float | None = None) -> Recoverability:
     """Full-rank test for the sampled basis, with the smallest singular
     value as margin."""
-    sampled = _sampled_fit(c, k, freq_set, sample_set, basis, tol)[1]
-    if not sampled.size:
-        raise ValueError("frequency and sample sets must be nonempty")
-    return _recoverability(sampled, tol)
+    sampled = _sampled_fit(c, k, freq_set, basis, tol, sample_set)[1]
+    return _recoverability(sampled, tol)[1]
 
 
 def reconstruct_bandlimited(c: SimplicialComplex, k: int,
@@ -86,28 +91,31 @@ def reconstruct_bandlimited(c: SimplicialComplex, k: int,
                             observed: Sequence[float],
                             basis: HodgeBasis | None = None,
                             tol: float | None = None) -> Cochain:
-    """Least-squares fit of the sampled basis rows, expanded over the
-    bandlimited span.
+    """Minimum-norm least-squares fit of the sampled basis rows, expanded
+    over the bandlimited span.
 
     Exact when the full-rank condition holds and the observations are
     noise-free samples of an F-bandlimited signal; with more samples than
     frequencies the result is the orthogonal projection fit. A rank-deficient
     system is reported through :class:`RankDeficientWarning` with its margin
-    and the minimum-norm best effort is returned.
+    and the minimum-norm best effort is returned. The fit is the
+    pseudo-inverse of the SVD that gives the margin, at ``lstsq``'s default
+    cutoff: singular values at most eps * max(|S|, |F|) * s_max are zero.
     """
-    u_f, sampled = _sampled_fit(c, k, freq_set, sample_set, basis, tol)
+    u_f, sampled = _sampled_fit(c, k, freq_set, basis, tol, sample_set)[:2]
     observed = np.asarray(observed, dtype=float)
     if observed.shape != sampled.shape[:1]:
         raise ValueError(f"expected {sampled.shape[0]} observed values, got "
                          f"shape {observed.shape}")
-    ok, margin = _recoverability(sampled, tol)
+    (u, s, vt), (ok, margin) = _recoverability(sampled, tol)
     if not ok:
         warnings.warn(
             f"sample set does not determine the bandlimited signal "
             f"(margin {margin:.3e}); returning least-squares best effort",
             RankDeficientWarning,
         )
-    z = np.linalg.lstsq(sampled, observed, rcond=None)[0]
+    r = np.count_nonzero(s > np.finfo(float).eps * max(sampled.shape) * s[0])
+    z = vt[:r].T @ ((u[:, :r].T @ observed) / s[:r])
     return Cochain(c, k, u_f @ z)
 
 
@@ -128,10 +136,8 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
     picks are those of a scan that computes one SVD per candidate.
     Raises when m >= |F| but no recoverable set exists along the greedy path.
     """
-    u_f = _sampled_fit(c, k, freq_set, (), basis, tol)[0]
+    u_f = _sampled_fit(c, k, freq_set, basis, tol)[0]
     nk, nf = u_f.shape
-    if not nf:
-        raise ValueError("frequency set must be nonempty")
     check_integer(m, "m", 1, nk)
     gram = np.zeros((nf, nf))  # column Gram matrix of the picked rows
     free = np.ones(nk, dtype=bool)
@@ -157,7 +163,7 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
         gram += np.outer(u_f[best_idx], u_f[best_idx])
 
     if m >= nf:
-        ok, final = _recoverability(u_f[selected, :], tol)
+        ok, final = _recoverability(u_f[selected, :], tol)[1]
         if not ok:
             raise ValueError(
                 f"no recoverable sample set of size {m} along the greedy "

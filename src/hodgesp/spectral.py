@@ -214,7 +214,10 @@ class HodgeBasis:
         equal frequencies whole; inside a cluster it cuts they are another
         orthonormal choice within the cluster's span.
         """
-        idx = np.asarray(idx, dtype=np.intp).reshape(-1)
+        idx = np.asarray(idx)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"idx must hold integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp).reshape(-1)
         nk = self.complex.num_simplices(self.order)
         if idx.size and not (idx.min() >= 0 and idx.max() < nk):
             raise IndexError(f"column indices must be in [0, {nk})")

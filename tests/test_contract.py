@@ -1,11 +1,12 @@
 """The parameter contract of the public API, table-driven.
 
-Every integer, count, order, weight, step and tolerance parameter of a
-callable in ``hodgesp.__all__`` is tried with each bad value that applies
-and must raise a ValueError naming it; every cochain, signal or basis
-bound to another complex, or of the wrong order, likewise. The signature
-walk fails on a public parameter that is neither in the table nor
-exempted, so a new entry point cannot skip the contract.
+Every integer, count, order, weight, step, tap, index and tolerance
+parameter of a callable in ``hodgesp.__all__``, and of the public methods
+in ``METHODS``, is tried with each bad value that applies and must raise a
+ValueError naming it; every cochain, signal or basis bound to another
+complex, or of the wrong order, likewise. The signature walk fails on a
+public parameter that is neither in the table nor exempted, so a new entry
+point cannot skip the contract.
 """
 
 import inspect
@@ -40,6 +41,19 @@ def model(c=C):
     return hs.SCVarModel(c, (hs.SCVarLag(h11=hs.HodgeFilterSpec((0.5,))),))
 
 
+# Public methods walked with the callables of ``hodgesp.__all__``.
+METHODS = {
+    "SimplicialComplex.num_simplices": C.num_simplices,
+    "SimplicialComplex.cochain": C.cochain,
+    "SimplicialComplex.zero_cochain": C.zero_cochain,
+    "HodgeBasis.columns": hs.hodge_basis(C, 1).columns,
+}
+
+
+def target(name):
+    return METHODS[name] if name in METHODS else getattr(hs, name)
+
+
 # Valid keyword arguments of each callable the table covers.
 VALID = {
     "build_complex": lambda: dict(num_vertices=3, edges=[(0, 1)]),
@@ -52,6 +66,7 @@ VALID = {
     "hodge_decompose": lambda: dict(c=C, x=flow()),
     "dirac_basis": lambda: dict(c=C),
     "HarmonicTerm": lambda: dict(epsilon=0.1, steps=2),
+    "HodgeFilterSpec": lambda: dict(h_down=(1.0, -0.5), h_up=(0.0, 2)),
     "apply_filter": lambda: dict(c=C, k=1, spec=SPEC, x=flow()),
     "frequency_response": lambda: dict(c=C, k=1, spec=SPEC),
     "regularized_reconstruct": lambda: dict(
@@ -78,12 +93,19 @@ VALID = {
                                    initial=[signal()]),
     "scvar_fit": lambda: dict(c=C, series=[signal(seed=t) for t in range(8)],
                               order=1, filter_order=1),
+    "SimplicialComplex.num_simplices": lambda: dict(k=1),
+    "SimplicialComplex.cochain": lambda: dict(order=1, values=np.ones(C.n1)),
+    "SimplicialComplex.zero_cochain": lambda: dict(order=2),
+    "HodgeBasis.columns": lambda: dict(idx=[4, 0, 9]),
 }
 
 INTEGER = (2.5, 2.0, True, -1, math.nan, math.inf, "3")
 REAL = (True, -1, math.nan, math.inf, "3")
 POSITIVE = REAL + (0.0,)
 ORDER = INTEGER + (3,)
+# Taps may be negative; a tap that is no real number, or is not finite,
+# is rejected.
+TAPS = tuple((0.5, v) for v in (True, math.nan, math.inf, "3"))
 
 # (callable, parameter): the bad values it must reject.
 CONTRACT = {
@@ -100,6 +122,8 @@ CONTRACT = {
     ("dirac_basis", "tol"): POSITIVE,
     ("HarmonicTerm", "epsilon"): POSITIVE,
     ("HarmonicTerm", "steps"): INTEGER,
+    ("HodgeFilterSpec", "h_down"): TAPS,
+    ("HodgeFilterSpec", "h_up"): TAPS,
     ("apply_filter", "k"): ORDER,
     ("frequency_response", "k"): ORDER,
     ("regularized_reconstruct", "alpha"): REAL,
@@ -136,6 +160,11 @@ CONTRACT = {
     + (0.1, (0.1, 0.1)),
     ("scvar_fit", "order"): INTEGER + (0,),
     ("scvar_fit", "filter_order"): INTEGER,
+    ("SimplicialComplex.num_simplices", "k"): ORDER,
+    ("SimplicialComplex.cochain", "order"): ORDER,
+    ("SimplicialComplex.zero_cochain", "order"): ORDER,
+    ("HodgeBasis.columns", "idx"): ([0.5, 1.7], [True, False], [math.nan],
+                                   ["3"], 2.0),
 }
 
 # Parameters that carry data, not a number: cochains, signals, bases,
@@ -148,7 +177,7 @@ EXEMPT_NAMES = {
     "values", "mask", "flows", "projected_flows", "coeffs", "coefficients",
     "observed", "dictionary", "edges", "triangles", "cells", "edge_set",
     "frequency_set", "freq_set", "sample_set", "text", "spec", "specs",
-    "spec_11", "spec_01", "spec_21", "h_down", "h_up", "harmonic",
+    "spec_11", "spec_01", "spec_21", "harmonic",
     "variant", "criterion", "sparse", "dense", "include_cross", "rng",
     "h00", "g01", "h01", "h11", "g10", "h10", "g12", "h12", "g21", "h21",
     "h22", "lags",
@@ -162,8 +191,8 @@ RESULTS = {
 
 
 def public_parameters():
-    for name in hs.__all__:
-        obj = getattr(hs, name)
+    for name in (*hs.__all__, *METHODS):
+        obj = target(name)
         if name in RESULTS or (inspect.isclass(obj)
                                and issubclass(obj, Exception)):
             continue
@@ -181,7 +210,7 @@ def test_every_public_parameter_is_in_the_contract():
 
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_valid_arguments_pass(name):
-    getattr(hs, name)(**VALID[name]())
+    target(name)(**VALID[name]())
 
 
 CASES = [(name, param, bad) for (name, param), values in CONTRACT.items()
@@ -194,7 +223,7 @@ def test_bad_value_is_rejected_by_name(name, param, bad):
     kwargs = VALID[name]()
     kwargs[param] = bad
     with pytest.raises(ValueError, match=rf"\b{re.escape(param)}\b"):
-        getattr(hs, name)(**kwargs)
+        target(name)(**kwargs)
 
 
 def _state_with_window():

@@ -152,6 +152,23 @@ def test_filter_spec_round_trip(tmp_path):
             hio.load_filter_spec(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("h_down", "2"), ("h_up", True), ("epsilon", "0.1")])
+def test_filter_spec_rejects_taps_and_epsilon_that_are_no_numbers(
+        tmp_path, field, value):
+    # float() read "2" as 2.0, true as 1.0 and "0.1" as 0.1
+    data = {"h_down": [0.0, 1.0], "h_up": [0.0, 0.5],
+            "harmonic": {"epsilon": 0.1, "T_h": 2}}
+    if field == "epsilon":
+        data["harmonic"]["epsilon"] = value
+    else:
+        data[field][1] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(hio.FileFormatError, match=rf"\b{field}\b"):
+        hio.load_filter_spec(path)
+
+
 def test_series_round_trip(tmp_path, complex7):
     rng = np.random.default_rng(2)
     series = [ComplexSignal.from_arrays(

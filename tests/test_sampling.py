@@ -2,10 +2,11 @@
 and frequency selectors."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hodgesp import (
@@ -15,11 +16,12 @@ from hodgesp import (
     parse_frequency_selector,
     reconstruct_bandlimited,
     select_samples,
+    slepians,
     tft,
 )
 from hodgesp.sampling import _near_best
 
-from conftest import HOLE_CYCLE_EDGES, random_complex
+from conftest import HOLE_CYCLE_EDGES, complexes_with_cells, random_complex
 
 
 def test_too_few_samples_never_recoverable(complex7):
@@ -280,3 +282,80 @@ def test_near_best_is_the_eigvalsh_near_set(seed, nf, picked, diagonal):
     assert np.all(lam[near] >= top - 1e-10 * max(1.0, top) - err)
     clear = lam >= top - 1e-10 * max(1.0, top) + err
     assert set(np.flatnonzero(clear)) <= set(near.tolist())
+
+
+def test_one_svd_serves_margin_fit_and_slepians(complex7, monkeypatch):
+    """The margin, the fit and the Slepian set each read one SVD of the
+    sampled band; none of them calls lstsq or eigh."""
+    basis = hodge_basis(complex7, 1)
+    f, s = [0, 3, 8], [1, 5, 8, 9]
+    basis.columns(f)  # build the lazy blocks and tolerance before patching
+    basis.tolerance
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse("lstsq"))
+    monkeypatch.setattr(np.linalg, "eigh", refuse("eigh"))
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for run in (
+            lambda: is_perfectly_recoverable(complex7, 1, f, s, basis=basis),
+            lambda: reconstruct_bandlimited(complex7, 1, f, s,
+                                            [1.0, 0.5, -0.5, 2.0],
+                                            basis=basis),
+            lambda: slepians(complex7, s, f, basis=basis)):
+        calls.clear()
+        run()
+        assert calls == [(len(s), len(f))]
+
+
+def draw_band(c, k, data):
+    """A nonempty frequency set and a nonempty sample set of order k, each
+    of any size, so both rank-deficient sets and |S| < |F| come up."""
+    nk = c.num_simplices(k)
+    assume(nk > 0)
+    index = st.lists(st.integers(0, nk - 1), min_size=1, unique=True)
+    return data.draw(index), data.draw(index)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(c=complexes_with_cells(), data=st.data())
+def test_fit_is_the_min_norm_lstsq_fit(c, data):
+    k = data.draw(st.integers(0, 2))
+    f, s = draw_band(c, k, data)
+    basis = hodge_basis(c, k)
+    u_f = basis.matrix()[:, f]
+    observed = np.random.default_rng(len(f) + 7 * len(s)).standard_normal(
+        len(s))
+    want = u_f @ np.linalg.lstsq(u_f[s], observed, rcond=None)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficientWarning)
+        got = reconstruct_bandlimited(c, k, f, s, observed, basis=basis)
+    assert np.linalg.norm(got.values - want) \
+        <= 1e-10 * max(np.linalg.norm(want), 1.0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(c=complexes_with_cells(), data=st.data())
+def test_slepians_are_eigenvectors_of_f_c_f(c, data):
+    s, f = draw_band(c, 1, data)
+    basis = hodge_basis(c, 1)
+    u_f = basis.matrix()[:, f]
+    band = u_f @ u_f.T
+    op = band[:, s] @ band[s, :]  # F C_S F
+    result = slepians(c, s, f, basis=basis)
+    assert result.vectors.shape == (c.n1, len(f))
+    assert np.allclose(result.vectors.T @ result.vectors, np.eye(len(f)),
+                       atol=1e-10)
+    for vec, conc in zip(result.vectors.T, result.concentrations):
+        assert np.linalg.norm(op @ vec - conc * vec) <= 1e-10
+        assert np.linalg.norm(band @ vec - vec) <= 1e-10
