@@ -21,24 +21,25 @@ def zero_tolerance(sigma_max: float, override: float | None = None) -> float:
     return 1e-10 * max(1.0, float(sigma_max))
 
 
-def column_signs(u: np.ndarray, tol: float) -> np.ndarray:
-    """-1.0 for each column of ``u`` whose first entry of magnitude > tol
-    is negative, else 1.0: the factors that fix the column signs."""
+def first_large(u: np.ndarray, tol: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """For each column of ``u``, whether it has an entry of magnitude > tol,
+    and whether the first such entry is negative."""
     if not u.size:
-        return np.ones(u.shape[1])
+        return np.zeros((2, u.shape[1]), dtype=bool)
     big = u > tol  # |u| > tol, without a float temporary
     big |= u < -tol
     cols = np.arange(u.shape[1])
     first = big.argmax(axis=0)  # row 0 where a column has no such entry
-    flip = big[first, cols] & (u[first, cols] < 0)
-    return np.where(flip, -1.0, 1.0)
+    found = big[first, cols]
+    return found, found & (u[first, cols] < 0)
 
 
 def fix_column_signs(u: np.ndarray, tol: float) -> np.ndarray:
     """Flip column signs so the first entry of magnitude > tol is positive."""
     u = np.asarray(u)
     # Multiplying by -1.0 or 1.0 negates or copies each entry exactly.
-    return u * column_signs(u, tol)
+    return u * np.where(first_large(u, tol)[1], -1.0, 1.0)
 
 
 def gram_schmidt(q: np.ndarray, col: np.ndarray

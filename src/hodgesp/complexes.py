@@ -129,8 +129,9 @@ class Cochain:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        check_integer(self.order, "order", 0, 2)
-        expected = self.complex.num_simplices(self.order)
+        order, c = self.order, self.complex
+        check_integer(order, "order", 0, 2)
+        expected = c.n0 if order == 0 else c.n1 if order == 1 else c.n2
         if values.ndim != 1 or values.shape[0] != expected:
             raise ValueError(
                 f"order-{self.order} cochain needs {expected} values, "
@@ -284,8 +285,9 @@ def _vertex_rows(items, width: int, n: int, check):
         rows = np.array(rows, dtype=np.int64).reshape(-1, width)
     if stop == len(items):
         return rows, None
-    try:
-        check(items[stop], n)
+    bad = items[stop]
+    try:  # a list, so the error shows Python ints as in the per-item path
+        check(bad.tolist() if isinstance(bad, np.ndarray) else bad, n)
     except TopologyError as exc:
         return rows, exc
     raise AssertionError(f"internal error: item {stop} passed its check")
@@ -442,10 +444,10 @@ def incidence(c: SimplicialComplex, k: int, dense: bool = False):
 
 
 # Per-complex derived objects (Laplacians, incidence SVDs and their
-# values-only spectra, lambda_max, the sparse solvers, the quadratic
-# reconstruction's factor, harmonic blocks, the LMS shift stack), keyed by
-# the immutable complex. No value refers back to its complex, so an entry
-# goes away with it.
+# values-only spectra, lambda_max and its integer bound, the sparse
+# solvers, the quadratic reconstruction's factor, harmonic blocks, the LMS
+# shift stack), keyed by the immutable complex. No value refers back to its
+# complex, so an entry goes away with it.
 _cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -620,13 +622,27 @@ def _gram_svd(c: SimplicialComplex, k: int):
     return factors
 
 
+def _spectral_bound(c: SimplicialComplex) -> int:
+    """An integer bound on lambda_max(L1), cached per complex: the largest
+    absolute row sum of L0 and of L2 (Gershgorin), as lambda_max(L1) =
+    max(lambda_max(L0), lambda_max(L2)). No matvec is taken."""
+    return _cached(c, ("bound",), _row_sum_bound, c)
+
+
+def _row_sum_bound(c: SimplicialComplex) -> int:
+    sums = [abs(hodge_laplacian(c, k, sparse=True)).sum(axis=1)
+            for k in (0, 2)]
+    return int(max((s.max() for s in sums if s.size), default=0))
+
+
 def _zero_tolerance(c: SimplicialComplex, tol: float | None) -> float:
-    """The complex-wide zero threshold, unless overridden: 1e-10 times the
-    largest singular value of b1 and b2, which is sqrt(lambda_max(L1)) as
-    the ranges of b1^T and b2 are orthogonal."""
+    """The complex-wide zero threshold, unless overridden: 1e-10 times
+    sqrt(:func:`_spectral_bound`), a bound on the largest singular value of
+    b1 and b2, which is sqrt(lambda_max(L1)) as the ranges of b1^T and b2
+    are orthogonal."""
     if tol is not None:
         return zero_tolerance(0.0, tol)
-    return zero_tolerance(np.sqrt(lambda_max(c, 1)))
+    return zero_tolerance(np.sqrt(_spectral_bound(c)))
 
 
 def betti(c: SimplicialComplex, tol: float | None = None) -> tuple[int, int, int]:
@@ -811,8 +827,8 @@ def _low_spectrum(c: SimplicialComplex, k: int, count: int):
     sparse LU of the topology core, so the kernel of L drops out. The
     edge-side vectors are derived as b1^T w / sigma or b2 w / sigma, and
     lam is the Rayleigh quotient ||b w||^2. The count grows until the cut
-    falls in a gap wider than 1e-8 * lambda_max(L1): a cluster of equal
-    eigenvalues is kept whole.
+    falls in a gap wider than 1e-8 times :func:`_spectral_bound`, a bound on
+    lambda_max(L1): a cluster of equal eigenvalues is kept whole.
     """
     return _cached(c, ("low", k, count), _partial_eigh, c, k, count)
 
@@ -823,7 +839,7 @@ def _partial_eigh(c: SimplicialComplex, k: int, count: int):
     pot = _potential(c, 0 if k == 1 else 2)
     n = pot.a.shape[1]
     rank = n - pot.kernel.shape[1]
-    gap = 1e-8 * lambda_max(c, 1)
+    gap = 1e-8 * _spectral_bound(c)
     pinv = LinearOperator((n, n), dtype=float,
                           matvec=lambda x: pot.solve(pot.project(x)))
     start = pot.project(np.random.default_rng(0).standard_normal(n))

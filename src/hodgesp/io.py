@@ -34,6 +34,7 @@ sparse one stores it, give the same bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -189,13 +190,32 @@ def _read_json(path):
                               f"column {exc.colno}: {exc.msg}") from exc
 
 
+def _index_rows(rows, width: int) -> np.ndarray | None:
+    """The 1-based JSON simplices ``rows`` as a 0-based (m, width) int64
+    array, when each row is a list of ``width`` Python ints (no bools or
+    floats) that fit in int64 less one; else None."""
+    if (type(rows) is not list or set(map(type, rows)) != {list}
+            or set(map(type, chain.from_iterable(rows))) != {int}):
+        return None
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except (OverflowError, ValueError):  # an int beyond int64, ragged rows
+        return None
+    if arr.shape != (len(rows), width) or arr.min() == np.iinfo(np.int64).min:
+        return None
+    return arr - 1
+
+
 def load_complex(path) -> SimplicialComplex:
     data = _read_json(path)
     if not isinstance(data, dict) or "num_vertices" not in data:
         raise FileFormatError(f"{path}: expected an object with "
                               f"'num_vertices'")
 
-    def shift(group, name):
+    def shift(group, name, width=None):
+        rows = _index_rows(data.get(group, []), width) if width else None
+        if rows is not None:
+            return rows
         out = []
         for simplex in data.get(group, []):
             try:
@@ -208,8 +228,8 @@ def load_complex(path) -> SimplicialComplex:
     try:
         return build_complex(
             _integer_field(data, "num_vertices"),
-            edges=shift("edges", "edge"),
-            triangles=shift("triangles", "triangle"),
+            edges=shift("edges", "edge", 2),
+            triangles=shift("triangles", "triangle", 3),
             cells=shift("cells", "cell"),
         )
     except TopologyError as exc:

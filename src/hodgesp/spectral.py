@@ -24,9 +24,12 @@ What comes from where:
   the m x n b_k set to exactly 0. A frequency table builds no block and
   reads no tolerance.
 * Dense blocks. ``gradient``, ``curl``, :meth:`HodgeBasis.matrix`,
-  transforms, Dirac eigenpairs, and the explicit-``tol`` split come from
-  the thin SVDs of b1 and b2, computed once per complex and cached with
-  it, and built on first access. Each SVD is one ``eigh`` of the same
+  transforms, Dirac eigenpairs and transforms, and the explicit-``tol``
+  split come from the thin SVDs of b1 and b2, computed once per complex
+  and cached with it, and built on first access; a :class:`DiracBasis`
+  keeps the factors and its column signs, and :func:`dirac_tft` and
+  :func:`dirac_itft` apply them blockwise, with no dense pair columns.
+  Each SVD is one ``eigh`` of the same
   Gram matrix, a cached sparse Laplacian made dense, with the other side
   derived as b^T w / sigma or b w / sigma; no dense incidence matrix is
   formed. Eigenvalues under the same floor are exact zeros, so rounding
@@ -37,10 +40,11 @@ What comes from where:
   eigenvalue): 7e-14 on a 20 x 20 grid with 6 holes, 1e-10 on a
   2000-vertex path, against 1e-14 for a dense SVD. Under the default
   tolerance the blocks keep the exact widths.
-* The zero tolerance is complex-wide: by default 1e-10 times the largest
-  singular value of b1 and b2, taken as sqrt(lambda_max(L1)) from the
-  cached power iteration. :attr:`HodgeBasis.tolerance` computes it on
-  first read, for the sign fix of a block or of band columns.
+* The zero tolerance is complex-wide: by default 1e-10 times a bound on
+  the largest singular value of b1 and b2, sqrt of the largest absolute
+  row sum of L0 and L2 (an integer, cached per complex; no power
+  iteration). :attr:`HodgeBasis.tolerance` computes it on first read, for
+  the sign fix of a block or of band columns.
 * The default Hodge decomposition uses no SVD: it solves L0 p = b1 x and
   L2 q = b2^T x with the exact sparse topology core (sparse LU factors,
   minimum-norm potentials).
@@ -64,13 +68,13 @@ one frequency type.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import column_signs, fix_column_signs
+from ._linalg import first_large, fix_column_signs
 from ._util import check_integer
 from .complexes import (
     Cochain,
@@ -140,8 +144,8 @@ class HodgeBasis:
     @cached_property
     def tolerance(self) -> float:
         """The zero tolerance in force: ``tol``, or by default the
-        complex-wide one, whose first read runs the ``lambda_max(L1)``
-        power iteration."""
+        complex-wide 1e-10 * sqrt(bound), the bound the largest absolute
+        row sum of L0 and L2 (at least lambda_max(L1))."""
         return _zero_tolerance(self.complex, self.tol)
 
     @cached_property
@@ -461,6 +465,70 @@ def frequency_table(basis: HodgeBasis) -> list[FrequencyEntry]:
     return rows
 
 
+class _Pairs(NamedTuple):
+    """The 2r Dirac eigenvectors from the thin SVD of b_k, held as the
+    cached factors: column 2i is signs[2i] (u; v)/sqrt(2) and column
+    2i + 1 is signs[2i + 1] (u; -v)/sqrt(2) for the i-th smallest singular
+    value, with the u rows from ``offset`` and the v rows after them."""
+
+    u: np.ndarray  # the r leading columns of the left factor, sigma descending
+    vt: np.ndarray  # the r leading rows of the right factor
+    signs: np.ndarray
+    offset: int
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the signed pair columns into the (dim, 2r) ``out``."""
+        half_u = self.u[:, ::-1] / np.sqrt(2.0)
+        half_v = self.vt[::-1].T / np.sqrt(2.0)
+        mid = self.offset + half_u.shape[0]
+        end = mid + half_v.shape[0]
+        # Zeros, fill, then the sign product, so a flipped column carries
+        # -0.0 off its rows.
+        out.fill(0.0)
+        out[self.offset:mid, 0::2] = out[self.offset:mid, 1::2] = half_u
+        out[mid:end, 0::2], out[mid:end, 1::2] = half_v, -half_v
+        out *= self.signs
+        return out
+
+    def project(self, x_u: np.ndarray, x_v: np.ndarray) -> np.ndarray:
+        """The 2r pair coefficients of the signal whose u rows are ``x_u``
+        and v rows ``x_v``."""
+        a, b = (self.u.T @ x_u)[::-1], (self.vt @ x_v)[::-1]
+        return (np.column_stack([a + b, a - b]).ravel() / np.sqrt(2.0)
+                * self.signs)
+
+    def combine(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The u rows and v rows of the pair columns times ``coeffs``."""
+        even, odd = (coeffs * self.signs).reshape(-1, 2)[::-1].T / np.sqrt(2.0)
+        return self.u @ (even + odd), self.vt.T @ (even - odd)
+
+
+def _dirac_pairs(c: SimplicialComplex, k: int, tol: float | None,
+                 tau: float, offset: int) -> tuple[_Pairs, np.ndarray]:
+    """The signed Dirac eigenpairs from the SVD of b_k: (u; +/-v)/sqrt(2)
+    with u rows from ``offset``, +sigma then -sigma, sigma ascending.
+
+    Each column's sign makes its first entry of magnitude > tau positive.
+    Both columns of a pair share u, which comes first, so both take their
+    sign from it; v decides only where u has no such entry."""
+    u, s, vt, r = _svd_rank(c, k, tol)
+    u, vt = u[:, :r], vt[:r]
+    found, neg = np.empty((2, r), dtype=bool)
+    step = max(1, (1 << 20) // max(1, u.shape[0]))  # 8 MB chunks of u
+    for a in range(0, r, step):
+        found[a : a + step], neg[a : a + step] = first_large(
+            u[:, a : a + step] / np.sqrt(2.0), tau)
+    found, neg = found[::-1], neg[::-1]
+    signs = np.repeat(np.where(neg, -1.0, 1.0), 2)
+    lost = np.flatnonzero(~found)
+    if lost.size:
+        v_found, v_neg = first_large(vt[r - 1 - lost].T / np.sqrt(2.0), tau)
+        signs[2 * lost] = np.where(v_neg, -1.0, 1.0)
+        signs[2 * lost + 1] = np.where(v_found & ~v_neg, -1.0, 1.0)
+    lam = np.repeat(s[:r][::-1], 2) * np.tile([1.0, -1.0], r)
+    return _Pairs(u, vt, signs, offset), lam
+
+
 @dataclass(frozen=True, eq=False)
 class DiracBasis:
     """Eigenbasis of the Dirac operator grouped into joint subspaces.
@@ -470,18 +538,49 @@ class DiracBasis:
     (0; u; +/-v)/sqrt(2), and the joint-harmonic block stacks the per-order
     harmonic bases (its width is beta0 + beta1 + beta2). Off the kernel the
     spectrum is symmetric: eigenvalues come in +/- pairs.
+
+    The basis keeps the cached SVD factors of b1 and b2 and the column
+    signs, not the pair columns: ``gradient``, ``curl`` and
+    :meth:`matrix` are dense and built on first access (read-only), while
+    :func:`dirac_tft` and :func:`dirac_itft` work from the factors.
     """
 
     complex: SimplicialComplex
     harmonic: np.ndarray
-    gradient: np.ndarray
     gradient_eigenvalues: np.ndarray
-    curl: np.ndarray
     curl_eigenvalues: np.ndarray
     tolerance: float
+    _pairs: tuple[_Pairs, _Pairs] = field(repr=False)
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        return self._block(self._pairs[0])
+
+    @cached_property
+    def curl(self) -> np.ndarray:
+        return self._block(self._pairs[1])
+
+    def _block(self, pairs: _Pairs) -> np.ndarray:
+        block = pairs.fill(np.empty((self.harmonic.shape[0],
+                                     pairs.signs.size)))
+        block.flags.writeable = False
+        return block
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        h = self.harmonic
+        grad, curl_ = (p.signs.size for p in self._pairs)
+        out = np.empty((h.shape[0], h.shape[1] + grad + curl_))
+        out[:, : h.shape[1]] = h
+        self._pairs[0].fill(out[:, h.shape[1] : h.shape[1] + grad])
+        self._pairs[1].fill(out[:, h.shape[1] + grad :])
+        out.flags.writeable = False
+        return out
 
     def matrix(self) -> np.ndarray:
-        return np.hstack([self.harmonic, self.gradient, self.curl])
+        """Full basis (read-only), columns in :meth:`eigenvalues` order:
+        harmonic, then gradient pairs, then curl pairs."""
+        return self._matrix
 
     def eigenvalues(self) -> np.ndarray:
         return np.concatenate([
@@ -491,35 +590,17 @@ class DiracBasis:
         ])
 
 
-def _dirac_pairs(c: SimplicialComplex, k: int, tol: float | None, dim: int,
-                 offset: int):
-    """Signed eigenpairs of the Dirac operator from the SVD of b_k:
-    (u; +/-v)/sqrt(2) with rows from ``offset``, +sigma then -sigma,
-    sigma ascending."""
-    u, s, vt, r = _svd_rank(c, k, tol)
-    half_u = u[:, :r][:, ::-1] / np.sqrt(2.0)
-    half_v = vt[:r][::-1].T / np.sqrt(2.0)
-    mid = offset + u.shape[0]
-    vecs = np.zeros((dim, 2 * r))
-    vecs[offset:mid, 0::2] = half_u
-    vecs[offset:mid, 1::2] = half_u
-    vecs[mid : mid + vt.shape[1], 0::2] = half_v
-    vecs[mid : mid + vt.shape[1], 1::2] = -half_v
-    return vecs, np.repeat(s[:r][::-1], 2) * np.tile([1.0, -1.0], r)
-
-
 def dirac_basis(c: SimplicialComplex, tol: float | None = None) -> DiracBasis:
     """Joint spectral basis of the Dirac operator.
 
     The harmonic block places the cached blocks ``hodge_basis(c, k,
     tol).harmonic`` of k = 0, 1, 2 on the diagonal; their signs are
-    already fixed. The pair blocks are sign-fixed in place."""
+    already fixed. The pair columns are left as the cached SVD factors and
+    their signs; see :class:`DiracBasis`."""
     dim = c.n0 + c.n1 + c.n2
     tau = _zero_tolerance(c, tol)
-    grad, lam_g = _dirac_pairs(c, 1, tol, dim, 0)
-    grad *= column_signs(grad, tau)
-    curl_, lam_c = _dirac_pairs(c, 2, tol, dim, c.n0)
-    curl_ *= column_signs(curl_, tau)
+    grad, lam_g = _dirac_pairs(c, 1, tol, tau, 0)
+    curl_, lam_c = _dirac_pairs(c, 2, tol, tau, c.n0)
 
     blocks = [hodge_basis(c, k, tol).harmonic for k in (0, 1, 2)]
     harm = np.zeros((dim, sum(h.shape[1] for h in blocks)))
@@ -531,32 +612,43 @@ def dirac_basis(c: SimplicialComplex, tol: float | None = None) -> DiracBasis:
     return DiracBasis(
         complex=c,
         harmonic=harm,
-        gradient=grad,
         gradient_eigenvalues=lam_g,
-        curl=curl_,
         curl_eigenvalues=lam_c,
         tolerance=tau,
+        _pairs=(grad, curl_),
     )
 
 
 def dirac_tft(c: SimplicialComplex, x: ComplexSignal,
               basis: DiracBasis | None = None) -> np.ndarray:
-    """Projection of the stacked (x0, x1, x2) onto the Dirac eigenbasis."""
+    """Projection of the stacked (x0, x1, x2) onto the Dirac eigenbasis,
+    ``basis.matrix().T @ x`` to rounding, computed blockwise from the
+    cached factors."""
     _check_bound(c, x, "x")
     if basis is None:
         basis = dirac_basis(c)
     _check_bound(c, basis, "basis")
-    return basis.matrix().T @ x.stacked()
+    grad, curl_ = basis._pairs
+    return np.concatenate([
+        basis.harmonic.T @ x.stacked(),
+        grad.project(x.x0.values, x.x1.values),
+        curl_.project(x.x1.values, x.x2.values),
+    ])
 
 
 def dirac_itft(c: SimplicialComplex, coeffs: np.ndarray,
                basis: DiracBasis | None = None) -> ComplexSignal:
-    """Inverse of :func:`dirac_tft`."""
+    """Inverse of :func:`dirac_tft`, also from the cached factors."""
     if basis is None:
         basis = dirac_basis(c)
     _check_bound(c, basis, "basis")
-    u = basis.matrix()
+    grad, curl_ = basis._pairs
+    n_h, n_g = basis.harmonic.shape[1], grad.signs.size
+    width = n_h + n_g + curl_.signs.size
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (u.shape[1],):
-        raise ValueError(f"expected {u.shape[1]} coefficients, got {coeffs.shape}")
-    return ComplexSignal.from_stacked(c, u @ coeffs)
+    if coeffs.shape != (width,):
+        raise ValueError(f"expected {width} coefficients, got {coeffs.shape}")
+    x0, x1 = grad.combine(coeffs[n_h : n_h + n_g])
+    x1_up, x2 = curl_.combine(coeffs[n_h + n_g :])
+    return ComplexSignal.from_stacked(c, basis.harmonic @ coeffs[:n_h]
+                                      + np.concatenate([x0, x1 + x1_up, x2]))

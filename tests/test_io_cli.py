@@ -106,6 +106,71 @@ def test_complex_parse_errors(tmp_path):
             hio.load_complex(bad)
 
 
+GRID_EDGES = [[1, 2], [1, 4], [2, 3], [2, 4], [2, 5], [3, 5], [4, 5]]
+GRID_TRIS = [[1, 2, 4], [2, 4, 5], [2, 3, 5]]
+# (edges, triangles, cells) of 5-vertex complexes: valid ones, then one
+# per defect, each in a row that the integer-array path may take.
+LOADER_CASES = [
+    (GRID_EDGES, GRID_TRIS, []),
+    (GRID_EDGES[::-1], [[5, 4, 2], [3, 2, 5]], [[1, 2, 5, 4]]),
+    (GRID_EDGES, [], []),
+    ([], [], []),
+    ([[1, 2], [2, 3], [3.0, 4]], [], []),
+    ([[1, 2], [2, 3], [1.0, 3]], [[1, 2, 3.0]], []),
+    ([[1, 2], [True, 3]], [], []),
+    ([[1, 2], [2, "3"]], [], []),
+    ([[1, 2], [2, 3, 4]], [], []),
+    ([[1, 2, 3], [2, 3, 4]], [], []),
+    ([[1, 2], []], [], []),
+    ([[1, 2], [3]], [], []),
+    ([[1, 2], [2, 2**70]], [], []),
+    ([[1, 2], [2, -2**63]], [], []),
+    ([[1, 2], [2, 2**63]], [], []),
+    ([[1, 2], [0, 3]], [], []),
+    ([[1, 2], [2, 6]], [], []),
+    ([[1, 2], [3, 3]], [], []),
+    ([[1, 2], [2, 3], [2, 1]], [], []),
+    (GRID_EDGES, [[1, 2, 3]], []),
+    (GRID_EDGES, [[1, 2, 4], [4, 2, 1]], []),
+    (GRID_EDGES, [[1, 2, 2]], []),
+    (GRID_EDGES, [[1, 2, 9]], []),
+    (GRID_EDGES, [[1, 2], [2, 4, 5]], []),
+    (GRID_EDGES, [[1, 2, 4], [2, 4, 5, 3]], []),
+    (GRID_EDGES, [[1, 2, 4, 5]], []),
+    (GRID_EDGES, GRID_TRIS, [[1, 2, 5, 4], [1, 4, 5, 2]]),
+    ([[1, 2], {"a": 1}], [], []),
+    ([[1, 2], 7], [], []),
+]
+
+
+def load_outcome(path):
+    """The loaded complex's simplices and incidence matrices, or the type
+    and message of the error it raised."""
+    try:
+        c = hio.load_complex(path)
+    except Exception as exc:  # every kind is compared, not just ours
+        return type(exc), str(exc)
+    return (c.num_vertices, c.edges, c.triangles, c.cells,
+            c.b1.toarray().tobytes(), c.b2.toarray().tobytes())
+
+
+@pytest.mark.parametrize("case", range(len(LOADER_CASES)))
+def test_integer_array_loader_matches_the_item_loader(case, tmp_path,
+                                                      monkeypatch):
+    edges, triangles, cells = LOADER_CASES[case]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"num_vertices": 5, "edges": edges,
+                                "triangles": triangles, "cells": cells}))
+    fast = load_outcome(path)
+    with monkeypatch.context() as mp:
+        mp.setattr(hio, "_index_rows", lambda rows, width: None)
+        slow = load_outcome(path)
+    assert fast == slow
+    if case == 0:  # a valid file takes the array path
+        assert hio._index_rows(edges, 2) is not None
+        assert hio._index_rows(triangles, 3) is not None
+
+
 def test_signal_round_trip(tmp_path, complex7):
     rng = np.random.default_rng(0)
     x = complex7.cochain(1, rng.standard_normal(10))

@@ -89,7 +89,7 @@ def test_partial_window_spans_the_dense_columns(symmetric_grid, k, kind,
     dense = dense_basis(c, k, monkeypatch)
     freqs = block_frequencies(dense, kind)
     lmax = lambda_max(c, 1)
-    starts = clusters(freqs, 1e-8 * lmax)
+    starts = clusters(freqs, 1e-8 * hc._spectral_bound(c))
     assert np.any(np.diff(starts[starts <= hsp._PARTIAL_WINDOW]) > 1), \
         "the fixture should have a repeated frequency in the window"
     cut = starts[starts <= hsp._PARTIAL_WINDOW].max()
@@ -115,7 +115,7 @@ def test_selector_splitting_a_cluster_stays_in_its_span(symmetric_grid, k,
     c = symmetric_grid
     dense = dense_basis(c, k, monkeypatch)
     freqs = block_frequencies(dense, kind)
-    starts = clusters(freqs, 1e-8 * lambda_max(c, 1))
+    starts = clusters(freqs, 1e-8 * hc._spectral_bound(c))
     pairs = [(a, b) for a, b in zip(starts, starts[1:])
              if b - a > 1 and b <= hsp._PARTIAL_WINDOW]
     assert pairs
@@ -136,7 +136,7 @@ def test_partial_spectrum_keeps_clusters_whole(symmetric_grid, k):
     c = symmetric_grid
     freqs = np.sort(hc._incidence_svd(c, k)[1] ** 2)
     freqs = freqs[freqs > 1e-9]
-    gap = 1e-8 * lambda_max(c, 1)
+    gap = 1e-8 * hc._spectral_bound(c)
     split = 0
     for count in range(1, hsp._PARTIAL_WINDOW + 1):
         lam = hc._low_spectrum(c, k, count)[0]  # cached per count

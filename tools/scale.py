@@ -5,8 +5,9 @@ Usage (from the repository root):
     python3 tools/scale.py            # writes BENCH_scale.json
     python3 tools/scale.py -o out.json
 
-It takes about 3 minutes, and the dense layers at m = 40 (dense_blocks,
-dirac_basis) need about 1 GB.
+It takes about 3 minutes and peaks near 850 MB of resident memory, in
+the dense layers at m = 40 (dense_blocks, and the incidence SVDs that
+dirac_basis and dirac_tft set up untimed).
 
 Each layer is timed cold, on a fresh copy of the complex with nothing
 cached, in one process with the BLAS thread count pinned to 1; sizes up to
@@ -26,6 +27,8 @@ block widths):
     dense_blocks               its gradient and curl blocks (Gram eigh)
     harmonic                   its harmonic block, from the sparse core
     dirac_basis                with the incidence SVDs already cached
+    dirac_tft                  dirac_tft and dirac_itft of one signal, the
+                               Dirac basis already built
     band_columns               basis.columns of the band
     select_samples             |F| + 10 picks, band columns cached
     reconstruct_bandlimited    from those picks, band columns cached
@@ -135,6 +138,12 @@ def prepare(c, layer: str, work: Path):
     if layer == "dirac_basis":
         _incidence_svd(c, 1), _incidence_svd(c, 2)
         return lambda: hs.dirac_basis(c)
+    if layer == "dirac_tft":
+        basis = hs.dirac_basis(c)
+        rng = np.random.default_rng(0)
+        x = hs.ComplexSignal.from_arrays(
+            c, *(rng.standard_normal(c.num_simplices(k)) for k in range(3)))
+        return lambda: hs.dirac_itft(c, hs.dirac_tft(c, x, basis), basis)
     basis = hs.hodge_basis(c, 1)
     if layer == "dense_blocks":
         return lambda: (basis.gradient, basis.curl)
@@ -206,9 +215,9 @@ def l2_warm_call(c):
 
 SIZES = ("complex7", "10", "20", "30", "40")
 LAYERS = ("betti", "hodge_decompose", "hodge_basis", "frequency_table",
-          "dense_blocks", "harmonic", "dirac_basis", "band_columns",
-          "select_samples", "reconstruct_bandlimited", "slepians",
-          "build_dictionary", "dictionary_csv", "l2_reconstruct")
+          "dense_blocks", "harmonic", "dirac_basis", "dirac_tft",
+          "band_columns", "select_samples", "reconstruct_bandlimited",
+          "slepians", "build_dictionary", "dictionary_csv", "l2_reconstruct")
 STREAM_LAYERS = ("lms_step_T1", "lms_step_T3", "scvar_step")
 
 
