@@ -11,10 +11,54 @@ from typing import Sequence
 import numpy as np
 
 
-def as_index_tuple(indices: Sequence[int], n: int, name: str) -> tuple[int, ...]:
-    """Validate a nonempty set of indices into range(n); preserves order,
-    rejects duplicates."""
-    out = []
+def as_index_array(indices: Sequence[int] | np.ndarray, n: int,
+                   name: str) -> np.ndarray:
+    """Validate a nonempty set of indices into range(n) and return it as a
+    new intp array; preserves order, rejects duplicates. This is
+    :func:`index_array` and then :func:`check_indices`."""
+    arr = index_array(indices, n, name)
+    check_indices(arr, n, name)
+    return arr
+
+
+def index_array(indices: Sequence[int] | np.ndarray, n: int,
+                name: str) -> np.ndarray:
+    """``indices`` as a new 1-D intp array, when they are an integer array
+    or a sequence of ints and numpy integers; range and repeats are left to
+    :func:`check_indices`. Any other set is walked one index at a time for
+    the ValueError that names its first bad index, as n sets the range."""
+    if isinstance(indices, np.ndarray):
+        integers = indices.ndim == 1 and indices.dtype.kind in "iu"
+    else:
+        indices = list(indices)
+        integers = all(issubclass(t, (int, np.integer))
+                       for t in set(map(type, indices)))
+    if integers:
+        try:
+            return np.array(indices, dtype=np.intp)
+        except OverflowError:  # an index beyond intp is out of range
+            pass
+    _reject_first_bad(indices, n, name)
+    raise AssertionError(f"internal error: {name} passed its checks")
+
+
+def check_indices(arr: np.ndarray, n: int, name: str) -> None:
+    """Reject an :func:`index_array` result that is empty, or holds an
+    index outside range(n) or one twice, by the ValueError that names the
+    first bad index; the checks run at once, the walk only on failure."""
+    if arr.size:
+        ranked = np.sort(arr)
+        if (ranked[0] >= 0 and ranked[-1] < n
+                and not (ranked[1:] == ranked[:-1]).any()):
+            return
+    _reject_first_bad(arr.tolist(), n, name)
+    raise AssertionError(f"internal error: {name} passed its checks")
+
+
+def _reject_first_bad(indices, n: int, name: str) -> None:
+    """Raise the ValueError for the first index of ``indices`` that is no
+    integer, lies outside range(n) or repeats one before it, or for an
+    empty set."""
     seen = set()
     for i in indices:
         if not isinstance(i, (int, np.integer)):
@@ -25,10 +69,8 @@ def as_index_tuple(indices: Sequence[int], n: int, name: str) -> tuple[int, ...]
         if i in seen:
             raise ValueError(f"{name}: duplicate index {i}")
         seen.add(i)
-        out.append(i)
-    if not out:
+    if not seen:
         raise ValueError(f"{name} must be nonempty")
-    return tuple(out)
 
 
 def check_integer(value, name: str, minimum: int,

@@ -10,6 +10,7 @@ variable) overrides the scale-aware zero threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -225,7 +226,11 @@ def _cmd_infer_triangles(args) -> None:
     Path(args.output).write_text(json.dumps(data, indent=1) + "\n")
 
 
-def run_cli(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    ``parse_args`` leaves it as it was, and building it takes longer than
+    parsing with it."""
     parser = argparse.ArgumentParser(
         prog="hodgesp",
         description="Signal processing on simplicial and cell complexes.",
@@ -332,9 +337,12 @@ def run_cli(argv=None) -> int:
                    default="curlfit")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
+    return parser
 
+
+def run_cli(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

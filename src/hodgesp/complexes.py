@@ -443,11 +443,12 @@ def incidence(c: SimplicialComplex, k: int, dense: bool = False):
     return b.toarray().astype(float) if dense else b
 
 
-# Per-complex derived objects (Laplacians, incidence SVDs and their
-# values-only spectra, lambda_max and its integer bound, the sparse
-# solvers, the quadratic reconstruction's factor, harmonic blocks, the LMS
-# shift stack), keyed by the immutable complex. No value refers back to its
-# complex, so an entry goes away with it.
+# Per-complex derived objects (Laplacians, the float incidence matrices,
+# incidence SVDs and their values-only spectra, lambda_max and its integer
+# bound, the sparse solvers, the quadratic reconstruction's factor, the
+# sampled band fit, harmonic blocks, the LMS shift stack), keyed by the
+# immutable complex. No value or key refers back to its complex, so an
+# entry goes away with it.
 _cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -512,7 +513,7 @@ def _laplacian(c: SimplicialComplex, k: int, variant: str) -> sp.csr_array:
 def dirac(c: SimplicialComplex) -> DiracOperator:
     """Block-tridiagonal Dirac operator; full = down + up and
     full^2 = blkdiag(L0, L1, L2)."""
-    b1, b2 = c.b1.astype(float), c.b2.astype(float)
+    b1, b2 = _float_incidence(c, 1)[0], _float_incidence(c, 2)[0]
     return DiracOperator(
         full=_dirac_matrix(c),
         down=_dirac_blocks(b1, sp.csr_array(b2.shape)),
@@ -522,8 +523,8 @@ def dirac(c: SimplicialComplex) -> DiracOperator:
 
 def _dirac_matrix(c: SimplicialComplex) -> sp.csr_array:
     """The sparse Dirac operator, built once per complex."""
-    return _cached(c, ("dirac",), lambda: _dirac_blocks(c.b1.astype(float),
-                                                        c.b2.astype(float)))
+    return _cached(c, ("dirac",), lambda: _dirac_blocks(
+        _float_incidence(c, 1)[0], _float_incidence(c, 2)[0]))
 
 
 def _dirac_blocks(b1, b2) -> sp.csr_array:
@@ -544,6 +545,20 @@ def _lambda_max(c: SimplicialComplex, k: int, rtol: float) -> float:
     lap = hodge_laplacian(c, k, sparse=True)
     return power_iteration_lambda_max(lambda v: lap @ v, lap.shape[0],
                                       rtol=rtol)
+
+
+def _float_incidence(c: SimplicialComplex, k: int
+                     ) -> tuple[sp.csr_array, sp.csr_array]:
+    """b_k (k in {1, 2}) as a float CSR array and its transpose as another,
+    built once per complex and to be treated as read-only; the potentials,
+    the spectra, the transforms, the Dirac operator and the l1
+    reconstruction all read these."""
+    return _cached(c, ("float incidence", k), _float_pair, c, k)
+
+
+def _float_pair(c: SimplicialComplex, k: int):
+    b = (c.b1 if k == 1 else c.b2).astype(float)
+    return b, sp.csr_array(b.T)
 
 
 def _incidence_svd(c: SimplicialComplex, k: int
@@ -586,6 +601,13 @@ def _gram(c: SimplicialComplex, k: int) -> tuple[sp.csr_array, bool]:
     return hodge_laplacian(c, far, sparse=True), False
 
 
+def _eigen_left(c: SimplicialComplex, k: int) -> bool:
+    """Whether the left factor u of :func:`_incidence_svd` holds the Gram
+    eigenvectors of b_k, the right factor vt being derived from them, or
+    the other way round."""
+    return (k == 1) != _gram(c, k)[1]
+
+
 def _zero_floor(c: SimplicialComplex, k: int, lam: np.ndarray) -> float:
     """max(m, n) * eps * lambda_max for the m x n b_k, given the Gram
     eigenvalues ``lam`` in descending order: eigenvalues at or below it
@@ -604,11 +626,11 @@ def _gram_values(c: SimplicialComplex, k: int) -> np.ndarray:
 
 
 def _gram_svd(c: SimplicialComplex, k: int):
-    b = incidence(c, k).astype(float)
-    lap, on_edges = _gram(c, k)
+    b = _float_incidence(c, k)[0]
     # The Gram matrix taken is a a^T; its eigenvectors are the left
     # singular vectors of a.
-    a = b.T if (k == 1) == on_edges else b
+    a = b if _eigen_left(c, k) else b.T
+    lap = _gram(c, k)[0]
     lam, w = np.linalg.eigh(lap.toarray())
     lam, w = lam[::-1], np.ascontiguousarray(w[:, ::-1])
     rank = int(np.count_nonzero(lam > _zero_floor(c, k, lam)))
@@ -778,9 +800,8 @@ class _Potential(_Grounded):
     """
 
     def __init__(self, c: SimplicialComplex, k: int):
-        # A and its transpose are stored as built, as the kernel is.
-        self.a = sp.csr_array((c.b1.T if k == 0 else c.b2).astype(float))
-        self.a_t = sp.csr_array(self.a.T)
+        b, b_t = _float_incidence(c, 1 if k == 0 else 2)
+        self.a, self.a_t = (b_t, b) if k == 0 else (b, b_t)
         lap = hodge_laplacian(c, k, sparse=True)
         n = lap.shape[0]
         kernel = None

@@ -5,6 +5,7 @@ sparse coding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -16,7 +17,7 @@ from ._linalg import fix_column_signs, gram_schmidt
 from ._util import check_integer, check_real
 from .complexes import Cochain, SimplicialComplex
 from .filters import HodgeFilterSpec, _filter_values
-from .sampling import _recoverability, _sampled_fit
+from .sampling import _sampled_fit
 from .spectral import HodgeBasis
 
 __all__ = [
@@ -90,17 +91,18 @@ def slepians(c: SimplicialComplex, edge_set: Sequence[int],
     F_F psi = psi exactly; vectors beyond the rank of U_F[S] are an
     orthonormal completion of the bandlimited space with concentration 0.
     """
-    u_f, sampled, basis, f_idx, s_idx = _sampled_fit(
-        c, 1, frequency_set, basis, tol, edge_set, "edge set")
-    m = len(f_idx) if m is None else m
-    check_integer(m, "m", 1, len(f_idx))
-    (_, s, vt), _ = _recoverability(sampled, tol)
-    concentrations = np.pad(np.minimum(s**2, 1.0), (0, len(f_idx) - s.size))
+    fit = _sampled_fit(c, 1, frequency_set, basis, tol, edge_set,
+                       "edge set")
+    nf = len(fit.freqs)
+    m = nf if m is None else m
+    check_integer(m, "m", 1, nf)
+    _, s, vt = fit.svd
+    concentrations = np.pad(np.minimum(s**2, 1.0), (0, nf - s.size))
     return SlepianSet(
-        vectors=fix_column_signs(u_f @ vt[:m].T, basis.tolerance),
+        vectors=fix_column_signs(fit.band @ vt[:m].T, fit.tolerance),
         concentrations=concentrations[:m],
-        edge_set=s_idx,
-        frequency_set=f_idx,
+        edge_set=fit.samples,
+        frequency_set=fit.freqs,
     )
 
 
@@ -204,27 +206,31 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
     norms = np.where(usable, norms, np.inf)
 
     steps = min(sparsity, int(usable.sum()))
-    q = np.empty((atoms.shape[0], steps))  # orthonormal basis of the support
-    r = np.zeros((steps, steps))           # support = q @ r
-    proj = np.empty(steps)                 # q.T @ target
+    # Row i of q is the i-th orthonormal support vector, so the first k
+    # rows are one contiguous block.
+    q = np.empty((steps, atoms.shape[0]))
+    r = np.zeros((steps, steps))  # support = q.T @ r
+    proj = np.empty(steps)        # q @ target
     selected: list[int] = []
     residual = target.copy()
     for k in range(steps):
-        res_norm = np.linalg.norm(residual)
+        res_norm = math.sqrt(residual @ residual)
         if res_norm < residual_tol:
             break
-        scores = np.abs(correlator @ residual) / norms
+        scores = correlator @ residual
+        np.abs(scores, out=scores)
+        scores /= norms
         scores[selected] = -np.inf
-        best = int(np.argmax(scores))  # argmax takes the lowest tied index
+        best = int(scores.argmax())  # argmax takes the lowest tied index
         if scores[best] <= 1e-12 * res_norm:
             break  # residual orthogonal to every atom
         selected.append(best)
-        col, r[:k, k] = gram_schmidt(q[:, :k], _column(atoms, best))
-        r[k, k] = np.linalg.norm(col)
-        q[:, k] = col / r[k, k]
-        # The residual is orthogonal to q[:, :k], so this is q[:, k] @ target.
-        proj[k] = q[:, k] @ residual
-        residual -= proj[k] * q[:, k]
+        col, r[:k, k] = gram_schmidt(q[:k].T, _column(atoms, best))
+        r[k, k] = math.sqrt(col @ col)
+        np.divide(col, r[k, k], out=q[k])
+        # The residual is orthogonal to q[:k], so this is q[k] @ target.
+        proj[k] = q[k] @ residual
+        residual -= proj[k] * q[k]
     coeffs = np.zeros(atoms.shape[1])
     if selected:
         k = len(selected)

@@ -32,6 +32,7 @@ from .complexes import (
     _check_bound,
     _dirac_matrix,
     _eliminate,
+    _float_incidence,
     _Grounded,
     hodge_laplacian,
     lambda_max,
@@ -373,8 +374,8 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
 
     lap_down = hodge_laplacian(c, 1, "down", sparse=True)
     lap_up = hodge_laplacian(c, 1, "up", sparse=True)
-    b1 = c.b1.astype(float)
-    b2t = c.b2.T.astype(float)
+    b1 = _float_incidence(c, 1)[0]
+    b2t = _float_incidence(c, 2)[1]
 
     # Smooth part: data fit plus any l2-squared penalty.
     lip = 2.0

@@ -7,19 +7,29 @@ holds exactly when the sampled band U_F[S], the |S| x |F| matrix of sampled
 basis columns, has full column rank. One SVD of U_F[S] serves every
 consumer: its smallest singular value is the recovery margin, its
 pseudo-inverse the reconstruction, and its right singular vectors and
-squared singular values the Slepian set of :func:`hodgesp.slepians`.
+squared singular values the Slepian set of :func:`hodgesp.slepians`. The
+band columns and that SVD are cached with the complex for one (basis, k,
+tol, F, S) at a time, so many signals sampled on one set pay for them
+once; the parameters are checked on every call.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._linalg import zero_tolerance
-from ._util import as_index_tuple, check_integer, check_tolerance
-from .complexes import Cochain, SimplicialComplex, _check_bound
+from ._util import (
+    as_index_array,
+    check_indices,
+    check_integer,
+    check_tolerance,
+    index_array,
+)
+from .complexes import Cochain, SimplicialComplex, _cached_slot, _check_bound
 from .spectral import HodgeBasis, hodge_basis
 
 __all__ = [
@@ -41,25 +51,65 @@ class Recoverability(NamedTuple):
     margin: float  # smallest singular value of the sampled sub-basis
 
 
-def _sampled_fit(c: SimplicialComplex, k: int, freq_set, basis, tol,
-                 sample_set=None, samples: str = "sample set"):
-    """What every band consumer starts from, its parameters checked: the
-    |F| band columns U_F, their rows U_F[S], the basis (built from ``tol``
-    when None) and the frequency and sample index tuples; without
-    ``sample_set`` the S entries are None. ``samples`` is the sample set's
-    name in error messages."""
+class _Fit(NamedTuple):
+    """The sampled fit of one basis, frequency set F and sample set S."""
+
+    band: np.ndarray  # the n_k x |F| band columns U_F
+    svd: tuple  # (u, s, vt) of U_F[S], see _recoverability
+    rank: int  # singular values above lstsq's default cutoff
+    recoverability: Recoverability
+    tolerance: float  # the basis's zero tolerance
+    freqs: tuple[int, ...]
+    samples: tuple[int, ...]
+
+
+def _check_band(c: SimplicialComplex, k: int, basis, tol) -> None:
+    """The checks every band consumer makes first: k, tol, and that a
+    given basis belongs to ``c`` and is of order k."""
     check_integer(k, "k", 0, 2)
     check_tolerance(tol)
+    if basis is not None:
+        _check_bound(c, basis, "basis", k)
+
+
+def _sampled_fit(c: SimplicialComplex, k: int, freq_set, basis, tol,
+                 sample_set, samples: str = "sample set") -> _Fit:
+    """The :class:`_Fit` of the band of ``basis`` (``hodge_basis(c, k,
+    tol)`` when None), its parameters checked on every call; ``samples``
+    is the sample set's name in error messages.
+
+    The fit is cached in one slot of ``c``, keyed on k, tol, the basis
+    object and the values of both index sets, so a caller that changes a
+    set in place gets a fresh fit, and a new key replaces the slot. The
+    key refers to the basis weakly, so the slot keeps no basis, or its
+    complex, alive. Both sets must be integers on every call; their range
+    and repeats are checked on a miss, before they become the key, so a
+    hit has sets already checked against the same n_k."""
+    _check_band(c, k, basis, tol)
+    nk = c.num_simplices(k)
+    f_idx = index_array(freq_set, nk, "frequency set")
+    s_idx = index_array(sample_set, nk, samples)
+    key = (k, tol, None if basis is None else weakref.ref(basis),
+           f_idx.tobytes(), s_idx.tobytes())
+    return _cached_slot(c, ("sampled fit",), key, _fit, c, k, basis, tol,
+                        f_idx, s_idx, samples)
+
+
+def _fit(c: SimplicialComplex, k: int, basis, tol, f_idx: np.ndarray,
+         s_idx: np.ndarray, samples: str) -> _Fit:
+    nk = c.num_simplices(k)
+    check_indices(f_idx, nk, "frequency set")
+    check_indices(s_idx, nk, samples)
     if basis is None:
         basis = hodge_basis(c, k, tol)
-    _check_bound(c, basis, "basis", k)
-    nk = c.num_simplices(k)
-    f_idx = as_index_tuple(freq_set, nk, "frequency set")
-    u_f = basis.columns(f_idx)
-    if sample_set is None:
-        return u_f, None, basis, f_idx, None
-    s_idx = as_index_tuple(sample_set, nk, samples)
-    return u_f, u_f[list(s_idx), :], basis, f_idx, s_idx
+    band = basis.columns(f_idx)
+    sampled = band[s_idx]
+    svd, rec = _recoverability(sampled, tol)
+    s = svd[1]
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(sampled.shape)
+                                * s[0]))
+    return _Fit(band, svd, rank, rec, basis.tolerance,
+                tuple(f_idx.tolist()), tuple(s_idx.tolist()))
 
 
 def _recoverability(sampled: np.ndarray, tol: float | None):
@@ -81,8 +131,8 @@ def is_perfectly_recoverable(c: SimplicialComplex, k: int,
                              tol: float | None = None) -> Recoverability:
     """Full-rank test for the sampled basis, with the smallest singular
     value as margin."""
-    sampled = _sampled_fit(c, k, freq_set, basis, tol, sample_set)[1]
-    return _recoverability(sampled, tol)[1]
+    return _sampled_fit(c, k, freq_set, basis, tol,
+                        sample_set).recoverability
 
 
 def reconstruct_bandlimited(c: SimplicialComplex, k: int,
@@ -101,22 +151,27 @@ def reconstruct_bandlimited(c: SimplicialComplex, k: int,
     and the minimum-norm best effort is returned. The fit is the
     pseudo-inverse of the SVD that gives the margin, at ``lstsq``'s default
     cutoff: singular values at most eps * max(|S|, |F|) * s_max are zero.
+    The band columns and that SVD are cached with the complex for one
+    (basis, k, tol, F, S) at a time, so repeated calls with the same sets
+    cost two small products and one n_k x |F| product.
     """
-    u_f, sampled = _sampled_fit(c, k, freq_set, basis, tol, sample_set)[:2]
+    fit = _sampled_fit(c, k, freq_set, basis, tol, sample_set)
     observed = np.asarray(observed, dtype=float)
-    if observed.shape != sampled.shape[:1]:
-        raise ValueError(f"expected {sampled.shape[0]} observed values, got "
+    if observed.shape != (len(fit.samples),):
+        raise ValueError(f"expected {len(fit.samples)} observed values, got "
                          f"shape {observed.shape}")
-    (u, s, vt), (ok, margin) = _recoverability(sampled, tol)
+    if np.count_nonzero(np.isfinite(observed)) != observed.size:
+        raise ValueError("observed values must be finite")
+    ok, margin = fit.recoverability
     if not ok:
         warnings.warn(
             f"sample set does not determine the bandlimited signal "
             f"(margin {margin:.3e}); returning least-squares best effort",
             RankDeficientWarning,
         )
-    r = np.count_nonzero(s > np.finfo(float).eps * max(sampled.shape) * s[0])
+    (u, s, vt), r = fit.svd, fit.rank
     z = vt[:r].T @ ((u[:, :r].T @ observed) / s[:r])
-    return Cochain(c, k, u_f @ z)
+    return Cochain(c, k, fit.band @ z)
 
 
 def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
@@ -136,7 +191,11 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
     picks are those of a scan that computes one SVD per candidate.
     Raises when m >= |F| but no recoverable set exists along the greedy path.
     """
-    u_f = _sampled_fit(c, k, freq_set, basis, tol)[0]
+    _check_band(c, k, basis, tol)
+    if basis is None:
+        basis = hodge_basis(c, k, tol)
+    u_f = basis.columns(as_index_array(freq_set, c.num_simplices(k),
+                                       "frequency set"))
     nk, nf = u_f.shape
     check_integer(m, "m", 1, nk)
     gram = np.zeros((nf, nf))  # column Gram matrix of the picked rows
@@ -250,8 +309,8 @@ def parse_frequency_selector(basis: HodgeBasis, text: str) -> tuple[int, ...]:
             raise ValueError(f"selector {part!r}: range outside the "
                              f"{width} {kind} frequencies")
         out.extend(range(start + i, start + j + 1))
-    return as_index_tuple(out, basis.complex.num_simplices(basis.order),
-                          "frequency selector")
+    return tuple(as_index_array(out, basis.complex.num_simplices(basis.order),
+                                "frequency selector").tolist())
 
 
 def _selector_int(text: str, part: str) -> int:

@@ -24,7 +24,7 @@ What comes from where:
   the m x n b_k set to exactly 0. A frequency table builds no block and
   reads no tolerance.
 * Dense blocks. ``gradient``, ``curl``, :meth:`HodgeBasis.matrix`,
-  transforms, Dirac eigenpairs and transforms, and the explicit-``tol``
+  Dirac eigenpairs and transforms, and the explicit-``tol``
   split come from the thin SVDs of b1 and b2, computed once per complex
   and cached with it, and built on first access; a :class:`DiracBasis`
   keeps the factors and its column signs, and :func:`dirac_tft` and
@@ -40,6 +40,16 @@ What comes from where:
   eigenvalue): 7e-14 on a 20 x 20 grid with 6 holes, 1e-10 on a
   2000-vertex path, against 1e-14 for a dense SVD. Under the default
   tolerance the blocks keep the exact widths.
+* Transforms. :func:`tft` and :func:`itft` apply each gradient or curl
+  block through the same cached factors and never build the dense
+  block. Where the block is the side of the SVD derived from the Gram
+  eigenvectors w, they go through w, which has fewer rows, and the
+  sparse float b_k or b_k^T, cached once per complex: the order-1
+  gradient coefficients are signs * (w^T (b1 x)) / sigma, and the curl
+  ones signs * (w^T (b2^T x)) / sigma, with 0 where sigma is 0. The
+  column signs are computed once per block and shared with the dense
+  block, so both give one basis; the coefficients agree with the dense
+  block products to rounding.
 * The zero tolerance is complex-wide: by default 1e-10 times a bound on
   the largest singular value of b1 and b2, sqrt of the largest absolute
   row sum of L0 and L2 (an integer, cached per complex; no power
@@ -73,6 +83,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._linalg import first_large, fix_column_signs
 from ._util import check_integer
@@ -82,6 +93,8 @@ from .complexes import (
     SimplicialComplex,
     _cached,
     _check_bound,
+    _eigen_left,
+    _float_incidence,
     _incidence_svd,
     _incidence_values,
     _low_spectrum,
@@ -118,6 +131,44 @@ _PARTIAL_FLOOR = 240
 _PARTIAL_WINDOW = 20
 
 
+class _Block(NamedTuple):
+    """A gradient or curl block of a :class:`HodgeBasis` as views of the
+    cached SVD factors of b_k, sigma descending; the block's columns are
+    in the reverse order.
+
+    ``vecs`` holds the columns without their ``signs``. Where the SVD
+    derived them as b^T w / sigma or b w / sigma from the Gram eigenvectors
+    w, which have fewer rows, the transforms go through w: ``op`` maps an
+    order-k cochain to w's side (the sparse b or b^T), ``op_t`` back, and
+    ``scale`` is signs / sigma, 0 where sigma is 0 as the derived column is
+    then zero. Elsewhere w is ``vecs``, ``scale`` the signs, and ``op`` and
+    ``op_t`` None."""
+
+    vecs: np.ndarray
+    signs: np.ndarray
+    w: np.ndarray
+    scale: np.ndarray
+    op: sp.csr_array | None
+    op_t: sp.csr_array | None
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The block's columns, ascending and signed, written into ``out``
+        when given."""
+        return np.multiply(self.vecs[:, ::-1], self.signs[::-1], out=out)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """The block's coefficients of the cochain values ``x``, ascending:
+        ``dense().T @ x`` to rounding."""
+        if self.op is not None:
+            x = self.op @ x
+        return (self.scale * (self.w.T @ x))[::-1]
+
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """The cochain values ``dense() @ coeffs``, to rounding."""
+        z = self.w @ (self.scale * coeffs[::-1])
+        return z if self.op_t is None else self.op_t @ z
+
+
 @dataclass(frozen=True, eq=False)
 class HodgeBasis:
     """Orthonormal gradient/curl/harmonic bases with frequencies for order k.
@@ -149,21 +200,42 @@ class HodgeBasis:
         return _zero_tolerance(self.complex, self.tol)
 
     @cached_property
+    def _gradient_factors(self) -> _Block:
+        return self._factors(self.order, self.n_gradient, right=True)
+
+    @cached_property
+    def _curl_factors(self) -> _Block:
+        return self._factors(self.order + 1, self.n_curl, right=False)
+
+    def _factors(self, k: int, r: int, right: bool) -> _Block:
+        """The r right (gradient) or left (curl) singular vectors of b_k
+        with the largest singular values, as a :class:`_Block` of the
+        cached SVD factors; each column's sign makes its first entry of
+        magnitude > tolerance positive."""
+        c = self.complex
+        if not 1 <= k <= 2:
+            empty = np.zeros((c.num_simplices(self.order), 0))
+            return _Block(empty, np.zeros(0), empty, np.zeros(0), None, None)
+        u, s, vt = _incidence_svd(c, k)
+        vecs = vt[:r].T if right else u[:, :r]
+        signs = np.where(first_large(vecs, self.tolerance)[1], -1.0, 1.0)
+        eigen_left = _eigen_left(c, k)
+        if right != eigen_left:  # the block is the Gram eigenvector side
+            return _Block(vecs, signs, vecs, signs, None, None)
+        b, b_t = _float_incidence(c, k)
+        scale = np.zeros(r)
+        np.divide(signs, s[:r], out=scale, where=s[:r] > 0)
+        if eigen_left:
+            return _Block(vecs, signs, u[:, :r], scale, b, b_t)
+        return _Block(vecs, signs, vt[:r].T, scale, b_t, b)
+
+    @cached_property
     def _gradient_block(self) -> np.ndarray:
-        return self._dense_block(self.order, self.n_gradient, right=True)
+        return self._gradient_factors.dense()
 
     @cached_property
     def _curl_block(self) -> np.ndarray:
-        return self._dense_block(self.order + 1, self.n_curl, right=False)
-
-    def _dense_block(self, k: int, r: int, right: bool) -> np.ndarray:
-        """The r right (gradient) or left (curl) singular vectors of b_k
-        with the largest singular values, ascending."""
-        if not 1 <= k <= 2:
-            return np.zeros((self.complex.num_simplices(self.order), 0))
-        u, _, vt = _incidence_svd(self.complex, k)
-        vecs = vt[:r][::-1].T if right else u[:, :r][:, ::-1]
-        return fix_column_signs(vecs, self.tolerance)
+        return self._curl_factors.dense()
 
     def _frequencies(self, k: int, r: int) -> np.ndarray:
         """The r largest squared singular values of b_k, ascending, from
@@ -203,8 +275,15 @@ class HodgeBasis:
 
     def matrix(self) -> np.ndarray:
         """Full basis, columns in frequency-table order:
-        harmonic, then gradient, then curl."""
-        return np.hstack([self.harmonic, self.gradient, self.curl])
+        harmonic, then gradient, then curl. The gradient and curl columns
+        are written from the factors, so no dense block is kept."""
+        nh, ng = self.n_harmonic, self.n_gradient
+        out = np.empty((self.complex.num_simplices(self.order),
+                        nh + ng + self.n_curl))
+        out[:, :nh] = self.harmonic
+        self._gradient_factors.dense(out[:, nh:nh + ng])
+        self._curl_factors.dense(out[:, nh + ng:])
+        return out
 
     def columns(self, idx) -> np.ndarray:
         """``matrix()[:, idx]`` for indices in [0, N_k), building only the
@@ -335,11 +414,13 @@ def hodge_basis(c: SimplicialComplex, k: int,
 
 
 def tft(basis: HodgeBasis, x: Cochain) -> TftCoefficients:
-    """Blockwise projection U^T x onto the typed basis."""
+    """Blockwise projection U^T x onto the typed basis, the gradient and
+    curl blocks applied from the cached SVD factors (see the module
+    docstring)."""
     _check_bound(basis.complex, x, "x", basis.order)
     return TftCoefficients(
-        gradient=basis.gradient.T @ x.values,
-        curl=basis.curl.T @ x.values,
+        gradient=basis._gradient_factors.project(x.values),
+        curl=basis._curl_factors.project(x.values),
         harmonic=basis.harmonic.T @ x.values,
     )
 
@@ -351,8 +432,8 @@ def itft(basis: HodgeBasis, coeffs: TftCoefficients) -> Cochain:
             or coeffs.harmonic.shape[0] != basis.n_harmonic):
         raise ValueError("coefficient block widths do not match the basis")
     values = (
-        basis.gradient @ coeffs.gradient
-        + basis.curl @ coeffs.curl
+        basis._gradient_factors.combine(coeffs.gradient)
+        + basis._curl_factors.combine(coeffs.curl)
         + basis.harmonic @ coeffs.harmonic
     )
     return Cochain(basis.complex, basis.order, values)

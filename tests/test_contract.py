@@ -226,6 +226,43 @@ def test_bad_value_is_rejected_by_name(name, param, bad):
         target(name)(**kwargs)
 
 
+# The band consumers share one cached fit per complex. Each bad value is
+# tried after a call with valid arguments has filled it, so no check may
+# hide behind a cache hit; index sets are named in words.
+SET_LABELS = {"freq_set": "frequency set", "frequency_set": "frequency set",
+              "sample_set": "sample set", "edge_set": "edge set"}
+BAD_SETS = ([], [4, 4], [-1], [C.n1], [4.0], ["4"], np.array([4.5]),
+            np.array([True]))
+WARM = {
+    "is_perfectly_recoverable": {
+        "k": ORDER, "tol": POSITIVE, "freq_set": BAD_SETS,
+        "sample_set": BAD_SETS,
+        "basis": (hs.hodge_basis(OTHER, 1), hs.hodge_basis(C, 0))},
+    "reconstruct_bandlimited": {
+        "k": ORDER, "tol": POSITIVE, "freq_set": BAD_SETS,
+        "sample_set": BAD_SETS,
+        "basis": (hs.hodge_basis(OTHER, 1), hs.hodge_basis(C, 2)),
+        "observed": ([1.0, 0.0], [[1.0, 0.0, -1.0]], [math.nan, 0.0, 0.0],
+                     [0.0, math.inf, 0.0])},
+    "slepians": {
+        "tol": POSITIVE, "frequency_set": BAD_SETS, "edge_set": BAD_SETS,
+        "basis": (hs.hodge_basis(OTHER, 1), hs.hodge_basis(C, 0))},
+}
+WARM_CASES = [(name, param, bad) for name, params in WARM.items()
+              for param, values in params.items() for bad in values]
+
+
+@pytest.mark.parametrize("name, param, bad", WARM_CASES, ids=[
+    f"{name}-{param}-{i}" for i, (name, param, _) in enumerate(WARM_CASES)])
+def test_warm_fit_still_rejects_bad_values_by_name(name, param, bad):
+    kwargs = VALID[name]()
+    target(name)(**kwargs)
+    kwargs[param] = bad
+    label = SET_LABELS.get(param, param)
+    with pytest.raises(ValueError, match=rf"\b{re.escape(label)}\b"):
+        target(name)(**kwargs)
+
+
 def _state_with_window():
     state = hs.lms_init(C, 1, 1, 0.1)
     return hs.lms_step(state, flow(), flow())[0]

@@ -28,6 +28,7 @@ from hodgesp import (
     lms_init,
     lms_step,
 )
+from hodgesp import cli
 from hodgesp.cli import run_cli
 
 from conftest import EDGES7, TRIS7, random_complex
@@ -562,6 +563,32 @@ def test_cli_spectrum_basis_export(complex_file, tmp_path):
 
 def test_cli_unknown_subcommand(complex_file):
     assert run_cli(["frobnicate", str(complex_file)]) == 2
+
+
+def test_cli_calls_in_a_row_answer_as_a_fresh_parser(complex_file, tmp_path,
+                                                     capsys):
+    """The parser is built once per process; each call in a row, a parse
+    error and a ValueError exit among them, exits and prints as it does
+    with a parser built for it alone."""
+    out = str(tmp_path / "spec.csv")
+    calls = [
+        ["betti", str(complex_file)],
+        ["spectrum", str(complex_file), "--order", "3", "-o", out],
+        ["betti", str(complex_file), "--tolerance", "-1"],
+        ["spectrum", str(complex_file), "--order", "1", "-o", out],
+        ["frobnicate"],
+        ["betti"],
+        ["build", "--help"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append((run_cli(argv), *capsys.readouterr()))
+    assert [code for code, _, _ in fresh] == [0, 2, 1, 0, 2, 2, 0]
+    assert "invalid choice: 3" in fresh[1][2]
+    assert "tol must be finite and positive" in fresh[2][2]
+    again = [(run_cli(argv), *capsys.readouterr()) for argv in calls * 2]
+    assert again == fresh * 2
 
 
 def test_cli_missing_file_is_domain_error(capsys):

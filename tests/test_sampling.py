@@ -1,8 +1,10 @@
 """Bandlimited sampling: recoverability, reconstruction, greedy selection,
 and frequency selectors."""
 
+import gc
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from hodgesp import (
     RankDeficientWarning,
+    build_complex,
     hodge_basis,
     is_perfectly_recoverable,
     parse_frequency_selector,
@@ -19,9 +22,16 @@ from hodgesp import (
     slepians,
     tft,
 )
+from hodgesp.complexes import _cache
 from hodgesp.sampling import _near_best
 
-from conftest import HOLE_CYCLE_EDGES, complexes_with_cells, random_complex
+from conftest import (
+    EDGES7,
+    HOLE_CYCLE_EDGES,
+    TRIS7,
+    complexes_with_cells,
+    random_complex,
+)
 
 
 def test_too_few_samples_never_recoverable(complex7):
@@ -285,8 +295,9 @@ def test_near_best_is_the_eigvalsh_near_set(seed, nf, picked, diagonal):
 
 
 def test_one_svd_serves_margin_fit_and_slepians(complex7, monkeypatch):
-    """The margin, the fit and the Slepian set each read one SVD of the
-    sampled band; none of them calls lstsq or eigh."""
+    """The margin, the fit and the Slepian set read one SVD of the sampled
+    band, taken once for the three as they share the cached fit; none of
+    them calls lstsq or eigh."""
     basis = hodge_basis(complex7, 1)
     f, s = [0, 3, 8], [1, 5, 8, 9]
     basis.columns(f)  # build the lazy blocks and tolerance before patching
@@ -307,15 +318,77 @@ def test_one_svd_serves_margin_fit_and_slepians(complex7, monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", refuse("lstsq"))
     monkeypatch.setattr(np.linalg, "eigh", refuse("eigh"))
     monkeypatch.setattr(np.linalg, "svd", counted)
-    for run in (
-            lambda: is_perfectly_recoverable(complex7, 1, f, s, basis=basis),
-            lambda: reconstruct_bandlimited(complex7, 1, f, s,
-                                            [1.0, 0.5, -0.5, 2.0],
-                                            basis=basis),
-            lambda: slepians(complex7, s, f, basis=basis)):
+    is_perfectly_recoverable(complex7, 1, f, s, basis=basis)
+    reconstruct_bandlimited(complex7, 1, f, s, [1.0, 0.5, -0.5, 2.0],
+                            basis=basis)
+    slepians(complex7, s, f, basis=basis)
+    assert calls == [(len(s), len(f))]
+
+
+def test_fit_follows_sets_changed_in_place(complex7):
+    """The cached fit is keyed on the values of the index sets, so a list
+    changed between calls gives what a cold complex gives."""
+    fresh = build_complex(7, EDGES7, TRIS7)
+    freqs, samples = [0, 3, 8], [1, 5, 8, 9]
+    x = hodge_basis(complex7, 1).columns(freqs) @ np.array([1.0, -2.0, 0.5])
+    for change in (lambda: None, lambda: samples.__setitem__(0, 2),
+                   lambda: freqs.__setitem__(1, 4)):
+        change()
+        got = reconstruct_bandlimited(complex7, 1, freqs, samples, x[samples])
+        want = reconstruct_bandlimited(fresh, 1, list(freqs), list(samples),
+                                       x[samples])
+        assert np.array_equal(got.values, want.values)
+        assert is_perfectly_recoverable(complex7, 1, freqs, samples) \
+            == is_perfectly_recoverable(fresh, 1, list(freqs), list(samples))
+        _cache.pop(fresh)
+
+
+def test_rank_deficiency_warns_on_every_call(complex7):
+    for _ in range(3):
+        with pytest.warns(RankDeficientWarning, match="margin 0.000e"):
+            reconstruct_bandlimited(complex7, 1, [0, 3, 8], [1, 5], [1.0, 2.0])
+
+
+def test_new_basis_tol_or_sample_set_replaces_the_fit(complex7, monkeypatch):
+    """One slot holds the fit: a repeated (basis, k, tol, F, S) takes no
+    SVD, and a new basis, tol or sample set takes one and replaces it."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    f, s = [0, 3, 8], [1, 5, 8, 9]
+    basis = hodge_basis(complex7, 1)
+    steps = [
+        (dict(basis=basis), 1),
+        (dict(basis=basis), 0),
+        (dict(basis=hodge_basis(complex7, 1)), 1),
+        (dict(basis=basis), 1),
+        (dict(basis=basis, tol=1e-6), 1),
+        (dict(basis=basis, tol=1e-6), 0),
+        (dict(basis=basis, tol=1e-6, sample_set=[1, 5, 8]), 1),
+        (dict(basis=basis, tol=1e-6), 1),
+        (dict(), 1),
+        (dict(), 0),
+    ]
+    for kwargs, svds in steps:
         calls.clear()
-        run()
-        assert calls == [(len(s), len(f))]
+        is_perfectly_recoverable(complex7, 1, f, kwargs.pop("sample_set", s),
+                                 **kwargs)
+        assert len(calls) == svds
+
+
+def test_fit_slot_keeps_no_complex_alive():
+    c = build_complex(7, EDGES7, TRIS7)
+    reconstruct_bandlimited(c, 1, [0, 3], [1, 5, 8], [1.0, 0.0, 2.0],
+                            basis=hodge_basis(c, 1))
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
 
 
 def draw_band(c, k, data):

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import hodgesp.complexes as hc
 from hodgesp import (
     HarmonicTerm,
+    HodgeBasis,
     HodgeFilterSpec,
+    TftCoefficients,
     apply_filter,
     betti,
     build_complex,
@@ -31,6 +33,7 @@ from hodgesp import (
     project_out_gradient,
     reconstruct_bandlimited,
     select_samples,
+    itft,
     slepians,
     tft,
 )
@@ -125,6 +128,51 @@ def test_tft_parseval(c, seed):
         energy = tft(hodge_basis(c, k), x).energy()
         assert abs(energy - x.values @ x.values) <= 1e-10 * max(
             1.0, x.values @ x.values)
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), seed=SEEDS, tol=TOLS)
+def test_tft_through_the_factors_is_the_block_product(c, seed, tol):
+    """tft and itft go through the small factors of b1 and b2 and build no
+    dense gradient or curl block, yet give the block products to
+    1e-12 ||x||, invert each other and keep Parseval."""
+    rng = np.random.default_rng(seed)
+    for k in (0, 1, 2):
+        basis = hodge_basis(c, k, tol)
+        x = c.cochain(k, rng.standard_normal(c.num_simplices(k)))
+        coeffs = tft(basis, x)
+        back = itft(basis, coeffs).values
+        assert "_gradient_block" not in vars(basis)
+        assert "_curl_block" not in vars(basis)
+        norm = float(np.linalg.norm(x.values))
+        for got, block in ((coeffs.gradient, basis.gradient),
+                           (coeffs.curl, basis.curl),
+                           (coeffs.harmonic, basis.harmonic)):
+            assert np.abs(got - block.T @ x.values).max(initial=0.0) \
+                <= 1e-12 * max(1.0, norm)
+        assert np.abs(back - x.values).max(initial=0.0) <= 1e-10 * max(
+            1.0, norm)
+        assert abs(coeffs.energy() - norm**2) <= 1e-10 * max(1.0, norm**2)
+
+
+def test_tft_gives_zero_on_a_zero_derived_column(complex7):
+    """A block that reaches past the nonzero singular values of b1 holds a
+    zero derived column there; its coefficient is 0, as the dense block's,
+    and its inverse adds nothing."""
+    c = complex7
+    rank = hodge_basis(c, 1).n_gradient
+    basis = HodgeBasis(complex=c, order=1, n_gradient=rank + 1, n_curl=0,
+                       tol=1e-9)
+    x = c.cochain(1, np.linspace(-1.0, 2.0, c.n1))
+    coeffs = tft(basis, x).gradient
+    assert np.all(np.isfinite(coeffs)) and coeffs[0] == 0.0
+    assert not basis.gradient[:, 0].any()
+    assert np.allclose(coeffs, basis.gradient.T @ x.values, atol=1e-12)
+    zero = np.zeros(0)
+    grad = TftCoefficients(gradient=coeffs, curl=zero, harmonic=np.zeros(
+        basis.n_harmonic))
+    assert np.allclose(itft(basis, grad).values, basis.gradient @ coeffs,
+                       atol=1e-12)
 
 
 COEFFS = st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4)

@@ -7,7 +7,7 @@ Usage (from the repository root):
 
 It takes about 3 minutes and peaks near 850 MB of resident memory, in
 the dense layers at m = 40 (dense_blocks, and the incidence SVDs that
-dirac_basis and dirac_tft set up untimed).
+dirac_basis, dirac_tft and tft_itft set up untimed).
 
 Each layer is timed cold, on a fresh copy of the complex with nothing
 cached, in one process with the BLAS thread count pinned to 1; sizes up to
@@ -47,10 +47,13 @@ Streaming layers are timed warm, in microseconds per step: the mean over
                                model of the stream benchmark workload
 
 Warm per-call layers are timed in microseconds per call: the mean over
-64 calls after one call has filled the caches, best of three.
+64 calls after one call has filled the caches, best of three. Each runs
+64 signals, as the many-signals benchmark workload does.
 
-    l2_reconstruct             64 flows through the mask and weights above,
-                               as in the many-signals benchmark workload
+    l2_reconstruct             flows through the mask and weights above
+    tft_itft                   tft then itft of flows on the order-1 basis
+    reconstruct_bandlimited    band signals from their values on the
+                               select_samples picks of the band above
 
 Tier-1 runs ``python -m pytest -q`` from the repository root in a
 subprocess; its wall time, summary line and five slowest tests are kept.
@@ -213,6 +216,43 @@ def l2_warm_call(c):
     return call
 
 
+def tft_warm_call(c):
+    """The call that runs CALLS tft and itft pairs on the order-1 basis of
+    ``c``, after one pair has built what the basis caches."""
+    basis = hs.hodge_basis(c, 1)
+    rng = np.random.default_rng(0)
+    flows = [c.cochain(1, rng.standard_normal(c.n1)) for _ in range(CALLS)]
+    hs.itft(basis, hs.tft(basis, flows[0]))
+
+    def call():
+        for x in flows:
+            hs.itft(basis, hs.tft(basis, x))
+    return call
+
+
+def bandlimited_warm_call(c):
+    """The call that runs CALLS reconstructions of band signals from the
+    picks of ``prepare``'s select_samples layer, after one call has cached
+    the fit."""
+    basis = hs.hodge_basis(c, 1)
+    freq = hs.parse_frequency_selector(basis, band(basis))
+    picks = hs.select_samples(c, 1, freq, min(c.n1, len(freq) + 10),
+                              basis=basis)
+    signals = basis.columns(freq) @ np.random.default_rng(0).standard_normal(
+        (len(freq), CALLS))
+    observed = list(signals[list(picks)].T)
+    hs.reconstruct_bandlimited(c, 1, freq, picks, observed[0], basis=basis)
+
+    def call():
+        for values in observed:
+            hs.reconstruct_bandlimited(c, 1, freq, picks, values, basis=basis)
+    return call
+
+
+WARM_LAYERS = {"l2_reconstruct": l2_warm_call, "tft_itft": tft_warm_call,
+               "reconstruct_bandlimited": bandlimited_warm_call}
+
+
 SIZES = ("complex7", "10", "20", "30", "40")
 LAYERS = ("betti", "hodge_decompose", "hodge_basis", "frequency_table",
           "dense_blocks", "harmonic", "dirac_basis", "dirac_tft",
@@ -259,11 +299,13 @@ def sweep(size: str, work: Path) -> dict:
         step_us[layer] = round(best / STEPS * 1e6, 2)
         print(f"{size:>8} {layer:>24} {step_us[layer]:9.2f} us/step",
               file=sys.stderr)
-    best = best_of_three(l2_warm_call(hs.build_complex(n0, edges,
-                                                       triangles)))
-    warm_us = {"l2_reconstruct": round(best / CALLS * 1e6, 2)}
-    print(f"{size:>8} {'l2_reconstruct':>24} "
-          f"{warm_us['l2_reconstruct']:9.2f} us/call warm", file=sys.stderr)
+    warm_us = {}
+    for layer, warm_call in WARM_LAYERS.items():
+        best = best_of_three(warm_call(hs.build_complex(n0, edges,
+                                                        triangles)))
+        warm_us[layer] = round(best / CALLS * 1e6, 2)
+        print(f"{size:>8} {layer:>24} {warm_us[layer]:9.2f} us/call warm",
+              file=sys.stderr)
     return {"n": [c.n0, c.n1, c.n2], "betti": list(hs.betti(c)),
             "band": band(hs.hodge_basis(c, 1)), "repeats": repeats,
             "cold_s": cold, "peak_mb": peak, "step_us": step_us,
