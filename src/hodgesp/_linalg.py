@@ -1,8 +1,11 @@
 """Shared linear-algebra helpers: tolerances, sign fixing, the greedy loops'
-Gram-Schmidt step, power iteration, and the Krylov kernel behind every
-Laplacian and Dirac polynomial."""
+Gram-Schmidt step, power iteration, the Krylov kernel behind every
+Laplacian and Dirac polynomial, and the rule that holds a cached operator
+dense or sparse."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -86,3 +89,22 @@ def krylov(matvec, x: np.ndarray, t_max: int):
     for _ in range(t_max):
         x = matvec(x)
         yield x
+
+
+# A cached operator with at most this many entries (rows times columns) is
+# held as a dense array. scipy's sparse product pays 3-5 us of dispatch per
+# call whatever its size; on the [Ld; Lu] stacks of triangulated grids
+# (1 BLAS thread) a dense product is 3.5 times faster at 512 entries, as
+# fast near 2.5e4 and slower beyond.
+DENSE_ENTRIES = 25_000
+
+
+def small(shape: tuple[int, ...]) -> bool:
+    """Whether an operator of ``shape`` is held dense."""
+    return math.prod(shape) <= DENSE_ENTRIES
+
+
+def held(op):
+    """The sparse operator ``op`` as it is held for repeated products: a
+    dense array if it is :func:`small`, else CSR."""
+    return op.toarray() if small(op.shape) else op.tocsr()

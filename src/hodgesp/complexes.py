@@ -446,9 +446,11 @@ def incidence(c: SimplicialComplex, k: int, dense: bool = False):
 # Per-complex derived objects (Laplacians, the float incidence matrices,
 # incidence SVDs and their values-only spectra, lambda_max and its integer
 # bound, the sparse solvers, the quadratic reconstruction's factor, the
-# sampled band fit, harmonic blocks, the LMS shift stack), keyed by the
-# immutable complex. No value or key refers back to its complex, so an
-# entry goes away with it.
+# sampled band fit, harmonic blocks, the LMS shift stack, and the compiled
+# SCVAR operator of one model at a time, keyed on its lags' values; the
+# last two held dense or CSR by ``_linalg.held``), keyed by the immutable
+# complex. No value or key refers back to its complex, so an entry goes
+# away with it.
 _cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
     weakref.WeakKeyDictionary()
 )

@@ -46,10 +46,12 @@ What comes from where:
   eigenvectors w, they go through w, which has fewer rows, and the
   sparse float b_k or b_k^T, cached once per complex: the order-1
   gradient coefficients are signs * (w^T (b1 x)) / sigma, and the curl
-  ones signs * (w^T (b2^T x)) / sigma, with 0 where sigma is 0. The
-  column signs are computed once per block and shared with the dense
-  block, so both give one basis; the coefficients agree with the dense
-  block products to rounding.
+  ones signs * (w^T (b2^T x)) / sigma, with 0 where sigma is 0. A block
+  of at most ``_linalg.DENSE_ENTRIES`` entries is applied as one dense
+  product with its columns instead, as scipy's sparse dispatch costs
+  more than the product there. The column signs are computed once per
+  block and shared with the dense block, so both give one basis; the
+  coefficients agree with the dense block products to rounding.
 * The zero tolerance is complex-wide: by default 1e-10 times a bound on
   the largest singular value of b1 and b2, sqrt of the largest absolute
   row sum of L0 and L2 (an integer, cached per complex; no power
@@ -85,7 +87,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import first_large, fix_column_signs
+from ._linalg import first_large, fix_column_signs, small
 from ._util import check_integer
 from .complexes import (
     Cochain,
@@ -141,8 +143,9 @@ class _Block(NamedTuple):
     w, which have fewer rows, the transforms go through w: ``op`` maps an
     order-k cochain to w's side (the sparse b or b^T), ``op_t`` back, and
     ``scale`` is signs / sigma, 0 where sigma is 0 as the derived column is
-    then zero. Elsewhere w is ``vecs``, ``scale`` the signs, and ``op`` and
-    ``op_t`` None."""
+    then zero. Elsewhere, and for a block that :func:`small` holds dense,
+    as one dense product beats two sparse ones there, w is ``vecs``,
+    ``scale`` the signs, and ``op`` and ``op_t`` None."""
 
     vecs: np.ndarray
     signs: np.ndarray
@@ -220,7 +223,8 @@ class HodgeBasis:
         vecs = vt[:r].T if right else u[:, :r]
         signs = np.where(first_large(vecs, self.tolerance)[1], -1.0, 1.0)
         eigen_left = _eigen_left(c, k)
-        if right != eigen_left:  # the block is the Gram eigenvector side
+        # the block is the Gram eigenvector side, or small
+        if right != eigen_left or small(vecs.shape):
             return _Block(vecs, signs, vecs, signs, None, None)
         b, b_t = _float_incidence(c, k)
         scale = np.zeros(r)

@@ -3,13 +3,18 @@ autoregression (with and without cross-level terms), batch least-squares
 fitting, simulation, and the streaming LMS adaptive filter for edge flows.
 
 Level k of the autoregression of order P is fed, lag by lag, by one term
-per source level j = k-1, k, k+1 that has simplices, summed in that order.
-The own-level bank h_kk filters x_k. A cross term follows the
+per source level j = k-1, k, k+1 that has simplices. The own-level bank
+h_kk filters x_k. A cross term follows the
 convolve-transform-convolve pattern g_kj(B h_kj(x_j)): the pre-filter h_kj
 acts on the source level, the incidence matrix B maps level j to level k
 (b_k^T from below, b_{k+1} from above), and the post-filter g_kj acts on the
 target level. Dropping the cross terms leaves three independent per-level
 autoregressions.
+
+Prediction and simulation compile the model once into one block operator
+on the stacked past, cached on the complex; a step is one product with it.
+Its sums run in the operator's own order, so a step matches the
+term-by-term sum to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import krylov
+from ._linalg import held, krylov
 from ._util import check_integer, check_real
 from .complexes import (
     Cochain,
     ComplexSignal,
     SimplicialComplex,
     _cached,
+    _cached_slot,
     _check_bound,
     hodge_laplacian,
 )
@@ -116,9 +122,10 @@ def _check_history(model: SCVarModel, history: Sequence[ComplexSignal],
 
 
 def _terms(c: SimplicialComplex, k: int) -> list:
-    """The terms feeding level k in summation order: (source level j,
-    incidence map from level j to level k), with None for the own-level
-    bank h_kk. Source levels without simplices are left out."""
+    """The terms feeding level k, in the fit's regressor column order:
+    (source level j, incidence map from level j to level k), with None for
+    the own-level bank h_kk. Source levels without simplices are left
+    out."""
     terms = []
     if k > 0 and c.num_simplices(k - 1):
         terms.append((k - 1, getattr(c, f"b{k}").T))
@@ -128,55 +135,47 @@ def _terms(c: SimplicialComplex, k: int) -> list:
     return terms
 
 
-def _plan(model: SCVarModel) -> list:
-    """The model resolved once for stepping: per level k, its size and the
-    entries feeding it in summation order, lag by lag and term by term.
-    An entry is (lag index, source level, the resolved pre-filter, the
-    incidence map or None, the resolved post-filter or None); the own-level
-    bank h_kk is the pre-filter of an entry without incidence map. A term
-    whose last filter is zero is left out: it adds exact zeros to a sum
-    that starts from zero."""
+def _compile(model: SCVarModel):
+    """The model compiled for stepping: the (N, P N) block operator A,
+    N = n0 + n1 + n2, with A [x_{t-1}; ...; x_{t-P}] the prediction, each
+    past signal stacked by level. Block (k, (p, j)) is the term of lag p
+    that feeds level k from level j, built as build_dictionary builds
+    atoms: the term's filters and incidence map applied to a sparse
+    identity of level j. A term whose last filter is zero is left out. The
+    operator is held by :func:`held`."""
     c = model.complex
-    plan = []
-    for k in (0, 1, 2):
-        terms = _terms(c, k)
-        entries = []
-        for p, lag in enumerate(model.lags):
-            for j, incidence in terms:
-                if incidence is None:
-                    own = getattr(lag, f"h{k}{k}")
-                    if not own.is_zero():
-                        entries.append((p, k, _filter_terms(c, k, own),
-                                        None, None))
+    sizes = [c.num_simplices(k) for k in (0, 1, 2)]
+
+    def filtered(lag, bank, level, x):
+        return _apply_terms(_filter_terms(c, level, getattr(lag, bank)), x)
+
+    blocks = [[sp.csr_array((n, m)) for _ in model.lags for m in sizes]
+              for n in sizes]
+    for p, lag in enumerate(model.lags):
+        for k in (0, 1, 2):
+            for j, incidence in _terms(c, k):
+                last = f"h{k}{k}" if incidence is None else f"g{k}{j}"
+                if getattr(lag, last).is_zero():
                     continue
-                post = getattr(lag, f"g{k}{j}")
-                if not post.is_zero():
-                    pre = getattr(lag, f"h{k}{j}")
-                    entries.append((p, j, _filter_terms(c, j, pre), incidence,
-                                    _filter_terms(c, k, post)))
-        plan.append((c.num_simplices(k), entries))
-    return plan
+                block = sp.eye_array(sizes[j], format="csr")
+                if incidence is not None:
+                    block = incidence @ filtered(lag, f"h{k}{j}", j, block)
+                blocks[k][3 * p + j] = filtered(lag, last, k, block)
+    return held(sp.block_array(blocks, format="csr"))
 
 
-def _step(plan: list, past: Sequence) -> list[np.ndarray]:
-    """One prediction of a :func:`_plan`: the values of levels 0, 1, 2;
-    past[p][j] holds the level-j values p + 1 steps back."""
-    out = []
-    for n, entries in plan:
-        acc = np.zeros(n)
-        for p, j, pre, incidence, post in entries:
-            v = _apply_terms(pre, past[p][j])
-            if incidence is not None:
-                v = _apply_terms(post, incidence @ v)
-            acc += v
-        out.append(acc)
-    return out
+def _operator(model: SCVarModel):
+    """The :func:`_compile` operator of ``model``, held on its complex for
+    one model at a time and keyed on the lags' values, which refer to no
+    complex."""
+    return _cached_slot(model.complex, ("scvar_operator",), model.lags,
+                        _compile, model)
 
 
-def _past(model: SCVarModel, history: Sequence[ComplexSignal]) -> list:
-    """The values of the last model.order signals, most recent first."""
-    return [(sig.x0.values, sig.x1.values, sig.x2.values)
-            for sig in reversed(history[-model.order:])]
+def _past(model: SCVarModel, history: Sequence[ComplexSignal]) -> np.ndarray:
+    """The last model.order signals, most recent first, stacked."""
+    return np.concatenate([sig.stacked()
+                           for sig in reversed(history[-model.order:])])
 
 
 def scvar_predict(model: SCVarModel,
@@ -184,8 +183,8 @@ def scvar_predict(model: SCVarModel,
     """One-step-ahead prediction with zero noise; history[-p] is the signal
     p steps back."""
     _check_history(model, history, "history")
-    return ComplexSignal.from_arrays(
-        model.complex, *_step(_plan(model), _past(model, history)))
+    return ComplexSignal.from_stacked(
+        model.complex, _operator(model) @ _past(model, history))
 
 
 def scvar_simulate(model: SCVarModel, steps: int,
@@ -194,9 +193,9 @@ def scvar_simulate(model: SCVarModel, steps: int,
                    rng: np.random.Generator | int | None = None
                    ) -> list[ComplexSignal]:
     """Roll the recursion forward, optionally injecting per-level Gaussian
-    noise; returns the generated continuation. The model is resolved into
-    its term plan once, and each step runs the plan on the last
-    model.order signals."""
+    noise; returns the generated continuation. Each step is one product of
+    the compiled model operator with the stacked last model.order
+    signals."""
     check_integer(steps, "steps", 0)
     try:
         noise = tuple(noise_std)
@@ -210,19 +209,16 @@ def scvar_simulate(model: SCVarModel, steps: int,
         rng = np.random.default_rng(rng)
     _check_history(model, initial, "initial")
     c = model.complex
-    plan = _plan(model)
+    sizes = (c.n0, c.n1, c.n2)
+    op = _operator(model)
     past = _past(model, initial)
+    n = sum(sizes)
     out = []
     for _ in range(steps):
-        pred = _step(plan, past)
-        nxt = ComplexSignal.from_arrays(
-            c,
-            pred[0] + noise_std[0] * rng.standard_normal(c.n0),
-            pred[1] + noise_std[1] * rng.standard_normal(c.n1),
-            pred[2] + noise_std[2] * rng.standard_normal(c.n2),
-        )
-        out.append(nxt)
-        past = [(nxt.x0.values, nxt.x1.values, nxt.x2.values)] + past[:-1]
+        nxt = op @ past + np.concatenate([
+            s * rng.standard_normal(m) for s, m in zip(noise_std, sizes)])
+        out.append(ComplexSignal.from_stacked(c, nxt))
+        past = np.concatenate((nxt, past[:-n]))
     return out
 
 
@@ -386,13 +382,14 @@ def lms_init(c: SimplicialComplex, t_down: int, t_up: int, mu: float,
 
 def _shift_operators(c: SimplicialComplex):
     """The row stack [Ld; Lu] of L1's down and up parts and their block
-    diagonal diag(Ld, Lu). Row i of a product with either sums the entries
-    of row i of its part in the same order, so the two halves of the
-    product are the products with each part, bit for bit."""
+    diagonal diag(Ld, Lu), each held by :func:`held`. The two halves of a
+    product with either are the products with each part: bit for bit when
+    held sparse, as row i of a CSR product sums the entries of row i of
+    its part in the same order, and to rounding when held dense."""
     down = hodge_laplacian(c, 1, "down", sparse=True)
     up = hodge_laplacian(c, 1, "up", sparse=True)
-    return (sp.vstack([down, up], format="csr"),
-            sp.block_diag([down, up], format="csr"))
+    return (held(sp.vstack([down, up], format="csr")),
+            held(sp.block_diag([down, up], format="csr")))
 
 
 def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],

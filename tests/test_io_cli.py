@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from hodgesp import (
     lms_init,
     lms_step,
 )
+import hodgesp
 from hodgesp import cli
 from hodgesp.cli import run_cli
 
@@ -815,3 +820,19 @@ def test_cli_rejects_bad_tolerance_for_every_subcommand(
     monkeypatch.setenv("HODGESP_TOLERANCE", "nan")
     assert run_cli(argv) == 1
     assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+# Each costs 0.07-0.13 s to import, which every CLI call would pay; the
+# functions that need them import them.
+LAZY_SCIPY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def test_import_leaves_scipy_submodules_unloaded():
+    src = str(Path(hodgesp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, hodgesp, hodgesp.cli; "
+            f"print([m for m in {LAZY_SCIPY!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

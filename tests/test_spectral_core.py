@@ -38,7 +38,7 @@ from hodgesp import (
     tft,
 )
 
-from hodgesp._linalg import power_iteration_lambda_max
+from hodgesp._linalg import power_iteration_lambda_max, small
 
 from conftest import (
     EDGES7,
@@ -130,13 +130,9 @@ def test_tft_parseval(c, seed):
             1.0, x.values @ x.values)
 
 
-@PROPERTY
-@given(c=complexes_with_cells(), seed=SEEDS, tol=TOLS)
-def test_tft_through_the_factors_is_the_block_product(c, seed, tol):
-    """tft and itft go through the small factors of b1 and b2 and build no
-    dense gradient or curl block, yet give the block products to
-    1e-12 ||x||, invert each other and keep Parseval."""
-    rng = np.random.default_rng(seed)
+def assert_tft_is_the_block_product(c, rng, tol):
+    """tft and itft build no dense gradient or curl block, yet give the
+    block products to 1e-12 ||x||, invert each other and keep Parseval."""
     for k in (0, 1, 2):
         basis = hodge_basis(c, k, tol)
         x = c.cochain(k, rng.standard_normal(c.num_simplices(k)))
@@ -155,14 +151,38 @@ def test_tft_through_the_factors_is_the_block_product(c, seed, tol):
         assert abs(coeffs.energy() - norm**2) <= 1e-10 * max(1.0, norm**2)
 
 
-def test_tft_gives_zero_on_a_zero_derived_column(complex7):
+@PROPERTY
+@given(c=complexes_with_cells(), seed=SEEDS, tol=TOLS)
+def test_tft_is_the_block_product(c, seed, tol):
+    """On these small complexes every block is held dense."""
+    assert_tft_is_the_block_product(c, np.random.default_rng(seed), tol)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6, 0.5])
+def test_tft_through_the_factors_is_the_block_product(tol):
+    """Above the dense threshold the derived blocks go through the small
+    factors of b1 and b2: the order-1 gradient block through b1 and the
+    eigenvectors of L0, and the curl block through b2^T and those of L2."""
+    c = triangulated_grid(12, holes=[(3, 3), (7, 8)])
+    basis = hodge_basis(c, 1, tol)
+    assert not small((c.n1, basis.n_gradient))
+    assert not small((c.n1, basis.n_curl))
+    assert basis._gradient_factors.op is not None
+    assert basis._curl_factors.op is not None
+    assert_tft_is_the_block_product(c, np.random.default_rng(26), tol)
+
+
+@pytest.mark.parametrize("grid", [0, 12])
+def test_tft_gives_zero_on_a_zero_derived_column(complex7, grid):
     """A block that reaches past the nonzero singular values of b1 holds a
     zero derived column there; its coefficient is 0, as the dense block's,
-    and its inverse adds nothing."""
-    c = complex7
+    and its inverse adds nothing. complex7's block is held dense, the
+    grid's goes through the factors."""
+    c = triangulated_grid(grid) if grid else complex7
     rank = hodge_basis(c, 1).n_gradient
     basis = HodgeBasis(complex=c, order=1, n_gradient=rank + 1, n_curl=0,
                        tol=1e-9)
+    assert (basis._gradient_factors.op is None) == (not grid)
     x = c.cochain(1, np.linspace(-1.0, 2.0, c.n1))
     coeffs = tft(basis, x).gradient
     assert np.all(np.isfinite(coeffs)) and coeffs[0] == 0.0
