@@ -1,76 +1,91 @@
 """The parameter contract: every public parameter that is an index set, an
 integer, a real number or a zero tolerance is checked by one of these
 helpers, and a rejected value raises a ValueError that names the
-parameter."""
+parameter. Index sets, and the simplices that ``build_complex`` and
+``load_complex`` read, go through one checker, :func:`first_bad`."""
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 
-def as_index_array(indices: Sequence[int] | np.ndarray, n: int,
-                   name: str) -> np.ndarray:
-    """Validate a nonempty set of indices into range(n) and return it as a
-    new intp array; preserves order, rejects duplicates. This is
-    :func:`index_array` and then :func:`check_indices`."""
-    arr = index_array(indices, n, name)
-    check_indices(arr, n, name)
-    return arr
+def integer_array(items, width: int | None = None) -> np.ndarray | None:
+    """``items`` as a new intp array, 1-D or with rows of ``width``, if it
+    is an integer array of that shape or a sequence (of sequences) of ints
+    and numpy integers, bools excluded, that fits one; else None."""
+    shape = (len(items),) if width is None else (len(items), width)
+    if isinstance(items, np.ndarray):
+        ok = items.dtype.kind in "iu" and items.shape == shape
+        return items.astype(np.intp) if ok else None
+    try:
+        kinds = set(map(type, chain.from_iterable(items) if width else items))
+        if all(issubclass(t, (int, np.integer)) and t is not bool
+               for t in kinds):
+            arr = np.array(items, dtype=np.intp)
+            return arr if arr.shape == shape else None
+    except (TypeError, ValueError, OverflowError):  # an item that is no
+        pass  # sequence, ragged rows, an int beyond intp
+    return None
+
+
+def first_bad(items, check, test=None, width: int | None = None):
+    """``(checked, error)``: the checked values of ``items`` before the
+    first one that ``check`` (which returns one item's checked value or
+    raises) rejects, and its ValueError, None if none. Given ``test``,
+    items that form an :func:`integer_array` are checked at once:
+    ``test(arr)`` says whether all pass, turning ``arr`` into the checked
+    values in place. Only where one fails, or the items form no such
+    array, does ``check`` walk them in order to name the first."""
+    if not isinstance(items, np.ndarray):
+        items = list(items)
+    arr = None if test is None else integer_array(items, width)
+    if arr is not None:
+        if test(arr):
+            return arr, None
+        if isinstance(items, np.ndarray):  # the walk shows Python ints
+            items = items.tolist()
+    checked = []
+    for item in items:
+        try:
+            checked.append(check(item))
+        except ValueError as exc:
+            return checked, exc
+    return checked, None
 
 
 def index_array(indices: Sequence[int] | np.ndarray, n: int,
                 name: str) -> np.ndarray:
-    """``indices`` as a new 1-D intp array, when they are an integer array
-    or a sequence of ints and numpy integers; range and repeats are left to
-    :func:`check_indices`. Any other set is walked one index at a time for
-    the ValueError that names its first bad index, as n sets the range."""
-    if isinstance(indices, np.ndarray):
-        integers = indices.ndim == 1 and indices.dtype.kind in "iu"
-    else:
-        indices = list(indices)
-        integers = all(issubclass(t, (int, np.integer))
-                       for t in set(map(type, indices)))
-    if integers:
-        try:
-            return np.array(indices, dtype=np.intp)
-        except OverflowError:  # an index beyond intp is out of range
-            pass
-    _reject_first_bad(indices, n, name)
-    raise AssertionError(f"internal error: {name} passed its checks")
-
-
-def check_indices(arr: np.ndarray, n: int, name: str) -> None:
-    """Reject an :func:`index_array` result that is empty, or holds an
-    index outside range(n) or one twice, by the ValueError that names the
-    first bad index; the checks run at once, the walk only on failure."""
-    if arr.size:
-        ranked = np.sort(arr)
-        if (ranked[0] >= 0 and ranked[-1] < n
-                and not (ranked[1:] == ranked[:-1]).any()):
-            return
-    _reject_first_bad(arr.tolist(), n, name)
-    raise AssertionError(f"internal error: {name} passed its checks")
-
-
-def _reject_first_bad(indices, n: int, name: str) -> None:
-    """Raise the ValueError for the first index of ``indices`` that is no
-    integer, lies outside range(n) or repeats one before it, or for an
-    empty set."""
+    """Validate a nonempty set of indices into range(n) and return it as a
+    new intp array; preserves order. The first index that is no integer (a
+    bool included), lies outside range(n) or repeats one before it raises
+    the ValueError that names it."""
     seen = set()
-    for i in indices:
-        if not isinstance(i, (int, np.integer)):
+
+    def check(i):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
             raise ValueError(f"{name}: index {i!r} is not an integer")
-        i = int(i)
         if not 0 <= i < n:
             raise ValueError(f"{name}: index {i} out of range [0, {n})")
-        if i in seen:
+        if int(i) in seen:
             raise ValueError(f"{name}: duplicate index {i}")
-        seen.add(i)
-    if not seen:
+        seen.add(int(i))
+        return int(i)
+
+    def test(arr):
+        ranked = np.sort(arr)
+        return (ranked.size > 0 and ranked[0] >= 0 and ranked[-1] < n
+                and not np.count_nonzero(ranked[1:] == ranked[:-1]))
+
+    arr, exc = first_bad(indices, check, test)
+    if exc is not None:
+        raise exc
+    if not len(arr):
         raise ValueError(f"{name} must be nonempty")
+    return np.asarray(arr, dtype=np.intp)
 
 
 def check_integer(value, name: str, minimum: int,

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import power_iteration_lambda_max, zero_tolerance
-from ._util import check_integer, check_real
+from ._util import check_integer, check_real, first_bad
 
 __all__ = [
     "TopologyError",
@@ -207,7 +206,7 @@ def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_vertex(v, n: int, owner: str) -> int:
-    if not isinstance(v, (int, np.integer)):
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise TopologyError(f"{owner}: vertex index {v!r} is not an integer")
     if not 0 <= v < n:
         raise TopologyError(
@@ -238,59 +237,14 @@ def _triangle_vertices(t, n: int) -> tuple[int, int, int]:
     return vs
 
 
-def _integer_rows(items, width: int) -> np.ndarray | None:
-    """``items`` as an (m, width) int64 array when every item has ``width``
-    entries and each is an int or a numpy integer, else None."""
-    if isinstance(items, np.ndarray):
-        arr = items
-    else:
-        try:
-            kinds = set(map(type, chain.from_iterable(items)))
-            if not all(issubclass(t, (int, np.integer)) for t in kinds):
-                return None
-            arr = np.asarray(items)
-        except (TypeError, ValueError):  # an item that is not a sequence,
-            return None                  # or items of unequal lengths
-    if arr.dtype.kind not in "iu" or arr.shape != (len(items), width):
-        return None
-    return arr.astype(np.int64)
-
-
-def _vertex_rows(items, width: int, n: int, check):
-    """The sorted vertex rows of ``items``, checked one by one by ``check``
-    (``_edge_vertices`` or ``_triangle_vertices``): an (s, width) int64
-    array of the items before the first one that fails, and that item's
-    TopologyError, or None when all s = len(items) pass.
-
-    An integer array is checked at once: the same range and
-    repeated-vertex tests, with ``check`` run only on the first failing
-    item to raise its error."""
-    if not isinstance(items, np.ndarray):
-        items = list(items)
-    arr = _integer_rows(items, width)
-    if arr is not None:
-        arr.sort(axis=1)
-        bad = (arr[:, 0] < 0) | (arr[:, -1] >= n)
-        bad |= (arr[:, 1:] == arr[:, :-1]).any(axis=1)
-        stop = int(bad.argmax()) if bad.any() else len(items)
-        rows = arr[:stop]
-    else:
-        rows = []
-        for item in items:
-            try:
-                rows.append(check(item, n))
-            except TopologyError:
-                break
-        stop = len(rows)
-        rows = np.array(rows, dtype=np.int64).reshape(-1, width)
-    if stop == len(items):
-        return rows, None
-    bad = items[stop]
-    try:  # a list, so the error shows Python ints as in the per-item path
-        check(bad.tolist() if isinstance(bad, np.ndarray) else bad, n)
-    except TopologyError as exc:
-        return rows, exc
-    raise AssertionError(f"internal error: item {stop} passed its check")
+def _sorted_rows(rows: np.ndarray, n: int) -> bool:
+    """The vectorised test of :func:`_edge_vertices` and
+    :func:`_triangle_vertices` for :func:`first_bad`: sorts each row of
+    vertices in place, and says whether every vertex lies in range(n) and
+    no row repeats one."""
+    rows.sort(axis=1)
+    return not ((rows[:, 0] < 0) | (rows[:, -1] >= n)
+                | (rows[:, 1:] == rows[:, :-1]).any(axis=1)).any()
 
 
 def _first_repeat(rows: np.ndarray) -> tuple[np.ndarray, int | None]:
@@ -332,7 +286,9 @@ def build_complex(
     check_integer(num_vertices, "num_vertices", 0)
     n = int(num_vertices)
 
-    edge_rows, err = _vertex_rows(edges, 2, n, _edge_vertices)
+    edge_rows, err = first_bad(edges, lambda e: _edge_vertices(e, n),
+                               lambda rows: _sorted_rows(rows, n), 2)
+    edge_rows = np.asarray(edge_rows, dtype=np.intp).reshape(-1, 2)
     order, dup = _first_repeat(edge_rows)
     if dup is not None:
         raise TopologyError(
@@ -343,7 +299,9 @@ def build_complex(
     edge_keys = edge_rows[:, 0] * n + edge_rows[:, 1]
     norm_edges = list(zip(*(col.tolist() for col in edge_rows.T)))
 
-    tri_rows, err = _vertex_rows(triangles, 3, n, _triangle_vertices)
+    tri_rows, err = first_bad(triangles, lambda t: _triangle_vertices(t, n),
+                              lambda rows: _sorted_rows(rows, n), 3)
+    tri_rows = np.asarray(tri_rows, dtype=np.intp).reshape(-1, 3)
     order, dup = _first_repeat(tri_rows)
     faces = _triangle_faces(edge_keys, n, tri_rows)
     missing = (faces < 0).any(axis=1)

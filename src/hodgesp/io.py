@@ -34,13 +34,13 @@ sparse one stores it, give the same bytes.
 from __future__ import annotations
 
 import json
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
+from ._util import first_bad
 from .complexes import (
     Cochain,
     ComplexSignal,
@@ -190,20 +190,13 @@ def _read_json(path):
                               f"column {exc.colno}: {exc.msg}") from exc
 
 
-def _index_rows(rows, width: int) -> np.ndarray | None:
-    """The 1-based JSON simplices ``rows`` as a 0-based (m, width) int64
-    array, when each row is a list of ``width`` Python ints (no bools or
-    floats) that fit in int64 less one; else None."""
-    if (type(rows) is not list or set(map(type, rows)) != {list}
-            or set(map(type, chain.from_iterable(rows))) != {int}):
-        return None
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except (OverflowError, ValueError):  # an int beyond int64, ragged rows
-        return None
-    if arr.shape != (len(rows), width) or arr.min() == np.iinfo(np.int64).min:
-        return None
-    return arr - 1
+def _shift(rows: np.ndarray) -> bool:
+    """The vectorised 1-based to 0-based shift of :func:`load_complex` for
+    :func:`first_bad`, in place; False if a row holds an index it cannot
+    shift."""
+    whole = not (rows == np.iinfo(np.intp).min).any()
+    rows -= 1
+    return whole
 
 
 def load_complex(path) -> SimplicialComplex:
@@ -213,17 +206,18 @@ def load_complex(path) -> SimplicialComplex:
                               f"'num_vertices'")
 
     def shift(group, name, width=None):
-        rows = _index_rows(data.get(group, []), width) if width else None
-        if rows is not None:
-            return rows
-        out = []
-        for simplex in data.get(group, []):
+        def one(simplex):
             try:
-                out.append([_integer(v) - 1 for v in simplex])
+                return [_integer(v) - 1 for v in simplex]
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"field '{group}': bad {name} {simplex!r} "
                                  f"({exc})") from exc
-        return out
+
+        rows, exc = first_bad(data.get(group, []), one,
+                              width and _shift, width)
+        if exc is not None:
+            raise exc
+        return rows
 
     try:
         return build_complex(

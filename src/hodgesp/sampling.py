@@ -22,13 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._linalg import zero_tolerance
-from ._util import (
-    as_index_array,
-    check_indices,
-    check_integer,
-    check_tolerance,
-    index_array,
-)
+from ._util import check_integer, check_tolerance, index_array
 from .complexes import Cochain, SimplicialComplex, _cached_slot, _check_bound
 from .spectral import HodgeBasis, hodge_basis
 
@@ -82,9 +76,8 @@ def _sampled_fit(c: SimplicialComplex, k: int, freq_set, basis, tol,
     object and the values of both index sets, so a caller that changes a
     set in place gets a fresh fit, and a new key replaces the slot. The
     key refers to the basis weakly, so the slot keeps no basis, or its
-    complex, alive. Both sets must be integers on every call; their range
-    and repeats are checked on a miss, before they become the key, so a
-    hit has sets already checked against the same n_k."""
+    complex, alive. Both sets are checked on every call, before they
+    become the key."""
     _check_band(c, k, basis, tol)
     nk = c.num_simplices(k)
     f_idx = index_array(freq_set, nk, "frequency set")
@@ -92,14 +85,11 @@ def _sampled_fit(c: SimplicialComplex, k: int, freq_set, basis, tol,
     key = (k, tol, None if basis is None else weakref.ref(basis),
            f_idx.tobytes(), s_idx.tobytes())
     return _cached_slot(c, ("sampled fit",), key, _fit, c, k, basis, tol,
-                        f_idx, s_idx, samples)
+                        f_idx, s_idx)
 
 
 def _fit(c: SimplicialComplex, k: int, basis, tol, f_idx: np.ndarray,
-         s_idx: np.ndarray, samples: str) -> _Fit:
-    nk = c.num_simplices(k)
-    check_indices(f_idx, nk, "frequency set")
-    check_indices(s_idx, nk, samples)
+         s_idx: np.ndarray) -> _Fit:
     if basis is None:
         basis = hodge_basis(c, k, tol)
     band = basis.columns(f_idx)
@@ -194,8 +184,8 @@ def select_samples(c: SimplicialComplex, k: int, freq_set: Sequence[int],
     _check_band(c, k, basis, tol)
     if basis is None:
         basis = hodge_basis(c, k, tol)
-    u_f = basis.columns(as_index_array(freq_set, c.num_simplices(k),
-                                       "frequency set"))
+    u_f = basis.columns(index_array(freq_set, c.num_simplices(k),
+                                    "frequency set"))
     nk, nf = u_f.shape
     check_integer(m, "m", 1, nk)
     gram = np.zeros((nf, nf))  # column Gram matrix of the picked rows
@@ -309,8 +299,8 @@ def parse_frequency_selector(basis: HodgeBasis, text: str) -> tuple[int, ...]:
             raise ValueError(f"selector {part!r}: range outside the "
                              f"{width} {kind} frequencies")
         out.extend(range(start + i, start + j + 1))
-    return tuple(as_index_array(out, basis.complex.num_simplices(basis.order),
-                                "frequency selector").tolist())
+    return tuple(index_array(out, basis.complex.num_simplices(basis.order),
+                             "frequency selector").tolist())
 
 
 def _selector_int(text: str, part: str) -> int:

@@ -23,35 +23,36 @@ What comes from where:
   eigenvectors, and values at or below max(m, n) * eps * lambda_max of
   the m x n b_k set to exactly 0. A frequency table builds no block and
   reads no tolerance.
-* Dense blocks. ``gradient``, ``curl``, :meth:`HodgeBasis.matrix`,
-  Dirac eigenpairs and transforms, and the explicit-``tol``
-  split come from the thin SVDs of b1 and b2, computed once per complex
-  and cached with it, and built on first access; a :class:`DiracBasis`
-  keeps the factors and its column signs, and :func:`dirac_tft` and
-  :func:`dirac_itft` apply them blockwise, with no dense pair columns.
-  Each SVD is one ``eigh`` of the same
-  Gram matrix, a cached sparse Laplacian made dense, with the other side
-  derived as b^T w / sigma or b w / sigma; no dense incidence matrix is
-  formed. Eigenvalues under the same floor are exact zeros, so rounding
-  noise never counts as rank. These squared singular values, which the
-  Dirac eigenvalues and the split use, may differ from the frequencies
-  by rounding. The derived columns are orthonormal to about
+* Dense blocks. Each gradient or curl block of a :class:`HodgeBasis`
+  and each block of Dirac pairs is one view of the thin SVD of b1 or b2,
+  computed once per complex and cached with it: the factors and one sign
+  per column, from one chunked pass. ``gradient``, ``curl`` and the
+  ``matrix`` methods write the dense columns from the view on first
+  access; :meth:`HodgeBasis.columns` gathers only the columns it returns.
+  The explicit-``tol`` split reads the same SVDs. Each SVD is one
+  ``eigh`` of the same Gram matrix, a cached sparse Laplacian made dense,
+  with the other side derived as b^T w / sigma or b w / sigma; no dense
+  incidence matrix is formed. Eigenvalues under the same floor are exact
+  zeros, so rounding noise never counts as rank. These squared singular
+  values, which the Dirac eigenvalues and the split use, may differ from
+  the frequencies by rounding. The derived columns are orthonormal to about
   eps * lambda_max / lambda_min (lambda_min the smallest nonzero
   eigenvalue): 7e-14 on a 20 x 20 grid with 6 holes, 1e-10 on a
   2000-vertex path, against 1e-14 for a dense SVD. Under the default
   tolerance the blocks keep the exact widths.
 * Transforms. :func:`tft` and :func:`itft` apply each gradient or curl
-  block through the same cached factors and never build the dense
-  block. Where the block is the side of the SVD derived from the Gram
+  block, and :func:`dirac_tft` and :func:`dirac_itft` each block of
+  pairs, through the same view and never build the dense block. Where a
+  gradient or curl block is the side of the SVD derived from the Gram
   eigenvectors w, they go through w, which has fewer rows, and the
   sparse float b_k or b_k^T, cached once per complex: the order-1
   gradient coefficients are signs * (w^T (b1 x)) / sigma, and the curl
   ones signs * (w^T (b2^T x)) / sigma, with 0 where sigma is 0. A block
   of at most ``_linalg.DENSE_ENTRIES`` entries is applied as one dense
   product with its columns instead, as scipy's sparse dispatch costs
-  more than the product there. The column signs are computed once per
-  block and shared with the dense block, so both give one basis; the
-  coefficients agree with the dense block products to rounding.
+  more than the product there. The dense block takes the view's signs,
+  so both give one basis; the coefficients agree with the dense block
+  products to rounding.
 * The zero tolerance is complex-wide: by default 1e-10 times a bound on
   the largest singular value of b1 and b2, sqrt of the largest absolute
   row sum of L0 and L2 (an integer, cached per complex; no power
@@ -133,43 +134,130 @@ _PARTIAL_FLOOR = 240
 _PARTIAL_WINDOW = 20
 
 
-class _Block(NamedTuple):
-    """A gradient or curl block of a :class:`HodgeBasis` as views of the
-    cached SVD factors of b_k, sigma descending; the block's columns are
-    in the reverse order.
+class _Factors(NamedTuple):
+    """Basis columns from the r leading triplets of the thin SVD of b_k,
+    held as views of its cached factors u, s and vt (sigma descending)
+    and the columns' signs, in the columns' ascending order.
 
-    ``vecs`` holds the columns without their ``signs``. Where the SVD
-    derived them as b^T w / sigma or b w / sigma from the Gram eigenvectors
-    w, which have fewer rows, the transforms go through w: ``op`` maps an
-    order-k cochain to w's side (the sparse b or b^T), ``op_t`` back, and
-    ``scale`` is signs / sigma, 0 where sigma is 0 as the derived column is
-    then zero. Elsewhere, and for a block that :func:`small` holds dense,
-    as one dense product beats two sparse ones there, w is ``vecs``,
-    ``scale`` the signs, and ``op`` and ``op_t`` None."""
+    One side (``offset`` None) is a gradient or curl block of a
+    :class:`HodgeBasis`: the columns of ``u`` in reverse order, the left
+    singular vectors of b_k, or of b_k^T for a gradient block. Where the
+    SVD derived them as b^T w / sigma or b w / sigma from the Gram
+    eigenvectors w, the columns of vt^T, which have fewer rows, and the
+    block is not :func:`small`, the transforms go through w: ``op`` maps a
+    cochain to w's side (the sparse b or b^T), ``op_t`` back, and
+    ``scale`` is signs / sigma, 0 where sigma is 0. Else ``scale`` is the
+    signs and ``op`` None. ``scale`` is descending.
 
-    vecs: np.ndarray
+    Pairs (``offset`` the first row of u) are the 2r Dirac eigenvectors:
+    columns 2i and 2i + 1 are signs times (u; v)/sqrt(2) and
+    (u; -v)/sqrt(2) for the i-th smallest sigma."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
     signs: np.ndarray
-    w: np.ndarray
-    scale: np.ndarray
-    op: sp.csr_array | None
-    op_t: sp.csr_array | None
+    offset: int | None = None
+    scale: np.ndarray | None = None
+    op: sp.csr_array | None = None
+    op_t: sp.csr_array | None = None
 
     def dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The block's columns, ascending and signed, written into ``out``
-        when given."""
-        return np.multiply(self.vecs[:, ::-1], self.signs[::-1], out=out)
+        """The signed columns, ascending, written into ``out`` when given.
+        Pairs need ``out``, with the rows of the whole Dirac basis."""
+        if self.offset is None:
+            return np.multiply(self.u[:, ::-1], self.signs, out=out)
+        half_u = self.u[:, ::-1] / np.sqrt(2.0)
+        half_v = self.vt[::-1].T / np.sqrt(2.0)
+        mid = self.offset + half_u.shape[0]
+        end = mid + half_v.shape[0]
+        # Zeros, fill, then the sign product, so a flipped column carries
+        # -0.0 off its rows.
+        out.fill(0.0)
+        out[self.offset:mid, 0::2] = out[self.offset:mid, 1::2] = half_u
+        out[mid:end, 0::2], out[mid:end, 1::2] = half_v, -half_v
+        out *= self.signs
+        return out
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """The block's coefficients of the cochain values ``x``, ascending:
-        ``dense().T @ x`` to rounding."""
-        if self.op is not None:
-            x = self.op @ x
-        return (self.scale * (self.w.T @ x))[::-1]
+    def gather(self, local: np.ndarray) -> np.ndarray:
+        """``dense()[:, local]`` of one side, gathered from the factors."""
+        return self.u[:, self.s.size - 1 - local] * self.signs[local]
 
-    def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        """The cochain values ``dense() @ coeffs``, to rounding."""
-        z = self.w @ (self.scale * coeffs[::-1])
-        return z if self.op_t is None else self.op_t @ z
+    def project(self, x: np.ndarray, x_v: np.ndarray | None = None
+                ) -> np.ndarray:
+        """The coefficients of the cochain values ``x``, ascending:
+        ``dense().T @ x`` to rounding. Pairs take the signal's u rows as
+        ``x`` and its v rows as ``x_v``."""
+        if self.offset is not None:
+            a, b = (self.u.T @ x)[::-1], (self.vt @ x_v)[::-1]
+            return (np.column_stack([a + b, a - b]).ravel() / np.sqrt(2.0)
+                    * self.signs)
+        y = self.u.T @ x if self.op is None else self.vt @ (self.op @ x)
+        return (self.scale * y)[::-1]
+
+    def combine(self, coeffs: np.ndarray):
+        """The cochain values ``dense() @ coeffs``, to rounding; for pairs
+        their u rows and their v rows."""
+        if self.offset is not None:
+            even, odd = ((coeffs * self.signs).reshape(-1, 2)[::-1].T
+                         / np.sqrt(2.0))
+            return self.u @ (even + odd), self.vt.T @ (even - odd)
+        z = self.scale * coeffs[::-1]
+        return self.u @ z if self.op is None else self.op_t @ (self.vt.T @ z)
+
+
+def _factors(c: SimplicialComplex, k: int, r: int, tau: float,
+             right: bool = False, offset: int | None = None) -> _Factors:
+    """The :class:`_Factors` of the left (right, if ``right``) side of
+    b_k, or with an ``offset`` of its Dirac pairs; k outside {1, 2} gives
+    an empty side. Each column's sign makes its first entry of magnitude
+    > tau positive, from one chunked pass over the vectors that come
+    first in the columns: u, or u / sqrt(2). Both columns of a pair share
+    u, so both take their sign from it; v decides only where u has no
+    such entry."""
+    if not 1 <= k <= 2:  # order 0 has no gradient block, order 2 no curl
+        n, none = c.num_simplices(k if right else k - 1), np.zeros(0)
+        return _Factors(np.zeros((n, 0)), none, np.zeros((0, n)), none,
+                        scale=none)
+    u, s, vt = _incidence_svd(c, k)
+    if right:  # the left side of b_k^T = v s u^T
+        u, vt = vt.T, u.T
+    u, s, vt = u[:, :r], s[:r], vt[:r]
+    found, neg = np.empty((2, r), dtype=bool)
+    step = max(1, (1 << 20) // max(1, u.shape[0]))  # 8 MB chunks
+    for a in range(0, r, step):
+        chunk = u[:, a : a + step]
+        found[a : a + step], neg[a : a + step] = first_large(
+            chunk if offset is None else chunk / np.sqrt(2.0), tau)
+    signs = np.where(neg[::-1], -1.0, 1.0)
+    if offset is not None:
+        signs = np.repeat(signs, 2)
+        lost = np.flatnonzero(~found[::-1])
+        if lost.size:
+            v_found, v_neg = first_large(vt[r - 1 - lost].T / np.sqrt(2.0),
+                                         tau)
+            signs[2 * lost] = np.where(v_neg, -1.0, 1.0)
+            signs[2 * lost + 1] = np.where(v_found & ~v_neg, -1.0, 1.0)
+        return _Factors(u, s, vt, signs, offset)
+    scale, op, op_t = signs[::-1], None, None
+    # u is the side derived from the Gram eigenvectors, and not small
+    if right == _eigen_left(c, k) and not small(u.shape):
+        b, b_t = _float_incidence(c, k)
+        scale = np.zeros(r)
+        np.divide(signs[::-1], s, out=scale, where=s > 0)
+        op, op_t = (b, b_t) if right else (b_t, b)
+    return _Factors(u, s, vt, signs, None, scale, op, op_t)
+
+
+def _stack(harmonic: np.ndarray, *views: _Factors) -> np.ndarray:
+    """The columns of ``harmonic`` and then the dense columns of each view,
+    in one new array."""
+    ends = np.cumsum([harmonic.shape[1]] + [v.signs.size for v in views])
+    out = np.empty((harmonic.shape[0], ends[-1]))
+    out[:, : ends[0]] = harmonic
+    for view, start, end in zip(views, ends, ends[1:]):
+        view.dense(out[:, start:end])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,43 +291,14 @@ class HodgeBasis:
         return _zero_tolerance(self.complex, self.tol)
 
     @cached_property
-    def _gradient_factors(self) -> _Block:
-        return self._factors(self.order, self.n_gradient, right=True)
+    def _gradient_factors(self) -> _Factors:
+        return _factors(self.complex, self.order, self.n_gradient,
+                        self.tolerance, right=True)
 
     @cached_property
-    def _curl_factors(self) -> _Block:
-        return self._factors(self.order + 1, self.n_curl, right=False)
-
-    def _factors(self, k: int, r: int, right: bool) -> _Block:
-        """The r right (gradient) or left (curl) singular vectors of b_k
-        with the largest singular values, as a :class:`_Block` of the
-        cached SVD factors; each column's sign makes its first entry of
-        magnitude > tolerance positive."""
-        c = self.complex
-        if not 1 <= k <= 2:
-            empty = np.zeros((c.num_simplices(self.order), 0))
-            return _Block(empty, np.zeros(0), empty, np.zeros(0), None, None)
-        u, s, vt = _incidence_svd(c, k)
-        vecs = vt[:r].T if right else u[:, :r]
-        signs = np.where(first_large(vecs, self.tolerance)[1], -1.0, 1.0)
-        eigen_left = _eigen_left(c, k)
-        # the block is the Gram eigenvector side, or small
-        if right != eigen_left or small(vecs.shape):
-            return _Block(vecs, signs, vecs, signs, None, None)
-        b, b_t = _float_incidence(c, k)
-        scale = np.zeros(r)
-        np.divide(signs, s[:r], out=scale, where=s[:r] > 0)
-        if eigen_left:
-            return _Block(vecs, signs, u[:, :r], scale, b, b_t)
-        return _Block(vecs, signs, vt[:r].T, scale, b_t, b)
-
-    @cached_property
-    def _gradient_block(self) -> np.ndarray:
-        return self._gradient_factors.dense()
-
-    @cached_property
-    def _curl_block(self) -> np.ndarray:
-        return self._curl_factors.dense()
+    def _curl_factors(self) -> _Factors:
+        return _factors(self.complex, self.order + 1, self.n_curl,
+                        self.tolerance)
 
     def _frequencies(self, k: int, r: int) -> np.ndarray:
         """The r largest squared singular values of b_k, ascending, from
@@ -248,17 +307,17 @@ class HodgeBasis:
             return np.zeros(0)
         return _incidence_values(self.complex, k)[:r][::-1]
 
-    @property
+    @cached_property
     def gradient(self) -> np.ndarray:
-        return self._gradient_block
+        return self._gradient_factors.dense()
 
     @property
     def gradient_frequencies(self) -> np.ndarray:
         return self._frequencies(self.order, self.n_gradient)
 
-    @property
+    @cached_property
     def curl(self) -> np.ndarray:
-        return self._curl_block
+        return self._curl_factors.dense()
 
     @property
     def curl_frequencies(self) -> np.ndarray:
@@ -281,17 +340,12 @@ class HodgeBasis:
         """Full basis, columns in frequency-table order:
         harmonic, then gradient, then curl. The gradient and curl columns
         are written from the factors, so no dense block is kept."""
-        nh, ng = self.n_harmonic, self.n_gradient
-        out = np.empty((self.complex.num_simplices(self.order),
-                        nh + ng + self.n_curl))
-        out[:, :nh] = self.harmonic
-        self._gradient_factors.dense(out[:, nh:nh + ng])
-        self._curl_factors.dense(out[:, nh + ng:])
-        return out
+        return _stack(self.harmonic, self._gradient_factors,
+                      self._curl_factors)
 
     def columns(self, idx) -> np.ndarray:
-        """``matrix()[:, idx]`` for indices in [0, N_k), building only the
-        blocks that ``idx`` selects from.
+        """``matrix()[:, idx]`` for indices in [0, N_k), with no dense
+        gradient or curl block: their columns are gathered from the view.
 
         Under the default tolerance, gradient and curl columns whose
         within-block indices are all below _PARTIAL_WINDOW come from the
@@ -315,12 +369,12 @@ class HodgeBasis:
             mine = (idx >= start) & (idx < start + width)
             if mine.any():
                 local = idx[mine] - start
-                block = None
-                if name != "harmonic" and local.max() < _PARTIAL_WINDOW:
+                block = self.harmonic if name == "harmonic" else None
+                if block is None and local.max() < _PARTIAL_WINDOW:
                     block = getattr(self, "_low_" + name)
-                if block is None:
-                    block = getattr(self, name)
-                out[:, mine] = block[:, local]
+                out[:, mine] = (
+                    block[:, local] if block is not None
+                    else getattr(self, f"_{name}_factors").gather(local))
             start += width
         return out
 
@@ -550,70 +604,6 @@ def frequency_table(basis: HodgeBasis) -> list[FrequencyEntry]:
     return rows
 
 
-class _Pairs(NamedTuple):
-    """The 2r Dirac eigenvectors from the thin SVD of b_k, held as the
-    cached factors: column 2i is signs[2i] (u; v)/sqrt(2) and column
-    2i + 1 is signs[2i + 1] (u; -v)/sqrt(2) for the i-th smallest singular
-    value, with the u rows from ``offset`` and the v rows after them."""
-
-    u: np.ndarray  # the r leading columns of the left factor, sigma descending
-    vt: np.ndarray  # the r leading rows of the right factor
-    signs: np.ndarray
-    offset: int
-
-    def fill(self, out: np.ndarray) -> np.ndarray:
-        """Write the signed pair columns into the (dim, 2r) ``out``."""
-        half_u = self.u[:, ::-1] / np.sqrt(2.0)
-        half_v = self.vt[::-1].T / np.sqrt(2.0)
-        mid = self.offset + half_u.shape[0]
-        end = mid + half_v.shape[0]
-        # Zeros, fill, then the sign product, so a flipped column carries
-        # -0.0 off its rows.
-        out.fill(0.0)
-        out[self.offset:mid, 0::2] = out[self.offset:mid, 1::2] = half_u
-        out[mid:end, 0::2], out[mid:end, 1::2] = half_v, -half_v
-        out *= self.signs
-        return out
-
-    def project(self, x_u: np.ndarray, x_v: np.ndarray) -> np.ndarray:
-        """The 2r pair coefficients of the signal whose u rows are ``x_u``
-        and v rows ``x_v``."""
-        a, b = (self.u.T @ x_u)[::-1], (self.vt @ x_v)[::-1]
-        return (np.column_stack([a + b, a - b]).ravel() / np.sqrt(2.0)
-                * self.signs)
-
-    def combine(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The u rows and v rows of the pair columns times ``coeffs``."""
-        even, odd = (coeffs * self.signs).reshape(-1, 2)[::-1].T / np.sqrt(2.0)
-        return self.u @ (even + odd), self.vt.T @ (even - odd)
-
-
-def _dirac_pairs(c: SimplicialComplex, k: int, tol: float | None,
-                 tau: float, offset: int) -> tuple[_Pairs, np.ndarray]:
-    """The signed Dirac eigenpairs from the SVD of b_k: (u; +/-v)/sqrt(2)
-    with u rows from ``offset``, +sigma then -sigma, sigma ascending.
-
-    Each column's sign makes its first entry of magnitude > tau positive.
-    Both columns of a pair share u, which comes first, so both take their
-    sign from it; v decides only where u has no such entry."""
-    u, s, vt, r = _svd_rank(c, k, tol)
-    u, vt = u[:, :r], vt[:r]
-    found, neg = np.empty((2, r), dtype=bool)
-    step = max(1, (1 << 20) // max(1, u.shape[0]))  # 8 MB chunks of u
-    for a in range(0, r, step):
-        found[a : a + step], neg[a : a + step] = first_large(
-            u[:, a : a + step] / np.sqrt(2.0), tau)
-    found, neg = found[::-1], neg[::-1]
-    signs = np.repeat(np.where(neg, -1.0, 1.0), 2)
-    lost = np.flatnonzero(~found)
-    if lost.size:
-        v_found, v_neg = first_large(vt[r - 1 - lost].T / np.sqrt(2.0), tau)
-        signs[2 * lost] = np.where(v_neg, -1.0, 1.0)
-        signs[2 * lost + 1] = np.where(v_found & ~v_neg, -1.0, 1.0)
-    lam = np.repeat(s[:r][::-1], 2) * np.tile([1.0, -1.0], r)
-    return _Pairs(u, vt, signs, offset), lam
-
-
 @dataclass(frozen=True, eq=False)
 class DiracBasis:
     """Eigenbasis of the Dirac operator grouped into joint subspaces.
@@ -635,30 +625,23 @@ class DiracBasis:
     gradient_eigenvalues: np.ndarray
     curl_eigenvalues: np.ndarray
     tolerance: float
-    _pairs: tuple[_Pairs, _Pairs] = field(repr=False)
+    _pairs: tuple[_Factors, _Factors] = field(repr=False)
 
     @cached_property
     def gradient(self) -> np.ndarray:
-        return self._block(self._pairs[0])
+        return self._read_only(self.harmonic[:, :0], self._pairs[0])
 
     @cached_property
     def curl(self) -> np.ndarray:
-        return self._block(self._pairs[1])
-
-    def _block(self, pairs: _Pairs) -> np.ndarray:
-        block = pairs.fill(np.empty((self.harmonic.shape[0],
-                                     pairs.signs.size)))
-        block.flags.writeable = False
-        return block
+        return self._read_only(self.harmonic[:, :0], self._pairs[1])
 
     @cached_property
     def _matrix(self) -> np.ndarray:
-        h = self.harmonic
-        grad, curl_ = (p.signs.size for p in self._pairs)
-        out = np.empty((h.shape[0], h.shape[1] + grad + curl_))
-        out[:, : h.shape[1]] = h
-        self._pairs[0].fill(out[:, h.shape[1] : h.shape[1] + grad])
-        self._pairs[1].fill(out[:, h.shape[1] + grad :])
+        return self._read_only(self.harmonic, *self._pairs)
+
+    @staticmethod
+    def _read_only(harmonic: np.ndarray, *views: _Factors) -> np.ndarray:
+        out = _stack(harmonic, *views)
         out.flags.writeable = False
         return out
 
@@ -684,8 +667,10 @@ def dirac_basis(c: SimplicialComplex, tol: float | None = None) -> DiracBasis:
     their signs; see :class:`DiracBasis`."""
     dim = c.n0 + c.n1 + c.n2
     tau = _zero_tolerance(c, tol)
-    grad, lam_g = _dirac_pairs(c, 1, tol, tau, 0)
-    curl_, lam_c = _dirac_pairs(c, 2, tol, tau, c.n0)
+    pairs = (_factors(c, 1, _svd_rank(c, 1, tol)[3], tau, offset=0),
+             _factors(c, 2, _svd_rank(c, 2, tol)[3], tau, offset=c.n0))
+    lam_g, lam_c = (np.repeat(p.s[::-1], 2) * np.tile([1.0, -1.0], p.s.size)
+                    for p in pairs)
 
     blocks = [hodge_basis(c, k, tol).harmonic for k in (0, 1, 2)]
     harm = np.zeros((dim, sum(h.shape[1] for h in blocks)))
@@ -700,7 +685,7 @@ def dirac_basis(c: SimplicialComplex, tol: float | None = None) -> DiracBasis:
         gradient_eigenvalues=lam_g,
         curl_eigenvalues=lam_c,
         tolerance=tau,
-        _pairs=(grad, curl_),
+        _pairs=pairs,
     )
 
 

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hodgesp.complexes as hc
 from hodgesp import (
     ComplexSignal,
     TopologyError,
@@ -86,6 +87,12 @@ def test_duplicate_and_range_errors():
         build_complex(3, [(0, 5)])
     with pytest.raises(TopologyError, match="self-loop"):
         build_complex(3, [(1, 1)])
+    # a bool is no vertex index, as np.True_ and a JSON true are not
+    for bad in (True, np.True_):
+        with pytest.raises(TopologyError, match="is not an integer"):
+            build_complex(3, [(bad, 2), (0, 1)])
+        with pytest.raises(TopologyError, match="is not an integer"):
+            build_complex(3, [(0, 1), (0, 2), (1, 2)], [(0, bad, 2)])
     with pytest.raises(TopologyError, match="duplicate triangle"):
         build_complex(3, [(0, 1), (0, 2), (1, 2)], [(0, 1, 2), (2, 1, 0)])
     with pytest.raises(TopologyError, match="missing its edge"):
@@ -98,6 +105,21 @@ def test_duplicate_and_range_errors():
     with pytest.raises(TopologyError, match="duplicates triangle"):
         build_complex(3, [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)],
                       cells=[(0, 1, 2)])
+
+
+def test_valid_simplices_take_the_vectorised_check(monkeypatch, complex7):
+    """Integer lists and arrays of valid edges and triangles are checked
+    at once; the per-item checkers run only to name a bad simplex."""
+    def refuse(*args):
+        raise AssertionError("per-item check called")
+
+    monkeypatch.setattr(hc, "_edge_vertices", refuse)
+    monkeypatch.setattr(hc, "_triangle_vertices", refuse)
+    c = complex7
+    for edges, tris in ((list(c.edges), list(c.triangles)),
+                        (np.array(c.edges), np.array(c.triangles))):
+        d = build_complex(c.n0, edges, tris)
+        assert (d.edges, d.triangles) == (c.edges, c.triangles)
 
 
 SEEDS = st.integers(0, 2**32 - 1)

@@ -15,8 +15,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodgesp as hs
+import hodgesp._util as hu
 
 from conftest import EDGES7, TRIS7
 
@@ -232,7 +235,7 @@ def test_bad_value_is_rejected_by_name(name, param, bad):
 SET_LABELS = {"freq_set": "frequency set", "frequency_set": "frequency set",
               "sample_set": "sample set", "edge_set": "edge set"}
 BAD_SETS = ([], [4, 4], [-1], [C.n1], [4.0], ["4"], np.array([4.5]),
-            np.array([True]))
+            np.array([True]), [True, 2])
 WARM = {
     "is_perfectly_recoverable": {
         "k": ORDER, "tol": POSITIVE, "freq_set": BAD_SETS,
@@ -327,3 +330,63 @@ def test_binding_is_checked(case):
     call, param = BINDING[case]
     with pytest.raises(ValueError, match=rf"^{param}\b"):
         call()
+
+
+# The one checker behind index sets and simplex rows: its vectorised test
+# (an integer array, range and repeats at once) must agree with the
+# per-item walk of the same scalar checker, which it takes when
+# ``integer_array`` finds no integer array.
+VALUES = st.one_of(st.integers(-2, 11), st.integers(-2, 11).map(np.int64),
+                   st.integers(0, 11).map(np.uint8), st.booleans(),
+                   st.just(np.True_), st.sampled_from([2.0, 1.5, "3", 2**70]))
+DTYPES = st.sampled_from([np.int64, np.int32, np.uint64, np.float64,
+                          np.bool_])
+
+
+def items(width):
+    """Lists of mixed values, or arrays of one dtype (a negative value
+    wraps in uint64), 1-D for width None, else rows of ``width``."""
+    if width is None:
+        return st.one_of(
+            st.lists(VALUES, max_size=8),
+            st.tuples(st.lists(st.integers(-2, 11), max_size=8), DTYPES).map(
+                lambda a: np.array(a[0], dtype=np.int64).astype(a[1])))
+    row = st.lists(VALUES, min_size=width, max_size=width)
+    return st.one_of(
+        st.lists(st.one_of(row, st.lists(VALUES, max_size=width + 1)),
+                 max_size=6),
+        st.tuples(st.lists(st.lists(st.integers(-2, 11), min_size=width,
+                                    max_size=width), max_size=6),
+                  DTYPES).map(lambda a: np.array(a[0], dtype=np.int64)
+                              .reshape(-1, width).astype(a[1])))
+
+
+K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+CHECKED = {
+    "index set": (None, lambda s: hu.index_array(s, 10, "set").tobytes()),
+    "edges": (2, lambda s: hs.build_complex(6, s).edges),
+    "triangles": (3, lambda s: hs.build_complex(5, K5, s).triangles),
+}
+
+
+def checked(call, value):
+    try:
+        return call(value)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_vectorised_check_matches_the_item_walk(name, data):
+    width, call = CHECKED[name]
+    value = data.draw(items(width))
+    fast = checked(call, value)
+    # An integer array is walked as Python ints, as first_bad walks one
+    # that fails its vectorised test.
+    walked = (value.tolist() if isinstance(value, np.ndarray)
+              and value.dtype.kind in "iu" else value)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hu, "integer_array", lambda *args: None)
+        assert checked(call, walked) == fast

@@ -177,28 +177,34 @@ def test_spectrum_subcommand_runs_no_eigh_and_no_lambda_max(tmp_path, tol,
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def assert_columns_are_matrix_columns(c, rng):
+def assert_columns_are_matrix_columns(c, rng, tol):
+    """columns() gathers from the factors, building no dense gradient or
+    curl block, and gives the bytes of the matrix() columns."""
     for k in (0, 1, 2):
         nk = c.num_simplices(k)
         for idx in ([], list(range(nk)), rng.permutation(nk)[: nk // 2 + 1],
                     rng.integers(0, nk, size=nk) if nk else []):
             # a fresh basis for each, so columns() runs before matrix()
-            basis = hodge_basis(c, k)
+            basis = hodge_basis(c, k, tol)
             cols = basis.columns(idx)
+            assert "gradient" not in vars(basis)
+            assert "curl" not in vars(basis)
             want = basis.matrix()[:, np.asarray(idx, dtype=np.intp)]
             assert cols.shape == want.shape
             assert cols.tobytes() == want.tobytes()
 
 
-def test_columns_equal_matrix_columns(complex7, cell7):
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_columns_equal_matrix_columns(complex7, cell7, tol):
     for c in (complex7, cell7):
-        assert_columns_are_matrix_columns(c, np.random.default_rng(0))
+        assert_columns_are_matrix_columns(c, np.random.default_rng(0), tol)
 
 
 @settings(max_examples=20, deadline=None, database=None)
-@given(c=complexes_with_cells(), seed=st.integers(0, 2**32 - 1))
-def test_columns_equal_matrix_columns_random(c, seed):
-    assert_columns_are_matrix_columns(c, np.random.default_rng(seed))
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([None, 1e-6]))
+def test_columns_equal_matrix_columns_random(c, seed, tol):
+    assert_columns_are_matrix_columns(c, np.random.default_rng(seed), tol)
 
 
 def test_columns_rejects_out_of_range(complex7):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import hodgesp._util as hu
 import hodgesp.io as hio
 from hodgesp import (
     ComplexSignal,
@@ -169,12 +170,16 @@ def test_integer_array_loader_matches_the_item_loader(case, tmp_path,
                                 "triangles": triangles, "cells": cells}))
     fast = load_outcome(path)
     with monkeypatch.context() as mp:
-        mp.setattr(hio, "_index_rows", lambda rows, width: None)
+        mp.setattr(hu, "integer_array", lambda *args: None)
         slow = load_outcome(path)
     assert fast == slow
-    if case == 0:  # a valid file takes the array path
-        assert hio._index_rows(edges, 2) is not None
-        assert hio._index_rows(triangles, 3) is not None
+    if case == 0:  # a valid file takes the array path, not the walk
+        seen = []
+        integer = hio._integer
+        monkeypatch.setattr(hio, "_integer",
+                            lambda v: seen.append(v) or integer(v))
+        assert load_outcome(path) == fast
+        assert seen == [5]  # num_vertices alone
 
 
 def test_signal_round_trip(tmp_path, complex7):

@@ -161,8 +161,8 @@ def test_partial_picks_equal_dense_picks(seed, monkeypatch):
     assert parse_frequency_selector(fast, SELECTOR) == freq
     assert select_samples(fast.complex, 1, freq, len(freq) + 4,
                           basis=fast) == want
-    assert "_gradient_block" not in vars(fast)
-    assert "_curl_block" not in vars(fast)
+    assert "gradient" not in vars(fast)
+    assert "curl" not in vars(fast)
 
 
 def test_low_rank_block_falls_back_to_the_dense_columns():
@@ -186,7 +186,7 @@ def test_exact_widths_are_the_dense_svd_ranks(c):
     for k in (0, 1, 2):
         basis = hodge_basis(fresh(c), k)
         assert (basis.n_gradient, basis.n_curl) == (ranks[k], ranks[k + 1])
-        assert "_gradient_block" not in vars(basis)
+        assert "gradient" not in vars(basis)
         assert basis.gradient.shape == (c.num_simplices(k), ranks[k])
         assert basis.curl.shape == (c.num_simplices(k), ranks[k + 1])
         assert basis.gradient_frequencies.shape == (ranks[k],)
@@ -227,7 +227,7 @@ def test_band_path_forms_no_dense_eigenproblem(no_large_eigh):
     # The traced peak grows with n1 |F|; at this size it is under half of
     # the one dense n2 x n2 Gram matrix that the dense path factors.
     assert peak < 8 * c.n2 * c.n2
-    for name in ("_gradient_block", "_curl_block", "harmonic"):
+    for name in ("gradient", "curl", "harmonic"):
         assert name not in vars(basis)
 
 

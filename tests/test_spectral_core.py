@@ -138,8 +138,8 @@ def assert_tft_is_the_block_product(c, rng, tol):
         x = c.cochain(k, rng.standard_normal(c.num_simplices(k)))
         coeffs = tft(basis, x)
         back = itft(basis, coeffs).values
-        assert "_gradient_block" not in vars(basis)
-        assert "_curl_block" not in vars(basis)
+        assert "gradient" not in vars(basis)
+        assert "curl" not in vars(basis)
         norm = float(np.linalg.norm(x.values))
         for got, block in ((coeffs.gradient, basis.gradient),
                            (coeffs.curl, basis.curl),
