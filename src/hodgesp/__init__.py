@@ -7,101 +7,21 @@ reconstruct them; model their time evolution; and infer which triangles a
 set of observed flows wants filled.
 """
 
-from .complexes import (
-    Cochain,
-    ComplexSignal,
-    DiracOperator,
-    SimplicialComplex,
-    TopologyError,
-    betti,
-    build_complex,
-    curl,
-    dirac,
-    dirac_shift,
-    divergence,
-    hodge_laplacian,
-    incidence,
-)
-from .dictionaries import (
-    HodgeDictionary,
-    SlepianSet,
-    build_dictionary,
-    slepians,
-    sparse_code,
-)
-from .filters import (
-    ConvergenceWarning,
-    HarmonicTerm,
-    HodgeFilterSpec,
-    apply_filter,
-    dirac_filter,
-    filterbank_edge,
-    frequency_response,
-    lambda_max,
-    regularized_reconstruct,
-)
-from .inference import (
-    DegenerateScoresWarning,
-    infer_triangles,
-    project_out_gradient,
-    residual_energy,
-    triangle_candidates,
-)
-from .sampling import (
-    RankDeficientWarning,
-    Recoverability,
-    is_perfectly_recoverable,
-    parse_frequency_selector,
-    reconstruct_bandlimited,
-    select_samples,
-)
-from .spectral import (
-    DiracBasis,
-    FrequencyEntry,
-    HodgeBasis,
-    HodgeComponents,
-    TftCoefficients,
-    dirac_basis,
-    dirac_itft,
-    dirac_tft,
-    frequency_table,
-    hodge_basis,
-    hodge_decompose,
-    itft,
-    tft,
-)
-from .timeseries import (
-    IllConditionedWarning,
-    LmsState,
-    SCVarLag,
-    SCVarModel,
-    lms_build_regressor,
-    lms_init,
-    lms_step,
-    scvar_fit,
-    scvar_predict,
-    scvar_simulate,
-)
+from . import (complexes, dictionaries, filters, inference, sampling,
+               spectral, timeseries)
+from .complexes import *  # noqa: F401,F403
+from .dictionaries import *  # noqa: F401,F403
+from .filters import *  # noqa: F401,F403
+from .inference import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .timeseries import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cochain", "ComplexSignal", "DiracOperator", "SimplicialComplex",
-    "TopologyError", "betti", "build_complex", "curl", "dirac",
-    "dirac_shift", "divergence", "hodge_laplacian", "incidence",
-    "HodgeDictionary", "SlepianSet", "build_dictionary", "slepians",
-    "sparse_code",
-    "ConvergenceWarning", "HarmonicTerm", "HodgeFilterSpec", "apply_filter",
-    "dirac_filter", "filterbank_edge", "frequency_response", "lambda_max",
-    "regularized_reconstruct",
-    "DegenerateScoresWarning", "infer_triangles", "project_out_gradient",
-    "residual_energy", "triangle_candidates",
-    "RankDeficientWarning", "Recoverability", "is_perfectly_recoverable",
-    "parse_frequency_selector", "reconstruct_bandlimited", "select_samples",
-    "DiracBasis", "FrequencyEntry", "HodgeBasis", "HodgeComponents",
-    "TftCoefficients", "dirac_basis", "dirac_itft", "dirac_tft",
-    "frequency_table", "hodge_basis", "hodge_decompose", "itft", "tft",
-    "IllConditionedWarning", "LmsState", "SCVarLag", "SCVarModel",
-    "lms_build_regressor", "lms_init", "lms_step", "scvar_fit",
-    "scvar_predict", "scvar_simulate",
-]
+# The modules' own lists in module order, each name once (lambda_max is in
+# complexes and filters); io and cli stay out.
+__all__ = list(dict.fromkeys(
+    name for module in (complexes, dictionaries, filters, inference,
+                        sampling, spectral, timeseries)
+    for name in module.__all__))

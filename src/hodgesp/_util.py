@@ -17,18 +17,18 @@ def integer_array(items, width: int | None = None) -> np.ndarray | None:
     """``items`` as a new intp array, 1-D or with rows of ``width``, if it
     is an integer array of that shape or a sequence (of sequences) of ints
     and numpy integers, bools excluded, that fits one; else None."""
-    shape = (len(items),) if width is None else (len(items), width)
-    if isinstance(items, np.ndarray):
-        ok = items.dtype.kind in "iu" and items.shape == shape
-        return items.astype(np.intp) if ok else None
     try:
+        shape = (len(items),) if width is None else (len(items), width)
+        if isinstance(items, np.ndarray):
+            ok = items.dtype.kind in "iu" and items.shape == shape
+            return items.astype(np.intp) if ok else None
         kinds = set(map(type, chain.from_iterable(items) if width else items))
         if all(issubclass(t, (int, np.integer)) and t is not bool
                for t in kinds):
             arr = np.array(items, dtype=np.intp)
             return arr if arr.shape == shape else None
-    except (TypeError, ValueError, OverflowError):  # an item that is no
-        pass  # sequence, ragged rows, an int beyond intp
+    except (TypeError, ValueError, OverflowError):  # no length (left
+        pass  # unread), an item that is no sequence, ragged rows, big ints
     return None
 
 

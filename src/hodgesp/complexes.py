@@ -870,11 +870,9 @@ def curl(c: SimplicialComplex, x1: Cochain) -> Cochain:
 
 def dirac_shift(c: SimplicialComplex, x: ComplexSignal) -> ComplexSignal:
     """One application of the Dirac operator:
-    (b1 x1, b1^T x0 + b2 x2, b2^T x1)."""
+    (b1 x1, b1^T x0 + b2 x2, b2^T x1), as one product of the stacked
+    signal with the sparse operator cached on the complex. The edge part
+    sums both incidence terms row by row, so it matches the blockwise sum
+    to rounding, not bit for bit."""
     _check_bound(c, x, "x")
-    return ComplexSignal.from_arrays(
-        c,
-        c.b1 @ x.x1.values,
-        c.b1.T @ x.x0.values + c.b2 @ x.x2.values,
-        c.b2.T @ x.x1.values,
-    )
+    return ComplexSignal.from_stacked(c, _dirac_matrix(c) @ x.stacked())

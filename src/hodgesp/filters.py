@@ -37,7 +37,7 @@ from .complexes import (
     hodge_laplacian,
     lambda_max,
 )
-from .spectral import HodgeBasis, frequency_table, hodge_basis
+from .spectral import HodgeBasis, hodge_basis
 
 __all__ = [
     "HarmonicTerm",
@@ -216,16 +216,12 @@ def frequency_response(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
             return 0.0
         return (1.0 - spec.harmonic.epsilon * lam) ** spec.harmonic.steps
 
-    out = []
-    for row in frequency_table(basis):
-        if row.kind == "harmonic":
-            out.append(down0 + up0 + projector_gain(0.0))
-        elif row.kind == "gradient":
-            out.append(_poly_eval(spec.h_down, row.frequency) + up0
-                       + projector_gain(row.frequency))
-        else:
-            out.append(_poly_eval(spec.h_up, row.frequency) + down0
-                       + projector_gain(row.frequency))
+    # Harmonic, gradient, then curl, as in the frequency table.
+    out = [down0 + up0 + projector_gain(0.0)] * basis.n_harmonic
+    out += [_poly_eval(spec.h_down, f) + up0 + projector_gain(f)
+            for f in basis.gradient_frequencies.tolist()]
+    out += [_poly_eval(spec.h_up, f) + down0 + projector_gain(f)
+            for f in basis.curl_frequencies.tolist()]
     return np.array(out)
 
 
@@ -253,11 +249,9 @@ def filterbank_edge(c: SimplicialComplex, spec_11: HodgeFilterSpec,
     _require_one_sided(spec_01, "down", "spec_01 (node branch)")
     _require_one_sided(spec_21, "up", "spec_21 (triangle branch)")
 
-    y = apply_filter(c, 1, spec_11, x.x1).values
-    from_nodes = Cochain(c, 1, c.b1.T @ x.x0.values)
-    y = y + apply_filter(c, 1, spec_01, from_nodes).values
-    from_tris = Cochain(c, 1, c.b2 @ x.x2.values)
-    y = y + apply_filter(c, 1, spec_21, from_tris).values
+    y = _filter_values(c, 1, spec_11, x.x1.values)
+    y = y + _filter_values(c, 1, spec_01, c.b1.T @ x.x0.values)
+    y = y + _filter_values(c, 1, spec_21, c.b2 @ x.x2.values)
     return Cochain(c, 1, y)
 
 
@@ -392,7 +386,8 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
             g += 2.0 * beta * (lap_up @ x)
         return g
 
-    # Nonsmooth part: l1 penalties composed with their incidence operators.
+    # Nonsmooth part: l1 penalties composed with their incidence operators,
+    # and the bound each dual entry is clipped to.
     ops, bounds = [], []
     if p == 1:
         ops.append(b1)
@@ -401,7 +396,7 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
         ops.append(b2t)
         bounds.append(beta)
     k_op = sp.vstack(ops, format="csr")
-    splits = np.cumsum([op.shape[0] for op in ops])[:-1]
+    bound = np.repeat(bounds, [op.shape[0] for op in ops])
     # ||K||^2 = lam_max(K^T K), where K^T K is L1_down (p = 1 alone, same
     # spectrum as L0), L1_up (q = 1 alone, as L2) or L1 (both, as b1 b2 = 0).
     k_norm = np.sqrt(lambda_max(c, {(1, 2): 0, (2, 1): 2, (1, 1): 1}[(p, q)]))
@@ -414,11 +409,7 @@ def regularized_reconstruct(c: SimplicialComplex, f: Cochain,
     rel_change = np.inf
     for _ in range(max_iter):
         x_new = x - tau * (grad_smooth(x) + k_op.T @ y)
-        y_tilde = y + sigma * (k_op @ (2.0 * x_new - x))
-        for block, bound in zip(np.split(np.arange(k_op.shape[0]), splits),
-                                bounds):
-            y_tilde[block] = np.clip(y_tilde[block], -bound, bound)
-        y = y_tilde
+        y = np.clip(y + sigma * (k_op @ (2.0 * x_new - x)), -bound, bound)
         rel_change = np.linalg.norm(x_new - x) / max(1.0, np.linalg.norm(x))
         x = x_new
         if rel_change < rtol:

@@ -10,7 +10,7 @@ pseudo-inverse the reconstruction, and its right singular vectors and
 squared singular values the Slepian set of :func:`hodgesp.slepians`. The
 band columns and that SVD are cached with the complex for one (basis, k,
 tol, F, S) at a time, so many signals sampled on one set pay for them
-once; the parameters are checked on every call.
+once, the full checks of the sets included.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._linalg import zero_tolerance
-from ._util import check_integer, check_tolerance, index_array
+from ._util import check_integer, check_tolerance, index_array, integer_array
 from .complexes import Cochain, SimplicialComplex, _cached_slot, _check_bound
 from .spectral import HodgeBasis, hodge_basis
 
@@ -69,27 +69,27 @@ def _check_band(c: SimplicialComplex, k: int, basis, tol) -> None:
 def _sampled_fit(c: SimplicialComplex, k: int, freq_set, basis, tol,
                  sample_set, samples: str = "sample set") -> _Fit:
     """The :class:`_Fit` of the band of ``basis`` (``hodge_basis(c, k,
-    tol)`` when None), its parameters checked on every call; ``samples``
-    is the sample set's name in error messages.
+    tol)`` when None); ``samples`` names the sample set in errors.
 
     The fit is cached in one slot of ``c``, keyed on k, tol, the basis
-    object and the values of both index sets, so a caller that changes a
-    set in place gets a fresh fit, and a new key replaces the slot. The
-    key refers to the basis weakly, so the slot keeps no basis, or its
-    complex, alive. Both sets are checked on every call, before they
-    become the key."""
+    object and the values of both index sets as integer arrays, so a
+    caller that changes a set in place gets a fresh fit, and a new key
+    replaces the slot. The key refers to the basis weakly, so the slot
+    keeps no basis, or its complex, alive. The sets are checked in full
+    on a miss: a key that hits passed those checks. A set that forms no
+    integer array (a generator) is checked and fitted with no slot."""
     _check_band(c, k, basis, tol)
-    nk = c.num_simplices(k)
-    f_idx = index_array(freq_set, nk, "frequency set")
-    s_idx = index_array(sample_set, nk, samples)
+    sets = ((freq_set, "frequency set"), (sample_set, samples))
+    keys = [integer_array(s) for s, _ in sets]
+    if any(key is None for key in keys):  # checked in full, and not held
+        return _fit(c, k, basis, tol, sets)
     key = (k, tol, None if basis is None else weakref.ref(basis),
-           f_idx.tobytes(), s_idx.tobytes())
-    return _cached_slot(c, ("sampled fit",), key, _fit, c, k, basis, tol,
-                        f_idx, s_idx)
+           *(key.tobytes() for key in keys))
+    return _cached_slot(c, ("sampled fit",), key, _fit, c, k, basis, tol, sets)
 
 
-def _fit(c: SimplicialComplex, k: int, basis, tol, f_idx: np.ndarray,
-         s_idx: np.ndarray) -> _Fit:
+def _fit(c: SimplicialComplex, k: int, basis, tol, sets) -> _Fit:
+    f_idx, s_idx = (index_array(a, c.num_simplices(k), n) for a, n in sets)
     if basis is None:
         basis = hodge_basis(c, k, tol)
     band = basis.columns(f_idx)

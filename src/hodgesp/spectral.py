@@ -590,18 +590,10 @@ def frequency_table(basis: HodgeBasis) -> list[FrequencyEntry]:
     Frequency magnitudes are comparable only within one type: gradient
     frequencies measure total divergence, curl frequencies total curl.
     """
-    rows = []
-    i = 0
-    for _ in range(basis.n_harmonic):
-        rows.append(FrequencyEntry(i, "harmonic", 0.0))
-        i += 1
-    for f in basis.gradient_frequencies:
-        rows.append(FrequencyEntry(i, "gradient", float(f)))
-        i += 1
-    for f in basis.curl_frequencies:
-        rows.append(FrequencyEntry(i, "curl", float(f)))
-        i += 1
-    return rows
+    typed = [("harmonic", 0.0)] * basis.n_harmonic
+    typed += [("gradient", f) for f in basis.gradient_frequencies.tolist()]
+    typed += [("curl", f) for f in basis.curl_frequencies.tolist()]
+    return [FrequencyEntry(i, kind, f) for i, (kind, f) in enumerate(typed)]
 
 
 @dataclass(frozen=True, eq=False)

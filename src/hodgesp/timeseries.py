@@ -9,7 +9,9 @@ convolve-transform-convolve pattern g_kj(B h_kj(x_j)): the pre-filter h_kj
 acts on the source level, the incidence matrix B maps level j to level k
 (b_k^T from below, b_{k+1} from above), and the post-filter g_kj acts on the
 target level. Dropping the cross terms leaves three independent per-level
-autoregressions.
+autoregressions. The fit runs the shared sparse Krylov kernel once per term
+and Laplacian part over the whole series and slices each lag's regressor
+columns from that one pass.
 
 Prediction and simulation compile the model once into one block operator
 on the stacked past, cached on the complex; a step is one product with it.
@@ -252,56 +254,42 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
     for sig in series:
         _check_bound(c, sig, "series")
 
-    t_ord = filter_order
     n_fit = t_len - order
     # Column j of signals[k] is series[j] on level k.
     signals = [np.column_stack([getattr(sig, f"x{k}").values
                                 for sig in series]) for k in (0, 1, 2)]
-
-    def last_power(level, slot):
-        """t_ord, or 0 for a Laplacian part that is the zero matrix (the
-        edges' up part without triangles): its powers are zero columns."""
-        lap = hodge_laplacian(c, level, slot, sparse=True)
-        return t_ord if lap.count_nonzero() else 0
-
-    def plan(level):
-        """The slots of one level in regressor column order: (bank, slot,
-        first power, last power, source level, incidence map or None)."""
-        for j, incidence in _terms(c, level):
-            if incidence is not None:
-                if include_cross:
-                    slot = "down" if j < level else "up"
-                    yield (f"g{level}{j}", slot, 0, last_power(level, slot),
-                           j, incidence)
-                continue
-            for start, slot in enumerate(_OWN_SLOTS[level]):
-                yield (f"h{level}{level}", slot, start,
-                       last_power(level, slot), j, None)
-
-    def regressors(level, slots):
-        """The regressor columns of one level, lag by lag and slot by slot,
-        each as an (n_fit, n_k) block whose row j belongs to time order + j.
-        """
-        for p in range(1, order + 1):
-            for _, slot, start, stop, source, incidence in slots:
-                lap = hodge_laplacian(c, level, slot, sparse=True)
-                past = signals[source][:, order - p : t_len - p]
-                if incidence is not None:
-                    past = incidence @ past
-                powers = list(krylov(lambda v: lap @ v, past, stop))
-                for z in powers[start:]:
-                    yield z.T
-
-    lag_kwargs: list[dict] = [{} for _ in range(order)]
+    banks: list[dict] = [{} for _ in range(order)]
     residuals = [0.0, 0.0, 0.0]
     for level in (0, 1, 2):
         nk = c.num_simplices(level)
         if nk == 0:
             continue
-        slots = list(plan(level))
-        # one block of nk rows per fitted time step, as in the target
-        design = np.stack(list(regressors(level, slots)), axis=-1)
-        design = design.reshape(n_fit * nk, -1)
+        # (bank, slot, first power, powers of the whole series) per term and
+        # Laplacian part, in regressor column order. A part that is the zero
+        # matrix (the edges' up part without triangles) has zero powers, so
+        # only its constant is fitted.
+        slots = []
+        for j, incidence in _terms(c, level):
+            if incidence is None:
+                bank, parts = f"h{level}{level}", enumerate(_OWN_SLOTS[level])
+            elif include_cross:
+                bank = f"g{level}{j}"
+                parts = [(0, "down" if j < level else "up")]
+            else:
+                continue
+            x = signals[j] if incidence is None else incidence @ signals[j]
+            for start, slot in parts:
+                lap = hodge_laplacian(c, level, slot, sparse=True)
+                stop = filter_order if lap.count_nonzero() else 0
+                powers = list(krylov(lambda v: lap @ v, x, stop))[start:]
+                slots.append((bank, slot, start, powers))
+        # Lag p reads columns order - p .. t_len - p of each pass; row
+        # t * nk + i of the design is simplex i at time order + t, as in the
+        # target. Written C-ordered, the reshape is a view.
+        blocks = [z[:, order - p : t_len - p].T for p in range(1, order + 1)
+                  for *_, powers in slots for z in powers]
+        design = np.stack(blocks, axis=-1, out=np.empty(
+            (n_fit, nk, len(blocks)))).reshape(n_fit * nk, -1)
         target = signals[level][:, order:].reshape(-1, order="F")
         coef, _, _, svals = np.linalg.lstsq(design, target, rcond=None)
         if svals.size and svals[-1] > 0:
@@ -315,28 +303,17 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
                           IllConditionedWarning)
         err = target - design @ coef
         residuals[level] = float(err @ err) / target.size
-
-        pos = 0
-        for p in range(order):
-            for name, slot, start, stop, _, _ in slots:
-                width = stop + 1 - start
-                vals = (0.0,) * start + tuple(coef[pos : pos + width])
-                vals += (0.0,) * (t_ord + 1 - len(vals))
+        for lag, row in zip(banks, coef.reshape(order, -1)):
+            pos = 0
+            for bank, slot, start, powers in slots:
+                taps, width = np.zeros(filter_order + 1), len(powers)
+                taps[start : start + width] = row[pos : pos + width]
+                lag.setdefault(bank, {})[f"h_{slot}"] = taps
                 pos += width
-                spec_parts = lag_kwargs[p].setdefault(
-                    name, {"down": (0.0,), "up": (0.0,)}
-                )
-                spec_parts[slot] = vals
 
-    lags = []
-    for p in range(order):
-        kwargs = {}
-        for name, parts in lag_kwargs[p].items():
-            kwargs[name] = HodgeFilterSpec(h_down=parts["down"],
-                                           h_up=parts["up"])
-        lags.append(SCVarLag(**kwargs))
-    model = SCVarModel(complex=c, lags=tuple(lags))
-    return model, tuple(residuals)
+    lags = tuple(SCVarLag(**{bank: HodgeFilterSpec(**parts)
+                             for bank, parts in lag.items()}) for lag in banks)
+    return SCVarModel(complex=c, lags=lags), tuple(residuals)
 
 
 @dataclass(frozen=True, eq=False)

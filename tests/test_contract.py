@@ -9,6 +9,7 @@ public parameter that is neither in the table nor exempted, so a new entry
 point cannot skip the contract.
 """
 
+import importlib
 import inspect
 import math
 import re
@@ -264,6 +265,63 @@ def test_warm_fit_still_rejects_bad_values_by_name(name, param, bad):
     label = SET_LABELS.get(param, param)
     with pytest.raises(ValueError, match=rf"\b{re.escape(label)}\b"):
         target(name)(**kwargs)
+
+
+def raised(call):
+    """The type and message of the exception ``call`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.type, str(info.value)
+
+
+# The sampled fit checks its sets in full only when the slot misses, which
+# a bad set always does; sets that form no integer array skip the key.
+HELD_BAD_SETS = BAD_SETS + (np.array([2**64 - 1], dtype=np.uint64),
+                            np.array([[4, 5]]), (4, 5, 4), {4, 4.5}, 5)
+
+
+@pytest.mark.parametrize("param", ["freq_set", "sample_set"])
+@pytest.mark.parametrize("bad", HELD_BAD_SETS, ids=repr)
+def test_held_fit_then_bad_set_raises_as_with_no_fit_held(param, bad):
+    def call(c):
+        kwargs = dict(VALID["reconstruct_bandlimited"](), c=c)
+        kwargs[param] = bad
+        return lambda: hs.reconstruct_bandlimited(**kwargs)
+
+    held = hs.build_complex(7, EDGES7, TRIS7)
+    hs.reconstruct_bandlimited(**dict(VALID["reconstruct_bandlimited"](),
+                                      c=held))
+    assert raised(call(held)) == raised(call(hs.build_complex(7, EDGES7,
+                                                              TRIS7)))
+
+
+def test_sets_without_a_length_are_fitted_and_not_held():
+    kwargs = VALID["reconstruct_bandlimited"]()
+    want = hs.reconstruct_bandlimited(**kwargs).values
+    kwargs.update(freq_set=iter([4, 5]), sample_set=(i for i in range(3)))
+    np.testing.assert_array_equal(
+        hs.reconstruct_bandlimited(**kwargs).values, want)
+
+
+PUBLIC_MODULES = ("complexes", "dictionaries", "filters", "inference",
+                  "sampling", "spectral", "timeseries")
+
+
+def test_public_names_are_the_modules_lists_each_once():
+    modules = [importlib.import_module(f"hodgesp.{name}")
+               for name in PUBLIC_MODULES]
+    assert hs.__all__ == list(dict.fromkeys(
+        name for module in modules for name in module.__all__))
+    assert len(set(hs.__all__)) == len(hs.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(hs, name) is getattr(module, name), name
+    for name in ("io", "cli"):
+        hidden = importlib.import_module(f"hodgesp.{name}").__all__
+        assert not set(hidden) & set(hs.__all__), name
+    namespace = {}
+    exec("from hodgesp import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hs.__all__)
 
 
 def _state_with_window():

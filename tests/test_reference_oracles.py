@@ -1,0 +1,303 @@
+"""Reference oracles for paths written once: the SCVAR fit's single Krylov
+pass per term, the typed spectrum built from the block frequency arrays,
+the l1 dual step's one bound vector and the filterbank on arrays. Each
+keeps the earlier code (a regressor loop per lag, a row loop over the
+frequency table, a clip per penalty block, one Cochain per branch) and
+must agree with it byte for byte on random complexes with cells."""
+
+import warnings
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
+from hodgesp import (
+    Cochain,
+    ComplexSignal,
+    FrequencyEntry,
+    HarmonicTerm,
+    HodgeFilterSpec,
+    SCVarLag,
+    SCVarModel,
+    apply_filter,
+    dirac_shift,
+    filterbank_edge,
+    frequency_response,
+    frequency_table,
+    hodge_basis,
+    hodge_laplacian,
+    lambda_max,
+    regularized_reconstruct,
+    scvar_fit,
+)
+from hodgesp._linalg import krylov
+from hodgesp.complexes import _float_incidence
+from hodgesp.filters import _poly_eval
+from hodgesp.timeseries import _OWN_SLOTS, _terms
+
+from conftest import complexes_with_cells
+
+PROPERTY = settings(max_examples=30, deadline=None, database=None)
+TAPS = st.lists(st.floats(-2, 2, allow_nan=False, width=32), min_size=1,
+                max_size=3)
+
+
+def random_signal(c, rng) -> ComplexSignal:
+    return ComplexSignal.from_arrays(c, rng.standard_normal(c.n0),
+                                     rng.standard_normal(c.n1),
+                                     rng.standard_normal(c.n2))
+
+
+def term_loop_fit(c, series, order, filter_order, include_cross):
+    """The fit as it ran one Krylov pass per lag and slot, on that lag's
+    window of the series, and gathered the lags through per-lag dicts."""
+    series = list(series)
+    t_len = len(series)
+    t_ord = filter_order
+    n_fit = t_len - order
+    signals = [np.column_stack([getattr(sig, f"x{k}").values
+                                for sig in series]) for k in (0, 1, 2)]
+
+    def last_power(level, slot):
+        lap = hodge_laplacian(c, level, slot, sparse=True)
+        return t_ord if lap.count_nonzero() else 0
+
+    def plan(level):
+        for j, incidence in _terms(c, level):
+            if incidence is not None:
+                if include_cross:
+                    slot = "down" if j < level else "up"
+                    yield (f"g{level}{j}", slot, 0, last_power(level, slot),
+                           j, incidence)
+                continue
+            for start, slot in enumerate(_OWN_SLOTS[level]):
+                yield (f"h{level}{level}", slot, start,
+                       last_power(level, slot), j, None)
+
+    def regressors(level, slots):
+        for p in range(1, order + 1):
+            for _, slot, start, stop, source, incidence in slots:
+                lap = hodge_laplacian(c, level, slot, sparse=True)
+                past = signals[source][:, order - p : t_len - p]
+                if incidence is not None:
+                    past = incidence @ past
+                powers = list(krylov(lambda v: lap @ v, past, stop))
+                for z in powers[start:]:
+                    yield z.T
+
+    lag_kwargs = [{} for _ in range(order)]
+    residuals = [0.0, 0.0, 0.0]
+    for level in (0, 1, 2):
+        nk = c.num_simplices(level)
+        if nk == 0:
+            continue
+        slots = list(plan(level))
+        design = np.stack(list(regressors(level, slots)), axis=-1)
+        design = design.reshape(n_fit * nk, -1)
+        target = signals[level][:, order:].reshape(-1, order="F")
+        coef = np.linalg.lstsq(design, target, rcond=None)[0]
+        err = target - design @ coef
+        residuals[level] = float(err @ err) / target.size
+        pos = 0
+        for p in range(order):
+            for name, slot, start, stop, _, _ in slots:
+                width = stop + 1 - start
+                vals = (0.0,) * start + tuple(coef[pos : pos + width])
+                vals += (0.0,) * (t_ord + 1 - len(vals))
+                pos += width
+                spec_parts = lag_kwargs[p].setdefault(
+                    name, {"down": (0.0,), "up": (0.0,)})
+                spec_parts[slot] = vals
+    lags = []
+    for p in range(order):
+        kwargs = {name: HodgeFilterSpec(h_down=parts["down"],
+                                        h_up=parts["up"])
+                  for name, parts in lag_kwargs[p].items()}
+        lags.append(SCVarLag(**kwargs))
+    return SCVarModel(complex=c, lags=tuple(lags)), tuple(residuals)
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**16),
+       order=st.integers(1, 3), filter_order=st.integers(0, 2),
+       extra=st.integers(1, 4), include_cross=st.booleans())
+def test_scvar_fit_matches_the_per_lag_regressor_loop(
+        c, seed, order, filter_order, extra, include_cross):
+    rng = np.random.default_rng(seed)
+    series = [random_signal(c, rng)
+              for _ in range(order + filter_order + extra)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, resid = scvar_fit(c, series, order, filter_order,
+                                 include_cross=include_cross)
+        ref, ref_resid = term_loop_fit(c, series, order, filter_order,
+                                       include_cross)
+    assert_array_equal(resid, ref_resid)
+    for lag, ref_lag in zip(model.lags, ref.lags, strict=True):
+        for bank in SCVarLag.bank_names():
+            spec, ref_spec = getattr(lag, bank), getattr(ref_lag, bank)
+            assert_array_equal(spec.h_down, ref_spec.h_down)
+            assert_array_equal(spec.h_up, ref_spec.h_up)
+
+
+def row_loop_table(basis):
+    """The frequency table as a counter loop over the three blocks."""
+    rows, i = [], 0
+    for _ in range(basis.n_harmonic):
+        rows.append(FrequencyEntry(i, "harmonic", 0.0))
+        i += 1
+    for f in basis.gradient_frequencies:
+        rows.append(FrequencyEntry(i, "gradient", float(f)))
+        i += 1
+    for f in basis.curl_frequencies:
+        rows.append(FrequencyEntry(i, "curl", float(f)))
+        i += 1
+    return rows
+
+
+def row_loop_response(spec, basis):
+    """The frequency response as a loop over the table rows, branching on
+    each row's kind."""
+    down0 = spec.h_down[0] if spec.h_down else 0.0
+    up0 = spec.h_up[0] if spec.h_up else 0.0
+
+    def projector_gain(lam):
+        if spec.harmonic is None:
+            return 0.0
+        return (1.0 - spec.harmonic.epsilon * lam) ** spec.harmonic.steps
+
+    out = []
+    for row in row_loop_table(basis):
+        if row.kind == "harmonic":
+            out.append(down0 + up0 + projector_gain(0.0))
+        elif row.kind == "gradient":
+            out.append(_poly_eval(spec.h_down, row.frequency) + up0
+                       + projector_gain(row.frequency))
+        else:
+            out.append(_poly_eval(spec.h_up, row.frequency) + down0
+                       + projector_gain(row.frequency))
+    return np.array(out)
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), k=st.integers(0, 2), h_down=TAPS,
+       h_up=TAPS, steps=st.one_of(st.none(), st.integers(0, 4)),
+       tol=st.sampled_from([None, 1e-8]))
+def test_typed_spectrum_matches_the_row_loops(c, k, h_down, h_up, steps,
+                                              tol):
+    basis = hodge_basis(c, k, tol)
+    assert frequency_table(basis) == row_loop_table(basis)
+    harmonic = None
+    if steps is not None:
+        lam = lambda_max(c, k)
+        harmonic = HarmonicTerm(1.0 / lam if lam > 0 else 0.5, steps)
+        h_down, h_up = [0.0] + h_down, [0.0] + h_up
+    spec = HodgeFilterSpec(tuple(h_down), tuple(h_up), harmonic)
+    assert_array_equal(frequency_response(c, k, spec, basis),
+                       row_loop_response(spec, basis))
+
+
+def block_clip_l1(c, f, mask, alpha, beta, p, q, max_iter):
+    """The l1 primal-dual loop as it split the dual vector per penalty
+    block and clipped each block on every iteration."""
+    m_diag = mask.astype(float)
+    lap_down = hodge_laplacian(c, 1, "down", sparse=True)
+    lap_up = hodge_laplacian(c, 1, "up", sparse=True)
+    b1 = _float_incidence(c, 1)[0]
+    b2t = _float_incidence(c, 2)[1]
+    lip = 2.0
+    if p == 2:
+        lip += 2.0 * alpha * lambda_max(c, 0)
+    if q == 2:
+        lip += 2.0 * beta * lambda_max(c, 2)
+
+    def grad_smooth(x):
+        g = 2.0 * m_diag * (x - f.values)
+        if p == 2:
+            g += 2.0 * alpha * (lap_down @ x)
+        if q == 2:
+            g += 2.0 * beta * (lap_up @ x)
+        return g
+
+    ops, bounds = [], []
+    if p == 1:
+        ops.append(b1)
+        bounds.append(alpha)
+    if q == 1:
+        ops.append(b2t)
+        bounds.append(beta)
+    k_op = sp.vstack(ops, format="csr")
+    splits = np.cumsum([op.shape[0] for op in ops])[:-1]
+    k_norm = np.sqrt(lambda_max(c, {(1, 2): 0, (2, 1): 2, (1, 1): 1}[(p, q)]))
+    sigma = 1.0 / k_norm if k_norm > 0 else 1.0
+    tau = 0.9 / (lip / 2.0 + sigma * k_norm**2)
+    x = np.zeros(c.n1)
+    y = np.zeros(k_op.shape[0])
+    for _ in range(max_iter):
+        x_new = x - tau * (grad_smooth(x) + k_op.T @ y)
+        y_tilde = y + sigma * (k_op @ (2.0 * x_new - x))
+        for block, bound in zip(np.split(np.arange(k_op.shape[0]), splits),
+                                bounds):
+            y_tilde[block] = np.clip(y_tilde[block], -bound, bound)
+        y = y_tilde
+        rel_change = np.linalg.norm(x_new - x) / max(1.0, np.linalg.norm(x))
+        x = x_new
+        if rel_change < 1e-8:
+            break
+    return x
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**16),
+       pq=st.sampled_from([(1, 2), (2, 1), (1, 1)]),
+       alpha=st.sampled_from([0.0, 0.3, 1, 2.5]),
+       beta=st.sampled_from([0.0, 0.7, 1, 4.0]),
+       max_iter=st.integers(1, 300))
+def test_l1_reconstruct_matches_the_block_clip_loop(c, seed, pq, alpha, beta,
+                                                    max_iter):
+    assume(c.n1 > 0)
+    rng = np.random.default_rng(seed)
+    f = Cochain(c, 1, rng.standard_normal(c.n1))
+    mask = rng.random(c.n1) < 0.6
+    p, q = pq
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        x = regularized_reconstruct(c, f, mask, alpha, beta, p, q,
+                                    max_iter=max_iter).values
+    assert_array_equal(x, block_clip_l1(c, f, mask, alpha, beta, p, q,
+                                        max_iter))
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**16), h11=TAPS,
+       h01=TAPS, h21=TAPS)
+def test_filterbank_edge_matches_the_cochain_branches(c, seed, h11, h01,
+                                                      h21):
+    rng = np.random.default_rng(seed)
+    x = random_signal(c, rng)
+    spec_11 = HodgeFilterSpec(tuple(h11), tuple(h21))
+    spec_01 = HodgeFilterSpec(h_down=tuple(h01))
+    spec_21 = HodgeFilterSpec(h_up=tuple(h21))
+    y = apply_filter(c, 1, spec_11, x.x1).values
+    y = y + apply_filter(c, 1, spec_01,
+                         Cochain(c, 1, c.b1.T @ x.x0.values)).values
+    y = y + apply_filter(c, 1, spec_21,
+                         Cochain(c, 1, c.b2 @ x.x2.values)).values
+    assert_array_equal(filterbank_edge(c, spec_11, spec_01, spec_21,
+                                       x).values, y)
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**16))
+def test_dirac_shift_matches_the_incidence_blocks_to_rounding(c, seed):
+    # The one named move: the edge rows sum b1^T x0 and b2 x2 together.
+    x = random_signal(c, np.random.default_rng(seed))
+    shifted = dirac_shift(c, x)
+    blocks = (c.b1 @ x.x1.values,
+              c.b1.T @ x.x0.values + c.b2 @ x.x2.values,
+              c.b2.T @ x.x1.values)
+    for got, want in zip((shifted.x0, shifted.x1, shifted.x2), blocks):
+        np.testing.assert_allclose(got.values, want, rtol=1e-15,
+                                   atol=1e-14)

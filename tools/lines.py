@@ -4,6 +4,7 @@ Usage (from the repository root):
 
     python3 tools/lines.py                 # the modules of src/hodgesp
     python3 tools/lines.py path/to/pkg ... # other directories or files
+    python3 tools/lines.py --against REV   # before (at git REV), after, delta
 
 A code line holds at least one token that is not a comment, a docstring
 or whitespace: the tokenizer's COMMENT, NL, NEWLINE, INDENT, DEDENT and
@@ -11,13 +12,15 @@ ENDMARKER tokens never count, and neither does the string of a docstring
 (the first statement of a module, class or function, when it is a string
 literal). A token that spans several lines, such as a multi-line string
 that is not a docstring, makes each of its lines a code line. Total lines
-are those ``wc -l`` counts.
+are those ``wc -l`` counts. With ``--against REV`` each file is also read
+as ``git show REV:path``; a file missing on one side counts 0 there.
 """
 from __future__ import annotations
 
 import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -53,21 +56,52 @@ def count(source: str) -> tuple[int, int]:
     return source.count("\n"), len(code)
 
 
+def git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], capture_output=True, text=True)
+
+
+def at_revision(rev: str, path: Path) -> tuple[int, int]:
+    """(total lines, code lines) of ``path`` at git revision ``rev``, or
+    (0, 0) where it did not exist."""
+    shown = git("show", f"{rev}:./{path.as_posix()}")
+    return count(shown.stdout) if shown.returncode == 0 else (0, 0)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", default=["src/hodgesp"])
+    parser.add_argument("--against", metavar="REV",
+                        help="also count each file at git revision REV and "
+                             "print before, after and delta")
     args = parser.parse_args(argv)
-    files = []
+    files = set()
     for path in map(Path, args.paths):
-        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
-    totals = [0, 0]
-    print(f"{'module':<40} {'lines':>7} {'code':>7}")
-    for path in files:
-        lines, code = count(path.read_text())
-        totals[0] += lines
-        totals[1] += code
-        print(f"{str(path):<40} {lines:>7} {code:>7}")
-    print(f"{'total':<40} {totals[0]:>7} {totals[1]:>7}")
+        files.update(path.rglob("*.py") if path.is_dir() else [path])
+    if args.against:
+        listed = git("ls-tree", "-r", "--name-only", args.against, "--",
+                     *args.paths)
+        if listed.returncode:
+            parser.error(listed.stderr.strip())
+        files.update(Path(name) for name in listed.stdout.split()
+                     if name.endswith(".py"))
+    rows = []
+    for path in sorted(files):
+        now = count(path.read_text()) if path.exists() else (0, 0)
+        if args.against:
+            old = at_revision(args.against, path)
+            now = (old[0], now[0], now[0] - old[0],
+                   old[1], now[1], now[1] - old[1])
+        rows.append((str(path), now))
+    if args.against:
+        print(f"{'':<40} {'-------- lines --------':>23} "
+              f"{'--------- code --------':>23}")
+        head = ("before", "after", "delta") * 2
+    else:
+        head = ("lines", "code")
+    print(f"{'module':<40}" + "".join(f" {h:>7}" for h in head))
+    rows.append(("total", [sum(col) for col in zip(*(r for _, r in rows))]))
+    for name, values in rows:
+        print(f"{name:<40}" + "".join(f" {v:>7}" for v in values))
     return 0
 
 
