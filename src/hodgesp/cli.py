@@ -1,10 +1,12 @@
 """Batch command-line interface.
 
 Every subcommand reads flat files (JSON/CSV, formats documented in
-:mod:`hodgesp.io`), writes flat files, and is deterministic given ``--seed``.
+:mod:`hodgesp.io`), the complex file first, which :func:`run_cli` loads
+once; it writes flat files and is deterministic given ``--seed``.
 Exit codes: 0 success, 1 domain error (bad data, infeasible request),
 2 usage error. ``--tolerance`` (or the HODGESP_TOLERANCE environment
-variable) overrides the scale-aware zero threshold.
+variable) overrides the scale-aware zero threshold, and in ``sample``,
+``reconstruct`` and ``slepians`` the recoverability threshold.
 """
 
 from __future__ import annotations
@@ -82,21 +84,18 @@ def _write_index_file(path, indices) -> None:
     Path(path).write_text("".join(f"{i}\n" for i in indices))
 
 
-def _cmd_build(args) -> None:
-    c = hio.load_complex(args.complex)
+def _cmd_build(c, args) -> None:
     print(f"{c.n0} {c.n1} {c.n2}")
     if args.output:
         hio.save_complex(args.output, c)
 
 
-def _cmd_betti(args) -> None:
-    c = hio.load_complex(args.complex)
+def _cmd_betti(c, args) -> None:
     b = betti(c, tol=_tolerance(args))
     print(f"{b[0]} {b[1]} {b[2]}")
 
 
-def _cmd_spectrum(args) -> None:
-    c = hio.load_complex(args.complex)
+def _cmd_spectrum(c, args) -> None:
     basis = hodge_basis(c, args.order, tol=_tolerance(args))
     hio._write_csv(args.output, "index,type,frequency", "%d,%s,%.17g",
                    *zip(*frequency_table(basis)))
@@ -104,8 +103,7 @@ def _cmd_spectrum(args) -> None:
         hio.save_matrix(args.basis_output, basis.matrix())
 
 
-def _cmd_decompose(args) -> None:
-    c = hio.load_complex(args.complex)
+def _cmd_decompose(c, args) -> None:
     x = hio.load_signal(args.signal, c, args.order)
     parts = hodge_decompose(c, x, tol=_tolerance(args))
     n = x.values.size
@@ -116,46 +114,47 @@ def _cmd_decompose(args) -> None:
                                    parts.harmonic.values]))
 
 
-def _cmd_filter(args) -> None:
-    c = hio.load_complex(args.complex)
+def _cmd_filter(c, args) -> None:
     spec = hio.load_filter_spec(args.spec)
     x = hio.load_signal(args.signal, c, args.order)
     hio.save_signal(args.output, apply_filter(c, args.order, spec, x))
 
 
-def _cmd_slepians(args) -> None:
-    c = hio.load_complex(args.complex)
-    basis = hodge_basis(c, 1, tol=_tolerance(args))
-    freq = parse_frequency_selector(basis, args.freqs)
+def _band(c, args, k: int):
+    """The order-k basis and the ``--freqs`` frequency set of a band
+    subcommand."""
+    basis = hodge_basis(c, k, tol=_tolerance(args))
+    return basis, parse_frequency_selector(basis, args.freqs)
+
+
+def _cmd_slepians(c, args) -> None:
+    basis, freq = _band(c, args, 1)
     edges = _parse_index_list(args.edges, "--edges")
-    result = slepians(c, edges, freq, m=args.count, basis=basis)
+    result = slepians(c, edges, freq, m=args.count, basis=basis,
+                      tol=_tolerance(args))
     hio.save_matrix(args.output,
                     np.vstack([result.concentrations, result.vectors]))
 
 
-def _cmd_dictionary(args) -> None:
-    c = hio.load_complex(args.complex)
+def _cmd_dictionary(c, args) -> None:
     specs = hio.load_filter_spec_list(args.specs)
     d = build_dictionary(c, args.order, specs)
     hio.save_matrix(args.output, d.csc)
 
 
-def _cmd_sample(args) -> None:
-    c = hio.load_complex(args.complex)
-    basis = hodge_basis(c, args.order, tol=_tolerance(args))
-    freq = parse_frequency_selector(basis, args.freqs)
-    chosen = select_samples(c, args.order, freq, args.count, basis=basis)
+def _cmd_sample(c, args) -> None:
+    basis, freq = _band(c, args, args.order)
+    chosen = select_samples(c, args.order, freq, args.count, basis=basis,
+                            tol=_tolerance(args))
     _write_index_file(args.output, chosen)
 
 
-def _cmd_reconstruct(args) -> None:
-    c = hio.load_complex(args.complex)
-    basis = hodge_basis(c, args.order, tol=_tolerance(args))
-    freq = parse_frequency_selector(basis, args.freqs)
+def _cmd_reconstruct(c, args) -> None:
+    basis, freq = _band(c, args, args.order)
     samples = _read_index_file(args.samples)
     observed = _load_partial_signal(args.observed, samples)
     x = reconstruct_bandlimited(c, args.order, freq, samples, observed,
-                                basis=basis)
+                                basis=basis, tol=_tolerance(args))
     hio.save_signal(args.output, x)
 
 
@@ -169,8 +168,7 @@ def _load_partial_signal(path, sample_ids) -> list[float]:
     return [values[i] for i in sample_ids]
 
 
-def _cmd_forecast(args) -> None:
-    c = hio.load_complex(args.complex)
+def _cmd_forecast(c, args) -> None:
     model = hio.load_model(args.model, c)
     series = hio.load_series(args.series, c)
     noise = tuple(float(s) for s in args.noise_std.split(","))
@@ -179,8 +177,7 @@ def _cmd_forecast(args) -> None:
     hio.save_series(args.output, out, start=len(series))
 
 
-def _cmd_lms(args) -> None:
-    c = hio.load_complex(args.complex)
+def _cmd_lms(c, args) -> None:
     xs = hio.load_series(args.input, c)
     ys = hio.load_series(args.observed, c)
     if len(xs) != len(ys):
@@ -212,8 +209,7 @@ def _cmd_lms(args) -> None:
         print("mean_error %.17g" % float(np.mean(tail)))
 
 
-def _cmd_infer_triangles(args) -> None:
-    c = hio.load_complex(args.complex)
+def _cmd_infer_triangles(c, args) -> None:
     flows = hio.load_matrix(args.flows)
     criterion = {"smooth": "min_smoothness",
                  "curlfit": "max_curl_fit"}[args.criterion]
@@ -236,107 +232,80 @@ def _parser() -> argparse.ArgumentParser:
         description="Signal processing on simplicial and cell complexes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    required, order1 = {"required": True}, {"default": 1}
+    freqs = ("--freqs", required)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, help, *arguments, order=None, output=required,
+            complex_help=None):
+        """Declare subcommand ``name``: the common options, the complex
+        file, ``--order`` with the keywords ``order`` if given, each
+        argument (its flags, then a dict of keywords), and ``-o`` with the
+        keywords ``output`` if given."""
+        p = sub.add_parser(name, help=help)
         _add_common(p)
         p.set_defaults(func=func)
+        p.add_argument("complex", help=complex_help)
+        if order is not None:
+            p.add_argument("--order", type=int, choices=(0, 1, 2), **order)
+        for *flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        if output is not None:
+            p.add_argument("-o", "--output", **output)
         return p
 
-    p = add("build", _cmd_build, help="validate a complex file")
-    p.add_argument("complex")
-    p.add_argument("-o", "--output", default=None,
-                   help="write the normalized complex back out")
-
-    p = add("betti", _cmd_betti, help="print the Betti numbers")
-    p.add_argument("complex")
-
-    p = add("spectrum", _cmd_spectrum, help="typed frequency table")
-    p.add_argument("complex")
-    p.add_argument("--order", type=int, required=True, choices=(0, 1, 2))
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--basis-output", default=None,
-                   help="also export the basis matrix (CSV)")
-
-    p = add("decompose", _cmd_decompose,
-            help="gradient/curl/harmonic split of a signal")
-    p.add_argument("complex")
-    p.add_argument("signal")
-    p.add_argument("--order", type=int, default=1, choices=(0, 1, 2))
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("filter", _cmd_filter, help="apply a convolutional filter")
-    p.add_argument("complex")
-    p.add_argument("signal")
-    p.add_argument("--order", type=int, default=1, choices=(0, 1, 2))
-    p.add_argument("--spec", required=True, help="filter spec JSON")
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("slepians", _cmd_slepians,
-            help="concentrated bandlimited edge vectors")
-    p.add_argument("complex")
-    p.add_argument("--edges", required=True,
-                   help="comma-separated edge indices (concentration set)")
-    p.add_argument("--freqs", required=True,
-                   help="frequency selector: harm | grad:i..j | curl:i..j "
-                        "| idx:a,b,c (join with +)")
-    p.add_argument("-m", "--count", type=int, default=None)
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("dictionary", _cmd_dictionary,
-            help="assemble a polynomial filter dictionary")
-    p.add_argument("complex")
-    p.add_argument("--order", type=int, default=1, choices=(0, 1, 2))
-    p.add_argument("--specs", required=True,
-                   help="JSON list of filter specs")
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("sample", _cmd_sample, help="greedy sampling-set selection")
-    p.add_argument("complex")
-    p.add_argument("--order", type=int, default=1, choices=(0, 1, 2))
-    p.add_argument("--freqs", required=True)
-    p.add_argument("-m", "--count", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("reconstruct", _cmd_reconstruct,
-            help="bandlimited reconstruction from samples")
-    p.add_argument("complex")
-    p.add_argument("--order", type=int, default=1, choices=(0, 1, 2))
-    p.add_argument("--freqs", required=True)
-    p.add_argument("--samples", required=True, help="index list file")
-    p.add_argument("--observed", required=True,
-                   help="CSV simplex_id,value for the sampled simplices")
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("forecast", _cmd_forecast, help="roll a model forward")
-    p.add_argument("complex")
-    p.add_argument("model", help="model JSON")
-    p.add_argument("series", help="history CSV t,level,simplex_id,value")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--noise-std", default="0,0,0",
-                   help="per-level noise std, e.g. 0.1,0.1,0")
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("lms", _cmd_lms, help="streaming LMS over edge flows")
-    p.add_argument("complex")
-    p.add_argument("--input", required=True, help="input flow series CSV")
-    p.add_argument("--observed", required=True, help="observed series CSV")
-    p.add_argument("--t-down", type=int, default=1)
-    p.add_argument("--t-up", type=int, default=1)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--mask", default=None, help="0/1 matrix CSV, edges x T")
-    p.add_argument("-o", "--output", required=True,
-                   help="streamed predictions CSV")
-    p.add_argument("--coeffs-output", default=None)
-
-    p = add("infer-triangles", _cmd_infer_triangles,
-            help="fill triangles explaining observed flows")
-    p.add_argument("complex", help="graph skeleton complex JSON")
-    p.add_argument("flows", help="edge-flow snapshots, matrix CSV")
-    p.add_argument("--criterion", choices=("smooth", "curlfit"),
-                   default="curlfit")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
+    add("build", _cmd_build, "validate a complex file",
+        output={"help": "write the normalized complex back out"})
+    add("betti", _cmd_betti, "print the Betti numbers", output=None)
+    add("spectrum", _cmd_spectrum, "typed frequency table",
+        order=required).add_argument(
+            "--basis-output", help="also export the basis matrix (CSV)")
+    add("decompose", _cmd_decompose,
+        "gradient/curl/harmonic split of a signal", ("signal", {}),
+        order=order1)
+    add("filter", _cmd_filter, "apply a convolutional filter",
+        ("signal", {}), ("--spec", {**required, "help": "filter spec JSON"}),
+        order=order1)
+    add("slepians", _cmd_slepians, "concentrated bandlimited edge vectors",
+        ("--edges", {**required, "help": "comma-separated edge indices "
+                                         "(concentration set)"}),
+        ("--freqs", {**required,
+                     "help": "frequency selector: harm | grad:i..j | "
+                             "curl:i..j | idx:a,b,c (join with +)"}),
+        ("-m", "--count", {"type": int}))
+    add("dictionary", _cmd_dictionary,
+        "assemble a polynomial filter dictionary",
+        ("--specs", {**required, "help": "JSON list of filter specs"}),
+        order=order1)
+    add("sample", _cmd_sample, "greedy sampling-set selection", freqs,
+        ("-m", "--count", {"type": int, **required}), order=order1)
+    add("reconstruct", _cmd_reconstruct,
+        "bandlimited reconstruction from samples", freqs,
+        ("--samples", {**required, "help": "index list file"}),
+        ("--observed", {**required, "help": "CSV simplex_id,value for the "
+                                            "sampled simplices"}),
+        order=order1)
+    add("forecast", _cmd_forecast, "roll a model forward",
+        ("model", {"help": "model JSON"}),
+        ("series", {"help": "history CSV t,level,simplex_id,value"}),
+        ("--steps", {"type": int, **required}),
+        ("--noise-std", {"default": "0,0,0",
+                         "help": "per-level noise std, e.g. 0.1,0.1,0"}))
+    add("lms", _cmd_lms, "streaming LMS over edge flows",
+        ("--input", {**required, "help": "input flow series CSV"}),
+        ("--observed", {**required, "help": "observed series CSV"}),
+        ("--t-down", {"type": int, "default": 1}),
+        ("--t-up", {"type": int, "default": 1}),
+        ("--mu", {"type": float, **required}),
+        ("--mask", {"help": "0/1 matrix CSV, edges x T"}),
+        output={**required, "help": "streamed predictions CSV"}
+        ).add_argument("--coeffs-output")
+    add("infer-triangles", _cmd_infer_triangles,
+        "fill triangles explaining observed flows",
+        ("flows", {"help": "edge-flow snapshots, matrix CSV"}),
+        ("--criterion", {"choices": ("smooth", "curlfit"),
+                         "default": "curlfit"}),
+        ("--count", {"type": int, **required}),
+        complex_help="graph skeleton complex JSON")
     return parser
 
 
@@ -347,7 +316,7 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         check_tolerance(_tolerance(args))
-        args.func(args)
+        args.func(hio.load_complex(args.complex), args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

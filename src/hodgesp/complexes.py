@@ -92,17 +92,14 @@ class SimplicialComplex:
         return self.n1 if k == 1 else self.n2
 
     def edge_index(self, u: int, v: int) -> int:
-        """Canonical index of edge {u, v}."""
+        """Canonical index of edge {u, v}, from an edge-to-index dict built
+        on the first call and cached with the complex."""
         key = (u, v) if u < v else (v, u)
         try:
-            return self._edge_lookup[key]
+            return _cached(self, ("edge index",), dict,
+                           zip(self.edges, range(self.n1)))[key]
         except KeyError:
             raise KeyError(f"edge {key} not in complex") from None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_edge_lookup", dict(zip(self.edges, range(self.n1)))
-        )
 
     def cochain(self, order: int, values: Sequence[float]) -> "Cochain":
         return Cochain(self, order, np.asarray(values, dtype=float))
@@ -401,14 +398,14 @@ def incidence(c: SimplicialComplex, k: int, dense: bool = False):
     return b.toarray().astype(float) if dense else b
 
 
-# Per-complex derived objects (Laplacians, the float incidence matrices,
-# incidence SVDs and their values-only spectra, lambda_max and its integer
-# bound, the sparse solvers, the quadratic reconstruction's factor, the
-# sampled band fit, harmonic blocks, the LMS shift stack, and the compiled
-# SCVAR operator of one model at a time, keyed on its lags' values; the
-# last two held dense or CSR by ``_linalg.held``), keyed by the immutable
-# complex. No value or key refers back to its complex, so an entry goes
-# away with it.
+# Per-complex derived objects (the edge-to-index dict, Laplacians, the
+# float incidence matrices, incidence SVDs and their values-only spectra,
+# lambda_max and its integer bound, the sparse solvers, the quadratic
+# reconstruction's factor, the sampled band fit, harmonic blocks, the LMS
+# shift stack, and the compiled SCVAR operator of one model at a time,
+# keyed on its lags' values; the last two held dense or CSR by
+# ``_linalg.held``), keyed by the immutable complex. No value or key
+# refers back to its complex, so an entry goes away with it.
 _cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
     weakref.WeakKeyDictionary()
 )

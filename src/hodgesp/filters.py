@@ -8,6 +8,8 @@ every polynomial is summed from t=0 and needs no separate start index.
 Every Laplacian and Dirac polynomial, and the harmonic term, is applied by
 the shared Krylov kernel (repeated sparse matrix-vector products on a
 vector or a block of signals, dense or sparse), never by matrix powers.
+One evaluator applies a filter for every caller: ``apply_filter``, each
+filterbank branch, dictionary atoms and the compiled SCVAR operator.
 Because both polynomials contribute an identity term at t=0, the effective
 constant gain of the plain form is h_down[0] + h_up[0]; both coefficients
 are kept.
@@ -132,22 +134,24 @@ def apply_filter(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
 def _filter_values(c: SimplicialComplex, k: int, spec: HodgeFilterSpec,
                    values):
     """The filter applied to an (n_k,) vector or an (n_k, B) block, dense
-    or sparse; a sparse block gives a sparse result."""
-    return _apply_terms(_filter_terms(c, k, spec), values)
+    or sparse; a sparse block gives a sparse result.
 
-
-def _filter_terms(c: SimplicialComplex, k: int, spec: HodgeFilterSpec):
-    """The filter resolved on ``c`` for :func:`_apply_terms`: its
-    polynomials as (Laplacian or None, taps) pairs, down before up, and its
-    harmonic term as (L_k, epsilon, steps) or None. A missing Laplacian
-    (down at k=0, up at k=2) is the zero map, of which only the t=0 tap
-    survives.
-
-    Trailing zero taps are cut and a polynomial without a nonzero tap is
-    left out: a zero tap is never added, and each polynomial's sum starts
-    from zero, so it holds no -0.0 that adding zeros would change.
+    Each polynomial is summed from zero by the Krylov kernel, down before
+    up, the first sum being the total (a sparse one added to zero would
+    reorder each row's entries), then the harmonic term is added. A
+    missing Laplacian (down at k=0, up at k=2) is the zero map, of which
+    only the t=0 tap survives. Trailing zero taps are cut and a polynomial
+    without a nonzero tap is left out, so no zero tap is added and no
+    dense entry is -0.0. The harmonic stability check runs first.
     """
-    pairs = []
+    harmonic = spec.harmonic
+    if harmonic is not None:
+        eps, lam = harmonic.epsilon, lambda_max(c, k)
+        if lam > 0 and not eps < 2.0 / lam:
+            raise ValueError(
+                f"epsilon {eps} outside the stability range (0, {2.0 / lam})"
+            )
+    y = None
     for present, variant, taps in ((k > 0, "down", spec.h_down),
                                    (k < 2, "up", spec.h_up)):
         lap = hodge_laplacian(c, k, variant, sparse=True) if present else None
@@ -156,37 +160,13 @@ def _filter_terms(c: SimplicialComplex, k: int, spec: HodgeFilterSpec):
         while taps and not taps[-1]:
             taps = taps[:-1]
         if taps:
-            pairs.append((lap, taps))
-    harmonic = None
-    if spec.harmonic is not None:
-        eps = spec.harmonic.epsilon
-        lam = lambda_max(c, k)
-        if lam > 0 and not eps < 2.0 / lam:
-            raise ValueError(
-                f"epsilon {eps} outside the stability range (0, {2.0 / lam})"
-            )
-        harmonic = (hodge_laplacian(c, k, sparse=True), eps,
-                    spec.harmonic.steps)
-    return tuple(pairs), harmonic
-
-
-def _apply_terms(terms, values):
-    """A filter resolved by :func:`_filter_terms` applied to ``values``:
-    each polynomial summed from zero by the Krylov kernel, added in order,
-    then the harmonic term."""
-    pairs, harmonic = terms
-    y = None
-    for op, taps in pairs:
-        part = _polynomial(op, taps, values)
-        if y is None:
-            y = part
-        else:
-            y += part
+            part = _polynomial(lap, taps, values)
+            y = part if y is None else y + part
     if y is None:
         y = _zeros_like(values)
     if harmonic is not None:
-        lap, eps, steps = harmonic
-        for w in krylov(lambda v: v - eps * (lap @ v), values, steps):
+        lap = hodge_laplacian(c, k, sparse=True)
+        for w in krylov(lambda v: v - eps * (lap @ v), values, harmonic.steps):
             pass
         y += w
     return y

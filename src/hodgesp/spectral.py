@@ -15,7 +15,9 @@ What comes from where:
   _PARTIAL_WINDOW: ``eigsh`` on L^+, applied through the cached sparse LU
   of the topology core, with the cut moved past any cluster of equal
   eigenvalues. Inside a cluster they may be another orthonormal basis of
-  the same space as the dense columns.
+  the same space as the dense columns. Other band columns are read
+  straight from the cached SVD below. Either way only the columns
+  returned are signed, so a few columns cost no pass over a block.
 * Frequencies. Gradient and curl frequencies, the frequency table, and
   the ranks under an explicit ``tol`` come from the values-only spectra
   of b1 and b2, cached once per complex: one ``eigvalsh`` of the smaller
@@ -28,8 +30,8 @@ What comes from where:
   computed once per complex and cached with it: the factors and one sign
   per column, from one chunked pass. ``gradient``, ``curl`` and the
   ``matrix`` methods write the dense columns from the view on first
-  access; :meth:`HodgeBasis.columns` gathers only the columns it returns.
-  The explicit-``tol`` split reads the same SVDs. Each SVD is one
+  access; :meth:`HodgeBasis.columns` builds no view. The explicit-``tol``
+  split reads the same SVDs. Each SVD is one
   ``eigh`` of the same Gram matrix, a cached sparse Laplacian made dense,
   with the other side derived as b^T w / sigma or b w / sigma; no dense
   incidence matrix is formed. Eigenvalues under the same floor are exact
@@ -178,10 +180,6 @@ class _Factors(NamedTuple):
         out[mid:end, 0::2], out[mid:end, 1::2] = half_v, -half_v
         out *= self.signs
         return out
-
-    def gather(self, local: np.ndarray) -> np.ndarray:
-        """``dense()[:, local]`` of one side, gathered from the factors."""
-        return self.u[:, self.s.size - 1 - local] * self.signs[local]
 
     def project(self, x: np.ndarray, x_v: np.ndarray | None = None
                 ) -> np.ndarray:
@@ -345,7 +343,8 @@ class HodgeBasis:
 
     def columns(self, idx) -> np.ndarray:
         """``matrix()[:, idx]`` for indices in [0, N_k), with no dense
-        gradient or curl block: their columns are gathered from the view.
+        gradient or curl block: each column is taken from its spectrum and
+        only the columns returned are signed.
 
         Under the default tolerance, gradient and curl columns whose
         within-block indices are all below _PARTIAL_WINDOW come from the
@@ -353,52 +352,44 @@ class HodgeBasis:
         _PARTIAL_FLOOR rows. They then span the same space as the dense
         columns, to rounding, wherever the selection keeps clusters of
         equal frequencies whole; inside a cluster it cuts they are another
-        orthonormal choice within the cluster's span.
+        orthonormal choice within the cluster's span. Other columns are
+        the cached SVD's singular vectors, column i of a block of width r
+        being vector r-1-i.
         """
         idx = np.asarray(idx)
         if idx.size and not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"idx must hold integers, got dtype {idx.dtype}")
         idx = idx.astype(np.intp).reshape(-1)
-        nk = self.complex.num_simplices(self.order)
+        c, k = self.complex, self.order
+        nk = c.num_simplices(k)
         if idx.size and not (idx.min() >= 0 and idx.max() < nk):
             raise IndexError(f"column indices must be in [0, {nk})")
         out = np.empty((nk, idx.size))
         start = 0
-        for name in ("harmonic", "gradient", "curl"):
-            width = getattr(self, "n_" + name)
+        for kind, width in (("harmonic", self.n_harmonic),
+                            ("gradient", self.n_gradient),
+                            ("curl", self.n_curl)):
             mine = (idx >= start) & (idx < start + width)
-            if mine.any():
-                local = idx[mine] - start
-                block = self.harmonic if name == "harmonic" else None
-                if block is None and local.max() < _PARTIAL_WINDOW:
-                    block = getattr(self, "_low_" + name)
-                out[:, mine] = (
-                    block[:, local] if block is not None
-                    else getattr(self, f"_{name}_factors").gather(local))
+            local = idx[mine] - start
             start += width
+            if not local.size:
+                continue
+            if kind == "harmonic":
+                out[:, mine] = self.harmonic[:, local]
+                continue
+            b = k if kind == "gradient" else k + 1
+            low = None
+            if (self.exact and local.max() < _PARTIAL_WINDOW
+                    and c.num_simplices(0 if b == 1 else 2) >= _PARTIAL_FLOOR):
+                low = _low_spectrum(c, b, _PARTIAL_WINDOW)
+            if low is not None:  # (lam, u, v), ascending
+                cols = low[2 if kind == "gradient" else 1][:, local]
+            else:  # the thin SVD, sigma descending
+                u, _, vt = _incidence_svd(c, b)
+                side = vt.T if kind == "gradient" else u
+                cols = side[:, width - 1 - local]
+            out[:, mine] = fix_column_signs(cols, self.tolerance)
         return out
-
-    @cached_property
-    def _low_gradient(self) -> np.ndarray | None:
-        """The lowest gradient columns from the partial spectrum of b_k,
-        or None where the dense block serves."""
-        return self._low_columns(self.order, right=True)
-
-    @cached_property
-    def _low_curl(self) -> np.ndarray | None:
-        """The lowest curl columns from the partial spectrum of b_{k+1},
-        or None where the dense block serves."""
-        return self._low_columns(self.order + 1, right=False)
-
-    def _low_columns(self, k: int, right: bool) -> np.ndarray | None:
-        c = self.complex
-        if not (self.exact and c.num_simplices(0 if k == 1 else 2)
-                >= _PARTIAL_FLOOR):
-            return None
-        low = _low_spectrum(c, k, _PARTIAL_WINDOW)
-        if low is None:
-            return None
-        return fix_column_signs(low[2] if right else low[1], self.tolerance)
 
     def frequencies(self) -> np.ndarray:
         """Frequencies aligned with :meth:`matrix` columns."""

@@ -40,7 +40,7 @@ from .complexes import (
     _check_bound,
     hodge_laplacian,
 )
-from .filters import HodgeFilterSpec, _apply_terms, _filter_terms
+from .filters import HodgeFilterSpec, _filter_values
 
 __all__ = [
     "SCVarLag",
@@ -147,10 +147,6 @@ def _compile(model: SCVarModel):
     operator is held by :func:`held`."""
     c = model.complex
     sizes = [c.num_simplices(k) for k in (0, 1, 2)]
-
-    def filtered(lag, bank, level, x):
-        return _apply_terms(_filter_terms(c, level, getattr(lag, bank)), x)
-
     blocks = [[sp.csr_array((n, m)) for _ in model.lags for m in sizes]
               for n in sizes]
     for p, lag in enumerate(model.lags):
@@ -161,8 +157,10 @@ def _compile(model: SCVarModel):
                     continue
                 block = sp.eye_array(sizes[j], format="csr")
                 if incidence is not None:
-                    block = incidence @ filtered(lag, f"h{k}{j}", j, block)
-                blocks[k][3 * p + j] = filtered(lag, last, k, block)
+                    block = incidence @ _filter_values(
+                        c, j, getattr(lag, f"h{k}{j}"), block)
+                blocks[k][3 * p + j] = _filter_values(c, k, getattr(lag, last),
+                                                      block)
     return held(sp.block_array(blocks, format="csr"))
 
 

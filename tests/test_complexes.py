@@ -228,6 +228,15 @@ def test_degenerate_complexes_legal():
     assert hodge_laplacian(c, 1, "up").shape == (1, 1)
 
 
+def test_edge_index_builds_its_lookup_on_first_use():
+    c = build_complex(7, EDGES7)
+    assert ("edge index",) not in hc._cache.get(c, {})
+    assert [c.edge_index(v, u) for u, v in EDGES7] == list(range(c.n1))
+    assert ("edge index",) in hc._cache[c]
+    with pytest.raises(KeyError, match=r"edge \(3, 5\) not in complex"):
+        c.edge_index(5, 3)
+
+
 def test_laplacian_structure(complex7):
     l0 = hodge_laplacian(complex7, 0)
     assert np.allclose(l0, l0.T)

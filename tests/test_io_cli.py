@@ -22,6 +22,7 @@ from hodgesp import (
     HarmonicTerm,
     HodgeDictionary,
     HodgeFilterSpec,
+    RankDeficientWarning,
     SCVarLag,
     SCVarModel,
     TopologyError,
@@ -29,15 +30,19 @@ from hodgesp import (
     frequency_table,
     hodge_basis,
     hodge_decompose,
+    is_perfectly_recoverable,
     lms_build_regressor,
     lms_init,
     lms_step,
+    parse_frequency_selector,
+    reconstruct_bandlimited,
+    select_samples,
 )
 import hodgesp
 from hodgesp import cli
 from hodgesp.cli import run_cli
 
-from conftest import EDGES7, TRIS7, random_complex
+from conftest import EDGES7, TRIS7, random_complex, triangulated_grid
 
 
 @pytest.fixture()
@@ -825,6 +830,164 @@ def test_cli_rejects_bad_tolerance_for_every_subcommand(
     monkeypatch.setenv("HODGESP_TOLERANCE", "nan")
     assert run_cli(argv) == 1
     assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+# The argument surface of every subcommand, after the two options all of
+# them share: its help, then (flags or positional name, default, required,
+# help) of each argument, positionals first, each group in the order the
+# help text lists it.
+COMMON_OPTIONS = [
+    ("--seed", 0, False, "seed for all randomness (default 0)"),
+    ("--tolerance", None, False, "override the zero tolerance (default: "
+                                 "scale-aware; env HODGESP_TOLERANCE)"),
+]
+OUTPUT = ("-o --output", None, True, None)
+PARSER_SURFACE = {
+    "build": ("validate a complex file", [
+        ("complex", None, True, None)], [
+        ("-o --output", None, False, "write the normalized complex back out"),
+    ]),
+    "betti": ("print the Betti numbers", [("complex", None, True, None)], []),
+    "spectrum": ("typed frequency table", [("complex", None, True, None)], [
+        ("--order", None, True, None),
+        OUTPUT,
+        ("--basis-output", None, False, "also export the basis matrix (CSV)"),
+    ]),
+    "decompose": ("gradient/curl/harmonic split of a signal", [
+        ("complex", None, True, None), ("signal", None, True, None)], [
+        ("--order", 1, False, None),
+        OUTPUT,
+    ]),
+    "filter": ("apply a convolutional filter", [
+        ("complex", None, True, None), ("signal", None, True, None)], [
+        ("--order", 1, False, None),
+        ("--spec", None, True, "filter spec JSON"),
+        OUTPUT,
+    ]),
+    "slepians": ("concentrated bandlimited edge vectors", [
+        ("complex", None, True, None)], [
+        ("--edges", None, True,
+         "comma-separated edge indices (concentration set)"),
+        ("--freqs", None, True, "frequency selector: harm | grad:i..j | "
+                                "curl:i..j | idx:a,b,c (join with +)"),
+        ("-m --count", None, False, None),
+        OUTPUT,
+    ]),
+    "dictionary": ("assemble a polynomial filter dictionary", [
+        ("complex", None, True, None)], [
+        ("--order", 1, False, None),
+        ("--specs", None, True, "JSON list of filter specs"),
+        OUTPUT,
+    ]),
+    "sample": ("greedy sampling-set selection", [
+        ("complex", None, True, None)], [
+        ("--order", 1, False, None),
+        ("--freqs", None, True, None),
+        ("-m --count", None, True, None),
+        OUTPUT,
+    ]),
+    "reconstruct": ("bandlimited reconstruction from samples", [
+        ("complex", None, True, None)], [
+        ("--order", 1, False, None),
+        ("--freqs", None, True, None),
+        ("--samples", None, True, "index list file"),
+        ("--observed", None, True,
+         "CSV simplex_id,value for the sampled simplices"),
+        OUTPUT,
+    ]),
+    "forecast": ("roll a model forward", [
+        ("complex", None, True, None),
+        ("model", None, True, "model JSON"),
+        ("series", None, True, "history CSV t,level,simplex_id,value")], [
+        ("--steps", None, True, None),
+        ("--noise-std", "0,0,0", False,
+         "per-level noise std, e.g. 0.1,0.1,0"),
+        OUTPUT,
+    ]),
+    "lms": ("streaming LMS over edge flows", [
+        ("complex", None, True, None)], [
+        ("--input", None, True, "input flow series CSV"),
+        ("--observed", None, True, "observed series CSV"),
+        ("--t-down", 1, False, None),
+        ("--t-up", 1, False, None),
+        ("--mu", None, True, None),
+        ("--mask", None, False, "0/1 matrix CSV, edges x T"),
+        ("-o --output", None, True, "streamed predictions CSV"),
+        ("--coeffs-output", None, False, None),
+    ]),
+    "infer-triangles": ("fill triangles explaining observed flows", [
+        ("complex", None, True, "graph skeleton complex JSON"),
+        ("flows", None, True, "edge-flow snapshots, matrix CSV")], [
+        ("--criterion", "curlfit", False, None),
+        ("--count", None, True, None),
+        OUTPUT,
+    ]),
+}
+
+
+def test_parser_surface_is_the_table():
+    sub = cli._parser()._subparsers._group_actions[0]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert list(sub.choices) == list(PARSER_SURFACE)
+    for name, (help_, positionals, options) in PARSER_SURFACE.items():
+        actions = [a for a in sub.choices[name]._actions if a.dest != "help"]
+        rows = {True: [], False: []}
+        for a in actions:
+            rows[bool(a.option_strings)].append(
+                (" ".join(a.option_strings) or a.dest, a.default, a.required,
+                 a.help))
+        assert helps[name] == help_
+        assert rows[False] == positionals, name
+        assert rows[True] == COMMON_OPTIONS + options, name
+
+
+def band_case(tmp_path):
+    """A grid with a hole, a 5-edge sample set whose margin for the five
+    lowest gradient frequencies lies between the default threshold and
+    sqrt(1e-2), its file and its observed values' file."""
+    c = triangulated_grid(8, [(2, 2)])
+    comp = tmp_path / "grid.json"
+    hio.save_complex(comp, c)
+    samples = [43, 49, 81, 100, 133]
+    (tmp_path / "s.txt").write_text("".join(f"{i}\n" for i in samples))
+    (tmp_path / "obs.csv").write_text(
+        "simplex_id,value\n" + "".join(f"{i},{0.1 * i}\n" for i in samples))
+    return c, comp, samples
+
+
+def test_cli_band_subcommands_pass_the_tolerance(tmp_path, capsys):
+    c, comp, samples = band_case(tmp_path)
+    freq = parse_frequency_selector(hodge_basis(c, 1), "grad:0..4")
+    margin = is_perfectly_recoverable(c, 1, freq, samples).margin
+    assert 1e-5 < margin < 1e-2 ** 0.5
+    argv = ["reconstruct", str(comp), "--freqs", "grad:0..4",
+            "--samples", str(tmp_path / "s.txt"),
+            "--observed", str(tmp_path / "obs.csv"),
+            "-o", str(tmp_path / "rec.csv")]
+    assert run_cli(argv) == 0  # the default threshold: no warning
+    with pytest.warns(RankDeficientWarning):
+        reconstruct_bandlimited(c, 1, freq, samples, np.zeros(5), tol=1e-2)
+    with pytest.warns(RankDeficientWarning):
+        assert run_cli(argv + ["--tolerance", "1e-2"]) == 0
+    out = tmp_path / "picks.txt"
+    codes = []
+    for tol in (None, 1e-6, 1e-2, 5e-2, 0.5):
+        basis = hodge_basis(c, 1, tol)
+        try:
+            picks = select_samples(
+                c, 1, parse_frequency_selector(basis, "grad:0..4"), 5,
+                basis=basis, tol=tol)
+            want = 0, "", picks
+        except ValueError as exc:
+            want = 1, f"error: {exc}\n", None
+        code = run_cli(["sample", str(comp), "--freqs", "grad:0..4", "-m",
+                        "5", "-o", str(out)]
+                       + ([] if tol is None else ["--tolerance", repr(tol)]))
+        got = code, capsys.readouterr().err, (
+            None if code else tuple(int(v) for v in out.read_text().split()))
+        assert got == want, tol
+        codes.append(code)
+    assert codes == [0, 0, 0, 1, 1]
 
 
 # Each costs 0.07-0.13 s to import, which every CLI call would pay; the

@@ -2,6 +2,7 @@
 Gram oracle, the exact block widths, and a band path that never forms a
 dense n_k x n_k eigenproblem above the size floor."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from hodgesp import (
     select_samples,
     slepians,
 )
+from hodgesp._linalg import fix_column_signs
 from hodgesp.cli import run_cli
 
 from conftest import complexes_with_cells, triangulated_grid
@@ -50,15 +52,13 @@ def holed_grid(seed, m=16, holes=5):
     return triangulated_grid(m, [divmod(int(s), m - 1) for s in squares])
 
 
+@contextlib.contextmanager
 def dense_basis(c, k, monkeypatch):
-    """hodge_basis(c, k) with every column from the dense blocks."""
+    """hodge_basis(c, k), with every column it gives inside the context
+    taken from the dense blocks."""
     with monkeypatch.context() as mp:
         mp.setattr(hsp, "_PARTIAL_FLOOR", np.inf)
-        basis = hodge_basis(c, k)
-        basis.gradient, basis.curl  # build both under the patch
-        for name in ("_low_gradient", "_low_curl"):
-            assert getattr(basis, name) is None
-    return basis
+        yield hodge_basis(c, k)
 
 
 def block_frequencies(basis, kind):
@@ -86,8 +86,9 @@ BLOCKS = [(0, "curl"), (1, "gradient"), (1, "curl"), (2, "gradient")]
 def test_partial_window_spans_the_dense_columns(symmetric_grid, k, kind,
                                                 monkeypatch):
     c = symmetric_grid
-    dense = dense_basis(c, k, monkeypatch)
-    freqs = block_frequencies(dense, kind)
+    with dense_basis(c, k, monkeypatch) as dense:
+        freqs = block_frequencies(dense, kind)
+        want = getattr(dense, kind)
     lmax = lambda_max(c, 1)
     starts = clusters(freqs, 1e-8 * hc._spectral_bound(c))
     assert np.any(np.diff(starts[starts <= hsp._PARTIAL_WINDOW]) > 1), \
@@ -98,7 +99,7 @@ def test_partial_window_spans_the_dense_columns(symmetric_grid, k, kind,
     basis = hodge_basis(fresh(c), k)
     got = basis.columns(idx)
     assert "_" + kind + "_block" not in vars(basis)
-    want = getattr(dense, kind)[:, :cut]
+    want = want[:, :cut]
     assert np.abs(got.T @ got - np.eye(cut)).max() <= 1e-10
     assert span_distance(got, want) <= 1e-10
     assert span_distance(want, got) <= 1e-10
@@ -113,8 +114,9 @@ def test_partial_window_spans_the_dense_columns(symmetric_grid, k, kind,
 def test_selector_splitting_a_cluster_stays_in_its_span(symmetric_grid, k,
                                                         kind, monkeypatch):
     c = symmetric_grid
-    dense = dense_basis(c, k, monkeypatch)
-    freqs = block_frequencies(dense, kind)
+    with dense_basis(c, k, monkeypatch) as dense:
+        freqs = block_frequencies(dense, kind)
+        want = getattr(dense, kind)
     starts = clusters(freqs, 1e-8 * hc._spectral_bound(c))
     pairs = [(a, b) for a, b in zip(starts, starts[1:])
              if b - a > 1 and b <= hsp._PARTIAL_WINDOW]
@@ -126,7 +128,6 @@ def test_selector_splitting_a_cluster_stays_in_its_span(symmetric_grid, k,
         got = basis.columns(idx)
         # the columns below the cluster are those of whole clusters, the
         # last one lies in the span of the cluster it splits
-        want = getattr(dense, kind)
         assert span_distance(got[:, :a], want[:, :a]) <= 1e-10
         assert span_distance(got[:, a:], want[:, a:b]) <= 1e-10
 
@@ -151,12 +152,12 @@ def test_partial_spectrum_keeps_clusters_whole(symmetric_grid, k):
 def test_partial_picks_equal_dense_picks(seed, monkeypatch):
     c = holed_grid(seed)
     assert min(c.n0, c.n2) >= hsp._PARTIAL_FLOOR
-    dense = dense_basis(c, 1, monkeypatch)
-    for kind in ("gradient", "curl"):  # the band keeps clusters whole
-        freqs = block_frequencies(dense, kind)
-        assert freqs[10] - freqs[9] > 1e-6 * freqs[-1]
-    freq = parse_frequency_selector(dense, SELECTOR)
-    want = select_samples(c, 1, freq, len(freq) + 4, basis=dense)
+    with dense_basis(c, 1, monkeypatch) as dense:
+        for kind in ("gradient", "curl"):  # the band keeps clusters whole
+            freqs = block_frequencies(dense, kind)
+            assert freqs[10] - freqs[9] > 1e-6 * freqs[-1]
+        freq = parse_frequency_selector(dense, SELECTOR)
+        want = select_samples(c, 1, freq, len(freq) + 4, basis=dense)
     fast = hodge_basis(fresh(c), 1)
     assert parse_frequency_selector(fast, SELECTOR) == freq
     assert select_samples(fast.complex, 1, freq, len(freq) + 4,
@@ -169,9 +170,65 @@ def test_low_rank_block_falls_back_to_the_dense_columns():
     # 300 vertices but rank(b1) = 10: too few eigenpairs for eigsh
     c = build_complex(300, [(i, i + 1) for i in range(10)])
     basis = hodge_basis(c, 1)
-    assert basis._low_gradient is None
+    assert hc._low_spectrum(c, 1, hsp._PARTIAL_WINDOW) is None
     idx = basis.n_harmonic + np.arange(basis.n_gradient)
     assert basis.columns(idx).tobytes() == basis.matrix()[:, idx].tobytes()
+
+
+def view_gather_columns(basis, idx):
+    """``basis.columns(idx)`` as it was taken: a gradient or curl column
+    from the partial spectrum's low block, every column of the block signed
+    first, or gathered from the block's factor view, whose signs came from
+    one pass over all its columns."""
+    c, k = basis.complex, basis.order
+    idx = np.asarray(idx, dtype=np.intp)
+    out = np.empty((c.num_simplices(k), idx.size))
+    start = 0
+    for name in ("harmonic", "gradient", "curl"):
+        width = getattr(basis, "n_" + name)
+        mine = (idx >= start) & (idx < start + width)
+        local = idx[mine] - start
+        start += width
+        if not local.size:
+            continue
+        if name == "harmonic":
+            out[:, mine] = basis.harmonic[:, local]
+            continue
+        b = k if name == "gradient" else k + 1
+        low = None
+        if (basis.exact and local.max() < hsp._PARTIAL_WINDOW
+                and c.num_simplices(0 if b == 1 else 2)
+                >= hsp._PARTIAL_FLOOR):
+            low = hc._low_spectrum(c, b, hsp._PARTIAL_WINDOW)
+        if low is not None:
+            block = fix_column_signs(low[2 if name == "gradient" else 1],
+                                     basis.tolerance)
+            out[:, mine] = block[:, local]
+        else:
+            view = getattr(basis, f"_{name}_factors")
+            out[:, mine] = (view.u[:, view.s.size - 1 - local]
+                            * view.signs[local])
+    return out
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_columns_match_the_view_gather(k, tol):
+    c = holed_grid(1)
+    assert min(c.n0, c.n2) >= hsp._PARTIAL_FLOOR
+    basis = hodge_basis(c, k, tol)
+    nh, ng, nc = basis.n_harmonic, basis.n_gradient, basis.n_curl
+    grad, curl = nh + np.arange(ng), nh + ng + np.arange(nc)
+    rng = np.random.default_rng(k)
+    window = hsp._PARTIAL_WINDOW  # sets inside it, beyond it and across
+    sets = [grad[:10], curl[:window], np.r_[grad[:5], curl[:5]],
+            grad[15:40], curl[window - 3 : window + 9],
+            np.r_[np.arange(min(nh, 3)), grad[-3:]],
+            rng.choice(c.num_simplices(k), 30, replace=False), [], curl[::-1]]
+    for idx in sets:
+        got = basis.columns(idx)
+        assert got.tobytes() == view_gather_columns(basis, idx).tobytes()
+    assert "gradient" not in vars(basis) and "curl" not in vars(basis)
 
 
 @settings(max_examples=40, deadline=None, database=None)

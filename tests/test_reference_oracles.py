@@ -1,13 +1,15 @@
 """Reference oracles for paths written once: the SCVAR fit's single Krylov
 pass per term, the typed spectrum built from the block frequency arrays,
-the l1 dual step's one bound vector and the filterbank on arrays. Each
-keeps the earlier code (a regressor loop per lag, a row loop over the
-frequency table, a clip per penalty block, one Cochain per branch) and
-must agree with it byte for byte on random complexes with cells."""
+the l1 dual step's one bound vector, the filterbank on arrays and the one
+filter evaluator. Each keeps the earlier code (a regressor loop per lag, a
+row loop over the frequency table, a clip per penalty block, one Cochain
+per branch, a term plan applied apart) and must agree with it byte for
+byte on random complexes with cells."""
 
 import warnings
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,7 @@ from hodgesp import (
 )
 from hodgesp._linalg import krylov
 from hodgesp.complexes import _float_incidence
-from hodgesp.filters import _poly_eval
+from hodgesp.filters import _filter_values, _poly_eval, _polynomial
 from hodgesp.timeseries import _OWN_SLOTS, _terms
 
 from conftest import complexes_with_cells
@@ -301,3 +303,91 @@ def test_dirac_shift_matches_the_incidence_blocks_to_rounding(c, seed):
     for got, want in zip((shifted.x0, shifted.x1, shifted.x2), blocks):
         np.testing.assert_allclose(got.values, want, rtol=1e-15,
                                    atol=1e-14)
+
+
+def term_plan(c, k, spec):
+    """The filter resolved into (Laplacian or None, taps) pairs, down
+    before up, trailing zero taps cut, and its harmonic term as
+    (L_k, epsilon, steps) or None."""
+    pairs = []
+    for present, variant, taps in ((k > 0, "down", spec.h_down),
+                                   (k < 2, "up", spec.h_up)):
+        lap = hodge_laplacian(c, k, variant, sparse=True) if present else None
+        if lap is None:
+            taps = taps[:1]
+        while taps and not taps[-1]:
+            taps = taps[:-1]
+        if taps:
+            pairs.append((lap, taps))
+    harmonic = None
+    if spec.harmonic is not None:
+        eps = spec.harmonic.epsilon
+        lam = lambda_max(c, k)
+        if lam > 0 and not eps < 2.0 / lam:
+            raise ValueError(
+                f"epsilon {eps} outside the stability range (0, {2.0 / lam})"
+            )
+        harmonic = (hodge_laplacian(c, k, sparse=True), eps,
+                    spec.harmonic.steps)
+    return tuple(pairs), harmonic
+
+
+def apply_plan(terms, values):
+    """A :func:`term_plan` applied: the first polynomial's own sum is the
+    total, later ones and the harmonic term are added to it."""
+    pairs, harmonic = terms
+    y = None
+    for op, taps in pairs:
+        part = _polynomial(op, taps, values)
+        if y is None:
+            y = part
+        else:
+            y += part
+    if y is None:
+        y = sp.csr_array(values.shape) if sp.issparse(values) else \
+            np.zeros_like(values)
+    if harmonic is not None:
+        lap, eps, steps = harmonic
+        for w in krylov(lambda v: v - eps * (lap @ v), values, steps):
+            pass
+        y += w
+    return y
+
+
+def same_bytes(a, b) -> bool:
+    """Equal type, shape and bits; sparse results also in format and in
+    their index arrays, so in the order each row stores its entries,
+    which the sums of products with them follow."""
+    if sp.issparse(a) or sp.issparse(b):
+        return (sp.issparse(a) and sp.issparse(b) and a.format == b.format
+                and a.shape == b.shape and all(
+                    getattr(a, n).tobytes() == getattr(b, n).tobytes()
+                    for n in ("data", "indices", "indptr")))
+    return (type(a) is type(b) and a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), k=st.integers(0, 2), h_down=TAPS,
+       h_up=TAPS, steps=st.one_of(st.none(), st.integers(0, 4)),
+       gain=st.sampled_from([0.5, 1.0, 2.5]), seed=st.integers(0, 2**16))
+def test_filter_values_match_the_term_plan(c, k, h_down, h_up, steps, gain,
+                                           seed):
+    harmonic = None
+    if steps is not None:  # gain / lam_max, unstable for a gain of 2.5
+        lam = lambda_max(c, k)
+        harmonic = HarmonicTerm(gain / lam if lam > 0 else 0.5, steps)
+        h_down, h_up = [0.0] + h_down, [0.0] + h_up
+    spec = HodgeFilterSpec(tuple(h_down), tuple(h_up), harmonic)
+    nk = c.num_simplices(k)
+    rng = np.random.default_rng(seed)
+    for values in (rng.standard_normal(nk), rng.standard_normal((nk, 3)),
+                   sp.eye_array(nk, format="csr")):
+        try:
+            want = apply_plan(term_plan(c, k, spec), values)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _filter_values(c, k, spec, values)
+            assert str(got.value) == str(exc)
+            continue
+        assert same_bytes(_filter_values(c, k, spec, values), want)

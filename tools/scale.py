@@ -40,15 +40,19 @@ block widths):
                                factor included
 
 Streaming layers are timed warm, in microseconds per step: the mean over
-200 steps after the state or model has run once, best of three.
+200 steps after the state or model has run once, the median of seven
+runs, with their quartiles beside it.
 
     lms_step_T1, lms_step_T3   lms_step at t_down = t_up = 1 and 3
     scvar_step                 one scvar_simulate step of the order-2
                                model of the stream benchmark workload
 
 Warm per-call layers are timed in microseconds per call: the mean over
-64 calls after one call has filled the caches, best of three. Each runs
-64 signals, as the many-signals benchmark workload does.
+64 calls after one call has filled the caches, the median of seven runs,
+with their quartiles beside it. Each runs 64 signals, as the
+many-signals benchmark workload does. On a shared host the best of three
+such runs moved by up to 1.8x between consecutive sweeps of unchanged
+code; a median and its quartiles show how far a reading can be trusted.
 
     l2_reconstruct             flows through the mask and weights above
     tft_itft                   tft then itft of flows on the order-1 basis
@@ -261,14 +265,18 @@ LAYERS = ("betti", "hodge_decompose", "hodge_basis", "frequency_table",
 STREAM_LAYERS = ("lms_step_T1", "lms_step_T3", "scvar_step")
 
 
-def best_of_three(call) -> float:
-    """The shortest of three timed runs of ``call``, in seconds."""
-    best = np.inf
-    for _ in range(3):
+REPEATS = 7
+
+
+def quartiles(call) -> np.ndarray:
+    """The first quartile, median and third quartile of REPEATS timed
+    runs of ``call``, in seconds."""
+    times = []
+    for _ in range(REPEATS):
         start = time.perf_counter()
         call()
-        best = min(best, time.perf_counter() - start)
-    return best
+        times.append(time.perf_counter() - start)
+    return np.percentile(times, [25, 50, 75])
 
 
 def sweep(size: str, work: Path) -> dict:
@@ -292,24 +300,23 @@ def sweep(size: str, work: Path) -> dict:
         cold[layer] = round(best, 5)
         print(f"{size:>8} {layer:>24} {best:9.4f} s {peak[layer]:9.3f} MB",
               file=sys.stderr)
-    step_us = {}
-    for layer in STREAM_LAYERS:
-        best = best_of_three(stream_call(hs.build_complex(n0, edges,
-                                                          triangles), layer))
-        step_us[layer] = round(best / STEPS * 1e6, 2)
-        print(f"{size:>8} {layer:>24} {step_us[layer]:9.2f} us/step",
-              file=sys.stderr)
-    warm_us = {}
-    for layer, warm_call in WARM_LAYERS.items():
-        best = best_of_three(warm_call(hs.build_complex(n0, edges,
-                                                        triangles)))
-        warm_us[layer] = round(best / CALLS * 1e6, 2)
-        print(f"{size:>8} {layer:>24} {warm_us[layer]:9.2f} us/call warm",
-              file=sys.stderr)
+    warm = {"step_us": {}, "step_us_quartiles": {}, "warm_us": {},
+            "warm_us_quartiles": {}}
+    calls = [("step_us", layer, STEPS, stream_call, (layer,))
+             for layer in STREAM_LAYERS]
+    calls += [("warm_us", layer, CALLS, warm_call, ())
+              for layer, warm_call in WARM_LAYERS.items()]
+    for key, layer, count, make, args in calls:
+        q1, median, q3 = quartiles(make(hs.build_complex(n0, edges,
+                                                         triangles), *args))
+        us = [round(t / count * 1e6, 2) for t in (q1, median, q3)]
+        warm[key][layer] = us[1]
+        warm[key + "_quartiles"][layer] = [us[0], us[2]]
+        print(f"{size:>8} {layer:>24} {us[1]:9.2f} [{us[0]:.2f}, {us[2]:.2f}]"
+              f" {key}", file=sys.stderr)
     return {"n": [c.n0, c.n1, c.n2], "betti": list(hs.betti(c)),
             "band": band(hs.hodge_basis(c, 1)), "repeats": repeats,
-            "cold_s": cold, "peak_mb": peak, "step_us": step_us,
-            "warm_us": warm_us}
+            "cold_s": cold, "peak_mb": peak, **warm}
 
 
 def tier1() -> dict:
