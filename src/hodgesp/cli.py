@@ -59,12 +59,12 @@ def _tolerance(args) -> float | None:
                          f"{env!r}") from None
 
 
-def _parse_index_list(text: str, name: str) -> list[int]:
+def _parse_list(text: str, name: str, kind=int) -> list:
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        return [kind(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
-        raise ValueError(f"{name}: expected a comma-separated index list "
-                         f"({exc})") from exc
+        raise ValueError(f"{name}: expected comma-separated {kind.__name__} "
+                         f"values ({exc})") from exc
 
 
 def _read_index_file(path) -> list[int]:
@@ -129,7 +129,7 @@ def _band(c, args, k: int):
 
 def _cmd_slepians(c, args) -> None:
     basis, freq = _band(c, args, 1)
-    edges = _parse_index_list(args.edges, "--edges")
+    edges = _parse_list(args.edges, "--edges")
     result = slepians(c, edges, freq, m=args.count, basis=basis,
                       tol=_tolerance(args))
     hio.save_matrix(args.output,
@@ -171,7 +171,7 @@ def _load_partial_signal(path, sample_ids) -> list[float]:
 def _cmd_forecast(c, args) -> None:
     model = hio.load_model(args.model, c)
     series = hio.load_series(args.series, c)
-    noise = tuple(float(s) for s in args.noise_std.split(","))
+    noise = _parse_list(args.noise_std, "--noise-std", float)
     rng = np.random.default_rng(args.seed)
     out = scvar_simulate(model, args.steps, series, noise_std=noise, rng=rng)
     hio.save_series(args.output, out, start=len(series))

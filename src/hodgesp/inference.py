@@ -4,15 +4,15 @@ edge flows.
 Flows are first projected onto the orthogonal complement of the gradient
 space (the divergence-free part), F - b1^T L0^+ b1 F, by one block solve
 with the cached sparse LU of the exact topology core; an explicit
-tolerance uses the truncated SVD of b1 instead. Whatever energy is left is
-the only part a triangle filling can explain. Candidates are the 3-cliques
-of the graph; both greedy criteria read their boundary matrix, assembled
-over the skeleton's canonical edges without validating them again.
-min_smoothness picks triangles whose circulation against the flows is
-smallest (the increment each candidate contributes to the upper-Laplacian
-total variation); max_curl_fit picks triangles whose boundary columns
-capture the most flow energy, deflating the flows and every candidate's
-squared norm by each pick's orthonormalized boundary.
+tolerance then adds back the singular directions of b1 it counts as zero.
+Whatever energy is left is the only part a triangle filling can explain.
+Candidates are the 3-cliques of the graph; both greedy criteria read their
+boundary matrix, assembled over the skeleton's canonical edges without
+validating them again. min_smoothness picks triangles whose circulation
+against the flows is smallest (the increment each candidate contributes to
+the upper-Laplacian total variation); max_curl_fit picks triangles whose
+boundary columns capture the most flow energy, deflating the flows and
+every candidate's squared norm by each pick's orthonormalized boundary.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from ._linalg import gram_schmidt
 from ._util import check_integer, check_tolerance
 from .complexes import SimplicialComplex, _boundary_matrix, _triangle_faces
-from .spectral import _gradient_part
+from .spectral import _part
 
 __all__ = [
     "DegenerateScoresWarning",
@@ -45,8 +45,10 @@ def project_out_gradient(c: SimplicialComplex, flows: np.ndarray,
 
     The gradient part is b1^T L0^+ b1 F, by the cached sparse LU of L0;
     with an explicit ``tol`` it is the projection onto the right singular
-    vectors of b1 whose singular values exceed sqrt(tol). The output
-    columns are divergence-free.
+    vectors of b1 whose singular values exceed sqrt(tol): the exact part
+    less its projection onto the vectors at or below, read from the cached
+    SVD only when there are any. Without ``tol`` the output columns are
+    divergence-free.
     """
     check_tolerance(tol)
     flows = np.atleast_2d(np.asarray(flows, dtype=float))
@@ -56,7 +58,7 @@ def project_out_gradient(c: SimplicialComplex, flows: np.ndarray,
         flows = flows.T
     if flows.shape[0] != c.n1:
         raise ValueError(f"flows must have {c.n1} rows (one per edge)")
-    return flows - _gradient_part(c, 1, flows, tol)[0]
+    return flows - _part(c, 1, 1, flows, tol)[0]
 
 
 def residual_energy(projected_flows: np.ndarray) -> float:

@@ -30,8 +30,7 @@ What comes from where:
   computed once per complex and cached with it: the factors and one sign
   per column, from one chunked pass. ``gradient``, ``curl`` and the
   ``matrix`` methods write the dense columns from the view on first
-  access; :meth:`HodgeBasis.columns` builds no view. The explicit-``tol``
-  split reads the same SVDs. Each SVD is one
+  access; :meth:`HodgeBasis.columns` builds no view. Each SVD is one
   ``eigh`` of the same Gram matrix, a cached sparse Laplacian made dense,
   with the other side derived as b^T w / sigma or b w / sigma; no dense
   incidence matrix is formed. Eigenvalues under the same floor are exact
@@ -60,9 +59,10 @@ What comes from where:
   row sum of L0 and L2 (an integer, cached per complex; no power
   iteration). :attr:`HodgeBasis.tolerance` computes it on first read, for
   the sign fix of a block or of band columns.
-* The default Hodge decomposition uses no SVD: it solves L0 p = b1 x and
-  L2 q = b2^T x with the exact sparse topology core (sparse LU factors,
-  minimum-norm potentials).
+* The Hodge decomposition solves L0 p = b1 x and L2 q = b2^T x with the
+  exact sparse topology core (sparse LU factors, minimum-norm potentials).
+  It reads no SVD unless an explicit ``tol`` counts d > 0 nonzero singular
+  values of b1 or b2 as zero; it then subtracts those d cached triplets.
 * The harmonic block is what the Hodge decomposition (under the same
   tolerance) leaves of a fixed-seed Gaussian n_k x beta_k block, made
   orthonormal by a thin QR and the sign fix; where beta_k >= 2 it is one
@@ -430,19 +430,6 @@ class HodgeComponents(NamedTuple):
     upper_potential: Cochain | None
 
 
-def _svd_rank(c: SimplicialComplex, k: int, tol: float | None):
-    """Cached thin SVD of b_k and its rank: exact by default, else the
-    number of singular values above sqrt(tol). That count comes from the
-    values-only spectrum, so it is capped at the SVD's count of nonzero
-    singular values: a value that rounding moved across the zero floor
-    never makes a caller divide by a zero one."""
-    u, s, vt = _incidence_svd(c, k)
-    r = _rank(c, k, tol)
-    if tol is not None:
-        r = min(r, int(np.count_nonzero(s)))
-    return u, s, vt, r
-
-
 def hodge_basis(c: SimplicialComplex, k: int,
                 tol: float | None = None) -> HodgeBasis:
     """Typed spectral basis of order k.
@@ -488,51 +475,36 @@ def itft(basis: HodgeBasis, coeffs: TftCoefficients) -> Cochain:
     return Cochain(basis.complex, basis.order, values)
 
 
-def _split(c: SimplicialComplex, k: int, values: np.ndarray,
-           tol: float | None):
-    """The gradient and curl parts of an order-k cochain, given as an
-    (n_k,) vector or an (n_k, B) block, and their lower and upper
-    potentials (None where order k has none); see :func:`hodge_decompose`.
-    """
-    grad, lower = _gradient_part(c, k, values, tol)
-    curl, upper = _curl_part(c, k, values, tol)
-    return grad, curl, lower, upper
-
-
-def _gradient_part(c: SimplicialComplex, k: int, values: np.ndarray,
-                   tol: float | None):
-    """The gradient part and lower potential of :func:`_split`, from the
-    L0 (k = 1) or L2 (k = 2) solver alone, or the SVD of b_k."""
-    if k == 0:
+def _part(c: SimplicialComplex, k: int, b: int, values: np.ndarray,
+          tol: float | None):
+    """The gradient (b = k) or curl (b = k + 1) part of an order-k
+    cochain, given as an (n_k,) vector or an (n_k, B) block, and its
+    minimum-norm potential; zeros and None where b is not 1 or 2. See
+    :func:`hodge_decompose`: the exact sparse part of the L0 (b = 1) or L2
+    (b = 2) solver, less the triplets of the cached SVD of b_b of index
+    _rank(c, b, tol) up to the exact rank, read only when there are any."""
+    if not 1 <= b <= 2:
         return np.zeros_like(values), None
+    pot = _potential(c, 0 if b == 1 else 2)
+    part, potential = (pot.flow_part if k == 1 else pot.cochain_part)(values)
     if tol is None:
-        if k == 1:
-            return _potential(c, 0).flow_part(values)
-        return _potential(c, 2).cochain_part(values)
-    u, s, vt, r = _svd_rank(c, k, tol)
-    coef = vt[:r] @ values
-    return vt[:r].T @ coef, u[:, :r] @ (coef.T / s[:r]).T
-
-
-def _curl_part(c: SimplicialComplex, k: int, values: np.ndarray,
-               tol: float | None):
-    """The curl part and upper potential of :func:`_split`, from the L0
-    (k = 0) or L2 (k = 1) solver alone, or the SVD of b_{k+1}."""
-    if k == 2:
-        return np.zeros_like(values), None
-    if tol is None:
-        if k == 0:
-            return _potential(c, 0).cochain_part(values)
-        return _potential(c, 2).flow_part(values)
-    u, s, vt, r = _svd_rank(c, k + 1, tol)
-    coef = u[:, :r].T @ values
-    return u[:, :r] @ coef, vt[:r].T @ (coef.T / s[:r]).T
+        return part, potential
+    r, end = _rank(c, b, tol), _rank(c, b)
+    if r < end:
+        u, s, vt = _incidence_svd(c, b)
+        end = min(end, np.count_nonzero(s))  # never divide by a zero sigma
+        u, s, v = u[:, r:end], s[r:end], vt[r:end].T
+        side, other = (v, u) if b == k else (u, v)
+        coef = side.T @ values
+        part = part - side @ coef
+        potential = potential - other @ (coef.T / s).T
+    return part, potential
 
 
 def _harmonic_block(c: SimplicialComplex, k: int, width: int,
                     tol: float | None) -> np.ndarray:
     """The order-k harmonic block, ``width`` columns: a fixed-seed Gaussian
-    block with its gradient and curl parts removed twice by :func:`_split`
+    block with its gradient and curl parts removed twice by :func:`_part`
     (the second pass removes what rounding left), a thin QR of the rest,
     and the sign fix."""
     nk = c.num_simplices(k)
@@ -540,8 +512,8 @@ def _harmonic_block(c: SimplicialComplex, k: int, width: int,
         return np.zeros((nk, 0))
     block = np.random.default_rng(0).standard_normal((nk, width))
     for _ in range(2):
-        grad, curl, _, _ = _split(c, k, block, tol)
-        block = block - grad - curl
+        block = (block - _part(c, k, k, block, tol)[0]
+                 - _part(c, k, k + 1, block, tol)[0])
     harm = fix_column_signs(np.linalg.qr(block)[0], _zero_tolerance(c, tol))
     harm.flags.writeable = False
     return harm
@@ -556,15 +528,18 @@ def hodge_decompose(c: SimplicialComplex, x: Cochain,
     edge flow is p = L0^+ b1 x with gradient b1^T p, the upper potential
     q = L2^+ b2^T x with curl b2 q, by the cached sparse LU factors; a
     vertex (cell) signal's curl (gradient) part is its projection off
-    ker(L0) (ker(L2)). With an explicit ``tol`` the parts are instead the
-    projections onto the blocks of ``hodge_basis(c, k, tol)``: with
-    b_k = U S V^T, gradient = V V^T x = b_k^T p with p = U S^-1 V^T x, and
-    likewise curl and the upper potential from b_{k+1}, singular values at
-    or below sqrt(tol) counting as zero. The harmonic part is the remainder.
+    ker(L0) (ker(L2)). With an explicit ``tol`` the parts are the
+    projections onto the blocks of ``hodge_basis(c, k, tol)``, singular
+    values at or below sqrt(tol) counting as zero: with b_k = U S V^T, the
+    exact parts and potentials less the terms of the d triplets that tol
+    drops, gradient - V_d V_d^T x and p - U_d S_d^-1 V_d^T x, and likewise
+    curl and the upper potential from b_{k+1}. The SVD is read only where
+    d > 0. The harmonic part is the remainder.
     """
     _check_bound(c, x, "x")
     k = x.order
-    grad_vals, curl_vals, lower, upper = _split(c, k, x.values, tol)
+    grad_vals, lower = _part(c, k, k, x.values, tol)
+    curl_vals, upper = _part(c, k, k + 1, x.values, tol)
     return HodgeComponents(
         gradient=Cochain(c, k, grad_vals),
         curl=Cochain(c, k, curl_vals),
@@ -650,8 +625,11 @@ def dirac_basis(c: SimplicialComplex, tol: float | None = None) -> DiracBasis:
     their signs; see :class:`DiracBasis`."""
     dim = c.n0 + c.n1 + c.n2
     tau = _zero_tolerance(c, tol)
-    pairs = (_factors(c, 1, _svd_rank(c, 1, tol)[3], tau, offset=0),
-             _factors(c, 2, _svd_rank(c, 2, tol)[3], tau, offset=c.n0))
+    # The ranks may count a sigma that the SVD's own solve set to zero.
+    r1, r2 = (min(_rank(c, k, tol), np.count_nonzero(_incidence_svd(c, k)[1]))
+              for k in (1, 2))
+    pairs = (_factors(c, 1, r1, tau, offset=0),
+             _factors(c, 2, r2, tau, offset=c.n0))
     lam_g, lam_c = (np.repeat(p.s[::-1], 2) * np.tile([1.0, -1.0], p.s.size)
                     for p in pairs)
 

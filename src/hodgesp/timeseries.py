@@ -143,8 +143,9 @@ def _compile(model: SCVarModel):
     past signal stacked by level. Block (k, (p, j)) is the term of lag p
     that feeds level k from level j, built as build_dictionary builds
     atoms: the term's filters and incidence map applied to a sparse
-    identity of level j. A term whose last filter is zero is left out. The
-    operator is held by :func:`held`."""
+    identity of level j. A term whose last filter is zero is left out.
+    Each row's entries are sorted by column, so no bit depends on the
+    order of the sums; the operator is held by :func:`held`."""
     c = model.complex
     sizes = [c.num_simplices(k) for k in (0, 1, 2)]
     blocks = [[sp.csr_array((n, m)) for _ in model.lags for m in sizes]
@@ -161,7 +162,7 @@ def _compile(model: SCVarModel):
                         c, j, getattr(lag, f"h{k}{j}"), block)
                 blocks[k][3 * p + j] = _filter_values(c, k, getattr(lag, last),
                                                       block)
-    return held(sp.block_array(blocks, format="csr"))
+    return held(sp.block_array(blocks, format="csr").sorted_indices())
 
 
 def _operator(model: SCVarModel):

@@ -47,7 +47,10 @@ def reference_pairs(c, k, tol, dim, offset, tau):
     """The signed Dirac pairs of b_k as dense dim x 2r columns: zeros, the
     halves (u; +/-v)/sqrt(2) filled in, then each column multiplied by the
     sign that makes its first entry of magnitude > tau positive."""
-    u, s, vt, r = hsp._svd_rank(c, k, tol)
+    u, s, vt = hc._incidence_svd(c, k)
+    r = hc._rank(c, k, tol)
+    if tol is not None:
+        r = min(r, int(np.count_nonzero(s)))
     half_u = u[:, :r][:, ::-1] / np.sqrt(2.0)
     half_v = vt[:r][::-1].T / np.sqrt(2.0)
     mid = offset + u.shape[0]

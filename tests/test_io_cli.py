@@ -713,6 +713,31 @@ def test_cli_forecast_deterministic(complex_file, tmp_path, complex7):
     assert out1.read_bytes() != out3.read_bytes()
 
 
+# Each case: the --noise-std text and the domain error it exits with.
+NOISE_STD_ERRORS = {
+    "a,b,c": "--noise-std: expected comma-separated float values (could "
+             "not convert string to float: 'a')",
+    "0.1,1e,0": "--noise-std: expected comma-separated float values (could "
+                "not convert string to float: '1e')",
+    "0.1,0.1": "noise_std must hold three deviations, got [0.1, 0.1]",
+}
+
+
+@pytest.mark.parametrize("text", sorted(NOISE_STD_ERRORS))
+def test_cli_forecast_noise_std_errors(text, complex_file, tmp_path,
+                                       complex7, capsys):
+    model_path, series_path = tmp_path / "model.json", tmp_path / "s.csv"
+    hio.save_model(model_path, SCVarModel(complex=complex7, lags=(
+        SCVarLag(h11=HodgeFilterSpec(h_down=(0.4,))),)))
+    hio.save_series(series_path, [complex7.zero_signal()])
+    out = tmp_path / "f.csv"
+    assert run_cli(["forecast", str(complex_file), str(model_path),
+                    str(series_path), "--steps", "1", "--noise-std", text,
+                    "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {NOISE_STD_ERRORS[text]}\n"
+    assert not out.exists()
+
+
 def test_cli_lms_runs(complex_file, tmp_path, complex7):
     rng = np.random.default_rng(5)
     xs = [ComplexSignal.from_arrays(complex7, np.zeros(7),

@@ -1,10 +1,12 @@
 """Reference oracles for paths written once: the SCVAR fit's single Krylov
 pass per term, the typed spectrum built from the block frequency arrays,
-the l1 dual step's one bound vector, the filterbank on arrays and the one
-filter evaluator. Each keeps the earlier code (a regressor loop per lag, a
-row loop over the frequency table, a clip per penalty block, one Cochain
-per branch, a term plan applied apart) and must agree with it byte for
-byte on random complexes with cells."""
+the l1 dual step's one bound vector, the filterbank on arrays, the one
+filter evaluator and the one Hodge split. Each keeps the earlier code (a
+regressor loop per lag, a row loop over the frequency table, a clip per
+penalty block, one Cochain per branch, a term plan applied apart, a
+projection onto the truncated SVD) and must agree with it on random
+complexes with cells: byte for byte, except the explicit-tol split, which
+moves by rounding."""
 
 import warnings
 
@@ -29,13 +31,14 @@ from hodgesp import (
     frequency_response,
     frequency_table,
     hodge_basis,
+    hodge_decompose,
     hodge_laplacian,
     lambda_max,
     regularized_reconstruct,
     scvar_fit,
 )
 from hodgesp._linalg import krylov
-from hodgesp.complexes import _float_incidence
+from hodgesp.complexes import _float_incidence, _incidence_svd, _rank
 from hodgesp.filters import _filter_values, _poly_eval, _polynomial
 from hodgesp.timeseries import _OWN_SLOTS, _terms
 
@@ -391,3 +394,44 @@ def test_filter_values_match_the_term_plan(c, k, h_down, h_up, steps, gain,
             assert str(got.value) == str(exc)
             continue
         assert same_bytes(_filter_values(c, k, spec, values), want)
+
+
+def svd_projection_split(c, k, values, tol):
+    """The explicit-tol split as it projected onto the truncated SVD: the
+    gradient part, curl part, lower and upper potential of an order-k
+    cochain, from the leading r singular triplets of b_k and b_{k+1}, r
+    the tol rank capped at the SVD's nonzero count."""
+    out = []
+    for b in (k, k + 1):
+        if not 1 <= b <= 2:
+            out.append((np.zeros_like(values), None))
+            continue
+        u, s, vt = _incidence_svd(c, b)
+        r = min(_rank(c, b, tol), int(np.count_nonzero(s)))
+        if b == k:
+            coef = vt[:r] @ values
+            out.append((vt[:r].T @ coef, u[:, :r] @ (coef.T / s[:r]).T))
+        else:
+            coef = u[:, :r].T @ values
+            out.append((u[:, :r] @ coef, vt[:r].T @ (coef.T / s[:r]).T))
+    (grad, lower), (curl, upper) = out
+    return grad, curl, lower, upper
+
+
+# On these small complexes 0.5 drops part of the spectrum of b1 or b2 for
+# about one in six, 1.5 and 3.5 for most, so the subtracted triplets are
+# exercised.
+@PROPERTY
+@given(c=complexes_with_cells(), k=st.integers(0, 2),
+       tol=st.sampled_from([1e-300, 1e-8, 0.05, 0.5, 1.5, 3.5]),
+       seed=st.integers(0, 2**16))
+def test_hodge_split_matches_the_svd_projection(c, k, tol, seed):
+    x = Cochain(c, k, np.random.default_rng(seed).standard_normal(
+        c.num_simplices(k)))
+    got = hodge_decompose(c, x, tol)
+    want = svd_projection_split(c, k, x.values, tol)
+    bound = 1e-10 * (1.0 + np.linalg.norm(x.values))
+    for part, ref in zip(got[:2] + got[3:], want):
+        assert (part is None) == (ref is None)
+        if ref is not None:
+            assert np.max(np.abs(part.values - ref), initial=0.0) <= bound

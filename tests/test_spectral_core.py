@@ -356,6 +356,22 @@ def test_explicit_tol_widths_count_the_svd(case, complex7, skeleton7, cell7,
                     assert np.all(np.isfinite(dirac_basis(c, tol).matrix()))
 
 
+@pytest.mark.parametrize("name", ["complex7", "cell7", "grid"])
+def test_explicit_tol_that_drops_nothing_reads_no_svd(name, request):
+    """Below the smallest nonzero squared singular value, an explicit tol
+    splits by the exact sparse core alone: no incidence SVD is cached."""
+    c = (grid_oneshot_complex(1) if name == "grid"
+         else fresh(request.getfixturevalue(name)))
+    lam = np.concatenate([hc._incidence_values(c, k) for k in (1, 2)])
+    tol = 0.5 * lam[lam > 0].min()
+    rng = np.random.default_rng(0)
+    for k in (0, 1, 2):
+        hodge_decompose(c, c.cochain(k, rng.standard_normal(
+            c.num_simplices(k))), tol)
+    project_out_gradient(c, rng.standard_normal((c.n1, 2)), tol)
+    assert not [key for key in hc._cache[c] if key[0] == "svd"]
+
+
 def _two_matvec_power_iteration(matvec, n, rtol=1e-6, max_iter=5000):
     """Power iteration with one matvec for each step's power and another
     for its Rayleigh quotient; returns the estimate and the step count."""

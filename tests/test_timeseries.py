@@ -32,7 +32,13 @@ from hodgesp import (
     scvar_simulate,
 )
 from hodgesp.complexes import _cache
-from hodgesp.timeseries import _lms_update, _operator, _shift_operators
+from hodgesp.filters import _filter_values
+from hodgesp.timeseries import (
+    _compile,
+    _lms_update,
+    _operator,
+    _shift_operators,
+)
 
 from conftest import EDGES7, TRIS7, complexes_with_cells, triangulated_grid
 
@@ -824,6 +830,34 @@ def test_compiled_step_matches_the_term_loop(c, seed, order, harmonic):
     assert op.shape == (n, order * n)
     past = np.concatenate([s.stacked() for s in reversed(history)])
     assert_close(op @ past, reference_predict(model, history))
+
+
+def reversed_rows(a: sp.csr_array) -> sp.csr_array:
+    """``a`` with each row's stored entries in reverse order."""
+    order = np.concatenate([np.arange(a.indptr[i + 1] - 1, a.indptr[i] - 1,
+                                      -1) for i in range(a.shape[0])])
+    return sp.csr_array((a.data[order], a.indices[order], a.indptr.copy()),
+                        shape=a.shape)
+
+
+def test_compiled_operator_bits_ignore_the_entry_order(monkeypatch):
+    """The compiled operator is stored canonical: filter results holding
+    the same values in another row order give the same bytes."""
+    c = triangulated_grid(12, [(i, j) for i in (2, 5, 8) for j in (1, 6, 9)])
+    rng = np.random.default_rng(26)
+    model = SCVarModel(complex=c, lags=(random_lag(c, rng),
+                                        random_lag(c, rng)))
+    op = _compile(model)
+    assert sp.issparse(op) and op.has_canonical_format
+
+    def reordered(*args):
+        out = _filter_values(*args)
+        return reversed_rows(out) if sp.issparse(out) else out
+
+    monkeypatch.setattr("hodgesp.timeseries._filter_values", reordered)
+    again = _compile(model)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(again, name).tobytes() == getattr(op, name).tobytes()
 
 
 def test_compiled_operator_is_held_for_one_model_at_a_time():

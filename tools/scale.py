@@ -6,8 +6,8 @@ Usage (from the repository root):
     python3 tools/scale.py -o out.json
 
 It takes about 3 minutes and peaks near 850 MB of resident memory, in
-the dense layers at m = 40 (dense_blocks, and the incidence SVDs that
-dirac_basis, dirac_tft and tft_itft set up untimed).
+the dense layers at m = 40 (dense_blocks and decompose_tol_d, and the
+incidence SVDs that dirac_basis, dirac_tft and tft_itft set up untimed).
 
 Each layer is timed cold, on a fresh copy of the complex with nothing
 cached, in one process with the BLAS thread count pinned to 1; sizes up to
@@ -21,6 +21,12 @@ Layers (order-1 bases; the band is ``grad:0..9+curl:0..9``, clipped to the
 block widths):
 
     betti, hodge_decompose     the exact sparse topology core
+    betti_tol                  betti under tol = 1e-8, from the values-only
+                               spectra
+    decompose_tol              hodge_decompose under tol = 1e-8, which
+                               counts no nonzero singular value as zero
+    decompose_tol_d            hodge_decompose under tol = 0.05, which
+                               drops some, so it reads the incidence SVDs
     hodge_basis                the lazy basis: the block widths
     frequency_table            hodge_basis and its frequency table, as the
                                spectrum subcommand computes them
@@ -112,6 +118,8 @@ def band(basis) -> str:
 
 
 ALPHA = BETA = 0.5  # the l2 reconstruction's weights, as in many-signals
+LAYER_TOL = {"hodge_decompose": None, "decompose_tol": 1e-8,
+             "decompose_tol_d": 0.05}
 
 
 def l2_inputs(c, count: int = 1):
@@ -127,9 +135,11 @@ def prepare(c, layer: str, work: Path):
     time; returns the call to time, which may write files under ``work``."""
     if layer == "betti":
         return lambda: hs.betti(c)
-    if layer == "hodge_decompose":
+    if layer == "betti_tol":
+        return lambda: hs.betti(c, 1e-8)
+    if layer in LAYER_TOL:
         x = c.cochain(1, np.random.default_rng(0).standard_normal(c.n1))
-        return lambda: hs.hodge_decompose(c, x)
+        return lambda: hs.hodge_decompose(c, x, LAYER_TOL[layer])
     if layer == "hodge_basis":
         return lambda: hs.hodge_basis(c, 1)
     if layer == "frequency_table":
@@ -258,7 +268,8 @@ WARM_LAYERS = {"l2_reconstruct": l2_warm_call, "tft_itft": tft_warm_call,
 
 
 SIZES = ("complex7", "10", "20", "30", "40")
-LAYERS = ("betti", "hodge_decompose", "hodge_basis", "frequency_table",
+LAYERS = ("betti", "betti_tol", "hodge_decompose", "decompose_tol",
+          "decompose_tol_d", "hodge_basis", "frequency_table",
           "dense_blocks", "harmonic", "dirac_basis", "dirac_tft",
           "band_columns", "select_samples", "reconstruct_bandlimited",
           "slepians", "build_dictionary", "dictionary_csv", "l2_reconstruct")
