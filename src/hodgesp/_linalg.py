@@ -1,7 +1,7 @@
 """Shared linear-algebra helpers: tolerances, sign fixing, the greedy loops'
 Gram-Schmidt step, power iteration, the Krylov kernel behind every
-Laplacian and Dirac polynomial, and the rule that holds a cached operator
-dense or sparse."""
+Laplacian and Dirac polynomial, and the rules that hold a cached operator
+dense or sparse and multiply by it."""
 
 from __future__ import annotations
 
@@ -24,25 +24,23 @@ def zero_tolerance(sigma_max: float, override: float | None = None) -> float:
     return 1e-10 * max(1.0, float(sigma_max))
 
 
-def first_large(u: np.ndarray, tol: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """For each column of ``u``, whether it has an entry of magnitude > tol,
-    and whether the first such entry is negative."""
+def leads_negative(u: np.ndarray, tol: float) -> np.ndarray:
+    """For each column of ``u``, whether its first entry of magnitude > tol
+    is negative; False where it has no such entry."""
     if not u.size:
-        return np.zeros((2, u.shape[1]), dtype=bool)
+        return np.zeros(u.shape[1], dtype=bool)
     big = u > tol  # |u| > tol, without a float temporary
     big |= u < -tol
     cols = np.arange(u.shape[1])
     first = big.argmax(axis=0)  # row 0 where a column has no such entry
-    found = big[first, cols]
-    return found, found & (u[first, cols] < 0)
+    return big[first, cols] & (u[first, cols] < 0)
 
 
 def fix_column_signs(u: np.ndarray, tol: float) -> np.ndarray:
     """Flip column signs so the first entry of magnitude > tol is positive."""
     u = np.asarray(u)
     # Multiplying by -1.0 or 1.0 negates or copies each entry exactly.
-    return u * np.where(first_large(u, tol)[1], -1.0, 1.0)
+    return u * np.where(leads_negative(u, tol), -1.0, 1.0)
 
 
 def gram_schmidt(q: np.ndarray, col: np.ndarray
@@ -96,6 +94,15 @@ def krylov(matvec, x: np.ndarray, t_max: int):
 # call whatever its size; on the [Ld; Lu] stacks of triangulated grids
 # (1 BLAS thread) a dense product is 3.5 times faster at 512 entries, as
 # fast near 2.5e4 and slower beyond.
+#
+# Per-step code multiplies dense arrays with ``a.dot(b)`` rather than
+# ``a @ b``, and a held operator through :func:`product`. numpy's matmul
+# gufunc costs about twice ndarray.dot's dispatch on operands of a few
+# dozen entries (a 20 x 10 [Ld; Lu] times a vector: 0.9-1.2 against
+# 0.5-0.8 us on one shared x86-64 core, numpy 2.4); both reach the same
+# BLAS kernels, so the results are the same bits. The operator stays on the
+# left, as ndarray.dot(sparse) does not dispatch to scipy, and a sparse
+# operator keeps ``@``, as its ``dot`` tests for a scalar first (0.9 us).
 DENSE_ENTRIES = 25_000
 
 
@@ -108,3 +115,9 @@ def held(op):
     """The sparse operator ``op`` as it is held for repeated products: a
     dense array if it is :func:`small`, else CSR."""
     return op.toarray() if small(op.shape) else op.tocsr()
+
+
+def product(op):
+    """The product with the held operator ``op``, ``x -> op @ x``, as the
+    call that dispatches fastest: ``op.dot`` when it is dense."""
+    return op.dot if isinstance(op, np.ndarray) else op.__matmul__

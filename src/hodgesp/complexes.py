@@ -492,7 +492,16 @@ def _dirac_blocks(b1, b2) -> sp.csr_array:
 
 def lambda_max(c: SimplicialComplex, k: int, rtol: float = 1e-6) -> float:
     """Largest eigenvalue of L_k, by power iteration, cached per complex
-    and rtol."""
+    and rtol.
+
+    ``rtol`` stops the iteration once the Rayleigh quotient changes by at
+    most rtol, relative, from one step to the next. It is not an error
+    bound: the quotient approaches lambda_max from below, slowly where the
+    top eigenvalues cluster. At the default 1e-6 the result was 8.4e-5
+    (L0) and 1.2e-4 (L2) below the dense eigenvalue, relative, on a 20 x 20
+    triangulated grid with 72 holes (``perfbench.inputs.hole_grid(20, 6)``,
+    seed 1).
+    """
     check_integer(k, "k", 0, 2)
     check_real(rtol, "rtol", positive=True)
     return _cached(c, ("lambda_max", k, rtol), _lambda_max, c, k, rtol)
@@ -676,13 +685,36 @@ def _b2_pivots(c: SimplicialComplex) -> np.ndarray:
 
 
 def _eliminate(b: sp.csr_array) -> np.ndarray:
+    """The pivot columns of ``b``: those independent mod _PRIME of the
+    columns before them. A column is reduced by the column that owns its
+    lowest nonzero row until it claims a free row (a pivot) or vanishes.
+    One reduction over the CSC indices gives every column's lowest row,
+    so a column whose row is free is a pivot with no dict of entries
+    built; a dict is built only for a column whose row collides, and for
+    its owner while that is still an original column. Empty columns are
+    not pivots."""
     csc = b.tocsc()
-    owner: dict[int, dict[int, int]] = {}  # pivot row -> reduced column
+    indptr, indices = csc.indptr, csc.indices
+    filled = np.flatnonzero(np.diff(indptr))
+    lows = np.full(csc.shape[1], -1, dtype=np.int64)
+    if filled.size:
+        lows[filled] = np.maximum.reduceat(indices, indptr[filled])
+
+    def entries(j: int) -> dict[int, int]:
+        lo, hi = indptr[j], indptr[j + 1]
+        return dict(zip(indices[lo:hi].tolist(),
+                        (csc.data[lo:hi] % _PRIME).tolist()))
+
+    owner: dict[int, int | dict[int, int]] = {}  # low row -> column
     pivots = []
-    for j in range(csc.shape[1]):
-        lo, hi = csc.indptr[j], csc.indptr[j + 1]
-        col = dict(zip(csc.indices[lo:hi].tolist(),
-                       (csc.data[lo:hi] % _PRIME).tolist()))
+    for j, low in enumerate(lows.tolist()):
+        if low < 0:
+            continue
+        if low not in owner:
+            owner[low] = j
+            pivots.append(j)
+            continue
+        col = entries(j)
         while col:
             low = max(col)
             red = owner.get(low)
@@ -690,6 +722,8 @@ def _eliminate(b: sp.csr_array) -> np.ndarray:
                 owner[low] = col
                 pivots.append(j)
                 break
+            if isinstance(red, int):
+                red = owner[low] = entries(red)
             f = col[low] * pow(red[low], -1, _PRIME) % _PRIME
             for r, v in red.items():
                 v = (col.get(r, 0) - f * v) % _PRIME

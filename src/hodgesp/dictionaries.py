@@ -18,7 +18,7 @@ from ._util import check_integer, check_real
 from .complexes import Cochain, SimplicialComplex
 from .filters import HodgeFilterSpec, _filter_values
 from .sampling import _sampled_fit
-from .spectral import HodgeBasis
+from .spectral import HodgeBasis, _sign_tolerance
 
 __all__ = [
     "SlepianSet",
@@ -99,7 +99,7 @@ def slepians(c: SimplicialComplex, edge_set: Sequence[int],
     _, s, vt = fit.svd
     concentrations = np.pad(np.minimum(s**2, 1.0), (0, nf - s.size))
     return SlepianSet(
-        vectors=fix_column_signs(fit.band @ vt[:m].T, fit.tolerance),
+        vectors=fix_column_signs(fit.band @ vt[:m].T, _sign_tolerance(c)),
         concentrations=concentrations[:m],
         edge_set=fit.samples,
         frequency_set=fit.freqs,

@@ -52,7 +52,6 @@ class _Fit(NamedTuple):
     svd: tuple  # (u, s, vt) of U_F[S], see _recoverability
     rank: int  # singular values above lstsq's default cutoff
     recoverability: Recoverability
-    tolerance: float  # the basis's zero tolerance
     freqs: tuple[int, ...]
     samples: tuple[int, ...]
 
@@ -98,8 +97,8 @@ def _fit(c: SimplicialComplex, k: int, basis, tol, sets) -> _Fit:
     s = svd[1]
     rank = int(np.count_nonzero(s > np.finfo(float).eps * max(sampled.shape)
                                 * s[0]))
-    return _Fit(band, svd, rank, rec, basis.tolerance,
-                tuple(f_idx.tolist()), tuple(s_idx.tolist()))
+    return _Fit(band, svd, rank, rec, tuple(f_idx.tolist()),
+                tuple(s_idx.tolist()))
 
 
 def _recoverability(sampled: np.ndarray, tol: float | None):

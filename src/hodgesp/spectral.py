@@ -57,8 +57,9 @@ What comes from where:
 * The zero tolerance is complex-wide: by default 1e-10 times a bound on
   the largest singular value of b1 and b2, sqrt of the largest absolute
   row sum of L0 and L2 (an integer, cached per complex; no power
-  iteration). :attr:`HodgeBasis.tolerance` computes it on first read, for
-  the sign fix of a block or of band columns.
+  iteration). :attr:`HodgeBasis.tolerance` computes it on first read. The
+  sign fix of blocks, band columns, Dirac pairs and Slepian vectors signs
+  by entries above this default whatever ``tol`` is in force.
 * The Hodge decomposition solves L0 p = b1 x and L2 q = b2^T x with the
   exact sparse topology core (sparse LU factors, minimum-norm potentials).
   It reads no SVD unless an explicit ``tol`` counts d > 0 nonzero singular
@@ -90,7 +91,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import first_large, fix_column_signs, small
+from ._linalg import fix_column_signs, leads_negative, small
 from ._util import check_integer
 from .complexes import (
     Cochain,
@@ -204,15 +205,25 @@ class _Factors(NamedTuple):
         return self.u @ z if self.op is None else self.op_t @ (self.vt.T @ z)
 
 
-def _factors(c: SimplicialComplex, k: int, r: int, tau: float,
-             right: bool = False, offset: int | None = None) -> _Factors:
+def _sign_tolerance(c: SimplicialComplex) -> float:
+    """The entry size above which a column's first entry is made
+    positive: the default zero tolerance of ``c``, whatever ``tol`` is in
+    force. An explicit tol bounds squared singular values, not entries; as
+    a sign threshold it would sign by rounding near +-tol, and not at all
+    at tol >= 1."""
+    return _zero_tolerance(c, None)
+
+
+def _factors(c: SimplicialComplex, k: int, r: int, right: bool = False,
+             offset: int | None = None) -> _Factors:
     """The :class:`_Factors` of the left (right, if ``right``) side of
     b_k, or with an ``offset`` of its Dirac pairs; k outside {1, 2} gives
     an empty side. Each column's sign makes its first entry of magnitude
-    > tau positive, from one chunked pass over the vectors that come
-    first in the columns: u, or u / sqrt(2). Both columns of a pair share
-    u, so both take their sign from it; v decides only where u has no
-    such entry."""
+    above :func:`_sign_tolerance` positive, from one chunked pass over the
+    vectors that come first in the columns: u, or u / sqrt(2). Both
+    columns of a pair share u, so both take their sign from it. A unit
+    column of u always has such an entry, as the threshold is far below
+    1 / sqrt(2 n) for any n that fits in memory."""
     if not 1 <= k <= 2:  # order 0 has no gradient block, order 2 no curl
         n, none = c.num_simplices(k if right else k - 1), np.zeros(0)
         return _Factors(np.zeros((n, 0)), none, np.zeros((0, n)), none,
@@ -221,22 +232,16 @@ def _factors(c: SimplicialComplex, k: int, r: int, tau: float,
     if right:  # the left side of b_k^T = v s u^T
         u, vt = vt.T, u.T
     u, s, vt = u[:, :r], s[:r], vt[:r]
-    found, neg = np.empty((2, r), dtype=bool)
+    tau = _sign_tolerance(c)
+    neg = np.empty(r, dtype=bool)
     step = max(1, (1 << 20) // max(1, u.shape[0]))  # 8 MB chunks
     for a in range(0, r, step):
         chunk = u[:, a : a + step]
-        found[a : a + step], neg[a : a + step] = first_large(
+        neg[a : a + step] = leads_negative(
             chunk if offset is None else chunk / np.sqrt(2.0), tau)
     signs = np.where(neg[::-1], -1.0, 1.0)
     if offset is not None:
-        signs = np.repeat(signs, 2)
-        lost = np.flatnonzero(~found[::-1])
-        if lost.size:
-            v_found, v_neg = first_large(vt[r - 1 - lost].T / np.sqrt(2.0),
-                                         tau)
-            signs[2 * lost] = np.where(v_neg, -1.0, 1.0)
-            signs[2 * lost + 1] = np.where(v_found & ~v_neg, -1.0, 1.0)
-        return _Factors(u, s, vt, signs, offset)
+        return _Factors(u, s, vt, np.repeat(signs, 2), offset)
     scale, op, op_t = signs[::-1], None, None
     # u is the side derived from the Gram eigenvectors, and not small
     if right == _eigen_left(c, k) and not small(u.shape):
@@ -264,8 +269,9 @@ class HodgeBasis:
 
     gradient spans range(b_k^T), curl spans range(b_{k+1}), harmonic spans
     kernel(L_k); the three blocks are mutually orthonormal and their widths
-    sum to N_k. Column signs are fixed (first entry of magnitude > tolerance
-    positive), so the basis is a deterministic function of the complex.
+    sum to N_k. Column signs are fixed (first entry of magnitude above the
+    default zero tolerance positive, under any ``tol``), so the basis is a
+    deterministic function of the complex.
     The widths are fixed up front: under the default tolerance (``exact``,
     ``tol`` None) they are the exact ranks of the topology core. Every
     block, and the zero tolerance, is computed on first access.
@@ -291,12 +297,11 @@ class HodgeBasis:
     @cached_property
     def _gradient_factors(self) -> _Factors:
         return _factors(self.complex, self.order, self.n_gradient,
-                        self.tolerance, right=True)
+                        right=True)
 
     @cached_property
     def _curl_factors(self) -> _Factors:
-        return _factors(self.complex, self.order + 1, self.n_curl,
-                        self.tolerance)
+        return _factors(self.complex, self.order + 1, self.n_curl)
 
     def _frequencies(self, k: int, r: int) -> np.ndarray:
         """The r largest squared singular values of b_k, ascending, from
@@ -388,7 +393,7 @@ class HodgeBasis:
                 u, _, vt = _incidence_svd(c, b)
                 side = vt.T if kind == "gradient" else u
                 cols = side[:, width - 1 - local]
-            out[:, mine] = fix_column_signs(cols, self.tolerance)
+            out[:, mine] = fix_column_signs(cols, _sign_tolerance(c))
         return out
 
     def frequencies(self) -> np.ndarray:
@@ -514,7 +519,7 @@ def _harmonic_block(c: SimplicialComplex, k: int, width: int,
     for _ in range(2):
         block = (block - _part(c, k, k, block, tol)[0]
                  - _part(c, k, k + 1, block, tol)[0])
-    harm = fix_column_signs(np.linalg.qr(block)[0], _zero_tolerance(c, tol))
+    harm = fix_column_signs(np.linalg.qr(block)[0], _sign_tolerance(c))
     harm.flags.writeable = False
     return harm
 
@@ -628,8 +633,7 @@ def dirac_basis(c: SimplicialComplex, tol: float | None = None) -> DiracBasis:
     # The ranks may count a sigma that the SVD's own solve set to zero.
     r1, r2 = (min(_rank(c, k, tol), np.count_nonzero(_incidence_svd(c, k)[1]))
               for k in (1, 2))
-    pairs = (_factors(c, 1, r1, tau, offset=0),
-             _factors(c, 2, r2, tau, offset=c.n0))
+    pairs = (_factors(c, 1, r1, offset=0), _factors(c, 2, r2, offset=c.n0))
     lam_g, lam_c = (np.repeat(p.s[::-1], 2) * np.tile([1.0, -1.0], p.s.size)
                     for p in pairs)
 

@@ -17,6 +17,11 @@ Prediction and simulation compile the model once into one block operator
 on the stacked past, cached on the complex; a step is one product with it.
 Its sums run in the operator's own order, so a step matches the
 term-by-term sum to rounding, not bit for bit.
+
+A step multiplies by a held operator through :func:`_linalg.product` and
+by the LMS regressor with ``ndarray.dot``, not ``@``: on a step's small
+operands numpy's matmul dispatch costs about twice ndarray.dot's, for the
+same bits (see :mod:`hodgesp._linalg`).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import held, krylov
+from ._linalg import held, krylov, product
 from ._util import check_integer, check_real
 from .complexes import (
     Cochain,
@@ -185,7 +190,7 @@ def scvar_predict(model: SCVarModel,
     p steps back."""
     _check_history(model, history, "history")
     return ComplexSignal.from_stacked(
-        model.complex, _operator(model) @ _past(model, history))
+        model.complex, product(_operator(model))(_past(model, history)))
 
 
 def scvar_simulate(model: SCVarModel, steps: int,
@@ -211,12 +216,12 @@ def scvar_simulate(model: SCVarModel, steps: int,
     _check_history(model, initial, "initial")
     c = model.complex
     sizes = (c.n0, c.n1, c.n2)
-    op = _operator(model)
+    step = product(_operator(model))
     past = _past(model, initial)
     n = sum(sizes)
     out = []
     for _ in range(steps):
-        nxt = op @ past + np.concatenate([
+        nxt = step(past) + np.concatenate([
             s * rng.standard_normal(m) for s, m in zip(noise_std, sizes)])
         out.append(ComplexSignal.from_stacked(c, nxt))
         past = np.concatenate((nxt, past[:-n]))
@@ -368,6 +373,11 @@ def _shift_operators(c: SimplicialComplex):
             held(sp.block_diag([down, up], format="csr")))
 
 
+def _shift_products(c: SimplicialComplex):
+    """The :func:`product` calls of the :func:`_shift_operators`."""
+    return tuple(map(product, _shift_operators(c)))
+
+
 def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
                         t_down: int, t_up: int) -> np.ndarray:
     """Regressor of shifted flows, columns
@@ -390,14 +400,15 @@ def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
 def _regressor(c: SimplicialComplex, window: Sequence[Cochain], t_down: int,
                t_up: int) -> np.ndarray:
     """:func:`lms_build_regressor` for checked arguments."""
-    stacked, blocks = _cached(c, ("lms_shift",), _shift_operators, c)
+    stacked_dot, blocks_dot = _cached(c, ("lms_shift",), _shift_products,
+                                      c)
     n = c.n1
     x_mat = np.empty((n, 1 + t_down + t_up))
     x_mat[:, 0] = window[-1].values
     for m in range(1, max(t_down, t_up) + 1):
-        z = stacked @ window[-1 - m].values
+        z = stacked_dot(window[-1 - m].values)
         for _ in range(m - 1):
-            z = blocks @ z
+            z = blocks_dot(z)
         if m <= t_down:
             x_mat[:, m] = z[:n]
         if m <= t_up:
@@ -438,16 +449,16 @@ def _lms_update(state: LmsState, x_t: Cochain, y_t: Cochain,
             raise ValueError(f"mask must have shape ({c.n1},)")
     x_mat = _regressor(c, window, state.t_down, state.t_up)
     coeffs = state.coefficients
-    prediction = x_mat @ coeffs
+    prediction = x_mat.dot(coeffs)
     residual = y_t.values - prediction
     if mask is not None:  # no mask is the all-ones mask, and 1.0 * r == r
         residual = mask.astype(float) * residual
-    error = float(residual @ residual)
+    error = float(residual.dot(residual))
     if not math.isfinite(error):  # one scalar check, not the coefficients
         raise ValueError(
             f"LMS diverged: the step's squared error is {error}; the step "
             f"size mu = {state.mu} is too large for these inputs")
-    coeffs = coeffs + state.mu * (x_mat.T @ residual)
+    coeffs = coeffs + state.mu * x_mat.T.dot(residual)
     return _advance(state, coeffs, window), error, prediction
 
 

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodgesp.complexes as hc
 import hodgesp.io as hio
@@ -22,6 +23,7 @@ from hodgesp import (
     hodge_basis,
     hodge_laplacian,
     lambda_max,
+    slepians,
 )
 from hodgesp.cli import run_cli
 
@@ -69,9 +71,10 @@ def reference_pairs(c, k, tol, dim, offset, tau):
 
 
 def reference_dirac(c, tol):
-    """The Dirac basis matrix and eigenvalues, assembled directly."""
+    """The Dirac basis matrix and eigenvalues, assembled directly; every
+    tol signs by the default zero tolerance."""
     dim = c.n0 + c.n1 + c.n2
-    tau = hc._zero_tolerance(c, tol)
+    tau = hc._zero_tolerance(c, None)
     grad, lam_g = reference_pairs(c, 1, tol, dim, 0, tau)
     curl, lam_c = reference_pairs(c, 2, tol, dim, c.n0, tau)
     blocks = [hodge_basis(c, k, tol).harmonic for k in (0, 1, 2)]
@@ -84,8 +87,6 @@ def reference_dirac(c, tol):
     return np.hstack([harm, grad, curl]), lam
 
 
-# At tol = 0.3 some u columns have no entry above the tolerance, so the
-# pair's signs come from v and differ within the pair.
 @pytest.mark.parametrize("tol", [None, 1e-8, 0.3])
 @pytest.mark.parametrize("name", FIXTURES + ["hole_grid_12"])
 def test_dirac_matrix_bytes_match_the_direct_assembly(name, tol, request):
@@ -227,3 +228,28 @@ def test_row_sum_bound_on_grids_and_empty_complexes():
     assert hc._spectral_bound(build_complex(0)) == 0
     assert hc._spectral_bound(build_complex(3)) == 0
     assert hc._zero_tolerance(build_complex(3), None) == 1e-10
+
+
+def assert_signed_by(matrix, tau):
+    """Each column's first entry of magnitude above tau is positive."""
+    for col in np.asarray(matrix).T:
+        big = np.flatnonzero(np.abs(col) > tau)
+        assert big.size and col[big[0]] > 0
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(c=complexes_with_cells(), tol=st.sampled_from([0.5, 1.0, 4.0]))
+def test_explicit_tol_signs_by_the_default_zero_tolerance(c, tol):
+    """Named change: every sign fix takes the default zero tolerance as the
+    entry size to sign by, whatever tol is in force. With tol itself as
+    that size, a column with entries +-0.5 took its sign from rounding at
+    0.5, and no column was signed at tol >= 1."""
+    tau = hc._zero_tolerance(c, None)
+    for k in (0, 1, 2):
+        basis = hodge_basis(c, k, tol)
+        assert_signed_by(basis.matrix(), tau)
+        assert_signed_by(basis.columns(np.arange(c.num_simplices(k))), tau)
+    assert_signed_by(dirac_basis(c, tol).matrix(), tau)
+    if c.n1:
+        edges, freqs = range(0, c.n1, 2), range(c.n1)
+        assert_signed_by(slepians(c, edges, freqs, tol=tol).vectors, tau)

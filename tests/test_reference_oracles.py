@@ -1,12 +1,12 @@
 """Reference oracles for paths written once: the SCVAR fit's single Krylov
 pass per term, the typed spectrum built from the block frequency arrays,
 the l1 dual step's one bound vector, the filterbank on arrays, the one
-filter evaluator and the one Hodge split. Each keeps the earlier code (a
-regressor loop per lag, a row loop over the frequency table, a clip per
-penalty block, one Cochain per branch, a term plan applied apart, a
-projection onto the truncated SVD) and must agree with it on random
-complexes with cells: byte for byte, except the explicit-tol split, which
-moves by rounding."""
+filter evaluator, the one Hodge split and the exact elimination's lowest
+rows. Each keeps the earlier code (a regressor loop per lag, a row loop
+over the frequency table, a clip per penalty block, one Cochain per
+branch, a term plan applied apart, a projection onto the truncated SVD, a
+dict per column) and must agree with it on random complexes with cells:
+byte for byte, except the explicit-tol split, which moves by rounding."""
 
 import warnings
 
@@ -38,7 +38,13 @@ from hodgesp import (
     scvar_fit,
 )
 from hodgesp._linalg import krylov
-from hodgesp.complexes import _float_incidence, _incidence_svd, _rank
+from hodgesp.complexes import (
+    _PRIME,
+    _eliminate,
+    _float_incidence,
+    _incidence_svd,
+    _rank,
+)
 from hodgesp.filters import _filter_values, _poly_eval, _polynomial
 from hodgesp.timeseries import _OWN_SLOTS, _terms
 
@@ -435,3 +441,63 @@ def test_hodge_split_matches_the_svd_projection(c, k, tol, seed):
         assert (part is None) == (ref is None)
         if ref is not None:
             assert np.max(np.abs(part.values - ref), initial=0.0) <= bound
+
+
+def dict_per_column_eliminate(b):
+    """The pivot columns of ``b`` as the elimination found them with a dict
+    of entries built for every column."""
+    csc = b.tocsc()
+    owner, pivots = {}, []
+    for j in range(csc.shape[1]):
+        lo, hi = csc.indptr[j], csc.indptr[j + 1]
+        col = dict(zip(csc.indices[lo:hi].tolist(),
+                       (csc.data[lo:hi] % _PRIME).tolist()))
+        while col:
+            low = max(col)
+            red = owner.get(low)
+            if red is None:
+                owner[low] = col
+                pivots.append(j)
+                break
+            f = col[low] * pow(red[low], -1, _PRIME) % _PRIME
+            for r, v in red.items():
+                v = (col.get(r, 0) - f * v) % _PRIME
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+    return np.array(pivots, dtype=np.int64)
+
+
+@st.composite
+def integer_matrices(draw):
+    """A sparse integer matrix of up to 10 rows and 13 columns, some
+    columns multiples (by -2, -1, 1 or 2) of others and some empty, so
+    collisions and columns that reduce to zero are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = rng.integers(0, 11), rng.integers(0, 8)
+    a = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < rng.random())
+    if n:
+        picks = rng.integers(0, n, rng.integers(0, 7))
+        a = np.hstack([a, a[:, picks] * rng.choice([-2, -1, 1, 2],
+                                                   picks.size)])
+        a = a[:, rng.permutation(a.shape[1])]
+    return sp.csr_array(a)
+
+
+def l2_stacks(c, seed):
+    """The incidence rows of the unobserved edges that _l2_factor ranks,
+    [b1[:, U]; b2[U, :]^T] and its two halves, under a random mask."""
+    unobserved = np.flatnonzero(np.random.default_rng(seed).random(c.n1)
+                                < 0.6)
+    halves = [c.b1[:, unobserved], c.b2.T[:, unobserved]]
+    return [*halves, sp.vstack(halves, format="csc")]
+
+
+@PROPERTY
+@given(b=integer_matrices(), c=complexes_with_cells(),
+       seed=st.integers(0, 2**16))
+def test_eliminate_matches_the_dict_per_column_loop(b, c, seed):
+    for matrix in [b, c.b2, *l2_stacks(c, seed)]:
+        assert_array_equal(_eliminate(matrix),
+                           dict_per_column_eliminate(matrix))
