@@ -95,14 +95,14 @@ def krylov(matvec, x: np.ndarray, t_max: int):
 # (1 BLAS thread) a dense product is 3.5 times faster at 512 entries, as
 # fast near 2.5e4 and slower beyond.
 #
-# Per-step code multiplies dense arrays with ``a.dot(b)`` rather than
-# ``a @ b``, and a held operator through :func:`product`. numpy's matmul
-# gufunc costs about twice ndarray.dot's dispatch on operands of a few
-# dozen entries (a 20 x 10 [Ld; Lu] times a vector: 0.9-1.2 against
-# 0.5-0.8 us on one shared x86-64 core, numpy 2.4); both reach the same
-# BLAS kernels, so the results are the same bits. The operator stays on the
-# left, as ndarray.dot(sparse) does not dispatch to scipy, and a sparse
-# operator keeps ``@``, as its ``dot`` tests for a scalar first (0.9 us).
+# Per-step code multiplies with ``a.dot(b)`` rather than ``a @ b``, a held
+# operator as well as a dense array. numpy's matmul gufunc costs about
+# twice ndarray.dot's dispatch on operands of a few dozen entries (a
+# 20 x 10 [Ld; Lu] times a vector: 0.9-1.2 against 0.5-0.8 us on one
+# shared x86-64 core, numpy 2.4); both reach the same BLAS kernels, so
+# the results are the same bits. The operator stays on the
+# left, as ndarray.dot(sparse) does not dispatch to scipy; a CSR operator's
+# ``dot`` is its ``@`` for an array operand.
 DENSE_ENTRIES = 25_000
 
 
@@ -116,8 +116,3 @@ def held(op):
     dense array if it is :func:`small`, else CSR."""
     return op.toarray() if small(op.shape) else op.tocsr()
 
-
-def product(op):
-    """The product with the held operator ``op``, ``x -> op @ x``, as the
-    call that dispatches fastest: ``op.dot`` when it is dense."""
-    return op.dot if isinstance(op, np.ndarray) else op.__matmul__

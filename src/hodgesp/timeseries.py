@@ -18,10 +18,10 @@ on the stacked past, cached on the complex; a step is one product with it.
 Its sums run in the operator's own order, so a step matches the
 term-by-term sum to rounding, not bit for bit.
 
-A step multiplies by a held operator through :func:`_linalg.product` and
-by the LMS regressor with ``ndarray.dot``, not ``@``: on a step's small
-operands numpy's matmul dispatch costs about twice ndarray.dot's, for the
-same bits (see :mod:`hodgesp._linalg`).
+A step multiplies by a held operator and by the LMS regressor with
+``.dot``, not ``@``: on a step's small operands numpy's matmul dispatch
+costs about twice ndarray.dot's, for the same bits (see
+:mod:`hodgesp._linalg`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import held, krylov, product
+from ._linalg import held, krylov
 from ._util import check_integer, check_real
 from .complexes import (
     Cochain,
@@ -190,7 +190,7 @@ def scvar_predict(model: SCVarModel,
     p steps back."""
     _check_history(model, history, "history")
     return ComplexSignal.from_stacked(
-        model.complex, product(_operator(model))(_past(model, history)))
+        model.complex, _operator(model).dot(_past(model, history)))
 
 
 def scvar_simulate(model: SCVarModel, steps: int,
@@ -216,12 +216,12 @@ def scvar_simulate(model: SCVarModel, steps: int,
     _check_history(model, initial, "initial")
     c = model.complex
     sizes = (c.n0, c.n1, c.n2)
-    step = product(_operator(model))
+    op = _operator(model)
     past = _past(model, initial)
     n = sum(sizes)
     out = []
     for _ in range(steps):
-        nxt = step(past) + np.concatenate([
+        nxt = op.dot(past) + np.concatenate([
             s * rng.standard_normal(m) for s, m in zip(noise_std, sizes)])
         out.append(ComplexSignal.from_stacked(c, nxt))
         past = np.concatenate((nxt, past[:-n]))
@@ -373,11 +373,6 @@ def _shift_operators(c: SimplicialComplex):
             held(sp.block_diag([down, up], format="csr")))
 
 
-def _shift_products(c: SimplicialComplex):
-    """The :func:`product` calls of the :func:`_shift_operators`."""
-    return tuple(map(product, _shift_operators(c)))
-
-
 def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
                         t_down: int, t_up: int) -> np.ndarray:
     """Regressor of shifted flows, columns
@@ -400,15 +395,14 @@ def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
 def _regressor(c: SimplicialComplex, window: Sequence[Cochain], t_down: int,
                t_up: int) -> np.ndarray:
     """:func:`lms_build_regressor` for checked arguments."""
-    stacked_dot, blocks_dot = _cached(c, ("lms_shift",), _shift_products,
-                                      c)
+    stacked, blocks = _cached(c, ("lms_shift",), _shift_operators, c)
     n = c.n1
     x_mat = np.empty((n, 1 + t_down + t_up))
     x_mat[:, 0] = window[-1].values
     for m in range(1, max(t_down, t_up) + 1):
-        z = stacked_dot(window[-1 - m].values)
+        z = stacked.dot(window[-1 - m].values)
         for _ in range(m - 1):
-            z = blocks_dot(z)
+            z = blocks.dot(z)
         if m <= t_down:
             x_mat[:, m] = z[:n]
         if m <= t_up:

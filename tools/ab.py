@@ -5,7 +5,7 @@ Usage (from the repository root):
 
     python3 tools/ab.py --against REV               # all three workloads
     python3 tools/ab.py --against REV --workload stream --pairs 10 \\
-        --seconds 6 --seed 1 -o ab.json
+        --seconds 6 --seed 1
 
 Each side runs from its own copy in one temporary directory, under a
 name of the same length: the src/ of REV, extracted with ``git archive``,
@@ -22,8 +22,7 @@ side's median with its quartiles, the median over pairs of the ratio
 working tree / REV, and in how many pairs the working tree was better.
 A ratio below 1 favours the working tree for a metric where lower is
 better, as every metric of BENCHMARK.json is. It also prints each side's
-failed share of operations. ``-o FILE`` writes every run's numbers and
-the summaries as JSON.
+failed share of operations.
 """
 
 from __future__ import annotations
@@ -54,7 +53,12 @@ def materialize(rev: str | None, dest: Path) -> None:
                                   "src"], cwd=ROOT, capture_output=True,
                                  check=True)
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(dest, filter="data")
+            # The "data" filter exists from Python 3.10.12 and 3.11.4 on;
+            # before, the archive of a revision of this repository is
+            # extracted as it is.
+            safe = {"filter": "data"} if hasattr(tarfile, "data_filter") \
+                else {}
+            tar.extractall(dest, **safe)
     shutil.copytree(ROOT / "perfbench", dest / "perfbench", ignore=skip)
 
 
@@ -150,12 +154,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="measuring seconds per run (default 20, as "
                              "BENCHMARK.json)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("-o", "--output", help="write every run as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    out = {"against": args.against, "seed": args.seed,
-           "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {"base": Path(tmp, "base"), "mine": Path(tmp, "tree")}
         materialize(args.against, trees["base"])
@@ -170,11 +171,7 @@ def main(argv: list[str] | None = None) -> int:
                                           args.seconds))
                 print(f"{workload} pair {pair + 1}/{args.pairs} done",
                       file=sys.stderr)
-            summary = summarize(runs)
-            print_summary(workload, args.against, summary)
-            out["workloads"][workload] = {"runs": runs, **summary}
-    if args.output:
-        Path(args.output).write_text(json.dumps(out, indent=1) + "\n")
+            print_summary(workload, args.against, summarize(runs))
     return 0
 
 
