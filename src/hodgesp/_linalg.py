@@ -48,10 +48,10 @@ def gram_schmidt(q: np.ndarray, col: np.ndarray
     """Orthogonalize ``col`` against the orthonormal columns of ``q`` by
     Gram-Schmidt run twice, which keeps it orthogonal to rounding level;
     returns the orthogonalized column and its coefficients on ``q``."""
-    first = q.T @ col
-    col = col - q @ first
-    second = q.T @ col
-    col -= q @ second
+    first = q.T.dot(col)
+    col = col - q.dot(first)
+    second = q.T.dot(col)
+    col -= q.dot(second)
     return col, first + second
 
 
@@ -95,7 +95,8 @@ def krylov(matvec, x: np.ndarray, t_max: int):
 # (1 BLAS thread) a dense product is 3.5 times faster at 512 entries, as
 # fast near 2.5e4 and slower beyond.
 #
-# Per-step code multiplies with ``a.dot(b)`` rather than ``a @ b``, a held
+# Per-step and per-pick code (streaming steps, matching pursuit,
+# Gram-Schmidt) multiplies with ``a.dot(b)`` rather than ``a @ b``, a held
 # operator as well as a dense array. numpy's matmul gufunc costs about
 # twice ndarray.dot's dispatch on operands of a few dozen entries (a
 # 20 x 10 [Ld; Lu] times a vector: 0.9-1.2 against 0.5-0.8 us on one

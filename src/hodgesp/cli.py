@@ -199,9 +199,7 @@ def _cmd_lms(c, args) -> None:
         preds[len(steps)] = pred
         steps.append(t)
         errors.append(err)
-    hio._write_csv(args.output, hio._SERIES_HEADER, "%d,1,%d,%.17g",
-                   np.repeat(steps, c.n1), np.tile(np.arange(c.n1), len(steps)),
-                   preds[:len(steps)].ravel())
+    hio._write_series(args.output, steps, preds, [(1, c.n1)])
     if args.coeffs_output:
         hio.save_matrix(args.coeffs_output, state.coefficients[None, :])
     tail = errors[-min(len(errors), 200):]

@@ -214,7 +214,7 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
     selected: list[int] = []
     residual = target.copy()
     for k in range(steps):
-        res_norm = math.sqrt(residual @ residual)
+        res_norm = math.sqrt(residual.dot(residual))
         if res_norm < residual_tol:
             break
         scores = correlator @ residual
@@ -226,10 +226,10 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
             break  # residual orthogonal to every atom
         selected.append(best)
         col, r[:k, k] = gram_schmidt(q[:k].T, _column(atoms, best))
-        r[k, k] = math.sqrt(col @ col)
+        r[k, k] = math.sqrt(col.dot(col))
         np.divide(col, r[k, k], out=q[k])
         # The residual is orthogonal to q[:k], so this is q[k] @ target.
-        proj[k] = q[k] @ residual
+        proj[k] = q[k].dot(residual)
         residual -= proj[k] * q[k]
     coeffs = np.zeros(atoms.shape[1])
     if selected:

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from ._util import first_bad
+from ._util import check_integer, first_bad
 from .complexes import (
     Cochain,
     ComplexSignal,
@@ -406,15 +406,26 @@ def load_series(path, c: SimplicialComplex) -> list[ComplexSignal]:
 
 def save_series(path, series: Sequence[ComplexSignal],
                 start: int = 0) -> None:
+    check_integer(start, "start", 0)
     series = list(series)
-    if not series:
-        return _write_csv(path, _SERIES_HEADER, "")
-    c, n = series[0].complex, len(series)
-    _write_csv(path, _SERIES_HEADER, "%d,%d,%d," + _FLOAT,
-               np.repeat(np.arange(start, start + n), c.n0 + c.n1 + c.n2),
-               np.tile(np.repeat([0, 1, 2], [c.n0, c.n1, c.n2]), n),
-               np.tile(np.r_[:c.n0, :c.n1, :c.n2], n),
-               np.concatenate([sig.stacked() for sig in series]))
+    levels = [(k, series[0].complex.num_simplices(k))
+              for k in (0, 1, 2)] if series else []
+    _write_series(path, range(start, start + len(series)),
+                  [sig.stacked() for sig in series], levels)
+
+
+def _write_series(path, steps: Sequence[int], frames, levels) -> None:
+    """Write time-series rows: for each step t of ``steps`` and its frame
+    of ``frames``, one row ``t,level,simplex_id,value`` per simplex of
+    ``levels``, a list of (level, size), with the frame's values in that
+    order. The ``level,simplex_id,`` prefixes are made once, and a step's
+    rows are one ``%`` of its values, so only the floats are formatted."""
+    rows = [f",{level},{i},{_FLOAT}\r\n" for level, size in levels
+            for i in range(size)]
+    with Path(path).open("w", newline="") as fh:
+        fh.write(_SERIES_HEADER + "\r\n")
+        for t, frame in zip(steps, frames):
+            fh.write(str(t).join(["", *rows]) % tuple(frame.tolist()))
 
 
 def load_model(path, c: SimplicialComplex) -> SCVarModel:

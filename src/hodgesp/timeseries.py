@@ -22,6 +22,12 @@ A step multiplies by a held operator and by the LMS regressor with
 ``.dot``, not ``@``: on a step's small operands numpy's matmul dispatch
 costs about twice ndarray.dot's, for the same bits (see
 :mod:`hodgesp._linalg`).
+
+An LMS state holds its step plan, built once when the state is made:
+the window length, the held shift operators and the regressor column of
+each lag's product. A step reads the plan instead of looking the
+operators up and redoing that arithmetic, and forms the same bits as
+before.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -323,7 +329,11 @@ def scvar_fit(c: SimplicialComplex, series: Sequence[ComplexSignal],
 @dataclass(frozen=True, eq=False)
 class LmsState:
     """Streaming LMS state: coefficient vector, step size, and the window
-    of recent input flows (most recent last)."""
+    of recent input flows (most recent last).
+
+    The state also holds its step plan, built from the complex and the
+    orders when the state is made (by the constructor, :func:`lms_init` or
+    ``dataclasses.replace``); it is not shown, compared or passed."""
 
     complex: SimplicialComplex
     t_down: int
@@ -331,6 +341,7 @@ class LmsState:
     mu: float
     coefficients: np.ndarray
     window: tuple[Cochain, ...] = field(default_factory=tuple)
+    _plan: _Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_real(self.mu, "mu", positive=True)
@@ -345,6 +356,8 @@ class LmsState:
                 f"need {expected} coefficients (1 + t_down + t_up), "
                 f"got shape {coeffs.shape}"
             )
+        object.__setattr__(self, "_plan",
+                           _make_plan(self.complex, self.t_down, self.t_up))
 
 
 def _check_orders(t_down, t_up) -> None:
@@ -373,6 +386,36 @@ def _shift_operators(c: SimplicialComplex):
             held(sp.block_diag([down, up], format="csr")))
 
 
+class _Plan(NamedTuple):
+    """What every LMS step of one complex and pair of orders repeats:
+    the window length, n1, the regressor width 1 + t_down + t_up, the held
+    shift operators, and per lag m the regressor columns it fills, each
+    with the half of z = [Ld^m x; Lu^m x] that fills it."""
+
+    need: int
+    n: int
+    width: int
+    stacked: object
+    blocks: object
+    lags: tuple[tuple[tuple[int, slice], ...], ...]
+
+
+def _make_plan(c: SimplicialComplex, t_down: int, t_up: int) -> _Plan:
+    n = c.n1
+    down, up = slice(0, n), slice(n, 2 * n)
+    lags = []
+    for m in range(1, max(t_down, t_up) + 1):
+        columns = []
+        if m <= t_down:
+            columns.append((m, down))
+        if m <= t_up:
+            columns.append((t_down + m, up))
+        lags.append(tuple(columns))
+    return _Plan(max(t_down, t_up) + 1, n, 1 + t_down + t_up,
+                 *_cached(c, ("lms_shift",), _shift_operators, c),
+                 tuple(lags))
+
+
 def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
                         t_down: int, t_up: int) -> np.ndarray:
     """Regressor of shifted flows, columns
@@ -382,31 +425,31 @@ def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
     as Ld Lu = 0, that is [Ld^m x_{t-m}; Lu^m x_{t-m}].
     """
     _check_orders(t_down, t_up)
-    need = max(t_down, t_up) + 1
-    if len(window) < need:
+    plan = _make_plan(c, t_down, t_up)
+    if len(window) < plan.need:
         raise ValueError(
-            f"insufficient history: need {need} flows, got {len(window)}"
+            f"insufficient history: need {plan.need} flows, got "
+            f"{len(window)}"
         )
     for x in window:
         _check_bound(c, x, "window", 1)
-    return _regressor(c, window, t_down, t_up)
+    return _regressor(plan, window)
 
 
-def _regressor(c: SimplicialComplex, window: Sequence[Cochain], t_down: int,
-               t_up: int) -> np.ndarray:
-    """:func:`lms_build_regressor` for checked arguments."""
-    stacked, blocks = _cached(c, ("lms_shift",), _shift_operators, c)
-    n = c.n1
-    x_mat = np.empty((n, 1 + t_down + t_up))
+def _regressor(plan: _Plan, window: Sequence[Cochain]) -> np.ndarray:
+    """:func:`lms_build_regressor` for a checked window, from its plan.
+    Each column is written from a contiguous half of z; one write of a
+    lag's two columns from z.reshape(2, n1).T, which numpy copies two
+    entries at a time, costs more at every n1."""
+    x_mat = np.empty((plan.n, plan.width))
     x_mat[:, 0] = window[-1].values
-    for m in range(1, max(t_down, t_up) + 1):
-        z = stacked.dot(window[-1 - m].values)
+    blocks = plan.blocks
+    for m, columns in enumerate(plan.lags, 1):
+        z = plan.stacked.dot(window[-1 - m].values)
         for _ in range(m - 1):
             z = blocks.dot(z)
-        if m <= t_down:
-            x_mat[:, m] = z[:n]
-        if m <= t_up:
-            x_mat[:, t_down + m] = z[n:]
+        for column, half in columns:
+            x_mat[:, column] = z[half]
     return x_mat
 
 
@@ -430,20 +473,21 @@ def _lms_update(state: LmsState, x_t: Cochain, y_t: Cochain,
                 ) -> tuple[LmsState, float | None, np.ndarray | None]:
     """:func:`lms_step`, also returning the pre-update prediction X h (None
     while the window fills)."""
-    c = state.complex
-    _check_bound(c, x_t, "x_t", 1)
-    need = max(state.t_down, state.t_up) + 1
-    window = (state.window + (x_t,))[-need:]
-    if len(window) < need:
+    c, plan = state.complex, state._plan
+    # _check_bound's test, inline: the call, only to raise its error
+    if x_t.complex is not c or x_t.order != 1:
+        _check_bound(c, x_t, "x_t", 1)
+    window = (state.window + (x_t,))[-plan.need:]
+    if len(window) < plan.need:
         return _advance(state, state.coefficients, window), None, None
-    _check_bound(c, y_t, "y_t", 1)
+    if y_t.complex is not c or y_t.order != 1:
+        _check_bound(c, y_t, "y_t", 1)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (c.n1,):
-            raise ValueError(f"mask must have shape ({c.n1},)")
-    x_mat = _regressor(c, window, state.t_down, state.t_up)
-    coeffs = state.coefficients
-    prediction = x_mat.dot(coeffs)
+        if mask.shape != (plan.n,):
+            raise ValueError(f"mask must have shape ({plan.n},)")
+    x_mat = _regressor(plan, window)
+    prediction = x_mat.dot(state.coefficients)
     residual = y_t.values - prediction
     if mask is not None:  # no mask is the all-ones mask, and 1.0 * r == r
         residual = mask.astype(float) * residual
@@ -452,8 +496,11 @@ def _lms_update(state: LmsState, x_t: Cochain, y_t: Cochain,
         raise ValueError(
             f"LMS diverged: the step's squared error is {error}; the step "
             f"size mu = {state.mu} is too large for these inputs")
-    coeffs = coeffs + state.mu * x_mat.T.dot(residual)
-    return _advance(state, coeffs, window), error, prediction
+    # h + mu X^T r, formed in place: the same bits, two fewer arrays
+    update = x_mat.T.dot(residual)
+    update *= state.mu
+    update += state.coefficients
+    return _advance(state, update, window), error, prediction
 
 
 def _advance(state: LmsState, coefficients: np.ndarray,
@@ -461,6 +508,7 @@ def _advance(state: LmsState, coefficients: np.ndarray,
     """The state after a step of ``state``, with new coefficients and
     window; what ``state`` passed at construction is not checked again."""
     new = object.__new__(LmsState)
-    new.__dict__.update(state.__dict__, coefficients=coefficients,
-                        window=window)
+    attrs = new.__dict__
+    attrs.update(state.__dict__)
+    attrs["coefficients"], attrs["window"] = coefficients, window
     return new

@@ -413,6 +413,13 @@ def test_csv_round_trips_are_value_exact(tmp_path_factory, seed, data):
         assert same_bits(b.stacked(), a.stacked())
 
 
+@pytest.mark.parametrize("start", [2.5, True, -1, "3"])
+def test_save_series_rejects_a_bad_start(tmp_path, complex7, start):
+    with pytest.raises(ValueError, match="start"):
+        hio.save_series(tmp_path / "s.csv", [complex7.zero_signal()],
+                        start=start)
+
+
 def test_writer_golden_bytes(tmp_path, complex7):
     path = tmp_path / "f.csv"
     hio.save_signal(path, complex7.cochain(2, [0.1, -0.0, 1e308]))

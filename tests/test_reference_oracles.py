@@ -1,14 +1,19 @@
 """Reference oracles for paths written once: the SCVAR fit's single Krylov
 pass per term, the typed spectrum built from the block frequency arrays,
 the l1 dual step's one bound vector, the filterbank on arrays, the one
-filter evaluator, the one Hodge split and the exact elimination's lowest
-rows. Each keeps the earlier code (a regressor loop per lag, a row loop
-over the frequency table, a clip per penalty block, one Cochain per
-branch, a term plan applied apart, a projection onto the truncated SVD, a
-dict per column) and must agree with it on random complexes with cells:
-byte for byte, except the explicit-tol split, which moves by rounding."""
+filter evaluator, the one Hodge split, the exact elimination's lowest
+rows, the LMS step from a state's plan and the one series writer. Each
+keeps the earlier code (a regressor loop per lag, a row loop over the
+frequency table, a clip per penalty block, one Cochain per branch, a term
+plan applied apart, a projection onto the truncated SVD, a dict per
+column, the regressor rebuilt by hand, a field-by-field CSV writer) and
+must agree with it on random complexes with cells: byte for byte, except
+the explicit-tol split, which moves by rounding, and LMS steps on a dense
+shift stack, which match to rounding."""
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,9 +51,11 @@ from hodgesp.complexes import (
     _rank,
 )
 from hodgesp.filters import _filter_values, _poly_eval, _polynomial
-from hodgesp.timeseries import _OWN_SLOTS, _terms
+from hodgesp.io import _SERIES_HEADER, _write_csv, _write_series, save_series
+from hodgesp.timeseries import _OWN_SLOTS, _lms_update, _terms, lms_init
 
-from conftest import complexes_with_cells
+from conftest import complexes_with_cells, triangulated_grid
+from test_timeseries import assert_close, reference_lms_step
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None)
 TAPS = st.lists(st.floats(-2, 2, allow_nan=False, width=32), min_size=1,
@@ -501,3 +508,94 @@ def test_eliminate_matches_the_dict_per_column_loop(b, c, seed):
     for matrix in [b, c.b2, *l2_stacks(c, seed)]:
         assert_array_equal(_eliminate(matrix),
                            dict_per_column_eliminate(matrix))
+
+
+# A grid whose [Ld; Lu] stack is held sparse (2 n1 x n1 > 25 000 entries).
+SPARSE_GRID = triangulated_grid(8, holes=[(2, 2)])
+
+
+@PROPERTY
+@given(c=st.one_of(complexes_with_cells(), st.just(SPARSE_GRID)),
+       seed=st.integers(0, 2**16), t_down=st.integers(0, 3),
+       t_up=st.integers(0, 3),
+       masks=st.sampled_from(["none", "random", "all-False"]))
+def test_planned_lms_steps_match_the_rebuilt_regressor(c, seed, t_down, t_up,
+                                                      masks):
+    """Each step from the state's plan against the regressor rebuilt by
+    hand: byte for byte where the shift stack is held sparse, to 1e-12
+    relative where it is held dense."""
+    rng = np.random.default_rng(seed)
+    mu, need = 1e-3, max(t_down, t_up) + 1
+    state = lms_init(c, t_down, t_up, mu)
+    exact = sp.issparse(state._plan.stacked)
+    coeffs, window = state.coefficients, ()
+    for _ in range(need + 4):
+        x = c.cochain(1, rng.standard_normal(c.n1))
+        y = c.cochain(1, rng.standard_normal(c.n1))
+        mask = {"none": None, "random": rng.random(c.n1) < 0.6,
+                "all-False": np.zeros(c.n1, bool)}[masks]
+        window = (window + (x,))[-need:]
+        state, error, prediction = _lms_update(state, x, y, mask)
+        if len(window) < need:
+            assert error is None and prediction is None
+            continue
+        coeffs, want, want_pred = reference_lms_step(
+            c, coeffs, window, t_down, t_up, mu, y, mask)
+        assert_close(state.coefficients, coeffs, exact)
+        assert_close(prediction, want_pred, exact)
+        assert_close(error, want, exact)
+
+
+def field_by_field_series(path, series, start=0):
+    """save_series as it wrote through _write_csv: every field of every
+    row formatted by one ``%``."""
+    series = list(series)
+    if not series:
+        return _write_csv(path, _SERIES_HEADER, "")
+    c, n = series[0].complex, len(series)
+    _write_csv(path, _SERIES_HEADER, "%d,%d,%d,%.17g",
+               np.repeat(np.arange(start, start + n), c.n0 + c.n1 + c.n2),
+               np.tile(np.repeat([0, 1, 2], [c.n0, c.n1, c.n2]), n),
+               np.tile(np.r_[:c.n0, :c.n1, :c.n2], n),
+               np.concatenate([sig.stacked() for sig in series]))
+
+
+def field_by_field_predictions(path, steps, preds, n1):
+    """The lms subcommand's predictions file as it wrote it through
+    _write_csv."""
+    _write_csv(path, _SERIES_HEADER, "%d,1,%d,%.17g",
+               np.repeat(steps, n1), np.tile(np.arange(n1), len(steps)),
+               preds[:len(steps)].ravel())
+
+
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e308,
+                    -1e308, 1.7976931348623157e308, 0.1, -1 / 3, 1e16])
+
+
+def values_with_specials(rng, shape) -> np.ndarray:
+    """Normal values, about a third of them replaced by signed zeros,
+    subnormals, values near the overflow bound and awkward decimals."""
+    values = rng.standard_normal(shape)
+    special = rng.random(shape) < 0.35
+    values[special] = rng.choice(SPECIAL, int(special.sum()))
+    return values
+
+
+@PROPERTY
+@given(c=complexes_with_cells(), seed=st.integers(0, 2**16),
+       steps=st.integers(0, 4), start=st.integers(0, 1000))
+def test_series_writer_matches_the_field_by_field_writer(c, seed, steps,
+                                                        start):
+    rng = np.random.default_rng(seed)
+    series = [ComplexSignal.from_stacked(c, values_with_specials(
+        rng, c.n0 + c.n1 + c.n2)) for _ in range(steps)]
+    kept = np.flatnonzero(rng.random(steps + 2) < 0.6)  # steps with output
+    preds = values_with_specials(rng, (steps + 2, c.n1))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        save_series(got, series, start=start)
+        field_by_field_series(want, series, start=start)
+        assert got.read_bytes() == want.read_bytes()
+        _write_series(got, kept.tolist(), preds, [(1, c.n1)])
+        field_by_field_predictions(want, kept.tolist(), preds, c.n1)
+        assert got.read_bytes() == want.read_bytes()

@@ -695,6 +695,30 @@ def test_stepped_state_equals_a_validated_state(complex7):
                 assert got == want
 
 
+def test_replaced_state_steps_like_a_fresh_one(complex7):
+    """dataclasses.replace rebuilds the step plan for the new orders, so a
+    replaced state steps byte for byte as lms_init's; the plan is not in
+    the repr and takes no part in comparisons."""
+    rng = np.random.default_rng(27)
+    flows = [complex7.cochain(1, rng.standard_normal(10)) for _ in range(8)]
+    state = lms_init(complex7, 1, 1, 1e-3)
+    for x in flows[:3]:
+        state, _ = lms_step(state, x, x)
+    for t_down, t_up in ((3, 0), (0, 2), (2, 3), (1, 1)):
+        coeffs = rng.standard_normal(1 + t_down + t_up)
+        replaced = dataclasses.replace(state, t_down=t_down, t_up=t_up,
+                                       coefficients=coeffs, window=())
+        fresh = lms_init(complex7, t_down, t_up, 1e-3, coeffs)
+        for x in flows:
+            replaced, got = lms_step(replaced, x, x)
+            fresh, want = lms_step(fresh, x, x)
+            assert got == want
+            assert_close(replaced.coefficients, fresh.coefficients, True)
+    plan = {f.name: f for f in dataclasses.fields(LmsState)}["_plan"]
+    assert not (plan.init or plan.repr or plan.compare)
+    assert "_plan" not in repr(state) and "_Plan" not in repr(state)
+
+
 def test_regressor_matches_the_column_loop(complex7):
     rng = np.random.default_rng(21)
     window = [complex7.cochain(1, rng.standard_normal(10)) for _ in range(4)]

@@ -6,6 +6,8 @@ Usage (from the repository root):
     python3 tools/ab.py --against REV               # all three workloads
     python3 tools/ab.py --against REV --workload stream --pairs 10 \\
         --seconds 6 --seed 1
+    python3 tools/ab.py --against REV --scale-layer lms_step_T1 \\
+        --sizes complex7 20     # tools/scale.py layers only
 
 Each side runs from its own copy in one temporary directory, under a
 name of the same length: the src/ of REV, extracted with ``git archive``,
@@ -23,6 +25,12 @@ working tree / REV, and in how many pairs the working tree was better.
 A ratio below 1 favours the working tree for a metric where lower is
 better, as every metric of BENCHMARK.json is. It also prints each side's
 failed share of operations.
+
+With ``--scale-layer NAME`` (repeatable) each pair instead runs the
+working tree's ``tools/scale.py --layer NAME ... --sizes ...`` once on
+each side, alternating as above, and the same table compares the
+per-process medians of each layer and size. Without ``--workload`` it
+then runs no workload.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ WORKLOADS = ("grid-oneshot", "many-signals", "stream")
 
 def materialize(rev: str | None, dest: Path) -> None:
     """Under ``dest``, the src/ of git revision ``rev`` (of the working
-    tree when None) and the working tree's perfbench/."""
+    tree when None) and the working tree's perfbench/ and tools/."""
     skip = shutil.ignore_patterns("__pycache__")
     if rev is None:
         shutil.copytree(ROOT / "src", dest / "src", ignore=skip)
@@ -59,7 +67,8 @@ def materialize(rev: str | None, dest: Path) -> None:
             safe = {"filter": "data"} if hasattr(tarfile, "data_filter") \
                 else {}
             tar.extractall(dest, **safe)
-    shutil.copytree(ROOT / "perfbench", dest / "perfbench", ignore=skip)
+    for name in ("perfbench", "tools"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -78,6 +87,21 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                         for name, m in result["metrics"].items()},
             "ops": report["best_op_seconds"],
             "failed": result["failed"], "attempted": result["attempted"]}
+
+
+def scale_run(tree: Path, layers: list[str], sizes: list[str]) -> dict:
+    """One ``tools/scale.py --layer`` process in ``tree``: the median of
+    each layer per size, keyed "layer size"."""
+    proc = subprocess.run(
+        [sys.executable, "tools/scale.py", *(f"--layer={name}"
+                                             for name in layers),
+         "--sizes", *sizes], cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"error: tools/scale.py in {tree} exited with "
+                         f"{proc.returncode}:\n{proc.stderr}")
+    return {f"{layer} {size}": row["median"]
+            for size, rows in json.loads(proc.stdout).items()
+            for layer, row in rows.items()}
 
 
 def directions() -> dict[str, str]:
@@ -124,12 +148,20 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     return {"rows": rows, "failed_frac": failed}
 
 
+def summarize_layers(runs: dict[str, list[dict]]) -> dict:
+    """:func:`compare` for every scale layer and size."""
+    base, mine = runs["base"], runs["mine"]
+    return {"rows": {name: compare([r[name] for r in base],
+                                   [r[name] for r in mine], "lower")
+                     for name in base[0]}}
+
+
 def show(value: float) -> str:
     return f"{value:.4g}"
 
 
-def print_summary(workload: str, rev: str, summary: dict) -> None:
-    print(f"\n{workload}: REV {rev} against the working tree")
+def print_summary(title: str, rev: str, summary: dict) -> None:
+    print(f"\n{title}: REV {rev} against the working tree")
     print(f"{'metric':<26} {'REV median [q1, q3]':>33} "
           f"{'tree median [q1, q3]':>33} {'ratio':>6} {'wins':>6}")
     for name, row in summary["rows"].items():
@@ -138,9 +170,10 @@ def print_summary(workload: str, rev: str, summary: dict) -> None:
         wins = f"{row['wins']}/{row['pairs']}"
         print(f"{name:<26} {cells[0]:>33} {cells[1]:>33} "
               f"{row['ratio']:>6.3f} {wins:>6}")
-    failed = summary["failed_frac"]
-    print(f"failed share of operations: REV {failed['base']:.3g}, "
-          f"tree {failed['mine']:.3g}")
+    failed = summary.get("failed_frac")
+    if failed is not None:
+        print(f"failed share of operations: REV {failed['base']:.3g}, "
+              f"tree {failed['mine']:.3g}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -154,24 +187,35 @@ def main(argv: list[str] | None = None) -> int:
                         help="measuring seconds per run (default 20, as "
                              "BENCHMARK.json)")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--scale-layer", action="append", metavar="NAME",
+                        help="tools/scale.py layer to compare (repeatable)")
+    parser.add_argument("--sizes", nargs="+", default=["complex7", "20"],
+                        help="sizes of the scale layers (default complex7 "
+                             "20)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    workloads = args.workload or ([] if args.scale_layer else WORKLOADS)
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {"base": Path(tmp, "base"), "mine": Path(tmp, "tree")}
         materialize(args.against, trees["base"])
         materialize(None, trees["mine"])
-        for workload in args.workload or WORKLOADS:
+        jobs = [(workload, lambda tree, w=workload: run(
+            tree, w, args.seed, args.seconds), summarize)
+            for workload in workloads]
+        if args.scale_layer:
+            jobs.append(("scale layers", lambda tree: scale_run(
+                tree, args.scale_layer, args.sizes), summarize_layers))
+        for title, measure, summarize_runs in jobs:
             runs = {"base": [], "mine": []}
             for pair in range(args.pairs):
                 order = ("base", "mine") if pair % 2 == 0 else ("mine",
                                                                 "base")
                 for side in order:
-                    runs[side].append(run(trees[side], workload, args.seed,
-                                          args.seconds))
-                print(f"{workload} pair {pair + 1}/{args.pairs} done",
+                    runs[side].append(measure(trees[side]))
+                print(f"{title} pair {pair + 1}/{args.pairs} done",
                       file=sys.stderr)
-            print_summary(workload, args.against, summarize(runs))
+            print_summary(title, args.against, summarize_runs(runs))
     return 0
 
 

@@ -4,6 +4,8 @@ Usage (from the repository root):
 
     python3 tools/scale.py            # writes BENCH_scale.json
     python3 tools/scale.py -o out.json
+    python3 tools/scale.py --layer lms_step_T1 --layer scvar_step \
+        --sizes complex7 20           # named layers only, JSON to stdout
 
 It takes about 3 minutes and peaks near 850 MB of resident memory, in
 the dense layers at m = 40 (dense_blocks and decompose_tol_d, and the
@@ -50,6 +52,8 @@ Streaming layers are timed warm, in microseconds per step: the mean over
 runs, with their quartiles beside it.
 
     lms_step_T1, lms_step_T3   lms_step at t_down = t_up = 1 and 3
+    lms_regressor_T1           the regressor an lms_step_T1 step builds,
+                               from the state's step plan
     scvar_step                 one scvar_simulate step of the order-2
                                model of the stream benchmark workload
 
@@ -67,6 +71,14 @@ code; a median and its quartiles show how far a reading can be trusted.
 
 Tier-1 runs ``python -m pytest -q`` from the repository root in a
 subprocess; its wall time, summary line and five slowest tests are kept.
+
+With ``--layer NAME`` (repeatable) only the named layers run, on the
+``--sizes`` given (default all), and the result goes to stdout as JSON:
+per size and layer its unit and the median with its quartiles. A
+streaming or warm layer is timed as in the sweep (l2_reconstruct and
+reconstruct_bandlimited warm); a cold layer is timed on seven fresh
+complexes. No BENCH_scale.json and no Tier-1 run. This is
+what ``tools/ab.py --scale-layer`` runs on each side.
 """
 
 from __future__ import annotations
@@ -203,6 +215,18 @@ def stream_call(c, layer: str):
     order = int(layer[-1])
     flows = [c.cochain(1, rng.standard_normal(c.n1))
              for _ in range(order + 1 + STEPS)]
+    if layer.startswith("lms_regressor"):
+        # imported here, so that the other layers also run on a revision
+        # of hodgesp without step plans
+        from hodgesp.timeseries import _make_plan, _regressor
+
+        plan, window = _make_plan(c, order, order), flows[:order + 1]
+        _regressor(plan, window)
+
+        def call():
+            for _ in range(STEPS):
+                _regressor(plan, window)
+        return call
     # a step size far below the stability bound keeps every size finite
     state = hs.lms_init(c, order, order, 1e-12)
     for x in flows[:order + 1]:
@@ -273,7 +297,8 @@ LAYERS = ("betti", "betti_tol", "hodge_decompose", "decompose_tol",
           "dense_blocks", "harmonic", "dirac_basis", "dirac_tft",
           "band_columns", "select_samples", "reconstruct_bandlimited",
           "slepians", "build_dictionary", "dictionary_csv", "l2_reconstruct")
-STREAM_LAYERS = ("lms_step_T1", "lms_step_T3", "scvar_step")
+STREAM_LAYERS = ("lms_step_T1", "lms_step_T3", "lms_regressor_T1",
+                 "scvar_step")
 
 
 REPEATS = 7
@@ -288,6 +313,29 @@ def quartiles(call) -> np.ndarray:
         call()
         times.append(time.perf_counter() - start)
     return np.percentile(times, [25, 50, 75])
+
+
+def timed(arrays, layer: str, work: Path) -> tuple[str, list[float]]:
+    """The unit and [first quartile, median, third quartile] of ``layer``
+    on the complex built from ``arrays``: a streaming or warm layer per
+    step or call in microseconds, a cold one over REPEATS fresh complexes
+    in seconds."""
+    if layer in STREAM_LAYERS or layer in WARM_LAYERS:
+        c = hs.build_complex(*arrays)
+        if layer in STREAM_LAYERS:
+            count, call = STEPS, stream_call(c, layer)
+        else:
+            count, call = CALLS, WARM_LAYERS[layer](c)
+        return "us", [round(t / count * 1e6, 2) for t in quartiles(call)]
+    if layer not in LAYERS:
+        raise ValueError(f"unknown layer {layer!r}")
+    times = []
+    for _ in range(REPEATS):
+        call = prepare(hs.build_complex(*arrays), layer, work)
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return "s", [round(t, 6) for t in np.percentile(times, [25, 50, 75])]
 
 
 def sweep(size: str, work: Path) -> dict:
@@ -313,17 +361,12 @@ def sweep(size: str, work: Path) -> dict:
               file=sys.stderr)
     warm = {"step_us": {}, "step_us_quartiles": {}, "warm_us": {},
             "warm_us_quartiles": {}}
-    calls = [("step_us", layer, STEPS, stream_call, (layer,))
-             for layer in STREAM_LAYERS]
-    calls += [("warm_us", layer, CALLS, warm_call, ())
-              for layer, warm_call in WARM_LAYERS.items()]
-    for key, layer, count, make, args in calls:
-        q1, median, q3 = quartiles(make(hs.build_complex(n0, edges,
-                                                         triangles), *args))
-        us = [round(t / count * 1e6, 2) for t in (q1, median, q3)]
-        warm[key][layer] = us[1]
-        warm[key + "_quartiles"][layer] = [us[0], us[2]]
-        print(f"{size:>8} {layer:>24} {us[1]:9.2f} [{us[0]:.2f}, {us[2]:.2f}]"
+    for layer in STREAM_LAYERS + tuple(WARM_LAYERS):
+        _, (q1, median, q3) = timed((n0, edges, triangles), layer, work)
+        key = "step_us" if layer in STREAM_LAYERS else "warm_us"
+        warm[key][layer] = median
+        warm[key + "_quartiles"][layer] = [q1, q3]
+        print(f"{size:>8} {layer:>24} {median:9.2f} [{q1:.2f}, {q3:.2f}]"
               f" {key}", file=sys.stderr)
     return {"n": [c.n0, c.n1, c.n2], "betti": list(hs.betti(c)),
             "band": band(hs.hodge_basis(c, 1)), "repeats": repeats,
@@ -351,7 +394,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("-o", "--output", default=str(ROOT /
                                                       "BENCH_scale.json"))
+    parser.add_argument("--layer", action="append",
+                        choices=LAYERS + STREAM_LAYERS + tuple(WARM_LAYERS),
+                        help="time only this layer (repeatable); prints "
+                             "JSON and writes no file")
+    parser.add_argument("--sizes", nargs="+", choices=SIZES, default=SIZES,
+                        help="the sizes of --layer (default all)")
     args = parser.parse_args(argv)
+    if args.layer:
+        with tempfile.TemporaryDirectory() as work:
+            result = {}
+            for size in args.sizes:
+                arrays = complex_arrays(size)
+                for layer in args.layer:
+                    unit, (q1, median, q3) = timed(arrays, layer, Path(work))
+                    result.setdefault(size, {})[layer] = {
+                        "unit": unit, "median": median, "quartiles": [q1, q3]}
+        print(json.dumps(result))
+        return 0
     with tempfile.TemporaryDirectory() as work:
         sizes = {size: sweep(size, Path(work)) for size in SIZES}
     result = {
