@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._util import check_tolerance
 
@@ -114,6 +115,13 @@ def small(shape: tuple[int, ...]) -> bool:
 
 def held(op):
     """The sparse operator ``op`` as it is held for repeated products: a
-    dense array if it is :func:`small`, else CSR."""
-    return op.toarray() if small(op.shape) else op.tocsr()
+    dense array if it is :func:`small`, else CSR with 32-bit indices where
+    they fit. A product reads a quarter less per entry through them and
+    sums the same entries in the same order."""
+    if small(op.shape):
+        return op.toarray()
+    op = op.tocsr()
+    index = np.int32 if max(op.nnz, *op.shape) < 2**31 else np.int64
+    return sp.csr_array((op.data, op.indices.astype(index),
+                         op.indptr.astype(index)), shape=op.shape)
 

@@ -24,10 +24,12 @@ costs about twice ndarray.dot's, for the same bits (see
 :mod:`hodgesp._linalg`).
 
 An LMS state holds its step plan, built once when the state is made:
-the window length, the held shift operators and the regressor column of
-each lag's product. A step reads the plan instead of looking the
-operators up and redoing that arithmetic, and forms the same bits as
-before.
+the window length and the held lag operator of its complex and orders,
+with its T - 1 passes, T = max(t_down, t_up). The operator's rows are
+interleaved, so its product with the stacked past is the regressor in
+its own layout: a step takes T held products and writes only x_t. Where
+the operators are held sparse, the regressor has the same bits as
+separate products with each Laplacian.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .complexes import (
     Cochain,
     ComplexSignal,
     SimplicialComplex,
-    _cached,
     _cached_slot,
     _check_bound,
     hodge_laplacian,
@@ -374,46 +375,60 @@ def lms_init(c: SimplicialComplex, t_down: int, t_up: int, mu: float,
                     coefficients=np.asarray(coefficients, dtype=float))
 
 
-def _shift_operators(c: SimplicialComplex):
-    """The row stack [Ld; Lu] of L1's down and up parts and their block
-    diagonal diag(Ld, Lu), each held by :func:`held`. The two halves of a
-    product with either are the products with each part: bit for bit when
-    held sparse, as row i of a CSR product sums the entries of row i of
-    its part in the same order, and to rounding when held dense."""
+def _shift_operators(c: SimplicialComplex, t_down: int, t_up: int):
+    """The held lag operator of the LMS regressor of orders (t_down, t_up),
+    T = max(t_down, t_up) >= 1, and its T - 1 held passes.
+
+    Regressor column j >= 1 is Ld^m x_{t-m} (j = m <= t_down) or
+    Lu^m x_{t-m} (j = t_down + m). The lag operator has shape (n1 p, T n1),
+    p = 1 + t_down + t_up: row i p + j holds row i of column j's Laplacian
+    in the column block of its lag, so its product with
+    [x_{t-1}; ...; x_{t-T}] is the first power of every column, laid out
+    as the C-ordered (n1, p) regressor; column 0's rows are empty. Pass k
+    (k = 1 .. T - 1) is block diagonal in that order: it applies its
+    Laplacian to each column of lag above k and the identity to the other
+    lag columns. Held as CSR, row i p + j of every product sums the
+    entries of row i of the Laplacian in its order, so column j is the
+    chain of m products with it, bit for bit; an identity row copies its
+    entry exactly, as a CSR product never gives -0.0. Held dense, the
+    products match the chain to rounding."""
+    n, lags = c.n1, max(t_down, t_up)
     down = hodge_laplacian(c, 1, "down", sparse=True)
     up = hodge_laplacian(c, 1, "up", sparse=True)
-    return (held(sp.vstack([down, up], format="csr")),
-            held(sp.block_diag([down, up], format="csr")))
+    columns = ([(m, down) for m in range(1, t_down + 1)]
+               + [(m, up) for m in range(1, t_up + 1)])
+    zero, eye = sp.csr_array((n, n)), sp.eye_array(n, format="csr")
+    # row i p + j of the interleaved order is row j n + i of the blocks
+    width = 1 + len(columns)
+    rows = np.arange(width * n).reshape(width, n).T.ravel()
+    lag = sp.block_array(
+        [[zero] * lags] + [[lap if b == m - 1 else zero for b in range(lags)]
+                           for m, lap in columns], format="csr")
+    passes = [sp.block_diag([zero] + [lap if m > k else eye
+                                      for m, lap in columns], format="csr")
+              for k in range(1, lags)]
+    return (held(lag[rows]),
+            tuple(held(op[rows][:, rows]) for op in passes))
 
 
 class _Plan(NamedTuple):
     """What every LMS step of one complex and pair of orders repeats:
-    the window length, n1, the regressor width 1 + t_down + t_up, the held
-    shift operators, and per lag m the regressor columns it fills, each
-    with the half of z = [Ld^m x; Lu^m x] that fills it."""
+    the window length, n1, the regressor width 1 + t_down + t_up, and
+    the held lag operator and passes of :func:`_shift_operators` (None
+    and () at orders (0, 0), whose regressor is x_t alone)."""
 
     need: int
     n: int
     width: int
-    stacked: object
-    blocks: object
-    lags: tuple[tuple[tuple[int, slice], ...], ...]
+    lag: object
+    passes: tuple
 
 
 def _make_plan(c: SimplicialComplex, t_down: int, t_up: int) -> _Plan:
-    n = c.n1
-    down, up = slice(0, n), slice(n, 2 * n)
-    lags = []
-    for m in range(1, max(t_down, t_up) + 1):
-        columns = []
-        if m <= t_down:
-            columns.append((m, down))
-        if m <= t_up:
-            columns.append((t_down + m, up))
-        lags.append(tuple(columns))
-    return _Plan(max(t_down, t_up) + 1, n, 1 + t_down + t_up,
-                 *_cached(c, ("lms_shift",), _shift_operators, c),
-                 tuple(lags))
+    lags = max(t_down, t_up)
+    ops = (_cached_slot(c, ("lms_shift",), (t_down, t_up), _shift_operators,
+                        c, t_down, t_up) if lags else (None, ()))
+    return _Plan(lags + 1, c.n1, 1 + t_down + t_up, *ops)
 
 
 def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
@@ -421,8 +436,8 @@ def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
     """Regressor of shifted flows, columns
     [x_t, Ld x_{t-1}, ..., Ld^Td x_{t-Td}, Lu x_{t-1}, ..., Lu^Tu x_{t-Tu}].
 
-    Lag m takes one product with [Ld; Lu] and m - 1 with diag(Ld, Lu):
-    as Ld Lu = 0, that is [Ld^m x_{t-m}; Lu^m x_{t-m}].
+    Lag m is the chain of m products of its Laplacian with x_{t-m}, taken
+    by the lag operator and passes of :func:`_shift_operators`.
     """
     _check_orders(t_down, t_up)
     plan = _make_plan(c, t_down, t_up)
@@ -437,19 +452,21 @@ def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
 
 
 def _regressor(plan: _Plan, window: Sequence[Cochain]) -> np.ndarray:
-    """:func:`lms_build_regressor` for a checked window, from its plan.
-    Each column is written from a contiguous half of z; one write of a
-    lag's two columns from z.reshape(2, n1).T, which numpy copies two
-    entries at a time, costs more at every n1."""
-    x_mat = np.empty((plan.n, plan.width))
+    """:func:`lms_build_regressor` for a checked window, from its plan:
+    the lag operator times the stacked past, then each pass, read as the
+    (n1, p) regressor; x_t is written into column 0 as it is."""
+    if plan.lag is None:
+        return window[-1].values[:, None].copy()
+    if plan.need == 2:
+        past = window[-2].values
+    else:
+        past = np.concatenate([x.values
+                               for x in window[-2:-plan.need - 1:-1]])
+    z = plan.lag.dot(past)
+    for op in plan.passes:
+        z = op.dot(z)
+    x_mat = z.reshape(plan.n, plan.width)
     x_mat[:, 0] = window[-1].values
-    blocks = plan.blocks
-    for m, columns in enumerate(plan.lags, 1):
-        z = plan.stacked.dot(window[-1 - m].values)
-        for _ in range(m - 1):
-            z = blocks.dot(z)
-        for column, half in columns:
-            x_mat[:, column] = z[half]
     return x_mat
 
 
@@ -459,7 +476,8 @@ def lms_step(state: LmsState, x_t: Cochain, y_t: Cochain,
     """One LMS update h <- h + mu * X^T M (y - X h).
 
     x_t extends the input window; while the window is still too short for
-    the regressor the coefficients are left untouched and the error is None.
+    the regressor the coefficients are left untouched and the error is
+    None. x_t, y_t and the mask are checked on every step.
     The returned error is the pre-update masked residual energy
     ||M(y - X h)||^2; when it is not finite, the filter has diverged and a
     ValueError names mu.
@@ -477,15 +495,15 @@ def _lms_update(state: LmsState, x_t: Cochain, y_t: Cochain,
     # _check_bound's test, inline: the call, only to raise its error
     if x_t.complex is not c or x_t.order != 1:
         _check_bound(c, x_t, "x_t", 1)
-    window = (state.window + (x_t,))[-plan.need:]
-    if len(window) < plan.need:
-        return _advance(state, state.coefficients, window), None, None
     if y_t.complex is not c or y_t.order != 1:
         _check_bound(c, y_t, "y_t", 1)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (plan.n,):
             raise ValueError(f"mask must have shape ({plan.n},)")
+    window = (state.window + (x_t,))[-plan.need:]
+    if len(window) < plan.need:
+        return _advance(state, state.coefficients, window), None, None
     x_mat = _regressor(plan, window)
     prediction = x_mat.dot(state.coefficients)
     residual = y_t.values - prediction

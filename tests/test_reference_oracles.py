@@ -52,10 +52,20 @@ from hodgesp.complexes import (
 )
 from hodgesp.filters import _filter_values, _poly_eval, _polynomial
 from hodgesp.io import _SERIES_HEADER, _write_csv, _write_series, save_series
-from hodgesp.timeseries import _OWN_SLOTS, _lms_update, _terms, lms_init
+from hodgesp.timeseries import (
+    _OWN_SLOTS,
+    _lms_update,
+    _terms,
+    lms_build_regressor,
+    lms_init,
+)
 
 from conftest import complexes_with_cells, triangulated_grid
-from test_timeseries import assert_close, reference_lms_step
+from test_timeseries import (
+    assert_close,
+    reference_lms_step,
+    reference_regressor,
+)
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None)
 TAPS = st.lists(st.floats(-2, 2, allow_nan=False, width=32), min_size=1,
@@ -527,7 +537,9 @@ def test_planned_lms_steps_match_the_rebuilt_regressor(c, seed, t_down, t_up,
     rng = np.random.default_rng(seed)
     mu, need = 1e-3, max(t_down, t_up) + 1
     state = lms_init(c, t_down, t_up, mu)
-    exact = sp.issparse(state._plan.stacked)
+    # (0, 0) has no lag operator; read (1, 0)'s, of [Ld; Lu]'s shape
+    plan = state._plan if need > 1 else lms_init(c, 1, 0, mu)._plan
+    exact = sp.issparse(plan.lag)
     coeffs, window = state.coefficients, ()
     for _ in range(need + 4):
         x = c.cochain(1, rng.standard_normal(c.n1))
@@ -544,6 +556,32 @@ def test_planned_lms_steps_match_the_rebuilt_regressor(c, seed, t_down, t_up,
         assert_close(state.coefficients, coeffs, exact)
         assert_close(prediction, want_pred, exact)
         assert_close(error, want, exact)
+
+
+@PROPERTY
+@given(c=st.one_of(complexes_with_cells(), st.just(SPARSE_GRID)),
+       seed=st.integers(0, 2**16), t_down=st.integers(0, 3),
+       t_up=st.integers(0, 3), extra=st.integers(0, 3))
+def test_regressor_from_the_lag_operator_matches_the_column_loop(
+        c, seed, t_down, t_up, extra):
+    """lms_build_regressor, from the interleaved lag operator and its
+    passes, against the regressor built a column and a product at a time,
+    on windows up to three flows longer than needed: byte for byte where
+    the operator is held sparse, to 1e-12 relative where it is held
+    dense. Column 0 is x_t as given, signed zeros included."""
+    rng = np.random.default_rng(seed)
+    need = max(t_down, t_up) + 1
+    window = [c.cochain(1, rng.standard_normal(c.n1))
+              for _ in range(need + extra)]
+    x_t = rng.standard_normal(c.n1)
+    x_t[rng.random(c.n1) < 0.3] = -0.0
+    window[-1] = c.cochain(1, x_t)
+    plan = lms_init(c, t_down, t_up, 1e-3)._plan
+    got = lms_build_regressor(c, window, t_down, t_up)
+    want = reference_regressor(c, window, t_down, t_up)
+    assert got.shape == want.shape == (c.n1, 1 + t_down + t_up)
+    assert got[:, 0].tobytes() == x_t.tobytes()
+    assert_close(got, want, plan.lag is None or sp.issparse(plan.lag))
 
 
 def field_by_field_series(path, series, start=0):

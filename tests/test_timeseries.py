@@ -369,6 +369,31 @@ def test_lms_rejects_bad_step_size(complex7, mu):
         lms_init(complex7, 1, 1, mu=mu)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("other complex", "y_t is bound to a different complex"),
+    ("vertex signal", "y_t must be of order 1"),
+    ("short mask", r"mask must have shape \(10,\)"),
+    ("text mask", r"mask must have shape \(10,\)"),
+])
+def test_lms_checks_y_and_mask_while_the_window_fills(complex7, bad,
+                                                      message):
+    """A step that only extends the window checks y_t and the mask as a
+    full-window step does, so a bad input raises on the first step."""
+    x = complex7.cochain(1, np.ones(10))
+    other = build_complex(7, EDGES7, TRIS7)
+    y, mask = {
+        "other complex": (other.cochain(1, np.ones(10)), None),
+        "vertex signal": (complex7.cochain(0, np.ones(7)), None),
+        "short mask": (x, np.ones(99, bool)),
+        "text mask": (x, "abc"),
+    }[bad]
+    state = lms_init(complex7, 2, 1, 1e-3)
+    for _ in range(3):  # two warm-up steps, then a full window
+        with pytest.raises(ValueError, match=message):
+            lms_step(state, x, y, mask)
+        state, _ = lms_step(state, x, x)
+
+
 @pytest.mark.parametrize("name", ["t_down", "t_up"])
 def test_lms_rejects_negative_orders(complex7, name):
     orders = {"t_down": 1, "t_up": 1, name: -1}
@@ -662,8 +687,8 @@ def test_lms_steps_match_the_rebuilt_regressor_random(c, seed, t_down, t_up):
 
 def test_lms_steps_are_exact_where_the_shift_stack_is_sparse():
     c = triangulated_grid(8, holes=[(2, 2)])
-    stacked, blocks = _shift_operators(c)
-    assert sp.issparse(stacked) and sp.issparse(blocks)
+    lag, passes = _shift_operators(c, 2, 3)
+    assert sp.issparse(lag) and all(sp.issparse(op) for op in passes)
     rng = np.random.default_rng(24)
     for t_down, t_up in ((0, 0), (1, 1), (3, 1), (2, 3)):
         assert_lms_matches_reference(c, rng, t_down, t_up, exact=True)

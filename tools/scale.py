@@ -46,14 +46,18 @@ block widths):
     l2_reconstruct             a quadratic regularized_reconstruct (alpha =
                                beta = 0.5, 70% of the edges observed),
                                factor included
+    scvar_build                one scvar_predict of the order-2 model of the
+                               stream benchmark workload, which compiles
+                               the model operator
 
 Streaming layers are timed warm, in microseconds per step: the mean over
 200 steps after the state or model has run once, the median of seven
 runs, with their quartiles beside it.
 
     lms_step_T1, lms_step_T3   lms_step at t_down = t_up = 1 and 3
-    lms_regressor_T1           the regressor an lms_step_T1 step builds,
-                               from the state's step plan
+    lms_regressor_T1, _T3      the regressor an lms_step_T1 or _T3 step
+                               builds, from the state's step plan (T3 takes
+                               the lag operator and two passes)
     scvar_step                 one scvar_simulate step of the order-2
                                model of the stream benchmark workload
 
@@ -164,6 +168,9 @@ def prepare(c, layer: str, work: Path):
     if layer == "l2_reconstruct":
         mask, (f,) = l2_inputs(c)
         return lambda: hs.regularized_reconstruct(c, f, mask, ALPHA, BETA)
+    if layer == "scvar_build":
+        model, initial = scvar_inputs(c, np.random.default_rng(0))
+        return lambda: hs.scvar_predict(model, initial)
     if layer == "dirac_basis":
         _incidence_svd(c, 1), _incidence_svd(c, 2)
         return lambda: hs.dirac_basis(c)
@@ -195,6 +202,18 @@ def prepare(c, layer: str, work: Path):
     raise ValueError(f"unknown layer {layer!r}")
 
 
+def scvar_inputs(c, rng):
+    """The order-2 model of the stream benchmark workload on ``c`` and
+    that many random signals to start from."""
+    lags = tuple(hs.SCVarLag(**{
+        name: hs.HodgeFilterSpec(spec["h_down"], spec["h_up"])
+        for name, spec in lag.items()}) for lag in gen.scvar_model())
+    model = hs.SCVarModel(complex=c, lags=lags)
+    return model, [hs.ComplexSignal.from_arrays(
+        c, *(rng.standard_normal(c.num_simplices(k)) for k in range(3)))
+        for _ in range(model.order)]
+
+
 STEPS = 200
 
 
@@ -203,13 +222,7 @@ def stream_call(c, layer: str):
     more steps of ``layer``."""
     rng = np.random.default_rng(0)
     if layer == "scvar_step":
-        lags = tuple(hs.SCVarLag(**{
-            name: hs.HodgeFilterSpec(spec["h_down"], spec["h_up"])
-            for name, spec in lag.items()}) for lag in gen.scvar_model())
-        model = hs.SCVarModel(complex=c, lags=lags)
-        initial = [hs.ComplexSignal.from_arrays(
-            c, *(rng.standard_normal(c.num_simplices(k)) for k in range(3)))
-            for _ in range(model.order)]
+        model, initial = scvar_inputs(c, rng)
         hs.scvar_simulate(model, 1, initial)
         return lambda: hs.scvar_simulate(model, STEPS, initial)
     order = int(layer[-1])
@@ -296,9 +309,10 @@ LAYERS = ("betti", "betti_tol", "hodge_decompose", "decompose_tol",
           "decompose_tol_d", "hodge_basis", "frequency_table",
           "dense_blocks", "harmonic", "dirac_basis", "dirac_tft",
           "band_columns", "select_samples", "reconstruct_bandlimited",
-          "slepians", "build_dictionary", "dictionary_csv", "l2_reconstruct")
+          "slepians", "build_dictionary", "dictionary_csv", "l2_reconstruct",
+          "scvar_build")
 STREAM_LAYERS = ("lms_step_T1", "lms_step_T3", "lms_regressor_T1",
-                 "scvar_step")
+                 "lms_regressor_T3", "scvar_step")
 
 
 REPEATS = 7
