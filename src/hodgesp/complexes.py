@@ -402,10 +402,11 @@ def incidence(c: SimplicialComplex, k: int, dense: bool = False):
 # float incidence matrices, incidence SVDs and their values-only spectra,
 # lambda_max and its integer bound, the sparse solvers, the quadratic
 # reconstruction's factor, the sampled band fit, harmonic blocks, the LMS
-# shift stack, and the compiled SCVAR operator of one model at a time,
-# keyed on its lags' values; the last two held dense or CSR by
-# ``_linalg.held``), keyed by the immutable complex. No value or key
-# refers back to its complex, so an entry goes away with it.
+# step operator of one pair of orders at a time, and the compiled SCVAR
+# operator of one model at a time, keyed on its lags' values; the last
+# two held dense or CSR by ``_linalg.held``), keyed by the immutable
+# complex. No value or key refers back to its complex, so an entry goes
+# away with it.
 _cache: "weakref.WeakKeyDictionary[SimplicialComplex, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -881,7 +882,11 @@ def _check_bound(c: SimplicialComplex, x, name: str,
                  k: int | None = None) -> None:
     """Reject the parameter ``name``, a cochain, signal or basis ``x``,
     unless it belongs to ``c`` and, given ``k``, is of order k."""
-    if x.complex is not c:
+    bound = getattr(x, "complex", None)
+    if bound is None:
+        raise ValueError(f"{name} must be bound to a complex, got "
+                         f"{type(x).__name__}")
+    if bound is not c:
         raise ValueError(f"{name} is bound to a different complex")
     if k is not None and x.order != k:
         raise ValueError(f"{name} must be of order {k}, got order {x.order}")

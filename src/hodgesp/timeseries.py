@@ -23,13 +23,15 @@ A step multiplies by a held operator and by the LMS regressor with
 costs about twice ndarray.dot's, for the same bits (see
 :mod:`hodgesp._linalg`).
 
-An LMS state holds its step plan, built once when the state is made:
-the window length and the held lag operator of its complex and orders,
-with its T - 1 passes, T = max(t_down, t_up). The operator's rows are
-interleaved, so its product with the stacked past is the regressor in
-its own layout: a step takes T held products and writes only x_t. Where
-the operators are held sparse, the regressor has the same bits as
-separate products with each Laplacian.
+An LMS state carries the regressor of its window, and its step plan,
+built once when the state is made: the window length and the held step
+operator of its complex and orders. Column m of the regressor is its
+Laplacian times column m - 1 of the previous step's, so a step is one
+product of the operator with the carried regressor, at every order, and
+writes x_t into column 0. The operator stores each Laplacian once per
+column that reads it, so its size is linear in the orders. Where it is
+held sparse, the regressor has the same bits as separate products with
+each Laplacian.
 """
 
 from __future__ import annotations
@@ -332,9 +334,13 @@ class LmsState:
     """Streaming LMS state: coefficient vector, step size, and the window
     of recent input flows (most recent last).
 
-    The state also holds its step plan, built from the complex and the
-    orders when the state is made (by the constructor, :func:`lms_init` or
-    ``dataclasses.replace``); it is not shown, compared or passed."""
+    The state also holds its step plan and the regressor of its window,
+    built from the complex, the orders and the window when the state is
+    made (by the constructor, :func:`lms_init` or
+    ``dataclasses.replace``); they are not shown, compared or passed. A
+    step carries the regressor on, so each flow is read once, when it
+    enters the window: the window's cochains are treated as
+    immutable."""
 
     complex: SimplicialComplex
     t_down: int
@@ -343,11 +349,14 @@ class LmsState:
     coefficients: np.ndarray
     window: tuple[Cochain, ...] = field(default_factory=tuple)
     _plan: _Plan = field(init=False, repr=False, compare=False)
+    _carry: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_real(self.mu, "mu", positive=True)
         _check_orders(self.t_down, self.t_up)
-        for x in self.window:
+        window = tuple(self.window)
+        object.__setattr__(self, "window", window)
+        for x in window:
             _check_bound(self.complex, x, "window", 1)
         expected = 1 + self.t_down + self.t_up
         coeffs = np.asarray(self.coefficients, dtype=float)
@@ -357,8 +366,11 @@ class LmsState:
                 f"need {expected} coefficients (1 + t_down + t_up), "
                 f"got shape {coeffs.shape}"
             )
-        object.__setattr__(self, "_plan",
-                           _make_plan(self.complex, self.t_down, self.t_up))
+        if np.count_nonzero(np.isfinite(coeffs)) != coeffs.size:
+            raise ValueError("coefficients must be finite")
+        plan = _make_plan(self.complex, self.t_down, self.t_up)
+        object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_carry", _regressor(plan, window))
 
 
 def _check_orders(t_down, t_up) -> None:
@@ -375,60 +387,48 @@ def lms_init(c: SimplicialComplex, t_down: int, t_up: int, mu: float,
                     coefficients=np.asarray(coefficients, dtype=float))
 
 
-def _shift_operators(c: SimplicialComplex, t_down: int, t_up: int):
-    """The held lag operator of the LMS regressor of orders (t_down, t_up),
-    T = max(t_down, t_up) >= 1, and its T - 1 held passes.
+def _step_operator(c: SimplicialComplex, t_down: int, t_up: int):
+    """The held step operator of the LMS regressor of orders
+    (t_down, t_up).
 
     Regressor column j >= 1 is Ld^m x_{t-m} (j = m <= t_down) or
-    Lu^m x_{t-m} (j = t_down + m). The lag operator has shape (n1 p, T n1),
-    p = 1 + t_down + t_up: row i p + j holds row i of column j's Laplacian
-    in the column block of its lag, so its product with
-    [x_{t-1}; ...; x_{t-T}] is the first power of every column, laid out
-    as the C-ordered (n1, p) regressor; column 0's rows are empty. Pass k
-    (k = 1 .. T - 1) is block diagonal in that order: it applies its
-    Laplacian to each column of lag above k and the identity to the other
-    lag columns. Held as CSR, row i p + j of every product sums the
-    entries of row i of the Laplacian in its order, so column j is the
-    chain of m products with it, bit for bit; an identity row copies its
-    entry exactly, as a CSR product never gives -0.0. Held dense, the
-    products match the chain to rounding."""
-    n, lags = c.n1, max(t_down, t_up)
-    down = hodge_laplacian(c, 1, "down", sparse=True)
-    up = hodge_laplacian(c, 1, "up", sparse=True)
-    columns = ([(m, down) for m in range(1, t_down + 1)]
-               + [(m, up) for m in range(1, t_up + 1)])
-    zero, eye = sp.csr_array((n, n)), sp.eye_array(n, format="csr")
+    Lu^m x_{t-m} (j = t_down + m): column j's Laplacian times column
+    src(j) of the previous step's regressor, src(j) = j - 1, except
+    src(t_down + 1) = 0, which is x_{t-1}. The operator has shape
+    (n1 p, n1 p), p = 1 + t_down + t_up, on the C-ordered (n1, p)
+    regressor: row i p + j holds row i of column j's Laplacian in the
+    columns i' p + src(j), and column 0's rows are empty. Held as CSR,
+    each row sums its Laplacian row in that row's order, so column j is
+    the chain of m products with it, bit for bit; held dense, the products
+    match the chain to rounding."""
+    n, p = c.n1, 1 + t_down + t_up
+    blocks = [sp.csr_array((n, n * p))]
+    for j in range(1, p):
+        lap = hodge_laplacian(c, 1, "down" if j <= t_down else "up",
+                              sparse=True)
+        src = 0 if j == t_down + 1 else j - 1
+        blocks.append(sp.csr_array((lap.data, lap.indices * p + src,
+                                    lap.indptr), shape=(n, n * p)))
     # row i p + j of the interleaved order is row j n + i of the blocks
-    width = 1 + len(columns)
-    rows = np.arange(width * n).reshape(width, n).T.ravel()
-    lag = sp.block_array(
-        [[zero] * lags] + [[lap if b == m - 1 else zero for b in range(lags)]
-                           for m, lap in columns], format="csr")
-    passes = [sp.block_diag([zero] + [lap if m > k else eye
-                                      for m, lap in columns], format="csr")
-              for k in range(1, lags)]
-    return (held(lag[rows]),
-            tuple(held(op[rows][:, rows]) for op in passes))
+    rows = np.arange(p * n).reshape(p, n).T.ravel()
+    return held(sp.vstack(blocks, format="csr")[rows])
 
 
 class _Plan(NamedTuple):
     """What every LMS step of one complex and pair of orders repeats:
-    the window length, n1, the regressor width 1 + t_down + t_up, and
-    the held lag operator and passes of :func:`_shift_operators` (None
-    and () at orders (0, 0), whose regressor is x_t alone)."""
+    the window length max(t_down, t_up) + 1, n1, the regressor width
+    p = 1 + t_down + t_up, and the held :func:`_step_operator`."""
 
     need: int
     n: int
     width: int
-    lag: object
-    passes: tuple
+    op: object
 
 
 def _make_plan(c: SimplicialComplex, t_down: int, t_up: int) -> _Plan:
-    lags = max(t_down, t_up)
-    ops = (_cached_slot(c, ("lms_shift",), (t_down, t_up), _shift_operators,
-                        c, t_down, t_up) if lags else (None, ()))
-    return _Plan(lags + 1, c.n1, 1 + t_down + t_up, *ops)
+    op = _cached_slot(c, ("lms_shift",), (t_down, t_up), _step_operator,
+                      c, t_down, t_up)
+    return _Plan(max(t_down, t_up) + 1, c.n1, 1 + t_down + t_up, op)
 
 
 def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
@@ -437,7 +437,7 @@ def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
     [x_t, Ld x_{t-1}, ..., Ld^Td x_{t-Td}, Lu x_{t-1}, ..., Lu^Tu x_{t-Tu}].
 
     Lag m is the chain of m products of its Laplacian with x_{t-m}, taken
-    by the lag operator and passes of :func:`_shift_operators`.
+    by max(t_down, t_up) + 1 steps of :func:`_step_operator`.
     """
     _check_orders(t_down, t_up)
     plan = _make_plan(c, t_down, t_up)
@@ -448,26 +448,19 @@ def lms_build_regressor(c: SimplicialComplex, window: Sequence[Cochain],
         )
     for x in window:
         _check_bound(c, x, "window", 1)
-    return _regressor(plan, window)
+    return _regressor(plan, window).reshape(plan.n, plan.width)
 
 
 def _regressor(plan: _Plan, window: Sequence[Cochain]) -> np.ndarray:
-    """:func:`lms_build_regressor` for a checked window, from its plan:
-    the lag operator times the stacked past, then each pass, read as the
-    (n1, p) regressor; x_t is written into column 0 as it is."""
-    if plan.lag is None:
-        return window[-1].values[:, None].copy()
-    if plan.need == 2:
-        past = window[-2].values
-    else:
-        past = np.concatenate([x.values
-                               for x in window[-2:-plan.need - 1:-1]])
-    z = plan.lag.dot(past)
-    for op in plan.passes:
-        z = op.dot(z)
-    x_mat = z.reshape(plan.n, plan.width)
-    x_mat[:, 0] = window[-1].values
-    return x_mat
+    """The flat, C-ordered (n1, p) regressor of a checked window, from its
+    plan: a step of :func:`_lms_update` for each of its last plan.need
+    flows, from zeros. A shorter window leaves the columns of the flows it
+    lacks zero."""
+    z = np.zeros(plan.n * plan.width)
+    for x in window[-plan.need:]:
+        z = plan.op.dot(z)
+        z.reshape(plan.n, plan.width)[:, 0] = x.values
+    return z
 
 
 def lms_step(state: LmsState, x_t: Cochain, y_t: Cochain,
@@ -493,18 +486,24 @@ def _lms_update(state: LmsState, x_t: Cochain, y_t: Cochain,
     while the window fills)."""
     c, plan = state.complex, state._plan
     # _check_bound's test, inline: the call, only to raise its error
-    if x_t.complex is not c or x_t.order != 1:
+    try:
+        if x_t.complex is not c or x_t.order != 1:
+            _check_bound(c, x_t, "x_t", 1)
+        if y_t.complex is not c or y_t.order != 1:
+            _check_bound(c, y_t, "y_t", 1)
+    except AttributeError:  # not a cochain
         _check_bound(c, x_t, "x_t", 1)
-    if y_t.complex is not c or y_t.order != 1:
         _check_bound(c, y_t, "y_t", 1)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (plan.n,):
             raise ValueError(f"mask must have shape ({plan.n},)")
     window = (state.window + (x_t,))[-plan.need:]
+    carry = plan.op.dot(state._carry)
+    x_mat = carry.reshape(plan.n, plan.width)
+    x_mat[:, 0] = x_t.values
     if len(window) < plan.need:
-        return _advance(state, state.coefficients, window), None, None
-    x_mat = _regressor(plan, window)
+        return _advance(state, state.coefficients, window, carry), None, None
     prediction = x_mat.dot(state.coefficients)
     residual = y_t.values - prediction
     if mask is not None:  # no mask is the all-ones mask, and 1.0 * r == r
@@ -518,15 +517,17 @@ def _lms_update(state: LmsState, x_t: Cochain, y_t: Cochain,
     update = x_mat.T.dot(residual)
     update *= state.mu
     update += state.coefficients
-    return _advance(state, update, window), error, prediction
+    return _advance(state, update, window, carry), error, prediction
 
 
 def _advance(state: LmsState, coefficients: np.ndarray,
-             window: tuple[Cochain, ...]) -> LmsState:
-    """The state after a step of ``state``, with new coefficients and
-    window; what ``state`` passed at construction is not checked again."""
+             window: tuple[Cochain, ...], carry: np.ndarray) -> LmsState:
+    """The state after a step of ``state``, with new coefficients, window
+    and regressor; what ``state`` passed at construction is not checked
+    again."""
     new = object.__new__(LmsState)
     attrs = new.__dict__
     attrs.update(state.__dict__)
     attrs["coefficients"], attrs["window"] = coefficients, window
+    attrs["_carry"] = carry
     return new

@@ -377,6 +377,26 @@ BINDING = {
                                          flow(OTHER)), "y_t"),
     "scvar_predict": (lambda: hs.scvar_predict(model(), [signal(OTHER)]),
                       "history"),
+    # raw arrays in place of bound objects
+    "tft-ndarray": (lambda: hs.tft(hs.hodge_basis(C, 1), flow().values),
+                    "x"),
+    "apply_filter-ndarray": (lambda: hs.apply_filter(C, 1, SPEC,
+                                                     flow().values), "x"),
+    "hodge_decompose-ndarray": (lambda: hs.hodge_decompose(C, flow().values),
+                                "x"),
+    "divergence-ndarray": (lambda: hs.divergence(C, flow().values), "x1"),
+    "regularized_reconstruct-ndarray": (lambda: hs.regularized_reconstruct(
+        C, flow().values, np.ones(C.n1, bool), 0.5, 0.5), "f"),
+    "scvar_predict-ndarray": (lambda: hs.scvar_predict(
+        model(), [signal().stacked()]), "history"),
+    "LmsState-ndarray": (lambda: hs.LmsState(C, 1, 1, 0.1, np.zeros(3),
+                                             (flow().values,)), "window"),
+    "lms_build_regressor-ndarray": (lambda: hs.lms_build_regressor(
+        C, [flow(), flow().values], 1, 1), "window"),
+    "lms_step-x_t-ndarray": (lambda: hs.lms_step(
+        hs.lms_init(C, 1, 1, 0.1), flow().values, flow()), "x_t"),
+    "lms_step-y_t-ndarray": (lambda: hs.lms_step(
+        _state_with_window(), flow(), flow().values), "y_t"),
     "scvar_simulate": (lambda: hs.scvar_simulate(model(), 1,
                                                  [signal(OTHER)]), "initial"),
     "scvar_fit": (lambda: hs.scvar_fit(C, [signal(OTHER)] * 6, 1), "series"),

@@ -539,7 +539,7 @@ def test_planned_lms_steps_match_the_rebuilt_regressor(c, seed, t_down, t_up,
     state = lms_init(c, t_down, t_up, mu)
     # (0, 0) has no lag operator; read (1, 0)'s, of [Ld; Lu]'s shape
     plan = state._plan if need > 1 else lms_init(c, 1, 0, mu)._plan
-    exact = sp.issparse(plan.lag)
+    exact = sp.issparse(plan.op)
     coeffs, window = state.coefficients, ()
     for _ in range(need + 4):
         x = c.cochain(1, rng.standard_normal(c.n1))
@@ -581,7 +581,7 @@ def test_regressor_from_the_lag_operator_matches_the_column_loop(
     want = reference_regressor(c, window, t_down, t_up)
     assert got.shape == want.shape == (c.n1, 1 + t_down + t_up)
     assert got[:, 0].tobytes() == x_t.tobytes()
-    assert_close(got, want, plan.lag is None or sp.issparse(plan.lag))
+    assert_close(got, want, plan.op is None or sp.issparse(plan.op))
 
 
 def field_by_field_series(path, series, start=0):

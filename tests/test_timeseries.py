@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodgesp import (
@@ -37,7 +37,8 @@ from hodgesp.timeseries import (
     _compile,
     _lms_update,
     _operator,
-    _shift_operators,
+    _regressor,
+    _step_operator,
 )
 
 from conftest import EDGES7, TRIS7, complexes_with_cells, triangulated_grid
@@ -394,6 +395,34 @@ def test_lms_checks_y_and_mask_while_the_window_fills(complex7, bad,
         state, _ = lms_step(state, x, x)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lms_rejects_non_finite_coefficients(complex7, bad):
+    """A non-finite coefficient is named where it is given, not blamed on
+    mu when the first full step diverges."""
+    message = "^coefficients must be finite"
+    with pytest.raises(ValueError, match=message):
+        lms_init(complex7, 1, 1, 1e-3, [bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match=message):
+        LmsState(complex7, 1, 1, 1e-3, np.array([0.0, bad, 0.0]))
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(lms_init(complex7, 1, 1, 1e-3),
+                            coefficients=np.array([0.0, 0.0, bad]))
+
+
+def test_list_window_steps_as_the_tuple_window(complex7):
+    rng = np.random.default_rng(28)
+    flows = [complex7.cochain(1, rng.standard_normal(10)) for _ in range(6)]
+    coeffs = rng.standard_normal(3)
+    listed = LmsState(complex7, 1, 1, 1e-3, coeffs, flows[:1])
+    tupled = LmsState(complex7, 1, 1, 1e-3, coeffs, tuple(flows[:1]))
+    assert listed.window == tupled.window
+    for x in flows[1:]:
+        listed, got = lms_step(listed, x, x)
+        tupled, want = lms_step(tupled, x, x)
+        assert got == want
+        assert listed.coefficients.tobytes() == tupled.coefficients.tobytes()
+
+
 @pytest.mark.parametrize("name", ["t_down", "t_up"])
 def test_lms_rejects_negative_orders(complex7, name):
     orders = {"t_down": 1, "t_up": 1, name: -1}
@@ -687,11 +716,54 @@ def test_lms_steps_match_the_rebuilt_regressor_random(c, seed, t_down, t_up):
 
 def test_lms_steps_are_exact_where_the_shift_stack_is_sparse():
     c = triangulated_grid(8, holes=[(2, 2)])
-    lag, passes = _shift_operators(c, 2, 3)
-    assert sp.issparse(lag) and all(sp.issparse(op) for op in passes)
+    assert sp.issparse(_step_operator(c, 2, 3))
     rng = np.random.default_rng(24)
     for t_down, t_up in ((0, 0), (1, 1), (3, 1), (2, 3)):
         assert_lms_matches_reference(c, rng, t_down, t_up, exact=True)
+
+
+# A grid whose step operators are held sparse (n1 p squared > 25 000).
+SPARSE_GRID = triangulated_grid(8, holes=[(2, 2)])
+
+
+@pytest.mark.parametrize("t_down, t_up", [(1, 1), (2, 3), (3, 0), (10, 10)])
+def test_step_operator_is_linear_in_the_orders(t_down, t_up):
+    """Held sparse, the step operator stores each Laplacian once per
+    regressor column that applies it."""
+    op = _step_operator(SPARSE_GRID, t_down, t_up)
+    down, up = (hodge_laplacian(SPARSE_GRID, 1, variant, sparse=True)
+                for variant in ("down", "up"))
+    assert sp.issparse(op) and op.format == "csr"
+    assert op.nnz == t_down * down.nnz + t_up * up.nnz
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(c=st.one_of(complexes_with_cells(), st.just(SPARSE_GRID)),
+       seed=st.integers(0, 2**16), t_down=st.integers(0, 3),
+       t_up=st.integers(0, 3), steps=st.integers(0, 8),
+       replace_at=st.integers(0, 8), fill=st.integers(0, 5))
+@example(c=SPARSE_GRID, seed=0, t_down=2, t_up=3, steps=8, replace_at=4,
+         fill=2)
+def test_carried_regressor_is_the_window_regressor(c, seed, t_down, t_up,
+                                                   steps, replace_at, fill):
+    """After any run of steps, with the window replaced midway by one of
+    ``fill`` flows, a state carries the regressor that _regressor builds
+    from its window, byte for byte, whether the step operator is held
+    dense or sparse."""
+    rng = np.random.default_rng(seed)
+
+    def flow():
+        return c.cochain(1, rng.standard_normal(c.n1))
+
+    state = lms_init(c, t_down, t_up, 1e-9)
+    for step in range(steps):
+        if step == replace_at:
+            state = dataclasses.replace(
+                state, window=tuple(flow() for _ in range(fill)))
+        x = flow()
+        state, _ = lms_step(state, x, x)
+    assert (state._carry.tobytes()
+            == _regressor(state._plan, state.window).tobytes())
 
 
 def test_stepped_state_equals_a_validated_state(complex7):
@@ -710,7 +782,7 @@ def test_stepped_state_equals_a_validated_state(complex7):
         assert sorted(vars(rebuilt)) == sorted(names)
         for name in names:
             got, want = getattr(state, name), getattr(rebuilt, name)
-            if name == "coefficients":
+            if name in ("coefficients", "_carry"):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
             elif name == "window":

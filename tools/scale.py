@@ -55,9 +55,10 @@ Streaming layers are timed warm, in microseconds per step: the mean over
 runs, with their quartiles beside it.
 
     lms_step_T1, lms_step_T3   lms_step at t_down = t_up = 1 and 3
-    lms_regressor_T1, _T3      the regressor an lms_step_T1 or _T3 step
-                               builds, from the state's step plan (T3 takes
-                               the lag operator and two passes)
+    lms_regressor_T1, _T3      the regressor of a window of T + 1 flows at
+                               the orders of lms_step_T1 or _T3, built
+                               from the state's step plan: T + 1 steps
+                               from zeros, one product each
     scvar_step                 one scvar_simulate step of the order-2
                                model of the stream benchmark workload
 
