@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from .complexes import betti
 from .dictionaries import build_dictionary, slepians
 from .filters import apply_filter
 from .inference import infer_triangles
-from .io import FileFormatError
 from .sampling import (
     parse_frequency_selector,
     reconstruct_bandlimited,
@@ -67,23 +64,6 @@ def _parse_list(text: str, name: str, kind=int) -> list:
                          f"values ({exc})") from exc
 
 
-def _read_index_file(path) -> list[int]:
-    out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append(int(line))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
-    return out
-
-
-def _write_index_file(path, indices) -> None:
-    Path(path).write_text("".join(f"{i}\n" for i in indices))
-
-
 def _cmd_build(c, args) -> None:
     print(f"{c.n0} {c.n1} {c.n2}")
     if args.output:
@@ -97,21 +77,15 @@ def _cmd_betti(c, args) -> None:
 
 def _cmd_spectrum(c, args) -> None:
     basis = hodge_basis(c, args.order, tol=_tolerance(args))
-    hio._write_csv(args.output, "index,type,frequency", "%d,%s,%.17g",
-                   *zip(*frequency_table(basis)))
+    hio._save_spectrum(args.output, frequency_table(basis))
     if args.basis_output:
         hio.save_matrix(args.basis_output, basis.matrix())
 
 
 def _cmd_decompose(c, args) -> None:
     x = hio.load_signal(args.signal, c, args.order)
-    parts = hodge_decompose(c, x, tol=_tolerance(args))
-    n = x.values.size
-    hio._write_csv(args.output, "simplex_id,component,value", "%d,%s,%.17g",
-                   np.tile(np.arange(n), 3),
-                   ["gradient"] * n + ["curl"] * n + ["harmonic"] * n,
-                   np.concatenate([parts.gradient.values, parts.curl.values,
-                                   parts.harmonic.values]))
+    hio._save_components(args.output,
+                         hodge_decompose(c, x, tol=_tolerance(args)))
 
 
 def _cmd_filter(c, args) -> None:
@@ -146,26 +120,16 @@ def _cmd_sample(c, args) -> None:
     basis, freq = _band(c, args, args.order)
     chosen = select_samples(c, args.order, freq, args.count, basis=basis,
                             tol=_tolerance(args))
-    _write_index_file(args.output, chosen)
+    hio._save_indices(args.output, chosen)
 
 
 def _cmd_reconstruct(c, args) -> None:
     basis, freq = _band(c, args, args.order)
-    samples = _read_index_file(args.samples)
-    observed = _load_partial_signal(args.observed, samples)
+    samples = hio._load_indices(args.samples)
+    observed = hio._load_observed(args.observed, samples)
     x = reconstruct_bandlimited(c, args.order, freq, samples, observed,
                                 basis=basis, tol=_tolerance(args))
     hio.save_signal(args.output, x)
-
-
-def _load_partial_signal(path, sample_ids) -> list[float]:
-    rows = hio._read_csv(path, hio._SIGNAL)
-    values = dict(zip(rows["simplex_id"].tolist(), rows["value"].tolist()))
-    missing = [i for i in sample_ids if i not in values]
-    if missing:
-        raise FileFormatError(f"{path}: missing values for sampled "
-                              f"simplices {missing}")
-    return [values[i] for i in sample_ids]
 
 
 def _cmd_forecast(c, args) -> None:
@@ -199,12 +163,12 @@ def _cmd_lms(c, args) -> None:
         preds[len(steps)] = pred
         steps.append(t)
         errors.append(err)
-    hio._write_series(args.output, steps, preds, [(1, c.n1)])
+    hio._save_predictions(args.output, steps, preds)
     if args.coeffs_output:
         hio.save_matrix(args.coeffs_output, state.coefficients[None, :])
     tail = errors[-min(len(errors), 200):]
     if tail:
-        print("mean_error %.17g" % float(np.mean(tail)))
+        print("mean_error", hio._FLOAT % float(np.mean(tail)))
 
 
 def _cmd_infer_triangles(c, args) -> None:
@@ -213,11 +177,7 @@ def _cmd_infer_triangles(c, args) -> None:
                  "curlfit": "max_curl_fit"}[args.criterion]
     triangles, scores = infer_triangles(c, flows, args.count, criterion,
                                         tol=_tolerance(args))
-    data = {
-        "triangles": [[v + 1 for v in t] for t in triangles],
-        "scores": scores,
-    }
-    Path(args.output).write_text(json.dumps(data, indent=1) + "\n")
+    hio._save_triangles(args.output, triangles, scores)
 
 
 @functools.cache

@@ -171,8 +171,7 @@ class ComplexSignal:
         v = np.asarray(v, dtype=float)
         if v.shape != (c.n0 + c.n1 + c.n2,):
             raise ValueError(
-                f"stacked signal needs length {c.n0 + c.n1 + c.n2}, "
-                f"got shape {v.shape}"
+                f"v must have shape ({c.n0 + c.n1 + c.n2},), got {v.shape}"
             )
         return cls.from_arrays(
             c, v[: c.n0], v[c.n0 : c.n0 + c.n1], v[c.n0 + c.n1 :]

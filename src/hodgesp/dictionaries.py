@@ -120,7 +120,7 @@ def build_dictionary(c: SimplicialComplex, k: int,
     check_integer(k, "k", 0, 2)
     specs = tuple(specs)
     if not specs:
-        raise ValueError("need at least one filter spec")
+        raise ValueError("specs must hold at least one filter spec")
     if any(s.harmonic is not None for s in specs):
         raise ValueError("dictionary filters must be pure polynomials "
                          "(no harmonic term)")
@@ -191,7 +191,8 @@ def sparse_code(dictionary: HodgeDictionary | SlepianSet | np.ndarray,
     if not np.all(np.isfinite(target)):
         raise ValueError("x must be finite")
     if atoms.ndim != 2 or atoms.shape[0] != target.shape[0]:
-        raise ValueError("dictionary and signal dimensions do not match")
+        raise ValueError(f"dictionary must have one row per entry of x "
+                         f"({target.shape[0]}), got shape {atoms.shape}")
     check_integer(sparsity, "sparsity", 1)
     check_real(residual_tol, "residual_tol")
 

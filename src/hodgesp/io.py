@@ -16,11 +16,26 @@ Filter spec: JSON ``{"h_down": [...], "h_up": [...], "harmonic":
 {"epsilon": e, "T_h": n} | null}``. Model: JSON ``{"order": P, "lags":
 [{bank: filter spec, ...}, ...]}``.
 
+The CLI's own files: an index list (``sample -o``, ``reconstruct
+--samples``) holds one 0-based simplex index per line, written with LF
+line ends, blank lines skipped on reading. Observations
+(``reconstruct --observed``): CSV ``simplex_id,value`` with a row for
+every sampled simplex, in any order; other rows are ignored. Spectrum
+table: CSV ``index,type,frequency``, one row per column of the basis,
+type ``harmonic``, ``gradient`` or ``curl``. Components table: CSV
+``simplex_id,component,value``, the gradient rows of every simplex, then
+the curl rows, then the harmonic rows. LMS predictions: time-series CSV
+of level 1 only, one block per step that made a prediction (none in the
+warm-up); the ``--mask`` is a matrix of N_1 rows by T columns, nonzero
+where an edge is observed. Inferred triangles: JSON ``{"triangles": [[i,
+j, k], ...], "scores": [...]}``, 1-based like a complex file, in the order
+picked. JSON is written with one-space indents and a final newline.
+
 CSV is read by one :func:`numpy.loadtxt` call per file: comma-separated,
 ``"``-quoted fields, integer ids; blank lines skipped, LF or CRLF, ``#`` no
 comment. Errors name the 1-based file line, blank lines counted. Writes end
-lines in ``\r\n``, as :mod:`csv` does, with floats at 17 significant
-digits, so save/load round-trips are value-exact.
+lines in CRLF, as :mod:`csv` does, with floats at 17 significant digits,
+so save/load round-trips are value-exact.
 
 :func:`save_matrix` takes a dense array or a scipy sparse matrix and
 formats only the stored entries; every other field is the literal ``0``,
@@ -73,7 +88,8 @@ _CSV = {"delimiter": ",", "comments": None, "quotechar": '"'}
 _SIGNAL = (("simplex_id", np.int64), ("value", np.float64))
 _SERIES = (("t", np.int64), ("level", np.int64), ("simplex_id", np.int64),
            ("value", np.float64))
-_SERIES_HEADER = ",".join(name for name, _ in _SERIES)
+_SIGNAL_HEADER, _SERIES_HEADER = (",".join(name for name, _ in columns)
+                                  for columns in (_SIGNAL, _SERIES))
 _WRITE_CHUNK = 1 << 16  # cells per write: bounds the text held at once
 
 
@@ -147,22 +163,27 @@ def _check_finite(path, values: np.ndarray) -> None:
     _check(path, ~np.isfinite(values), lambda r: "value must be finite")
 
 
-def _write_csv(path, header: str | None, row_fmt: str, *columns) -> None:
-    """Write equal-length columns as CSV rows formatted by ``row_fmt``,
-    each chunk of rows by one ``%`` operation. Lines end in ``\\r\\n``,
-    as csv.writer ends them."""
-    columns = [np.asarray(column) for column in columns]
-    width, rows = len(columns), len(columns[0]) if columns else 0
-    step = max(1, _WRITE_CHUNK // max(width, 1))
+def _write_rows(path, header: str, labels, frames, steps=("",)) -> None:
+    """Write the CSV rows ``<step><label>,<value>`` under ``header``: for
+    each step of ``steps`` and its frame of ``frames``, an array, one row
+    per label with the frame's values in order. The row templates are made
+    once per table and each ``%`` formats at most _WRITE_CHUNK values, so
+    only the floats are formatted. Lines end in ``\\r\\n``, as csv.writer
+    ends them."""
+    rows = [f"{label},{_FLOAT}\r\n" for label in labels]
+    chunks = [(lo, ["", *rows[lo:lo + _WRITE_CHUNK]])
+              for lo in range(0, len(rows), _WRITE_CHUNK)]
     with Path(path).open("w", newline="") as fh:
-        if header is not None:
-            fh.write(header + "\r\n")
-        for lo in range(0, rows, step):
-            n = min(step, rows - lo)
-            cells = [None] * (n * width)
-            for j, column in enumerate(columns):
-                cells[j::width] = column[lo:lo + n].tolist()
-            fh.write((row_fmt + "\r\n") * n % tuple(cells))
+        fh.write(header + "\r\n")
+        for step, frame in zip(steps, frames):
+            for lo, pieces in chunks:
+                fh.write(str(step).join(pieces)
+                         % tuple(frame[lo:lo + _WRITE_CHUNK].tolist()))
+
+
+def _write_json(path, data) -> None:
+    """The JSON document ``data``, one-space indents, ending in a newline."""
+    Path(path).write_text(json.dumps(data, indent=1) + "\n")
 
 
 def _integer(v) -> int:
@@ -264,8 +285,7 @@ def load_signal(path, c: SimplicialComplex, k: int) -> Cochain:
 
 
 def save_signal(path, x: Cochain) -> None:
-    _write_csv(path, "simplex_id,value", "%d," + _FLOAT,
-               np.arange(x.values.size), x.values)
+    _write_rows(path, _SIGNAL_HEADER, range(x.values.size), [x.values])
 
 
 def load_matrix(path) -> np.ndarray:
@@ -347,8 +367,7 @@ def _spec_from_json(data: dict, where: str) -> HodgeFilterSpec:
 
 
 def load_filter_spec(path) -> HodgeFilterSpec:
-    data = _read_json(path)
-    return _spec_from_json(data, str(path))
+    return _spec_from_json(_read_json(path), str(path))
 
 
 def load_filter_spec_list(path) -> list[HodgeFilterSpec]:
@@ -360,7 +379,7 @@ def load_filter_spec_list(path) -> list[HodgeFilterSpec]:
 
 
 def save_filter_spec(path, spec: HodgeFilterSpec) -> None:
-    Path(path).write_text(json.dumps(_spec_to_json(spec), indent=1) + "\n")
+    _write_json(path, _spec_to_json(spec))
 
 
 def load_series(path, c: SimplicialComplex) -> list[ComplexSignal]:
@@ -408,24 +427,12 @@ def save_series(path, series: Sequence[ComplexSignal],
                 start: int = 0) -> None:
     check_integer(start, "start", 0)
     series = list(series)
-    levels = [(k, series[0].complex.num_simplices(k))
-              for k in (0, 1, 2)] if series else []
-    _write_series(path, range(start, start + len(series)),
-                  [sig.stacked() for sig in series], levels)
-
-
-def _write_series(path, steps: Sequence[int], frames, levels) -> None:
-    """Write time-series rows: for each step t of ``steps`` and its frame
-    of ``frames``, one row ``t,level,simplex_id,value`` per simplex of
-    ``levels``, a list of (level, size), with the frame's values in that
-    order. The ``level,simplex_id,`` prefixes are made once, and a step's
-    rows are one ``%`` of its values, so only the floats are formatted."""
-    rows = [f",{level},{i},{_FLOAT}\r\n" for level, size in levels
-            for i in range(size)]
-    with Path(path).open("w", newline="") as fh:
-        fh.write(_SERIES_HEADER + "\r\n")
-        for t, frame in zip(steps, frames):
-            fh.write(str(t).join(["", *rows]) % tuple(frame.tolist()))
+    labels = [f",{k},{i}" for k in (0, 1, 2)
+              for i in range(series[0].complex.num_simplices(k))] \
+        if series else []
+    _write_rows(path, _SERIES_HEADER, labels,
+                [sig.stacked() for sig in series],
+                range(start, start + len(series)))
 
 
 def load_model(path, c: SimplicialComplex) -> SCVarModel:
@@ -459,12 +466,73 @@ def load_model(path, c: SimplicialComplex) -> SCVarModel:
 
 
 def save_model(path, model: SCVarModel) -> None:
-    data = {
-        "order": model.order,
-        "lags": [
-            {name: _spec_to_json(getattr(lag, name))
-             for name in SCVarLag.bank_names()}
-            for lag in model.lags
-        ],
-    }
-    Path(path).write_text(json.dumps(data, indent=1) + "\n")
+    _write_json(path, {"order": model.order, "lags": [
+        {name: _spec_to_json(getattr(lag, name))
+         for name in SCVarLag.bank_names()} for lag in model.lags]})
+
+
+# The files of the batch CLI that no public loader or saver covers.
+
+
+def _load_indices(path) -> list[int]:
+    """An index list: one integer per line, blank lines skipped."""
+    out = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(int(line))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+    return out
+
+
+def _save_indices(path, indices) -> None:
+    Path(path).write_text("".join(f"{i}\n" for i in indices))
+
+
+def _load_observed(path, sample_ids) -> list[float]:
+    """The values of a ``simplex_id,value`` CSV at ``sample_ids``, in that
+    order; rows for other simplices are ignored."""
+    rows = _read_csv(path, _SIGNAL)
+    values = dict(zip(rows["simplex_id"].tolist(), rows["value"].tolist()))
+    missing = [i for i in sample_ids if i not in values]
+    if missing:
+        raise FileFormatError(f"{path}: missing values for sampled "
+                              f"simplices {missing}")
+    return [values[i] for i in sample_ids]
+
+
+def _save_spectrum(path, table) -> None:
+    """A frequency table, a list of FrequencyEntry, as CSV
+    ``index,type,frequency``."""
+    _write_rows(path, "index,type,frequency",
+                [f"{row.index},{row.kind}" for row in table],
+                [np.array([row.frequency for row in table])])
+
+
+def _save_components(path, parts) -> None:
+    """The gradient, curl and harmonic parts of a HodgeComponents as CSV
+    ``simplex_id,component,value``, one part after the other."""
+    names = ("gradient", "curl", "harmonic")
+    n = parts.gradient.values.size
+    _write_rows(path, "simplex_id,component,value",
+                [f"{i},{name}" for name in names for i in range(n)],
+                [np.concatenate([getattr(parts, name).values
+                                 for name in names])])
+
+
+def _save_predictions(path, steps, predictions) -> None:
+    """LMS predictions as time-series CSV of level 1 only: for each step t
+    of ``steps``, the edge flow in the same row of ``predictions``."""
+    _write_rows(path, _SERIES_HEADER,
+                [f",1,{i}" for i in range(predictions.shape[1])],
+                predictions, steps)
+
+
+def _save_triangles(path, triangles, scores) -> None:
+    """Inferred triangles, 1-based as in a complex file, and their scores
+    as JSON ``{"triangles": [[i, j, k], ...], "scores": [...]}``."""
+    _write_json(path, {"triangles": [[v + 1 for v in t] for t in triangles],
+                       "scores": scores})

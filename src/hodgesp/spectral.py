@@ -471,7 +471,7 @@ def itft(basis: HodgeBasis, coeffs: TftCoefficients) -> Cochain:
     if (coeffs.gradient.shape[0] != basis.n_gradient
             or coeffs.curl.shape[0] != basis.n_curl
             or coeffs.harmonic.shape[0] != basis.n_harmonic):
-        raise ValueError("coefficient block widths do not match the basis")
+        raise ValueError("coeffs: block widths do not match the basis")
     values = (
         basis._gradient_factors.combine(coeffs.gradient)
         + basis._curl_factors.combine(coeffs.curl)
@@ -682,7 +682,7 @@ def dirac_itft(c: SimplicialComplex, coeffs: np.ndarray,
     width = n_h + n_g + curl_.signs.size
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (width,):
-        raise ValueError(f"expected {width} coefficients, got {coeffs.shape}")
+        raise ValueError(f"coeffs: need {width} values, got {coeffs.shape}")
     x0, x1 = grad.combine(coeffs[n_h : n_h + n_g])
     x1_up, x2 = curl_.combine(coeffs[n_h + n_g :])
     return ComplexSignal.from_stacked(c, basis.harmonic @ coeffs[:n_h]

@@ -121,7 +121,7 @@ class SCVarModel:
 
     def __post_init__(self) -> None:
         if not self.lags:
-            raise ValueError("model needs at least one lag")
+            raise ValueError("lags must hold at least one lag")
 
 
 def _check_history(model: SCVarModel, history: Sequence[ComplexSignal],
@@ -363,8 +363,8 @@ class LmsState:
         object.__setattr__(self, "coefficients", coeffs)
         if coeffs.shape != (expected,):
             raise ValueError(
-                f"need {expected} coefficients (1 + t_down + t_up), "
-                f"got shape {coeffs.shape}"
+                f"coefficients must have shape ({expected},) "
+                f"(1 + t_down + t_up), got {coeffs.shape}"
             )
         if np.count_nonzero(np.isfinite(coeffs)) != coeffs.size:
             raise ValueError("coefficients must be finite")

@@ -410,6 +410,42 @@ def test_binding_is_checked(case):
         call()
 
 
+# Data of the wrong size or kind, neither a number nor a bound object:
+# each rejection names the parameter first.
+SHAPES = {
+    "build_dictionary-no-specs": (lambda: hs.build_dictionary(C, 1, []),
+                                  "specs"),
+    "itft-widths": (lambda: hs.itft(hs.hodge_basis(C, 1), hs.TftCoefficients(
+        np.zeros(1), np.zeros(0), np.zeros(0))), "coeffs"),
+    "dirac_itft-length": (lambda: hs.dirac_itft(C, np.zeros(3)), "coeffs"),
+    "SCVarModel-no-lags": (lambda: hs.SCVarModel(C, ()), "lags"),
+    "ComplexSignal.from_stacked-length": (
+        lambda: hs.ComplexSignal.from_stacked(C, np.zeros(3)), "v"),
+    "scvar_predict-short-history": (lambda: hs.scvar_predict(model(), []),
+                                    "history"),
+    "scvar_simulate-short-initial": (
+        lambda: hs.scvar_simulate(model(), 1, []), "initial"),
+    "LmsState-coefficients-shape": (lambda: hs.LmsState(
+        C, 1, 1, 0.1, np.zeros(4)), "coefficients"),
+    "infer_triangles-criterion": (lambda: hs.infer_triangles(
+        SKELETON, np.ones((10, 2)), 1, "largest"), "criterion"),
+    "infer_triangles-flow-rows": (lambda: hs.infer_triangles(
+        SKELETON, np.ones((9, 2)), 1), "flows"),
+    "sparse_code-rows": (lambda: hs.sparse_code(np.eye(C.n1 + 1), flow(), 2),
+                         "dictionary"),
+    "sparse_code-slepian-rows": (lambda: hs.sparse_code(
+        hs.slepians(C, [0, 1, 2], [4, 5]), np.ones(C.n1 + 1), 1),
+        "dictionary"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPES))
+def test_wrong_shape_is_rejected_by_name(case):
+    call, param = SHAPES[case]
+    with pytest.raises(ValueError, match=rf"^{param}\b"):
+        call()
+
+
 # The one checker behind index sets and simplex rows: its vectorised test
 # (an integer array, range and repeats at once) must agree with the
 # per-item walk of the same scalar checker, which it takes when

@@ -195,6 +195,16 @@ def test_omp_single_atom(complex7):
     assert np.linalg.norm(d.atoms @ coef - x) < 1e-10
 
 
+def test_omp_codes_on_a_slepian_set_as_on_its_vectors(complex7):
+    basis = hodge_basis(complex7, 1)
+    freq = list(range(basis.n_harmonic + basis.n_gradient, complex7.n1))
+    found = slepians(complex7, [0, 1, 2, 5], freq, basis=basis)
+    x = complex7.cochain(1, np.random.default_rng(4).standard_normal(10))
+    coef = sparse_code(found, x, 2)
+    assert coef.tobytes() == sparse_code(found.vectors, x, 2).tobytes()
+    assert np.count_nonzero(coef) == 2
+
+
 def test_omp_orthogonal_signal(complex7):
     basis = hodge_basis(complex7, 1)
     d = basis.gradient  # atoms orthogonal to the harmonic vector

@@ -768,6 +768,62 @@ def test_cli_lms_runs(complex_file, tmp_path, complex7):
     assert len(preds) == 1 + 29 * 10  # one warm-up step
 
 
+def lms_files(tmp_path, c, steps, seed):
+    """Input and observed edge-flow series of ``steps`` steps, written to
+    x.csv and y.csv; returns them with their paths."""
+    rng = np.random.default_rng(seed)
+    xs = [ComplexSignal.from_arrays(c, np.zeros(c.n0),
+                                    rng.standard_normal(c.n1),
+                                    np.zeros(c.n2)) for _ in range(steps)]
+    ys = [ComplexSignal.from_arrays(c, np.zeros(c.n0), 0.5 * s.x1.values
+                                    + 0.1 * rng.standard_normal(c.n1),
+                                    np.zeros(c.n2)) for s in xs]
+    paths = tmp_path / "x.csv", tmp_path / "y.csv"
+    for path, series in zip(paths, (xs, ys)):
+        hio.save_series(path, series)
+    return xs, ys, paths
+
+
+def test_cli_lms_mask_matches_masked_steps(complex_file, tmp_path,
+                                           complex7):
+    xs, ys, (xs_path, ys_path) = lms_files(tmp_path, complex7, 12, 11)
+    masks = np.random.default_rng(12).random((complex7.n1, 12)) < 0.6
+    hio.save_matrix(tmp_path / "mask.csv", masks.astype(float))
+    coeffs = tmp_path / "h.csv"
+    assert run_cli(["lms", str(complex_file), "--input", str(xs_path),
+                    "--observed", str(ys_path), "--t-down", "2",
+                    "--t-up", "1", "--mu", "0.05",
+                    "--mask", str(tmp_path / "mask.csv"),
+                    "-o", str(tmp_path / "pred.csv"),
+                    "--coeffs-output", str(coeffs)]) == 0
+    masked = unmasked = lms_init(complex7, 2, 1, 0.05)
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        masked, _ = lms_step(masked, x.x1, y.x1, mask=masks[:, t])
+        unmasked, _ = lms_step(unmasked, x.x1, y.x1)
+    hio.save_matrix(tmp_path / "want.csv", masked.coefficients[None, :])
+    assert coeffs.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert not np.allclose(masked.coefficients, unmasked.coefficients)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("mask", "mask must be 10 x 6, got (10, 5)"),
+    ("steps", "input has 6 steps, observed 5"),
+])
+def test_cli_lms_rejects_mismatched_files(case, message, complex_file,
+                                          tmp_path, complex7, capsys):
+    xs, ys, (xs_path, ys_path) = lms_files(tmp_path, complex7, 6, 13)
+    argv = ["lms", str(complex_file), "--input", str(xs_path), "--observed",
+            str(ys_path), "--mu", "0.05", "-o", str(tmp_path / "pred.csv")]
+    if case == "mask":
+        hio.save_matrix(tmp_path / "mask.csv", np.ones((complex7.n1, 5)))
+        argv += ["--mask", str(tmp_path / "mask.csv")]
+    else:
+        hio.save_series(ys_path, ys[:5])
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def test_cli_infer_triangles(tmp_path, complex7, skeleton7):
     rng = np.random.default_rng(6)
     graph = tmp_path / "graph.json"

@@ -17,6 +17,7 @@ import hodgesp.spectral as hsp
 from hodgesp import (
     build_complex,
     hodge_basis,
+    hodge_laplacian,
     incidence,
     lambda_max,
     parse_frequency_selector,
@@ -173,6 +174,32 @@ def test_low_rank_block_falls_back_to_the_dense_columns():
     assert hc._low_spectrum(c, 1, hsp._PARTIAL_WINDOW) is None
     idx = basis.n_harmonic + np.arange(basis.n_gradient)
     assert basis.columns(idx).tobytes() == basis.matrix()[:, idx].tobytes()
+
+
+@pytest.mark.parametrize("a, b, pairs", [(12, 250, 249), (1, 260, None)],
+                         ids=["K12,250", "star-K1,260"])
+def test_partial_spectrum_grows_its_count_past_a_wide_cluster(a, b, pairs):
+    """On the skeleton of K_a,b, L0's lowest nonzero eigenvalue a has
+    multiplicity b - 1, far more than the window. The eigensolver's count
+    doubles until a cut clears that cluster: on K12,250, whose spectrum is
+    12 (x249), 250 (x11) and 262, it reaches 260 and keeps 249 pairs. On
+    the star K1,260 it reaches rank - 1 with no cut and declines, so the
+    columns are the dense SVD's."""
+    c = build_complex(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    assert c.n0 >= hsp._PARTIAL_FLOOR
+    basis = hodge_basis(c, 1)
+    idx = basis.n_harmonic + np.arange(hsp._PARTIAL_WINDOW)
+    cols = basis.columns(idx)
+    low = hc._low_spectrum(c, 1, hsp._PARTIAL_WINDOW)
+    down = hodge_laplacian(c, 1, "down", sparse=True)
+    assert np.abs(cols.T @ cols - np.eye(idx.size)).max() <= 1e-12
+    assert np.linalg.norm(down @ cols - a * cols, axis=0).max() <= 1e-12
+    if pairs is None:
+        assert low is None
+        assert cols.tobytes() == basis.matrix()[:, idx].tobytes()
+    else:
+        assert low[0].size == pairs
+        assert "gradient" not in vars(basis)
 
 
 def view_gather_columns(basis, idx):

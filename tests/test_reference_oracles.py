@@ -2,14 +2,14 @@
 pass per term, the typed spectrum built from the block frequency arrays,
 the l1 dual step's one bound vector, the filterbank on arrays, the one
 filter evaluator, the one Hodge split, the exact elimination's lowest
-rows, the LMS step from a state's plan and the one series writer. Each
+rows, the LMS step from a state's plan and the one CSV row writer. Each
 keeps the earlier code (a regressor loop per lag, a row loop over the
 frequency table, a clip per penalty block, one Cochain per branch, a term
 plan applied apart, a projection onto the truncated SVD, a dict per
-column, the regressor rebuilt by hand, a field-by-field CSV writer) and
+column, the regressor rebuilt by hand, one ``%`` per CSV row) and
 must agree with it on random complexes with cells: byte for byte, except
-the explicit-tol split, which moves by rounding, and LMS steps on a dense
-shift stack, which match to rounding."""
+the explicit-tol split, which moves by rounding, and LMS steps through a
+dense step operator, which match to rounding."""
 
 import tempfile
 import warnings
@@ -27,10 +27,12 @@ from hodgesp import (
     ComplexSignal,
     FrequencyEntry,
     HarmonicTerm,
+    HodgeComponents,
     HodgeFilterSpec,
     SCVarLag,
     SCVarModel,
     apply_filter,
+    build_complex,
     dirac_shift,
     filterbank_edge,
     frequency_response,
@@ -51,7 +53,14 @@ from hodgesp.complexes import (
     _rank,
 )
 from hodgesp.filters import _filter_values, _poly_eval, _polynomial
-from hodgesp.io import _SERIES_HEADER, _write_csv, _write_series, save_series
+from hodgesp.io import (
+    _WRITE_CHUNK,
+    _save_components,
+    _save_predictions,
+    _save_spectrum,
+    save_series,
+    save_signal,
+)
 from hodgesp.timeseries import (
     _OWN_SLOTS,
     _lms_update,
@@ -532,12 +541,12 @@ SPARSE_GRID = triangulated_grid(8, holes=[(2, 2)])
 def test_planned_lms_steps_match_the_rebuilt_regressor(c, seed, t_down, t_up,
                                                       masks):
     """Each step from the state's plan against the regressor rebuilt by
-    hand: byte for byte where the shift stack is held sparse, to 1e-12
+    hand: byte for byte where the step operator is held sparse, to 1e-12
     relative where it is held dense."""
     rng = np.random.default_rng(seed)
     mu, need = 1e-3, max(t_down, t_up) + 1
     state = lms_init(c, t_down, t_up, mu)
-    # (0, 0) has no lag operator; read (1, 0)'s, of [Ld; Lu]'s shape
+    # (0, 0) takes no product; read how (1, 0)'s step operator is held
     plan = state._plan if need > 1 else lms_init(c, 1, 0, mu)._plan
     exact = sp.issparse(plan.op)
     coeffs, window = state.coefficients, ()
@@ -562,13 +571,13 @@ def test_planned_lms_steps_match_the_rebuilt_regressor(c, seed, t_down, t_up,
 @given(c=st.one_of(complexes_with_cells(), st.just(SPARSE_GRID)),
        seed=st.integers(0, 2**16), t_down=st.integers(0, 3),
        t_up=st.integers(0, 3), extra=st.integers(0, 3))
-def test_regressor_from_the_lag_operator_matches_the_column_loop(
+def test_regressor_from_the_step_operator_matches_the_column_loop(
         c, seed, t_down, t_up, extra):
-    """lms_build_regressor, from the interleaved lag operator and its
-    passes, against the regressor built a column and a product at a time,
-    on windows up to three flows longer than needed: byte for byte where
-    the operator is held sparse, to 1e-12 relative where it is held
-    dense. Column 0 is x_t as given, signed zeros included."""
+    """lms_build_regressor, from steps of the held step operator, against
+    the regressor built a column and a product at a time, on windows up
+    to three flows longer than needed: byte for byte where the operator
+    is held sparse, to 1e-12 relative where it is held dense. Column 0 is
+    x_t as given, signed zeros included."""
     rng = np.random.default_rng(seed)
     need = max(t_down, t_up) + 1
     window = [c.cochain(1, rng.standard_normal(c.n1))
@@ -584,26 +593,13 @@ def test_regressor_from_the_lag_operator_matches_the_column_loop(
     assert_close(got, want, plan.op is None or sp.issparse(plan.op))
 
 
-def field_by_field_series(path, series, start=0):
-    """save_series as it wrote through _write_csv: every field of every
-    row formatted by one ``%``."""
-    series = list(series)
-    if not series:
-        return _write_csv(path, _SERIES_HEADER, "")
-    c, n = series[0].complex, len(series)
-    _write_csv(path, _SERIES_HEADER, "%d,%d,%d,%.17g",
-               np.repeat(np.arange(start, start + n), c.n0 + c.n1 + c.n2),
-               np.tile(np.repeat([0, 1, 2], [c.n0, c.n1, c.n2]), n),
-               np.tile(np.r_[:c.n0, :c.n1, :c.n2], n),
-               np.concatenate([sig.stacked() for sig in series]))
-
-
-def field_by_field_predictions(path, steps, preds, n1):
-    """The lms subcommand's predictions file as it wrote it through
-    _write_csv."""
-    _write_csv(path, _SERIES_HEADER, "%d,1,%d,%.17g",
-               np.repeat(steps, n1), np.tile(np.arange(n1), len(steps)),
-               preds[:len(steps)].ravel())
+def row_at_a_time(header, rows) -> bytes:
+    """The CSV bytes of a header and rows, each row a tuple of its fields
+    formatted by its own ``%``: every field but the last as ``%s``, the
+    last, a float, at 17 significant digits; lines end in CRLF."""
+    return (header + "\r\n" + "".join(
+        ("%s," * (len(row) - 1) + "%.17g\r\n") % row for row in rows)
+        ).encode()
 
 
 SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e308,
@@ -619,21 +615,61 @@ def values_with_specials(rng, shape) -> np.ndarray:
     return values
 
 
+NAMES = ("gradient", "curl", "harmonic")
+
+
 @PROPERTY
 @given(c=complexes_with_cells(), seed=st.integers(0, 2**16),
        steps=st.integers(0, 4), start=st.integers(0, 1000))
-def test_series_writer_matches_the_field_by_field_writer(c, seed, steps,
-                                                        start):
+def test_row_writer_matches_a_row_at_a_time(c, seed, steps, start):
+    """The signal, series, lms predictions, spectrum and components tables
+    against the rows formatted one ``%`` at a time."""
     rng = np.random.default_rng(seed)
+    x = c.cochain(1, values_with_specials(rng, c.n1))
     series = [ComplexSignal.from_stacked(c, values_with_specials(
         rng, c.n0 + c.n1 + c.n2)) for _ in range(steps)]
     kept = np.flatnonzero(rng.random(steps + 2) < 0.6)  # steps with output
     preds = values_with_specials(rng, (steps + 2, c.n1))
+    kinds = rng.choice(NAMES, c.n1)
+    table = [FrequencyEntry(i, str(kind), v) for i, (kind, v) in enumerate(
+        zip(kinds, values_with_specials(rng, c.n1).tolist()))]
+    parts = HodgeComponents(*(c.cochain(1, values_with_specials(rng, c.n1))
+                              for _ in NAMES), None, None)
+    want = {
+        "signal": row_at_a_time("simplex_id,value",
+                                enumerate(x.values.tolist())),
+        "series": row_at_a_time("t,level,simplex_id,value", [
+            (t, k, i, v) for t, sig in enumerate(series, start)
+            for k in (0, 1, 2)
+            for i, v in enumerate(getattr(sig, f"x{k}").values.tolist())]),
+        "predictions": row_at_a_time("t,level,simplex_id,value", [
+            (t, 1, i, v) for t, row in zip(kept.tolist(), preds)
+            for i, v in enumerate(row.tolist())]),
+        "spectrum": row_at_a_time("index,type,frequency",
+                                  [tuple(row) for row in table]),
+        "components": row_at_a_time("simplex_id,component,value", [
+            (i, name, v) for name in NAMES
+            for i, v in enumerate(getattr(parts, name).values.tolist())]),
+    }
     with tempfile.TemporaryDirectory() as tmp:
-        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
-        save_series(got, series, start=start)
-        field_by_field_series(want, series, start=start)
-        assert got.read_bytes() == want.read_bytes()
-        _write_series(got, kept.tolist(), preds, [(1, c.n1)])
-        field_by_field_predictions(want, kept.tolist(), preds, c.n1)
-        assert got.read_bytes() == want.read_bytes()
+        path = Path(tmp, "table.csv")
+        for name, write in {
+            "signal": lambda: save_signal(path, x),
+            "series": lambda: save_series(path, series, start=start),
+            "predictions": lambda: _save_predictions(path, kept.tolist(),
+                                                     preds),
+            "spectrum": lambda: _save_spectrum(path, table),
+            "components": lambda: _save_components(path, parts),
+        }.items():
+            write()
+            assert path.read_bytes() == want[name], name
+
+
+def test_row_writer_formats_a_table_longer_than_a_chunk(tmp_path):
+    """A signal of more rows than one ``%`` formats, against the rows
+    formatted one at a time."""
+    c = build_complex(_WRITE_CHUNK + 1000, [])
+    x = c.cochain(0, values_with_specials(np.random.default_rng(3), c.n0))
+    save_signal(tmp_path / "x.csv", x)
+    assert (tmp_path / "x.csv").read_bytes() == row_at_a_time(
+        "simplex_id,value", enumerate(x.values.tolist()))

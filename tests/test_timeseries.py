@@ -51,10 +51,11 @@ def random_signal(c, rng) -> ComplexSignal:
     )
 
 
-# The compiled SCVAR operator, and an LMS shift stack held dense (at most
-# DENSE_ENTRIES entries), sum in an order of their own, so the steps match
-# the loops to rounding; the largest relative difference seen was 2.5e-15.
-# A shift stack held sparse sums as the loop does, byte for byte.
+# The compiled SCVAR operator, and an LMS step operator held dense (at
+# most DENSE_ENTRIES entries), sum in an order of their own, so the steps
+# match the loops to rounding; the largest relative difference seen was
+# 2.5e-15. A step operator held sparse sums as the loop does, byte for
+# byte.
 RTOL = 1e-12
 
 
@@ -714,7 +715,7 @@ def test_lms_steps_match_the_rebuilt_regressor_random(c, seed, t_down, t_up):
     assert_lms_matches_reference(c, np.random.default_rng(seed), t_down, t_up)
 
 
-def test_lms_steps_are_exact_where_the_shift_stack_is_sparse():
+def test_lms_steps_are_exact_where_the_step_operator_is_sparse():
     c = triangulated_grid(8, holes=[(2, 2)])
     assert sp.issparse(_step_operator(c, 2, 3))
     rng = np.random.default_rng(24)
